@@ -235,19 +235,6 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-_CHANNEL_KINDS = (
-    "kraus",
-    "pauli",
-    "generalized_pauli",
-    "gad",
-    "stretched",
-    "extremal",
-    "dephasing_axis",
-    "rotated_pauli",
-    "vshape_qutrit",
-    "affine_qubit",
-)
-
 _PARAM_NAMES = {
     "pauli": ("px", "py", "pz"),
     "generalized_pauli": ("dim", "q"),
@@ -260,6 +247,7 @@ _PARAM_NAMES = {
     "affine_qubit": ("lambda1", "lambda2", "lambda3", "t3"),
     "kraus": ("dim", "operators"),
 }
+_CHANNEL_KINDS = tuple(_PARAM_NAMES)
 
 
 def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:

@@ -3,15 +3,12 @@ Blahut-Arimoto runs, sampling simulations, CPTP checks, and byte-stable
 figure data files.
 
 Numeric CSV output uses 12 significant digits and LF line endings so that
-regenerated files are byte-identical for a fixed configuration. The
-environment variable CAPDETECT_THREADS caps sweep concurrency.
+regenerated files are byte-identical for a fixed configuration.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,27 +36,6 @@ _DEFAULT_GRIDS = {
     "fig4": {"k": (0.0, 10.0, 0.1)},
     "suppl_stretched": {"s": (-0.707, 0.707, 0.002)},
 }
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("CAPDETECT_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"CAPDETECT_THREADS must be an integer, got {raw!r}")
-        return max(n, 1)
-    return max(os.cpu_count() or 1, 1)
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order, fanned out over the configured workers."""
-    items = list(items)
-    workers = min(_max_workers(), len(items)) or 1
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def grid_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -107,11 +83,11 @@ def _write_table(columns, rows, out, fmt: str, name: str):
 def _fig1(grids, tol, max_iter):
     gammas = grid_values(*grids["gamma"])
 
-    def row(g):
-        c_det = detect_pauli_qubit(gad_affine(g, 1.0)).c_det_bits
-        return (float(g), c_det, holevo_gad_p1(g))
-
-    return ("gamma", "c_det_bits", "c1_bits"), _parallel_map(row, gammas)
+    rows = [
+        (float(g), detect_pauli_qubit(gad_affine(g, 1.0)).c_det_bits, holevo_gad_p1(g))
+        for g in gammas
+    ]
+    return ("gamma", "c_det_bits", "c1_bits"), rows
 
 
 def _fig2(grids, tol, max_iter):
@@ -156,7 +132,7 @@ def _fig3(grids, tol, max_iter):
 
 def _fig4(grids, tol, max_iter):
     ks = grid_values(*grids["k"])
-    caps = _parallel_map(lambda k: von_mises_expected_capacity(0.15, 0.05, 0.1, k), ks)
+    caps = [von_mises_expected_capacity(0.15, 0.05, 0.1, k) for k in ks]
     return ("k_phi", "avg_c_det_bits"), [(float(k), c) for k, c in zip(ks, caps)]
 
 

@@ -23,8 +23,8 @@ from .channels import AffineQubitChannel
 from .infotheory import (
     binary_capacity,
     binary_entropy,
-    blahut_arimoto,
     blahut_arimoto_batch,
+    check_transition_stack,
     weakly_symmetric_capacity,
 )
 
@@ -84,7 +84,7 @@ class BasisResult:
     transition: np.ndarray
     optimal_prior: np.ndarray
     mutual_information_bits: float
-    method: str  # "BA", "weakly-symmetric", or "binary-closed-form"
+    method: str  # "binary-closed-form" (every 2x2), "weakly-symmetric", or "BA"
     converged: bool = True
 
 
@@ -133,38 +133,40 @@ def _assemble(per_basis: list) -> DetectionResult:
 
 def detect_from_transitions(transitions, labels, config: DetectionConfig | None = None) -> DetectionResult:
     """Detection pipeline on already-reconstructed transition matrices: the
-    weakly-symmetric closed form when it applies, Blahut-Arimoto otherwise.
+    binary-channel closed form for every 2x2 matrix, the weakly-symmetric
+    closed form when it applies, Blahut-Arimoto otherwise.
 
-    Equal-shape matrices share one vectorized Blahut-Arimoto run; the update
-    and stopping rule are identical to the scalar solver.
+    The remaining matrices are grouped by shape, one solver call per group.
     """
     config = config or DetectionConfig()
+    transitions = [np.asarray(t, dtype=float) for t in transitions]
     per_basis: list = [None] * len(labels)
-    todo = []
+    groups: dict = {}
     for i, (t, label) in enumerate(zip(transitions, labels)):
-        t = np.asarray(t, dtype=float)
-        ws = weakly_symmetric_capacity(t)
+        ws = None if t.shape == (2, 2) else weakly_symmetric_capacity(t)
         if ws is not None:
             n_in = t.shape[1]
             per_basis[i] = BasisResult(label, t, np.full(n_in, 1.0 / n_in),
                                        ws.capacity_bits, "weakly-symmetric")
         else:
-            todo.append(i)
-    shapes = {np.asarray(transitions[i]).shape for i in todo}
-    if len(todo) > 1 and len(shapes) == 1:
-        stack = np.stack([np.asarray(transitions[i], float) for i in todo])
-        caps, priors, _, gaps = blahut_arimoto_batch(
-            stack, config.ba_tolerance_bits, config.max_iterations
-        )
-        for k, i in enumerate(todo):
-            per_basis[i] = BasisResult(labels[i], stack[k], priors[k], float(caps[k]),
-                                       "BA", converged=bool(gaps[k] <= config.ba_tolerance_bits))
-    else:
-        for i in todo:
-            r = blahut_arimoto(transitions[i], config.ba_tolerance_bits, config.max_iterations)
-            per_basis[i] = BasisResult(labels[i], np.asarray(transitions[i], float),
-                                       r.optimal_prior, r.capacity_bits, "BA",
-                                       converged=r.converged)
+            groups.setdefault(t.shape, []).append(i)
+    for shape, members in groups.items():
+        stack = np.stack([transitions[i] for i in members])
+        if shape == (2, 2):
+            stack = check_transition_stack(stack)
+            caps, p0 = binary_capacity(stack[:, 1, 0], stack[:, 0, 1])
+            priors = np.stack([p0, 1.0 - p0], axis=1)
+            converged = np.ones(len(members), dtype=bool)
+            method = "binary-closed-form"
+        else:
+            caps, priors, _, gaps = blahut_arimoto_batch(
+                stack, config.ba_tolerance_bits, config.max_iterations
+            )
+            converged = gaps <= config.ba_tolerance_bits
+            method = "BA"
+        for k, i in enumerate(members):
+            per_basis[i] = BasisResult(labels[i], transitions[i], priors[k], float(caps[k]),
+                                       method, converged=bool(converged[k]))
     return _assemble(per_basis)
 
 
@@ -191,12 +193,13 @@ def pauli_epsilons(ch: AffineQubitChannel) -> list:
 def detect_pauli_qubit(ch: AffineQubitChannel) -> DetectionResult:
     """Detected capacity of a canonical qubit channel under the three Pauli
     bases, each axis solved with the binary-channel closed form."""
+    pairs = pauli_epsilons(ch)
+    caps, p0s = binary_capacity(*zip(*pairs))
     per_basis = []
-    for label, (e0, e1) in zip(PAULI_AXES, pauli_epsilons(ch)):
-        cb = binary_capacity(e0, e1)
+    for label, (e0, e1), cap, p0 in zip(PAULI_AXES, pairs, caps, p0s):
         t = np.array([[1.0 - e0, e1], [e0, 1.0 - e1]])
-        prior = np.array([cb.optimal_p0, 1.0 - cb.optimal_p0])
-        per_basis.append(BasisResult(label, t, prior, cb.capacity_bits, "binary-closed-form"))
+        prior = np.array([p0, 1.0 - p0])
+        per_basis.append(BasisResult(label, t, prior, float(cap), "binary-closed-form"))
     return _assemble(per_basis)
 
 

@@ -7,8 +7,6 @@ column-stochastic: entry (m, n) is the probability of output m given
 input n.
 """
 
-import math
-
 import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,11 +27,21 @@ def check_transition_matrix(t, tol: float = 1e-9) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError("transition matrix must be two-dimensional")
-    if t.min() < -tol or t.max() > 1.0 + tol:
+    return check_transition_stack(t[None], tol)[0]
+
+
+def check_transition_stack(t, tol: float = 1e-9) -> np.ndarray:
+    """Validate a stack (g, outputs, inputs) of column-stochastic matrices
+    and return it clipped to [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 3:
+        raise ValueError("expected a stack of transition matrices")
+    # written so that NaN entries fail the checks
+    if not (t.min() >= -tol and t.max() <= 1.0 + tol):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    colsums = t.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > tol:
-        raise ValueError(f"columns must sum to 1; worst deviation {np.max(np.abs(colsums - 1.0)):.3e}")
+    worst = np.max(np.abs(t.sum(axis=1) - 1.0))
+    if not worst <= tol:
+        raise ValueError(f"columns must sum to 1; worst deviation {worst:.3e}")
     return np.clip(t, 0.0, 1.0)
 
 
@@ -42,13 +50,18 @@ def binary_entropy(x):
     x = np.asarray(x, dtype=float)
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
         raise ValueError(f"binary entropy argument outside [0, 1]: {x}")
-    x = np.clip(x, 0.0, 1.0)
+    out = _h(np.clip(x, 0.0, 1.0))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def _h(x: np.ndarray) -> np.ndarray:
+    """Binary entropy of an array already inside [0, 1]."""
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
     out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    if np.ndim(out) == 0:
-        return float(out)
     return out
 
 
@@ -81,18 +94,11 @@ class BAResult:
     iterations: int
     gap_bits: float
     converged: bool
-    lower_bounds: list | None = None
 
 
-def blahut_arimoto(
-    transition,
-    tol_bits: float = 1e-9,
-    max_iter: int = 100_000,
-    initial_prior=None,
-    track_history: bool = False,
-) -> BAResult:
+def blahut_arimoto(transition, tol_bits: float = 1e-9, max_iter: int = 100_000) -> BAResult:
     """Channel capacity of a discrete memoryless channel by alternating
-    maximization.
+    maximization, from the uniform prior.
 
     Each round computes c_n = 2^D(p(.|n) || q) against the current output
     distribution q, reweights the prior by c_n, and brackets the capacity
@@ -103,97 +109,22 @@ def blahut_arimoto(
     ``converged=False``.
     """
     t = check_transition_matrix(transition)
-    n_in = t.shape[1]
-    if tol_bits <= 0.0:
-        raise ValueError("tol_bits must be positive")
-    if initial_prior is None:
-        p = np.full(n_in, 1.0 / n_in)
-    else:
-        p = check_prob_vector(initial_prior)
-        if p.size != n_in:
-            raise ValueError("initial prior size does not match the number of inputs")
-        if p.min() <= 0.0:
-            raise ValueError("initial prior must be strictly positive")
-    # outputs that never occur contribute nothing; dropping them keeps the
-    # output distribution strictly positive, so the logs need no masking
-    t = t[t.sum(axis=1) > 0.0]
-    if t.shape == (2, 2):
-        # binary channels dominate the sweeps; scalar arithmetic skips the
-        # numpy dispatch overhead that would dwarf the 2x2 linear algebra
-        return _blahut_arimoto_2x2(t, p, tol_bits, max_iter, track_history)
-    mask = t > 0.0
-    t_log_t = np.zeros_like(t)
-    t_log_t[mask] = t[mask] * np.log2(t[mask])
-    kl_const = t_log_t.sum(axis=0)
-    t_tr = np.ascontiguousarray(t.T)
-
-    history = [] if track_history else None
-    q = np.empty(t.shape[0])
-    kl = np.empty(n_in)
-    weighted = np.empty(n_in)
-    lower = 0.0
-    gap = np.inf
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        np.dot(t, p, out=q)
-        np.log2(q, out=q)
-        np.dot(t_tr, q, out=kl)
-        np.subtract(kl_const, kl, out=kl)  # log2 c_n = D(p(.|n) || q) in bits
-        np.exp2(kl, out=weighted)
-        np.multiply(weighted, p, out=weighted)
-        total = weighted.sum()
-        lower = float(np.log2(total))
-        gap = float(kl.max() - lower)
-        if track_history:
-            history.append(lower)
-        p = weighted / total
-        if gap <= tol_bits:
-            return BAResult(lower, p, iteration, gap, True, history)
-    return BAResult(lower, p, iteration, gap, False, history)
-
-
-def _blahut_arimoto_2x2(t, p, tol_bits, max_iter, track_history):
-    """Same recursion and stopping rule as the generic solver, on floats."""
-    log2 = math.log2
-    t00, t01 = float(t[0, 0]), float(t[0, 1])
-    t10, t11 = float(t[1, 0]), float(t[1, 1])
-    c0 = (t00 * log2(t00) if t00 > 0.0 else 0.0) + (t10 * log2(t10) if t10 > 0.0 else 0.0)
-    c1 = (t01 * log2(t01) if t01 > 0.0 else 0.0) + (t11 * log2(t11) if t11 > 0.0 else 0.0)
-    p0, p1 = float(p[0]), float(p[1])
-    history = [] if track_history else None
-    lower = 0.0
-    gap = np.inf
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        lq0 = log2(t00 * p0 + t01 * p1)
-        lq1 = log2(t10 * p0 + t11 * p1)
-        kl0 = c0 - t00 * lq0 - t10 * lq1
-        kl1 = c1 - t01 * lq0 - t11 * lq1
-        w0 = p0 * 2.0**kl0
-        w1 = p1 * 2.0**kl1
-        total = w0 + w1
-        lower = log2(total)
-        gap = (kl0 if kl0 > kl1 else kl1) - lower
-        if track_history:
-            history.append(lower)
-        p0 = w0 / total
-        p1 = w1 / total
-        if gap <= tol_bits:
-            return BAResult(lower, np.array([p0, p1]), iteration, gap, True, history)
-    return BAResult(lower, np.array([p0, p1]), iteration, float(gap), False, history)
+    caps, priors, iterations, gaps = blahut_arimoto_batch(t[None], tol_bits, max_iter)
+    gap = float(gaps[0])
+    return BAResult(float(caps[0]), priors[0], int(iterations[0]), gap, gap <= tol_bits)
 
 
 def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000):
-    """Blahut-Arimoto over a stack of transition matrices (g, outputs, inputs).
+    """Blahut-Arimoto over a stack of transition matrices (g, outputs, inputs),
+    each started from the uniform prior; the recursion behind
+    :func:`blahut_arimoto`.
 
-    Vectorized counterpart of :func:`blahut_arimoto` with uniform initial
-    priors, used for dense parameter sweeps. Returns arrays
-    (capacities, priors, iterations, gaps); entries are frozen as soon as
-    their bracket reaches ``tol_bits``.
+    Returns arrays (capacities, priors, iterations, gaps); entries are
+    frozen as soon as their bracket reaches ``tol_bits``.
     """
-    t = np.asarray(transitions, dtype=float)
-    if t.ndim != 3:
-        raise ValueError("expected a stack of transition matrices")
+    t = check_transition_stack(transitions)
+    if tol_bits <= 0.0:
+        raise ValueError("tol_bits must be positive")
     g, _, n_in = t.shape
     mask = t > 0.0
     t_log_t = np.zeros_like(t)
@@ -204,25 +135,27 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     capacities = np.zeros(g)
     gaps = np.full(g, np.inf)
     iterations = np.zeros(g, dtype=int)
-    active = np.arange(g)
+    # the still-iterating matrices, compacted only on rounds where one of
+    # them converges; outputs that never occur (q = 0) contribute nothing
+    active, ta, ka, pa = np.arange(g), t, kl_const, priors
     for it in range(1, max_iter + 1):
-        ta = t[active]
-        pa = priors[active]
         q = np.einsum("gmn,gn->gm", ta, pa)
         logq = np.zeros_like(q)
         np.log2(q, out=logq, where=q > 0.0)
-        kl = kl_const[active] - np.einsum("gmn,gm->gn", ta, logq)
+        kl = ka - np.einsum("gmn,gm->gn", ta, logq)  # log2 c_n = D(p(.|n) || q)
         weighted = pa * np.exp2(kl)
         total = weighted.sum(axis=1)
         lower = np.log2(total)
         gap = kl.max(axis=1) - lower
-        capacities[active] = lower
-        gaps[active] = gap
-        iterations[active] = it
-        priors[active] = weighted / total[:, None]
+        pa = weighted / total[:, None]
         done = gap <= tol_bits
-        if done.any():
-            active = active[~done]
+        if done.any() or it == max_iter:
+            capacities[active] = lower
+            gaps[active] = gap
+            iterations[active] = it
+            priors[active] = pa
+            keep = ~done
+            active, ta, ka, pa = active[keep], ta[keep], ka[keep], pa[keep]
             if active.size == 0:
                 break
     return capacities, priors, iterations, gaps
@@ -233,36 +166,39 @@ class BinaryCapacity(NamedTuple):
     optimal_p0: float
 
 
-def binary_capacity(eps0: float, eps1: float) -> BinaryCapacity:
+def binary_capacity(eps0, eps1) -> BinaryCapacity:
     """Capacity and optimal prior of the binary asymmetric channel with
     error probabilities eps0 (input 0 received as 1) and eps1 (input 1
-    received as 0).
+    received as 0), elementwise over arrays; scalar inputs give floats.
 
     Labels are first canonicalized (flip outputs if eps0 + eps1 > 1, swap
     inputs if eps0 > eps1); the returned prior refers to the original
-    input 0. The degenerate line eps0 + eps1 = 1 carries no information.
+    input 0. The optimal prior has a closed form (Silverman 1955), and the
+    reported capacity is the mutual information at that prior, which stays
+    accurate where the closed-form capacity expression cancels, near the
+    degenerate line eps0 + eps1 = 1. That line carries no information.
     """
-    for name, v in (("eps0", eps0), ("eps1", eps1)):
-        if not 0.0 <= v <= 1.0:
+    e0 = np.asarray(eps0, dtype=float)
+    e1 = np.asarray(eps1, dtype=float)
+    for name, v in (("eps0", e0), ("eps1", e1)):
+        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails too
             raise ValueError(f"{name} = {v} outside [0, 1]")
-    e0, e1 = float(eps0), float(eps1)
-    if e0 + e1 > 1.0:
-        e0, e1 = 1.0 - e0, 1.0 - e1
+    flip = e0 + e1 > 1.0
+    e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1
-    if swapped:
-        e0, e1 = e1, e0
+    e0, e1 = np.where(swapped, e1, e0), np.where(swapped, e0, e1)
     span = 1.0 - e0 - e1
-    if span < 1e-12:
-        return BinaryCapacity(0.0, 0.5)
-    h0 = binary_entropy(e0)
-    h1 = binary_entropy(e1)
-    z = 2.0 ** ((h0 - h1) / span)
-    p0 = (1.0 - e1 * (1.0 + z)) / (span * (1.0 + z))
-    cap = float(np.log2(1.0 + z) + (e0 * h1 - (1.0 - e1) * h0) / span)
-    cap = max(cap, 0.0)
-    p0 = min(max(p0, 0.0), 1.0)
-    if swapped:
-        p0 = 1.0 - p0
+    live = span >= 1e-12
+    span = np.where(live, span, 1.0)
+    h0 = _h(e0)
+    h1 = _h(e1)
+    z1 = 1.0 + np.exp2((h0 - h1) / span)
+    p0 = np.clip((1.0 - e1 * z1) / (span * z1), 0.0, 1.0)
+    cap = _h(p0 * (1.0 - e0) + (1.0 - p0) * e1) - p0 * h0 - (1.0 - p0) * h1
+    cap = np.where(live, np.maximum(cap, 0.0), 0.0)
+    p0 = np.where(live, np.where(swapped, 1.0 - p0, p0), 0.5)
+    if cap.ndim == 0:
+        return BinaryCapacity(float(cap), float(p0))
     return BinaryCapacity(cap, p0)
 
 

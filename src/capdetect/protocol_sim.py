@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .qcore import KrausChannel, MeasurementBasis, choi_matrix, conditional_probs
 from .detect import DetectionConfig, detect_from_transitions
-from .infotheory import blahut_arimoto_batch
+from .infotheory import binary_capacity, blahut_arimoto_batch
 
 
 def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> np.random.Generator:
@@ -139,15 +139,8 @@ def detect_from_samples(
         )
         for i in range(len(bases))
     ]  # each (resamples, n_out, n_in)
-    # replicates are maximized with the batched solver (same iteration as the
-    # scalar path, vectorized over resamples)
     per_basis_caps = np.stack(
-        [
-            blahut_arimoto_batch(
-                bc / float(shots_per_input), config.ba_tolerance_bits, config.max_iterations
-            )[0]
-            for bc in boot_counts
-        ]
+        [_replicate_capacities(bc / float(shots_per_input), config) for bc in boot_counts]
     )
     values = per_basis_caps.max(axis=0)
     lo, hi = np.percentile(values, [2.5, 97.5])
@@ -156,6 +149,14 @@ def detect_from_samples(
     return EstimatedDetection(
         point.c_det_bits, lo, hi, resamples, shots_per_input, seed, point.argmax_basis
     )
+
+
+def _replicate_capacities(stack: np.ndarray, config: DetectionConfig) -> np.ndarray:
+    """Capacities of a stack of bootstrap transition estimates: the binary
+    closed form for 2x2 matrices, Blahut-Arimoto otherwise."""
+    if stack.shape[1:] == (2, 2):
+        return binary_capacity(stack[:, 1, 0], stack[:, 0, 1]).capacity_bits
+    return blahut_arimoto_batch(stack, config.ba_tolerance_bits, config.max_iterations)[0]
 
 
 def write_shot_records_csv(records: list, path) -> None:

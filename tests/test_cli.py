@@ -234,14 +234,6 @@ def test_reproduce_json_format(tmp_path):
     assert doc["rows"][0][1] == pytest.approx(0.3031, abs=5e-3)
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CAPDETECT_THREADS", "1")
-    _, rows1 = reproduce_figure("fig1", grid_overrides={"gamma": (0.0, 1.0, 0.2)})
-    monkeypatch.setenv("CAPDETECT_THREADS", "3")
-    _, rows3 = reproduce_figure("fig1", grid_overrides={"gamma": (0.0, 1.0, 0.2)})
-    assert rows1 == rows3
-
-
 def test_unknown_bases_flag(tmp_path, capsys):
     spec = write_json(tmp_path, "gad.json", GAD)
     code, _, err = run(capsys, "bound", "--channel", spec, "--bases", "magic")

@@ -67,11 +67,14 @@ def test_detect_pauli_channel_value_and_argmax():
 
 
 def test_detect_flags_unconverged():
-    # asymmetric z errors dodge the weakly-symmetric shortcut, forcing BA
-    ch = affine_to_kraus(gad_affine(0.36, 1.0))
-    res = detect_capacity(ch, DetectionConfig("pauli", 1e-12, max_iterations=2))
+    # 2x2 transitions use the exact closed form; a 3x3 one without the
+    # weakly-symmetric structure has to iterate
+    ch = vshape_qutrit_channel(0.3, 0.6)
+    cfg = DetectionConfig([computational_basis(3)], 1e-12, max_iterations=2)
+    res = detect_capacity(ch, cfg)
+    assert res.per_basis[0].method == "BA"
     assert not res.converged
-    assert not res.per_basis[2].converged
+    assert not res.per_basis[0].converged
 
 
 def test_detect_basis_monotonicity():

@@ -84,8 +84,8 @@ def test_ba_lower_bounds_monotone():
     rng = np.random.default_rng(1)
     for _ in range(20):
         t = random_transition(rng, 3, 3)
-        r = blahut_arimoto(t, tol_bits=1e-9, track_history=True)
-        lb = np.array(r.lower_bounds)
+        lb = np.array([blahut_arimoto(t, tol_bits=1e-9, max_iter=k).capacity_bits
+                       for k in range(1, 41)])
         assert np.all(np.diff(lb) >= -1e-12)
 
 
@@ -101,8 +101,21 @@ def test_ba_rejects_bad_inputs():
         blahut_arimoto(np.array([[0.9, 0.5], [0.0, 0.5]]))  # column sum != 1
     with pytest.raises(ValueError):
         blahut_arimoto(bsc(0.1), tol_bits=0.0)
-    with pytest.raises(ValueError, match="strictly positive"):
-        blahut_arimoto(bsc(0.1), initial_prior=[1.0, 0.0])
+
+
+def test_ba_batch_rejects_bad_inputs():
+    stack = np.stack([bsc(0.1), np.array([[0.9, 0.5], [0.0, 0.5]])])
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        blahut_arimoto_batch(stack)
+    with pytest.raises(ValueError, match="lie in"):
+        blahut_arimoto_batch(np.stack([bsc(0.1), np.array([[1.2, 0.5], [-0.2, 0.5]])]))
+    with pytest.raises(ValueError, match="lie in"):
+        blahut_arimoto_batch(np.stack([bsc(0.1), np.array([[np.nan, 0.5], [0.5, 0.5]])]))
+    with pytest.raises(ValueError, match="stack"):
+        blahut_arimoto_batch(bsc(0.1))
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol_bits"):
+            blahut_arimoto_batch(np.stack([bsc(0.1)]), tol_bits=tol)
 
 
 def test_ba_uniform_prior_lower_bound_property():
@@ -172,6 +185,26 @@ def test_binary_capacity_against_ba_small_grid():
             t = np.array([[1 - e0, e1], [e0, 1 - e1]])
             ba = blahut_arimoto(t, tol_bits=1e-9).capacity_bits
             assert abs(ba - binary_capacity(e0, e1).capacity_bits) < 1e-8
+
+
+def test_binary_capacity_within_ba_bracket():
+    # the closed form must lie inside BA's certified bracket [lower, upper],
+    # including close to the degenerate line eps0 + eps1 = 1 where the
+    # closed-form capacity expression cancels
+    spans = 10.0 ** -np.arange(2, 12)
+    near = [(e0, 1.0 - e0 - s) for e0 in (0.1, 0.3, 0.45) for s in spans]
+    rng = np.random.default_rng(6)
+    pairs = np.array(near + [tuple(e) for e in rng.uniform(0, 1, (200, 2))])
+    ts = np.stack([np.array([[1 - a, b], [a, 1 - b]]) for a, b in pairs])
+    lower, _, _, gaps = blahut_arimoto_batch(ts, tol_bits=1e-9, max_iter=20_000)
+    scalar = [binary_capacity(a, b) for a, b in pairs]
+    cap = np.array([c.capacity_bits for c in scalar])
+    assert np.all(cap >= lower - 1e-15)
+    assert np.all(cap <= lower + gaps + 1e-15)
+    # one array call gives the scalar results bit for bit
+    vec = binary_capacity(pairs[:, 0], pairs[:, 1])
+    assert np.array_equal(vec.capacity_bits, cap)
+    assert np.array_equal(vec.optimal_p0, [c.optimal_p0 for c in scalar])
 
 
 def test_ba_against_grid_search_oracle():
