@@ -15,6 +15,7 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    apply_channel,
     basis_ket,
     weyl_operator,
 )
@@ -189,19 +190,12 @@ def kraus_to_affine(channel: KrausChannel) -> tuple:
     Lambda_ij = Tr[sigma_i E(sigma_j)]/2 and t_i = Tr[sigma_i E(I)]/2."""
     if channel.dim != 2:
         raise ValueError(f"affine Bloch form needs a qubit channel, got dim {channel.dim}")
-
-    def apply(m):
-        out = np.zeros((2, 2), dtype=complex)
-        for a in channel.operators:
-            out += a @ m @ a.conj().T
-        return out
-
     lam = np.empty((3, 3))
     for j, sj in enumerate(PAULIS):
-        image = apply(sj)
+        image = apply_channel(channel, sj)
         for i, si in enumerate(PAULIS):
             lam[i, j] = np.trace(si @ image).real / 2.0
-    image_id = apply(np.eye(2, dtype=complex))
+    image_id = apply_channel(channel, np.eye(2, dtype=complex))
     t = np.array([np.trace(s @ image_id).real / 2.0 for s in PAULIS])
     return lam, t
 

@@ -23,6 +23,7 @@ from .detect import (
     holevo_gad_p1,
     dephasing_detected,
     pseudoclassicality,
+    qutrit_vshape_transitions,
     von_mises_expected_capacity,
 )
 from .protocol_sim import detect_from_samples
@@ -96,16 +97,8 @@ def _fig2(grids, tol, max_iter):
     a, b = np.meshgrid(g01, g02, indexing="ij")
     a = a.ravel()
     b = b.ravel()
-    q1 = np.zeros((a.size, 3, 3))
-    q1[:, 0, 0] = 1.0
-    q1[:, 0, 1] = a
-    q1[:, 0, 2] = b
-    q1[:, 1, 1] = 1.0 - a
-    q1[:, 2, 2] = 1.0 - b
+    q1, _, gt = qutrit_vshape_transitions(a, b)
     i1, _, _, _ = blahut_arimoto_batch(q1, tol_bits=tol, max_iter=max_iter)
-    ra = np.sqrt(1.0 - a)
-    rb = np.sqrt(1.0 - b)
-    gt = 1.0 / 3.0 - (ra + rb + ra * rb) / 9.0
     diag = 1.0 - 2.0 * gt
     ent = np.zeros_like(gt)
     m = gt > 0.0
@@ -177,15 +170,10 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
     return columns, rows
 
 
-def parse_channel_spec(doc: dict, require_cptp: bool = True) -> ChannelSpec:
-    """Validate a channel description document."""
-    return ChannelSpec.from_dict(doc, require_cptp=require_cptp)
-
-
 def _load_channel(path: str, require_cptp: bool = True) -> ChannelSpec:
     with open(path) as f:
         doc = json.load(f)
-    return parse_channel_spec(doc, require_cptp=require_cptp)
+    return ChannelSpec.from_dict(doc, require_cptp=require_cptp)
 
 
 def _load_custom_bases(path: str) -> list:

@@ -7,6 +7,7 @@ that basis. It lower-bounds the one-shot (Holevo) capacity; for
 pseudoclassical channels the two coincide and the bound is tight.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,9 +32,16 @@ from .infotheory import (
 PAULI_AXES = ("x", "y", "z")
 
 
+# Each constant basis family is built once; sharing the bases is safe
+# because MeasurementBasis is frozen and its kets are read-only.
 def pauli_bases() -> list:
     """Eigenbases of the three Pauli operators, labeled x, y, z."""
-    return [eigenbasis(s, label=ax) for s, ax in zip(PAULIS, PAULI_AXES)]
+    return list(_pauli_bases())
+
+
+@functools.cache
+def _pauli_bases() -> tuple:
+    return tuple(eigenbasis(s, label=ax) for s, ax in zip(PAULIS, PAULI_AXES))
 
 
 def weyl_bases(d: int) -> list:
@@ -43,13 +51,17 @@ def weyl_bases(d: int) -> list:
     is unaffected). Raises for operators with degenerate spectra, which can
     occur in composite dimensions.
     """
-    bases = []
-    for l in range(d):
-        for s in range(d):
-            if (l, s) == (0, 0):
-                continue
-            bases.append(eigenbasis(weyl_operator(d, l, s), label=f"weyl({l},{s})"))
-    return bases
+    return list(_weyl_bases(d))
+
+
+@functools.lru_cache(maxsize=8)
+def _weyl_bases(d: int) -> tuple:
+    return tuple(
+        eigenbasis(weyl_operator(d, l, s), label=f"weyl({l},{s})")
+        for l in range(d)
+        for s in range(d)
+        if (l, s) != (0, 0)
+    )
 
 
 @dataclass
@@ -209,33 +221,29 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
 
-def detect_weyl(channel: KrausChannel, *, symmetry_tol: float = 1e-9) -> DetectionResult:
-    """Detected capacity of a generalized Pauli channel in prime dimension
-    over all nontrivial Weyl eigenbases.
+def detect_weyl(channel: KrausChannel) -> DetectionResult:
+    """Detected capacity of a generalized Pauli channel in prime dimension:
+    ``detect_capacity(channel, DetectionConfig("weyl"))``, checked for the
+    family's structure.
 
-    In prime dimension every such transition matrix is symmetric (columns
-    and rows are permutations of each other), so each basis contributes
-    log2 d - H(column) with a uniform prior; the structure is verified and
-    a violation is reported as an error.
+    In prime dimension every Weyl-basis transition matrix of such a channel
+    is symmetric (columns and rows are permutations of each other), so each
+    basis contributes log2 d - H(column) with a uniform prior. A transition
+    that is not symmetric within 1e-9 is reported as an error.
     """
     d = channel.dim
     if not _is_prime(d):
         raise ValueError(
             f"dimension {d} is composite; use detect_capacity with an explicit basis list"
         )
-    per_basis = []
-    for b in weyl_bases(d):
-        t = conditional_probs(channel, b)
-        ws = weakly_symmetric_capacity(t, tol=symmetry_tol)
-        if ws is None:
+    result = detect_capacity(channel, DetectionConfig("weyl"))
+    for r in result.per_basis:
+        if weakly_symmetric_capacity(r.transition, tol=1e-9) is None:
             raise ValueError(
-                f"transition matrix in basis '{b.label}' is not symmetric; "
+                f"transition matrix in basis '{r.label}' is not symmetric; "
                 "the channel is not a generalized Pauli channel"
             )
-        per_basis.append(
-            BasisResult(b.label, t, np.full(d, 1.0 / d), ws.capacity_bits, "weakly-symmetric")
-        )
-    return _assemble(per_basis)
+    return result
 
 
 _LN2 = math.log(2.0)
@@ -381,9 +389,8 @@ def von_mises_expected_capacity(
     rotation phase is distributed as exp(K cos phi) on [-pi, pi].
 
     Composite-Simpson quadrature on a shared grid; normalizing on the same
-    grid removes the Bessel-function normalization constant."""
-    from scipy.integrate import simpson
-
+    grid removes the Bessel-function normalization constant, and the step
+    h/3 cancels in the ratio."""
     if k_phi < 0.0:
         raise ValueError(f"concentration must be nonnegative, got {k_phi}")
     if quad_points < 64:
@@ -391,26 +398,35 @@ def von_mises_expected_capacity(
     n = quad_points + 1 - quad_points % 2  # Simpson wants an odd point count
     phi = np.linspace(-np.pi, np.pi, n)
     weights = np.exp(k_phi * (np.cos(phi) - 1.0))  # scaled to avoid overflow
+    simpson = np.ones(n)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    weights *= simpson
     values = rotated_pauli_detected(px, py, pz, phi)
-    return float(simpson(values * weights, x=phi) / simpson(weights, x=phi))
+    return float(values @ weights / weights.sum())
 
 
-def qutrit_vshape_transitions(gamma01: float, gamma02: float):
+def qutrit_vshape_transitions(gamma01, gamma02):
     """Transition matrices of the V-configuration qutrit decay channel in
     the computational basis (Q1) and the Fourier basis (Q2), plus the
-    off-diagonal weight gamma_tilde of the symmetric Q2."""
-    for name, v in (("gamma01", gamma01), ("gamma02", gamma02)):
-        if not 0.0 <= v <= 1.0:
+    off-diagonal weight gamma_tilde of the symmetric Q2.
+
+    Array arguments are broadcast together and give stacks of shape
+    (..., 3, 3) and a gamma_tilde array; scalars give single matrices and a
+    float."""
+    g01, g02 = np.broadcast_arrays(np.asarray(gamma01, dtype=float),
+                                   np.asarray(gamma02, dtype=float))
+    for name, v in (("gamma01", g01), ("gamma02", g02)):
+        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails too
             raise ValueError(f"{name} = {v} outside [0, 1]")
-    q1 = np.array(
-        [
-            [1.0, gamma01, gamma02],
-            [0.0, 1.0 - gamma01, 0.0],
-            [0.0, 0.0, 1.0 - gamma02],
-        ]
-    )
-    a = np.sqrt(1.0 - gamma01)
-    b = np.sqrt(1.0 - gamma02)
+    q1 = np.zeros(g01.shape + (3, 3))
+    q1[..., 0, 0] = 1.0
+    q1[..., 0, 1] = g01
+    q1[..., 0, 2] = g02
+    q1[..., 1, 1] = 1.0 - g01
+    q1[..., 2, 2] = 1.0 - g02
+    a = np.sqrt(1.0 - g01)
+    b = np.sqrt(1.0 - g02)
     gt = 1.0 / 3.0 - (a + b + a * b) / 9.0
-    q2 = np.full((3, 3), gt) + np.eye(3) * (1.0 - 3.0 * gt)
-    return q1, q2, float(gt)
+    q2 = gt[..., None, None] + np.eye(3) * (1.0 - 3.0 * gt)[..., None, None]
+    return q1, q2, (float(gt) if gt.ndim == 0 else gt)

@@ -18,6 +18,11 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> np.
     """Independent keyed stream for one (basis, input) sampling cell."""
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    # the key packs both indices into 24-bit fields; a wider one would
+    # collide with another cell's stream
+    for name, index in (("basis_index", basis_index), ("input_index", input_index)):
+        if not 0 <= index < 2**24:
+            raise ValueError(f"{name} = {index} outside [0, 2^24)")
     sub = np.uint64((kind << 48) | (basis_index << 24) | input_index)
     return np.random.Generator(np.random.Philox(key=np.array([seed, sub], dtype=np.uint64)))
 

@@ -8,11 +8,9 @@ channel plus a basis into a column-stochastic classical transition matrix.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import schur
 
-# Algebraic identities are checked at 1e-12, stochasticity/CPTP
-# certification at 1e-10; both are overridable per call.
-ALGEBRA_TOL = 1e-12
+# Orthonormality, normality and CPTP certification tolerance; the checks
+# that take a tolerance argument can override it per call.
 CERT_TOL = 1e-10
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,28 +38,6 @@ def basis_ket(d: int, k: int) -> np.ndarray:
 def projector(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
     return np.outer(ket, ket.conj())
-
-
-def is_ket(v, tol: float = ALGEBRA_TOL) -> bool:
-    v = np.asarray(v)
-    return v.ndim == 1 and abs(np.linalg.norm(v) - 1.0) <= tol
-
-
-def is_hermitian(m, tol: float = ALGEBRA_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
-def is_density_matrix(rho, tol: float = CERT_TOL) -> bool:
-    """Hermitian, unit trace, eigenvalues >= -tol."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if not is_hermitian(rho, tol):
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 
 @dataclass(frozen=True)
@@ -189,13 +165,10 @@ def conditional_probs(channel: KrausChannel, basis: MeasurementBasis) -> np.ndar
         raise ValueError(
             f"dimension mismatch: channel dim {channel.dim}, basis dim {basis.dim}"
         )
-    d = basis.dim
+    # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows
     kets = basis.kets
-    t = np.empty((d, d))
-    for n in range(d):
-        out = apply_channel(channel, projector(kets[n]))
-        t[:, n] = np.einsum("mi,ij,mj->m", kets.conj(), out, kets).real
-    return np.clip(t, 0.0, 1.0)
+    amplitudes = kets.conj() @ np.stack(channel.operators) @ kets.T
+    return np.clip((np.abs(amplitudes) ** 2).sum(axis=0), 0.0, 1.0)
 
 
 def weyl_operator(d: int, l: int, s: int) -> np.ndarray:
@@ -221,16 +194,19 @@ def eigenbasis(
     normalized so its first significant amplitude is real positive, making
     the output deterministic for a fixed input. A (near-)degenerate spectrum
     raises :class:`DegenerateBasisError`.
+
+    ``np.linalg.eig`` alone gives eigenvectors orthogonal only to about
+    eps/gap (1.5e-9 at a gap of 1e-6), too coarse for the 1e-10 check of
+    :class:`MeasurementBasis`. The Q factor of the sorted, nearly orthogonal
+    eigenvectors is orthonormal to machine precision, and each of its
+    columns is still an eigenvector up to a phase (residual near eps).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(m @ dagger(m) - dagger(m) @ m)) > normal_tol:
         raise ValueError("matrix is not normal; it has no orthonormal eigenbasis")
-    # For a normal matrix the complex Schur form is diagonal, so the Schur
-    # vectors are exactly orthonormal eigenvectors.
-    t, z = schur(m, output="complex")
-    evals = np.diag(t)
+    evals, vecs = np.linalg.eig(m)
     d = m.shape[0]
     if d > 1:
         gaps = np.abs(evals[:, None] - evals[None, :])[~np.eye(d, dtype=bool)]
@@ -241,7 +217,7 @@ def eigenbasis(
             )
     phases = np.angle(evals) % (2 * np.pi)
     order = np.lexsort((evals.imag, evals.real, phases))
-    kets = z[:, order].T.copy()
+    kets = np.linalg.qr(vecs[:, order])[0].T
     for v in kets:
         idx = np.flatnonzero(np.abs(v) > 1e-8)[0]
         v *= v[idx].conj() / abs(v[idx])

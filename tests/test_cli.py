@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import capdetect
 from capdetect import binary_entropy, blahut_arimoto, detect_pauli_qubit, gad_affine
 from capdetect.cli import grid_values, main, reproduce_figure
 
@@ -239,3 +243,24 @@ def test_unknown_bases_flag(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--channel", spec, "--bases", "magic")
     assert code == 1
     assert "pauli, weyl, or custom" in err
+
+
+def test_runs_without_scipy(tmp_path):
+    # the package needs numpy only; a blocked scipy import must not matter
+    script = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from capdetect.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(capdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spec = write_json(tmp_path, "w3.json", {"kind": "generalized_pauli", "params": {
+        "dim": 3, "q": [[0.6, 0.1, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.1]]}})
+    fig4 = tmp_path / "fig4.csv"
+    bound = tmp_path / "bound.json"
+    for argv in (["reproduce", "fig4", "--grid", "k=0:1:0.5", "--out", str(fig4)],
+                 ["bound", "--channel", spec, "--bases", "weyl", "--out", str(bound)]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert len(fig4.read_text().splitlines()) == 4
+    assert len(json.loads(bound.read_text())["per_basis"]) == 8

@@ -144,6 +144,11 @@ def test_detect_weyl_rejects_composite():
         detect_weyl(pauli_family_channel(4, q))
 
 
+def test_detect_weyl_rejects_non_pauli_channel():
+    with pytest.raises(ValueError, match="not symmetric"):
+        detect_weyl(vshape_qutrit_channel(0.3, 0.6))
+
+
 def test_detect_weyl_matches_engine():
     rng = np.random.default_rng(11)
     for d in (2, 3, 5):
@@ -303,6 +308,19 @@ def test_von_mises_limits_and_monotonicity():
     assert vals[-1] == pytest.approx(0.3901596952835996, abs=1e-3)
 
 
+def test_von_mises_matches_scipy_simpson():
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    for k in (0.0, 0.5, 10.0, 1000.0):
+        for quad_points in (64, 65, 2000, 2001):
+            n = quad_points + 1 - quad_points % 2
+            phi = np.linspace(-np.pi, np.pi, n)
+            weights = np.exp(k * (np.cos(phi) - 1.0))
+            values = rotated_pauli_detected(0.15, 0.05, 0.1, phi)
+            ref = simpson(values * weights, x=phi) / simpson(weights, x=phi)
+            got = von_mises_expected_capacity(0.15, 0.05, 0.1, k, quad_points)
+            assert abs(got - ref) < 1e-14
+
+
 def test_von_mises_rejects_bad_args():
     with pytest.raises(ValueError):
         von_mises_expected_capacity(0.15, 0.05, 0.1, -1.0)
@@ -322,6 +340,23 @@ def test_qutrit_transitions_endpoints():
 def test_qutrit_transitions_halfway():
     _, _, gt = qutrit_vshape_transitions(0.5, 0.5)
     assert gt == pytest.approx(0.12064293751410052, abs=1e-12)
+
+
+def test_qutrit_transitions_array_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    g01 = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 40)])
+    g02 = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0.0, 1.0, 40)])
+    q1, q2, gt = qutrit_vshape_transitions(g01, g02)
+    assert q1.shape == q2.shape == (g01.size, 3, 3) and gt.shape == g01.shape
+    for k in range(g01.size):
+        s1, s2, sgt = qutrit_vshape_transitions(float(g01[k]), float(g02[k]))
+        assert np.array_equal(q1[k], s1) and np.array_equal(q2[k], s2)
+        assert gt[k] == sgt
+    for bad in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError, match="gamma02"):
+            qutrit_vshape_transitions(g01[:3], np.array([0.2, bad, 0.4]))
+        with pytest.raises(ValueError, match="gamma01"):
+            qutrit_vshape_transitions(bad, 0.5)
 
 
 def test_detect_capacity_vshape_uses_shortcut_for_fourier():

@@ -17,6 +17,7 @@ from capdetect import (
     vshape_qutrit_channel,
     write_shot_records_csv,
 )
+from capdetect.protocol_sim import _stream
 from capdetect.qcore import SIGMA_Z, haar_random_basis, random_cptp_channel
 
 
@@ -51,6 +52,16 @@ def test_sample_concentration_at_many_shots():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample_transition(np.eye(2), 0, seed=1)
+
+
+def test_sample_rejects_basis_index_outside_key_field():
+    # 2^24 would share its Philox key with basis 0's bootstrap stream
+    for index in (2**24, -1):
+        with pytest.raises(ValueError, match=r"basis_index .* outside \[0, 2\^24\)"):
+            sample_transition(np.eye(2), 10, seed=1, basis_index=index)
+    sample_transition(np.eye(2), 10, seed=1, basis_index=2**24 - 1)
+    with pytest.raises(ValueError, match="input_index"):
+        _stream(1, 0, 2**24)
 
 
 def test_entangled_joint_identity_channel():

@@ -129,9 +129,16 @@ def test_conditional_probs_columns_are_distributions():
     for i in range(1000):
         d = 2 + i % 3
         ch = random_cptp_channel(d, int(rng.integers(1, d * d + 1)), rng)
-        t = conditional_probs(ch, haar_random_basis(d, rng))
+        basis = haar_random_basis(d, rng)
+        t = conditional_probs(ch, basis)
         assert t.min() >= 0.0
         assert np.max(np.abs(t.sum(axis=0) - 1.0)) < 1e-10
+        # reference: p(m|n) = <m|E(|n><n|)|m>, one input state at a time
+        loop = np.array(
+            [[(m.conj() @ apply_channel(ch, projector(n)) @ m).real for n in basis.kets]
+             for m in basis.kets]
+        )
+        assert np.max(np.abs(t - loop)) < 1e-14
 
 
 def test_weyl_pauli_identifications():
@@ -197,15 +204,25 @@ def test_eigenbasis_bit_stable():
 
 def test_eigenbasis_orthonormal_on_random_unitaries():
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        d = int(rng.integers(2, 6))
-        u = haar_random_basis(d, rng).kets.T  # unitary with generic spectrum
+    matrices = [haar_random_basis(int(rng.integers(2, 6)), rng).kets.T for _ in range(25)]
+    # near-degenerate normal matrices U diag(lambda) U^dag, one gap above
+    # gap_tol: bare eigenvectors are orthogonal only to about eps/gap here
+    for gap in (1e-6, 1e-7, 3e-8):
+        for d in (2, 3, 5):
+            u = haar_random_basis(d, rng).kets.T
+            theta = rng.uniform(0.0, 2 * np.pi, d)
+            theta[1] = theta[0] + gap
+            matrices.append(u @ np.diag(np.exp(1j * theta)) @ dagger(u))
+    for m in matrices:
+        d = m.shape[0]
         try:
-            b = eigenbasis(u)
+            b = eigenbasis(m)
         except DegenerateBasisError:
             continue
         gram = b.kets.conj() @ b.kets.T
         assert np.max(np.abs(gram - np.eye(d))) < 1e-10
+        for v in b.kets:
+            assert np.linalg.norm(m @ v - (v.conj() @ m @ v) * v) < 1e-12
 
 
 def test_measurement_basis_rejects_non_orthonormal():
