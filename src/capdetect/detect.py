@@ -7,7 +7,6 @@ that basis. It lower-bounds the one-shot (Holevo) capacity; for
 pseudoclassical channels the two coincide and the bound is tight.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -32,16 +31,9 @@ from .infotheory import (
 PAULI_AXES = ("x", "y", "z")
 
 
-# Each constant basis family is built once; sharing the bases is safe
-# because MeasurementBasis is frozen and its kets are read-only.
 def pauli_bases() -> list:
     """Eigenbases of the three Pauli operators, labeled x, y, z."""
-    return list(_pauli_bases())
-
-
-@functools.cache
-def _pauli_bases() -> tuple:
-    return tuple(eigenbasis(s, label=ax) for s, ax in zip(PAULIS, PAULI_AXES))
+    return [eigenbasis(s, label=ax) for s, ax in zip(PAULIS, PAULI_AXES)]
 
 
 def weyl_bases(d: int) -> list:
@@ -51,17 +43,13 @@ def weyl_bases(d: int) -> list:
     is unaffected). Raises for operators with degenerate spectra, which can
     occur in composite dimensions.
     """
-    return list(_weyl_bases(d))
-
-
-@functools.lru_cache(maxsize=8)
-def _weyl_bases(d: int) -> tuple:
-    return tuple(
-        eigenbasis(weyl_operator(d, l, s), label=f"weyl({l},{s})")
-        for l in range(d)
-        for s in range(d)
-        if (l, s) != (0, 0)
-    )
+    bases = []
+    for l in range(d):
+        for s in range(d):
+            if (l, s) == (0, 0):
+                continue
+            bases.append(eigenbasis(weyl_operator(d, l, s), label=f"weyl({l},{s})"))
+    return bases
 
 
 @dataclass
@@ -222,28 +210,29 @@ def _is_prime(n: int) -> bool:
 
 
 def detect_weyl(channel: KrausChannel) -> DetectionResult:
-    """Detected capacity of a generalized Pauli channel in prime dimension:
-    ``detect_capacity(channel, DetectionConfig("weyl"))``, checked for the
-    family's structure.
+    """Detected capacity of a generalized Pauli channel in prime dimension
+    over all nontrivial Weyl eigenbases.
 
     In prime dimension every Weyl-basis transition matrix of such a channel
     is symmetric (columns and rows are permutations of each other), so each
     basis contributes log2 d - H(column) with a uniform prior. A transition
-    that is not symmetric within 1e-9 is reported as an error.
+    that is not symmetric within 1e-9 is reported as an error before any
+    basis is solved; the rest is ``detect_from_transitions``.
     """
     d = channel.dim
     if not _is_prime(d):
         raise ValueError(
             f"dimension {d} is composite; use detect_capacity with an explicit basis list"
         )
-    result = detect_capacity(channel, DetectionConfig("weyl"))
-    for r in result.per_basis:
-        if weakly_symmetric_capacity(r.transition, tol=1e-9) is None:
+    bases = weyl_bases(d)
+    transitions = [conditional_probs(channel, b) for b in bases]
+    for t, b in zip(transitions, bases):
+        if weakly_symmetric_capacity(t, tol=1e-9) is None:
             raise ValueError(
-                f"transition matrix in basis '{r.label}' is not symmetric; "
+                f"transition matrix in basis '{b.label}' is not symmetric; "
                 "the channel is not a generalized Pauli channel"
             )
-    return result
+    return detect_from_transitions(transitions, [b.label for b in bases], DetectionConfig("weyl"))
 
 
 _LN2 = math.log(2.0)

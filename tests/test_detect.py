@@ -7,6 +7,7 @@ from capdetect import (
     KrausChannel,
     affine_to_kraus,
     binary_capacity,
+    blahut_arimoto_batch,
     binary_entropy,
     computational_basis,
     dephasing_axis_channel,
@@ -150,13 +151,19 @@ def test_detect_weyl_rejects_non_pauli_channel():
 
 
 def test_detect_weyl_matches_engine():
+    # an independent BA solve of the same transitions, no closed forms
     rng = np.random.default_rng(11)
     for d in (2, 3, 5):
         for _ in range(4):
             ch = pauli_family_channel(d, rng.dirichlet(np.ones(d * d)).reshape(d, d))
-            fast = detect_weyl(ch).c_det_bits
-            eng = detect_capacity(ch, DetectionConfig("weyl", 1e-10)).c_det_bits
-            assert abs(fast - eng) < 1e-9
+            res = detect_weyl(ch)
+            caps, _, _, gaps = blahut_arimoto_batch(
+                np.stack([r.transition for r in res.per_basis]), 1e-12
+            )
+            assert np.all(gaps <= 1e-12)
+            got = np.array([r.mutual_information_bits for r in res.per_basis])
+            np.testing.assert_allclose(got, caps, rtol=0, atol=1e-10)
+            assert res.c_det_bits == pytest.approx(caps.max(), abs=1e-10)
 
 
 def test_t_threshold_anchor():
