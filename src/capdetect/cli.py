@@ -15,7 +15,12 @@ import numpy as np
 from . import __version__
 from .qcore import MeasurementBasis, is_cptp
 from .channels import ChannelSpec, gad_affine, stretched_affine
-from .infotheory import binary_capacity, blahut_arimoto, blahut_arimoto_batch
+from .infotheory import (
+    binary_capacity,
+    blahut_arimoto,
+    blahut_arimoto_batch,
+    warn_unconverged,
+)
 from .detect import (
     DetectionConfig,
     detect_capacity,
@@ -83,10 +88,10 @@ def _write_table(columns, rows, out, fmt: str, name: str):
 
 def _fig1(grids, tol, max_iter):
     gammas = grid_values(*grids["gamma"])
-
+    c1 = holevo_gad_p1(gammas)
     rows = [
-        (float(g), detect_pauli_qubit(gad_affine(g, 1.0)).c_det_bits, holevo_gad_p1(g))
-        for g in gammas
+        (float(g), detect_pauli_qubit(gad_affine(g, 1.0)).c_det_bits, float(c))
+        for g, c in zip(gammas, c1)
     ]
     return ("gamma", "c_det_bits", "c1_bits"), rows
 
@@ -98,7 +103,8 @@ def _fig2(grids, tol, max_iter):
     a = a.ravel()
     b = b.ravel()
     q1, _, gt = qutrit_vshape_transitions(a, b)
-    i1, _, _, _ = blahut_arimoto_batch(q1, tol_bits=tol, max_iter=max_iter)
+    i1, _, _, gaps = blahut_arimoto_batch(q1, tol_bits=tol, max_iter=max_iter)
+    warn_unconverged(gaps, tol, "fig2")
     diag = 1.0 - 2.0 * gt
     ent = np.zeros_like(gt)
     m = gt > 0.0

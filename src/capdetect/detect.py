@@ -298,42 +298,55 @@ def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
     return PseudoclassicalityReport(True, lam_m_sq, threshold, pseudo, c1)
 
 
-def holevo_gad_p1(gamma: float) -> float:
+def holevo_gad_p1(gamma):
     """One-shot capacity of the amplitude damping channel (zero-temperature
     limit), by maximizing H[t(1-gamma)] - H[(1 + sqrt(1-4 gamma (1-gamma) t^2))/2]
-    over the ensemble parameter t in [0, 1].
+    over the ensemble parameter t in [0, 1]; elementwise over an array of
+    gammas, and a float for a scalar gamma.
 
-    A 10^4-point grid brackets the maximum, then golden-section search
-    refines it to 1e-10 in t.
+    A 10^4-point grid brackets each maximum, then golden-section search
+    refines every bracket to 1e-10 in t, each gamma on its own schedule.
     """
-    if not 0.0 <= gamma <= 1.0:
+    gam = np.asarray(gamma, dtype=float)
+    if not (gam.min() >= 0.0 and gam.max() <= 1.0):  # NaN fails too
         raise ValueError(f"gamma = {gamma} outside [0, 1]")
+    g = gam.ravel()
 
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        g = (1.0 + np.sqrt(np.clip(1.0 - 4.0 * gamma * (1.0 - gamma) * t * t, 0.0, 1.0))) / 2.0
-        return binary_entropy(t * (1.0 - gamma)) - binary_entropy(g)
+    def value(t, g):
+        s = (1.0 + np.sqrt(np.clip(1.0 - 4.0 * g * (1.0 - g) * t * t, 0.0, 1.0))) / 2.0
+        return binary_entropy(t * (1.0 - g)) - binary_entropy(s)
 
     grid = np.linspace(0.0, 1.0, 10_001)
-    vals = value(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    i = np.empty(g.size, dtype=int)
+    top = np.empty(g.size)
+    # the scan runs over blocks of 4 gammas; one (101, 10^4) block and the
+    # entropy temporaries raised fig1's peak memory from 36 to 106 MB
+    for k in range(0, g.size, 4):
+        vals = value(grid, g[k:k + 4, None])
+        i[k:k + 4] = np.argmax(vals, axis=1)
+        top[k:k + 4] = vals.max(axis=1)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, grid.size - 1)]
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    return float(max(vals[i], fc, fd))
+    fc, fd = value(c, g), value(d, g)
+    live = b - a > 1e-10
+    while live.any():
+        left = live & (fc > fd)  # keep [a, d]
+        right = live & ~left  # keep [c, b]
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (
+            np.where(left, b - invphi * (b - a), np.where(right, d, c)),
+            np.where(right, a + invphi * (b - a), np.where(left, c, d)),
+            np.where(right, fd, fc),
+            np.where(left, fc, fd),
+        )
+        fresh = value(np.where(left, c, d), g)
+        fc, fd = np.where(left, fresh, fc), np.where(right, fresh, fd)
+        live = b - a > 1e-10
+    out = np.maximum(top, np.maximum(fc, fd)).reshape(gam.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def dephasing_detected(p: float, theta: float, phi: float):

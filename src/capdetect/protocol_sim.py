@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .qcore import KrausChannel, MeasurementBasis, choi_matrix, conditional_probs
 from .detect import DetectionConfig, detect_from_transitions
-from .infotheory import binary_capacity, blahut_arimoto_batch
+from .infotheory import binary_capacity, blahut_arimoto_batch, warn_unconverged
 
 
 def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> np.random.Generator:
@@ -161,7 +161,10 @@ def _replicate_capacities(stack: np.ndarray, config: DetectionConfig) -> np.ndar
     closed form for 2x2 matrices, Blahut-Arimoto otherwise."""
     if stack.shape[1:] == (2, 2):
         return binary_capacity(stack[:, 1, 0], stack[:, 0, 1]).capacity_bits
-    return blahut_arimoto_batch(stack, config.ba_tolerance_bits, config.max_iterations)[0]
+    tol = config.ba_tolerance_bits
+    caps, _, _, gaps = blahut_arimoto_batch(stack, tol, config.max_iterations)
+    warn_unconverged(gaps, tol, "bootstrap replicates")
+    return caps
 
 
 def write_shot_records_csv(records: list, path) -> None:

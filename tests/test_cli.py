@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ def test_reproduce_fig2_region_boundary(tmp_path):
     )
     labels = {r[3] for r in rows}
     assert labels == {"B1", "B2"}
+
+
+def test_reproduce_fig2_warns_when_unconverged(capsys):
+    grid = ["--grid", "gamma01=0.1:0.9:0.4", "--grid", "gamma02=0.1:0.9:0.4"]
+    with pytest.warns(RuntimeWarning, match=r"fig2: \d+ of 9 .* did not converge .* worst gap"):
+        main(["reproduce", "fig2", "--max-iter", "2", *grid])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "gamma01,gamma02,c_det_bits,argmax_basis"
+    assert len(lines) == 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["reproduce", "fig2", *grid])
 
 
 def test_reproduce_fig2_matches_engine():

@@ -237,6 +237,17 @@ def test_holevo_gad_against_dense_grid():
         assert holevo_gad_p1(g) == pytest.approx(oracle, abs=1e-9)
 
 
+def test_holevo_gad_array_call_matches_scalar_calls():
+    gammas = np.concatenate([np.linspace(0.0, 1.0, 11), [0.36, 0.999]])
+    vec = holevo_gad_p1(gammas)
+    assert vec.shape == gammas.shape
+    assert np.array_equal(vec, [holevo_gad_p1(g) for g in gammas])
+    assert isinstance(holevo_gad_p1(0.5), float)
+    for bad in (-0.1, 1.5, np.nan, [0.2, np.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            holevo_gad_p1(bad)
+
+
 def test_holevo_gad_exceeds_detected():
     c1 = holevo_gad_p1(0.5)
     c_det = detect_pauli_qubit(gad_affine(0.5, 1.0)).c_det_bits

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capdetect import (
     binary_capacity,
@@ -84,9 +85,11 @@ def test_ba_lower_bounds_monotone():
     rng = np.random.default_rng(1)
     for _ in range(20):
         t = random_transition(rng, 3, 3)
-        lb = np.array([blahut_arimoto(t, tol_bits=1e-9, max_iter=k).capacity_bits
-                       for k in range(1, 41)])
+        runs = [blahut_arimoto(t, tol_bits=1e-9, max_iter=k) for k in range(1, 41)]
+        lb = np.array([r.capacity_bits for r in runs])
         assert np.all(np.diff(lb) >= -1e-12)
+        ub = np.array([r.capacity_bits + r.gap_bits for r in runs])
+        assert np.all(np.diff(ub) <= 1e-12)
 
 
 def test_ba_unconverged_flagged():
@@ -205,6 +208,61 @@ def test_binary_capacity_within_ba_bracket():
     vec = binary_capacity(pairs[:, 0], pairs[:, 1])
     assert np.array_equal(vec.capacity_bits, cap)
     assert np.array_equal(vec.optimal_p0, [c.optimal_p0 for c in scalar])
+
+
+def mixture_channels(rng, count):
+    """Two-output channels whose inputs are a, b and mixtures of them, in a
+    random order. A mixture input never helps, so C is the binary capacity
+    of a and b, and the optimal prior lies on a face of the simplex."""
+    out = []
+    while len(out) < count:
+        e0, e1 = rng.uniform(0.0, 1.0, 2)
+        if abs(1.0 - e0 - e1) < 0.1:
+            continue
+        a, b = np.array([1.0 - e0, e0]), np.array([e1, 1.0 - e1])
+        lams = rng.uniform(0.05, 0.95, int(rng.integers(1, 5)))
+        cols = [a, b] + [lam * a + (1.0 - lam) * b for lam in lams]
+        out.append((e0, e1, np.stack(cols, axis=1)[:, rng.permutation(len(cols))]))
+    return out
+
+
+def test_ba_boundary_optimum_against_binary_closed_form():
+    for e0, e1, t in mixture_channels(np.random.default_rng(11), 40):
+        r = blahut_arimoto(t, tol_bits=1e-9)
+        cap = binary_capacity(e0, e1).capacity_bits
+        assert r.capacity_bits <= cap + 1e-15
+        assert cap <= r.capacity_bits + r.gap_bits + 1e-15
+        assert r.gap_bits <= 1e-9
+        assert mutual_information(r.optimal_prior, t) >= r.capacity_bits - 1e-12
+        assert r.iterations <= 200
+
+
+@st.composite
+def transition_stacks(draw):
+    n_out = draw(st.integers(3, 6))
+    n_in = draw(st.integers(3, 6))
+    g = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conc = draw(st.sampled_from([0.2, 1.0, 5.0]))
+    stack = rng.dirichlet(np.full(n_out, conc), size=(g, n_in)).transpose(0, 2, 1)
+    if draw(st.booleans()):  # an input that is a mixture of two others
+        lam = rng.uniform(0.0, 1.0, (g, 1))
+        stack[:, :, -1] = lam * stack[:, :, 0] + (1.0 - lam) * stack[:, :, 1]
+    return stack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transition_stacks())
+def test_ba_batch_properties(stack):
+    caps, priors, iters, gaps = blahut_arimoto_batch(stack, tol_bits=1e-9)
+    g, n_out, n_in = stack.shape
+    assert np.all(gaps <= 1e-9)
+    assert np.all(caps <= np.log2(min(n_in, n_out)) + 1e-12)
+    for i in range(g):
+        one = blahut_arimoto_batch(stack[i:i + 1], tol_bits=1e-9)
+        assert one[0][0] == caps[i] and one[2][0] == iters[i] and one[3][0] == gaps[i]
+        assert np.array_equal(one[1][0], priors[i])
+        assert mutual_information(priors[i], stack[i]) >= caps[i] - 1e-12
 
 
 def test_ba_against_grid_search_oracle():

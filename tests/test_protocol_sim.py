@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,16 @@ def test_bootstrap_coverage_at_least_ninety_percent():
         e = detect_from_samples(ch, cfg, 10**4, seed=seed, resamples=1000)
         hits += e.ci_low_bits <= truth <= e.ci_high_bits
     assert hits >= 180
+
+
+def test_bootstrap_warns_when_replicates_unconverged():
+    ch = vshape_qutrit_channel(0.3, 0.6)
+    cfg = DetectionConfig("weyl", max_iterations=2)
+    with pytest.warns(RuntimeWarning, match=r"bootstrap replicates: \d+ of 100 .* worst gap"):
+        detect_from_samples(ch, cfg, 500, seed=4, resamples=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        detect_from_samples(ch, DetectionConfig("weyl"), 500, seed=4, resamples=100)
 
 
 def test_resamples_floor():
