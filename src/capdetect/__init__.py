@@ -60,6 +60,7 @@ from .detect import (
     detect_pauli_qubit,
     detect_weyl,
     holevo_gad_p1,
+    pauli_axis_capacity,
     pauli_bases,
     pauli_epsilons,
     pseudoclassicality,

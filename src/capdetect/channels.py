@@ -9,6 +9,7 @@ convert between the two pictures.
 import numpy as np
 from dataclasses import dataclass, field
 
+from .infotheory import check_unit_interval
 from .qcore import (
     KrausChannel,
     PAULIS,
@@ -25,10 +26,8 @@ from .qcore import (
 _CHOI_CUTOFF = 1e-12
 
 
-def _check_unit_interval(name: str, value: float):
-    if not -1e-12 <= value <= 1 + 1e-12:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
-    return min(max(float(value), 0.0), 1.0)
+def _check_unit_interval(name: str, value: float) -> float:
+    return min(max(float(check_unit_interval(name, value, slack=1e-12)), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,13 +107,19 @@ def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
     return pauli_family_channel(2, np.array([[max(p0, 0.0), px], [pz, py]]))
 
 
+def gad_params(gamma, p) -> tuple:
+    """Canonical parameters (l1, l2, l3, t3) of generalized amplitude
+    damping, elementwise over arrays; :func:`gad_affine` checks the ranges."""
+    root = np.sqrt(1.0 - gamma)
+    return root, root, 1.0 - gamma, (2.0 * p - 1.0) * gamma
+
+
 def gad_affine(gamma: float, p: float) -> AffineQubitChannel:
     """Generalized amplitude damping: damping gamma toward an asymptotic
     excited-state population p."""
     gamma = _check_unit_interval("gamma", gamma)
     p = _check_unit_interval("p", p)
-    root = np.sqrt(1.0 - gamma)
-    return AffineQubitChannel(root, root, 1.0 - gamma, (2.0 * p - 1.0) * gamma)
+    return AffineQubitChannel(*gad_params(gamma, p))
 
 
 def stretched_affine(gamma: float, s: float) -> AffineQubitChannel:
@@ -269,7 +274,11 @@ class ChannelSpec:
     params: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, doc: dict, require_cptp: bool = True) -> "ChannelSpec":
+    def from_dict(cls, doc: dict, require_cptp: bool = True, build: bool = True) -> "ChannelSpec":
+        """Check the document's kind and parameter names, then, with
+        ``build``, build the channel once so that range and constraint
+        violations surface here; a caller that builds the channel itself
+        passes ``build=False``."""
         if not isinstance(doc, dict):
             raise ValueError("channel spec must be a JSON object")
         kind = doc.get("kind")
@@ -286,7 +295,8 @@ class ChannelSpec:
         if expected - given - optional:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(expected - given - optional)}")
         spec = cls(kind, dict(params))
-        spec.build(require_cptp=require_cptp)  # surface range/constraint violations at parse time
+        if build:
+            spec.build(require_cptp=require_cptp)
         return spec
 
     def build(self, require_cptp: bool = True) -> KrausChannel:

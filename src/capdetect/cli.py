@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .qcore import MeasurementBasis, is_cptp
-from .channels import ChannelSpec, gad_affine, stretched_affine
+from .qcore import KrausChannel, MeasurementBasis, is_cptp
+from .channels import ChannelSpec, gad_params, stretched_affine
 from .infotheory import (
     binary_capacity,
     blahut_arimoto,
@@ -24,11 +24,11 @@ from .infotheory import (
 from .detect import (
     DetectionConfig,
     detect_capacity,
-    detect_pauli_qubit,
     holevo_gad_p1,
     dephasing_detected,
-    pseudoclassicality,
+    pauli_axis_capacity,
     qutrit_vshape_transitions,
+    t_threshold,
     von_mises_expected_capacity,
 )
 from .protocol_sim import detect_from_samples
@@ -66,16 +66,25 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _csv_column(values) -> tuple:
+    """The row-template format and the cells of one CSV column. The template
+    prints a column of floats or of labels itself; any other column (flags,
+    missing values) is formatted cell by cell."""
+    types = set(map(type, values))
+    if types == {float}:
+        return "%.12g", values
+    if types == {str}:
+        return "%s", values
+    return "%s", [_fmt(v) for v in values]
+
+
 def _write_table(columns, rows, out, fmt: str, name: str):
     if fmt == "csv":
-        text = ",".join(columns) + "\n"
-        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        formats, cells = zip(*map(_csv_column, zip(*rows)))
+        template = ",".join(formats) + "\n"
+        text = ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
     elif fmt == "json":
-        payload = {
-            "figure": name,
-            "columns": list(columns),
-            "rows": [[(None if v is None else v) for v in row] for row in rows],
-        }
+        payload = {"figure": name, "columns": list(columns), "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
@@ -88,22 +97,18 @@ def _write_table(columns, rows, out, fmt: str, name: str):
 
 def _fig1(grids, tol, max_iter):
     gammas = grid_values(*grids["gamma"])
-    c1 = holevo_gad_p1(gammas)
-    rows = [
-        (float(g), detect_pauli_qubit(gad_affine(g, 1.0)).c_det_bits, float(c))
-        for g, c in zip(gammas, c1)
-    ]
+    c1 = holevo_gad_p1(gammas)  # rejects gammas outside [0, 1]
+    c_det = pauli_axis_capacity(*gad_params(gammas, 1.0)).capacity_bits.max(axis=-1)
+    rows = list(zip(gammas.tolist(), c_det.tolist(), c1.tolist()))
     return ("gamma", "c_det_bits", "c1_bits"), rows
 
 
 def _fig2(grids, tol, max_iter):
     g01 = grid_values(*grids["gamma01"])
     g02 = grid_values(*grids["gamma02"])
-    a, b = np.meshgrid(g01, g02, indexing="ij")
-    a = a.ravel()
-    b = b.ravel()
-    q1, _, gt = qutrit_vshape_transitions(a, b)
-    i1, _, _, gaps = blahut_arimoto_batch(q1, tol_bits=tol, max_iter=max_iter)
+    q1, _, gt = qutrit_vshape_transitions(g01[:, None], g02)
+    gt = gt.ravel()
+    i1, _, _, gaps = blahut_arimoto_batch(q1.reshape(-1, 3, 3), tol_bits=tol, max_iter=max_iter)
     warn_unconverged(gaps, tol, "fig2")
     diag = 1.0 - 2.0 * gt
     ent = np.zeros_like(gt)
@@ -112,42 +117,38 @@ def _fig2(grids, tol, max_iter):
     m = diag > 0.0
     ent[m] -= diag[m] * np.log2(diag[m])
     i2 = np.log2(3.0) - ent
-    rows = [
-        (float(a[k]), float(b[k]), float(max(i1[k], i2[k])), "B2" if i2[k] > i1[k] else "B1")
-        for k in range(a.size)
-    ]
+    b2 = i2 > i1
+    a, b = np.meshgrid(g01, g02, indexing="ij")
+    rows = list(zip(a.ravel().tolist(), b.ravel().tolist(), np.where(b2, i2, i1).tolist(),
+                    np.where(b2, "B2", "B1").tolist()))
     return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), rows
 
 
 def _fig3(grids, tol, max_iter):
     thetas = grid_values(*grids["theta"])
     phis = grid_values(*grids["phi"])
-    rows = []
-    for th in thetas:
-        caps = dephasing_detected(0.9, th, phis)
-        rows.extend((float(th), float(ph), float(c)) for ph, c in zip(phis, caps))
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    caps = dephasing_detected(0.9, th, ph)
+    rows = list(zip(th.ravel().tolist(), ph.ravel().tolist(), caps.ravel().tolist()))
     return ("theta", "phi", "c_det_bits"), rows
 
 
 def _fig4(grids, tol, max_iter):
     ks = grid_values(*grids["k"])
-    caps = [von_mises_expected_capacity(0.15, 0.05, 0.1, k) for k in ks]
-    return ("k_phi", "avg_c_det_bits"), [(float(k), c) for k, c in zip(ks, caps)]
+    caps = von_mises_expected_capacity(0.15, 0.05, 0.1, ks)
+    return ("k_phi", "avg_c_det_bits"), list(zip(ks.tolist(), caps.tolist()))
 
 
 def _suppl_stretched(grids, tol, max_iter):
-    rows = []
-    for s in grid_values(*grids["s"]):
-        ch = stretched_affine(0.5, float(s))
-        report = pseudoclassicality(ch)
-        rows.append(
-            (
-                float(s),
-                detect_pauli_qubit(ch).c_det_bits,
-                report.c1_bits if report.pseudoclassical else None,
-                report.pseudoclassical,
-            )
-        )
+    s = grid_values(*grids["s"])
+    # complete positivity bounds |s|, so the widest channel checks the grid
+    widest = stretched_affine(0.5, float(s[np.argmax(np.abs(s))]))
+    l3, t3 = widest.lambda3, widest.t3
+    caps = pauli_axis_capacity(s, s, l3, t3).capacity_bits
+    # max(l1^2, l2^2) = s^2 against T(|t3|, |l3|), one threshold for the grid
+    pseudo = (s * s <= t_threshold(abs(t3), abs(l3))).tolist()
+    c1 = [c if p else None for c, p in zip(caps[:, 2].tolist(), pseudo)]
+    rows = list(zip(s.tolist(), caps.max(axis=-1).tolist(), c1, pseudo))
     return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), rows
 
 
@@ -176,10 +177,10 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
     return columns, rows
 
 
-def _load_channel(path: str, require_cptp: bool = True) -> ChannelSpec:
+def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
     with open(path) as f:
         doc = json.load(f)
-    return ChannelSpec.from_dict(doc, require_cptp=require_cptp)
+    return ChannelSpec.from_dict(doc, build=False).build(require_cptp=require_cptp)
 
 
 def _load_custom_bases(path: str) -> list:
@@ -249,8 +250,7 @@ def _parse_grid_overrides(specs) -> dict:
 
 
 def _cmd_bound(args) -> int:
-    spec = _load_channel(args.channel)
-    channel = spec.build()
+    channel = _load_channel(args.channel)
     config = _resolve_config(args, channel.dim)
     result = detect_capacity(channel, config)
     _emit_json(result.as_dict(), args.out)
@@ -280,8 +280,7 @@ def _cmd_binary(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_channel(args.channel)
-    channel = spec.build()
+    channel = _load_channel(args.channel)
     config = _resolve_config(args, channel.dim)
     est = detect_from_samples(channel, config, args.shots, args.seed, args.resamples)
     _emit_json(est.as_dict(), args.out)
@@ -289,8 +288,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_cp(args) -> int:
-    spec = _load_channel(args.channel, require_cptp=False)
-    channel = spec.build(require_cptp=False)
+    channel = _load_channel(args.channel, require_cptp=False)
     diag = is_cptp(channel, tol=args.tol)
     _emit_json(
         {

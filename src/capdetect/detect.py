@@ -21,10 +21,12 @@ from .qcore import (
 )
 from .channels import AffineQubitChannel
 from .infotheory import (
+    BinaryCapacity,
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
     check_transition_stack,
+    check_unit_interval,
     weakly_symmetric_capacity,
 )
 
@@ -178,25 +180,37 @@ def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None
     return detect_from_transitions(transitions, [b.label for b in bases], config)
 
 
+def _axis_epsilons(l1, l2, l3, t3):
+    l1, l2, l3, t3 = np.broadcast_arrays(l1, l2, l3, t3)
+    lam = np.abs(np.stack([l1, l2, l3], axis=-1))
+    t = np.zeros_like(lam)
+    t[..., 2] = np.abs(t3)
+    e0 = np.maximum(0.5 * (1.0 - lam - t), 0.0)
+    return e0, np.minimum(e0 + t, 1.0)
+
+
 def pauli_epsilons(ch: AffineQubitChannel) -> list:
     """Binary-channel error pairs (eps0, eps1) for the three Pauli-axis
     encodings of a canonical qubit channel: eps0 = (1 - |l_i| - |t_i|)/2 and
     eps1 = eps0 + |t_i|, with the shift along z only."""
-    shift = ch.shift
-    pairs = []
-    for lam, t in zip(ch.lambdas, shift):
-        e0 = max(0.5 * (1.0 - abs(lam) - abs(t)), 0.0)
-        pairs.append((e0, min(e0 + abs(t), 1.0)))
-    return pairs
+    e0, e1 = _axis_epsilons(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
+    return list(zip(e0.tolist(), e1.tolist()))
+
+
+def pauli_axis_capacity(l1, l2, l3, t3) -> BinaryCapacity:
+    """Binary closed form of the three Pauli-axis encodings (see
+    :func:`pauli_epsilons`) of canonical qubit channels (l1, l2, l3, t3),
+    elementwise over broadcast arrays: capacities and input-0 priors of
+    shape (..., 3), the last axis ordered x, y, z."""
+    return binary_capacity(*_axis_epsilons(l1, l2, l3, t3))
 
 
 def detect_pauli_qubit(ch: AffineQubitChannel) -> DetectionResult:
     """Detected capacity of a canonical qubit channel under the three Pauli
     bases, each axis solved with the binary-channel closed form."""
-    pairs = pauli_epsilons(ch)
-    caps, p0s = binary_capacity(*zip(*pairs))
+    caps, p0s = pauli_axis_capacity(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
     per_basis = []
-    for label, (e0, e1), cap, p0 in zip(PAULI_AXES, pairs, caps, p0s):
+    for label, (e0, e1), cap, p0 in zip(PAULI_AXES, pauli_epsilons(ch), caps, p0s):
         t = np.array([[1.0 - e0, e1], [e0, 1.0 - e1]])
         prior = np.array([p0, 1.0 - p0])
         per_basis.append(BasisResult(label, t, prior, float(cap), "binary-closed-form"))
@@ -293,8 +307,7 @@ def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
     pseudo = lam_m_sq <= threshold
     c1 = None
     if pseudo:
-        e0, e1 = pauli_epsilons(ch)[2]
-        c1 = binary_capacity(e0, e1).capacity_bits
+        c1 = float(pauli_axis_capacity(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3).capacity_bits[2])
     return PseudoclassicalityReport(True, lam_m_sq, threshold, pseudo, c1)
 
 
@@ -307,9 +320,7 @@ def holevo_gad_p1(gamma):
     A 10^4-point grid brackets each maximum, then golden-section search
     refines every bracket to 1e-10 in t, each gamma on its own schedule.
     """
-    gam = np.asarray(gamma, dtype=float)
-    if not (gam.min() >= 0.0 and gam.max() <= 1.0):  # NaN fails too
-        raise ValueError(f"gamma = {gamma} outside [0, 1]")
+    gam = check_unit_interval("gamma", gamma)
     g = gam.ravel()
 
     def value(t, g):
@@ -385,27 +396,35 @@ def rotated_pauli_detected(px: float, py: float, pz: float, phi):
 
 
 def von_mises_expected_capacity(
-    px: float, py: float, pz: float, k_phi: float, quad_points: int = 2001
-) -> float:
+    px: float, py: float, pz: float, k_phi, quad_points: int = 2001
+):
     """Expected detected capacity of a z-rotated Pauli channel when the
-    rotation phase is distributed as exp(K cos phi) on [-pi, pi].
+    rotation phase is distributed as exp(K cos phi) on [-pi, pi]; elementwise
+    over an array of concentrations K, and a float for a scalar K.
 
     Composite-Simpson quadrature on a shared grid; normalizing on the same
     grid removes the Bessel-function normalization constant, and the step
     h/3 cancels in the ratio."""
-    if k_phi < 0.0:
-        raise ValueError(f"concentration must be nonnegative, got {k_phi}")
+    k = np.asarray(k_phi, dtype=float)
+    if not k.min() >= 0.0:  # NaN fails too
+        bad = ~(k >= 0.0)
+        count = f" ({int(bad.sum())} of {k.size} entries)" if k.ndim else ""
+        raise ValueError(f"concentration must be nonnegative, got {k[bad][0]}{count}")
     if quad_points < 64:
         raise ValueError("use at least 64 quadrature points")
     n = quad_points + 1 - quad_points % 2  # Simpson wants an odd point count
     phi = np.linspace(-np.pi, np.pi, n)
-    weights = np.exp(k_phi * (np.cos(phi) - 1.0))  # scaled to avoid overflow
     simpson = np.ones(n)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
-    weights *= simpson
     values = rotated_pauli_detected(px, py, pz, phi)
-    return float(values @ weights / weights.sum())
+    cos_m1 = np.cos(phi) - 1.0
+    out = np.empty(k.size)
+    # one dot per K: a matrix-vector product over all K rounds differently
+    for i, kk in enumerate(k.flat):
+        weights = np.exp(kk * cos_m1) * simpson  # scaled to avoid overflow
+        out[i] = values @ weights / weights.sum()
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
 def qutrit_vshape_transitions(gamma01, gamma02):
@@ -416,11 +435,8 @@ def qutrit_vshape_transitions(gamma01, gamma02):
     Array arguments are broadcast together and give stacks of shape
     (..., 3, 3) and a gamma_tilde array; scalars give single matrices and a
     float."""
-    g01, g02 = np.broadcast_arrays(np.asarray(gamma01, dtype=float),
-                                   np.asarray(gamma02, dtype=float))
-    for name, v in (("gamma01", g01), ("gamma02", g02)):
-        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails too
-            raise ValueError(f"{name} = {v} outside [0, 1]")
+    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
+                                   check_unit_interval("gamma02", gamma02))
     q1 = np.zeros(g01.shape + (3, 3))
     q1[..., 0, 0] = 1.0
     q1[..., 0, 1] = g01

@@ -47,11 +47,21 @@ def check_transition_stack(t, tol: float = 1e-9) -> np.ndarray:
     return np.clip(t, 0.0, 1.0)
 
 
+def check_unit_interval(name: str, values, slack: float = 0.0) -> np.ndarray:
+    """``values`` as a float array, after checking that every entry lies in
+    [-slack, 1 + slack]. The error names the first entry outside (NaN
+    included) and, for arrays, how many entries are outside."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= -slack) & (v <= 1.0 + slack))
+    if bad.any():
+        count = f" ({int(bad.sum())} of {v.size} entries)" if v.ndim else ""
+        raise ValueError(f"{name} = {v[bad][0]} outside [0, 1]{count}")
+    return v
+
+
 def binary_entropy(x):
     """H(x) = -x log2 x - (1-x) log2(1-x), elementwise, with 0 log 0 = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
-        raise ValueError(f"binary entropy argument outside [0, 1]: {x}")
+    x = check_unit_interval("binary entropy argument", x, slack=1e-9)
     out = _h(np.clip(x, 0.0, 1.0))
     if np.ndim(out) == 0:
         return float(out)
@@ -241,11 +251,8 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     accurate where the closed-form capacity expression cancels, near the
     degenerate line eps0 + eps1 = 1. That line carries no information.
     """
-    e0 = np.asarray(eps0, dtype=float)
-    e1 = np.asarray(eps1, dtype=float)
-    for name, v in (("eps0", e0), ("eps1", e1)):
-        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails too
-            raise ValueError(f"{name} = {v} outside [0, 1]")
+    e0 = check_unit_interval("eps0", eps0)
+    e1 = check_unit_interval("eps1", eps1)
     flip = e0 + e1 > 1.0
     e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 
 import capdetect
-from capdetect import binary_entropy, blahut_arimoto, detect_pauli_qubit, gad_affine
+from capdetect import (
+    ChannelSpec,
+    binary_entropy,
+    blahut_arimoto,
+    detect_pauli_qubit,
+    gad_affine,
+    pseudoclassicality,
+    stretched_affine,
+)
 from capdetect.cli import grid_values, main, reproduce_figure
 
 
@@ -277,3 +286,74 @@ def test_runs_without_scipy(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert len(fig4.read_text().splitlines()) == 4
     assert len(json.loads(bound.read_text())["per_basis"]) == 8
+
+
+# sha256 of the default-grid tables as the per-row builders wrote them
+FIGURE_SHA256 = {
+    "fig1": ("eae119209faabcff2934e0c6f31b57953d294aa4aff782d8a96dc9deb4e6042d",
+             "2f6c6b3b62cd1fd4ffd564379705c72bbff7bb0d9fecbb328d00d7ec76fdb0e3"),
+    "fig2": ("90dfacdfc873e32ad508659e800e06fae3e6b5444306c12ec963c208b6507b2c",
+             "7b8fe139f57f40021a0ac4a4606d5b1d2caa26610cacac2bce07aefd3ca49878"),
+    "fig3": ("22adb84d13a7ce12c77499342896678c52567bef6a6bd6a12957cc10a6ce643c",
+             "cd33f66b90dd63e3973797802daea2705cbacef6329b9956aa66b6323083a8dd"),
+    "fig4": ("ce88b7d625ead6129ebce2a89d6abd8f12fbd1f4271e50c9b2b7b8a40bc24555",
+             "7d910c2c861fee0ebf8372f1072725a3398dda127c95b3a5eda52dc18b152653"),
+    "suppl_stretched": ("6f69b98997fb5ecd217cc2339d3c1ace0c757268f1549abe0934a341d753c3c0",
+                        "7977c8ac4351590f7d58b9653f20f5d911dba35aabeef56c0eb8276f33ac4529"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
+def test_default_figures_are_byte_stable(tmp_path, figure):
+    for fmt, digest in zip(("csv", "json"), FIGURE_SHA256[figure]):
+        out = tmp_path / f"{figure}.{fmt}"
+        reproduce_figure(figure, out=str(out), fmt=fmt)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
+
+
+def test_suppl_stretched_matches_per_row_reports():
+    _, rows = reproduce_figure("suppl_stretched", out=os.devnull)
+    assert {r[3] for r in rows} == {True, False}
+    for s, c_det, c1, flag in rows:
+        ch = stretched_affine(0.5, s)
+        report = pseudoclassicality(ch)
+        assert type(flag) is bool and flag == report.pseudoclassical, s
+        assert c1 == (report.c1_bits if flag else None), s
+        assert c_det == detect_pauli_qubit(ch).c_det_bits, s
+
+
+@pytest.mark.parametrize("figure, grid, message", [
+    ("fig1", "gamma=0:1.5:0.05", "gamma = 1.05 outside [0, 1] (10 of 31 entries)"),
+    ("fig2", "gamma01=0:1.2:0.1", "gamma01 = 1.1 outside [0, 1] (2 of 13 entries)"),
+    ("suppl_stretched", "s=-0.72:0.5:0.01",
+     "|s| = 0.72 exceeds sqrt(1-gamma) = 0.707107; not completely positive"),
+    ("suppl_stretched", "s=-0.5:0.71:0.01",
+     "|s| = 0.71 exceeds sqrt(1-gamma) = 0.707107; not completely positive"),
+])
+def test_reproduce_names_first_bad_grid_value(capsys, figure, grid, message):
+    code, out, err = run(capsys, "reproduce", figure, "--grid", grid)
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: {message}\n"
+
+
+def test_each_request_builds_its_channel_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = ChannelSpec.build
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(self.kind)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelSpec, "build", counting_build)
+    damping = {"kind": "kraus", "params": {"dim": 2, "operators": [
+        [[1, 0], [0, 0], [0, 0], [0.8, 0]],
+        [[0, 0], [0.6, 0], [0, 0], [0, 0]],
+    ]}}
+    spec = write_json(tmp_path, "k.json", damping)
+    for argv in (["bound", "--channel", spec],
+                 ["simulate", "--channel", spec, "--shots", "200", "--seed", "3",
+                  "--resamples", "100"],
+                 ["check-cp", "--channel", spec]):
+        builds.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and builds == ["kraus"], argv

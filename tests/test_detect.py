@@ -22,6 +22,7 @@ from capdetect import (
     kraus_to_affine,
     pauli_bases,
     pauli_channel,
+    pauli_axis_capacity,
     pauli_epsilons,
     pauli_family_channel,
     pseudoclassicality,
@@ -100,6 +101,22 @@ def test_pauli_epsilons_examples():
     for (e0, e1), l in zip(pauli_epsilons(AffineQubitChannel(*lam)), lam):
         assert e0 == e1 == pytest.approx((1 - l) / 2, abs=1e-12)
     assert np.allclose(pauli_epsilons(AffineQubitChannel(1.0, 1.0, 1.0)), 0.0, atol=1e-15)
+
+
+def test_pauli_axis_capacity_array_matches_detect_pauli_qubit():
+    rng = np.random.default_rng(11)
+    chans = [random_cp_affine(rng) for _ in range(300)]
+    chans += [AffineQubitChannel(c.lambda1, c.lambda2, c.lambda3, 0.0) for c in chans[:60]]
+    chans += [AffineQubitChannel(-0.6, 0.6, -0.2), AffineQubitChannel(-1.0, -1.0, 1.0)]
+    lam = np.array([[c.lambda1, c.lambda2, c.lambda3, c.t3] for c in chans])
+    assert (lam[:, :3] < 0).any(axis=1).sum() > 100
+    caps, p0s = pauli_axis_capacity(*lam.T)
+    assert caps.shape == p0s.shape == (len(chans), 3)
+    for c, row_caps, row_p0s in zip(chans, caps, p0s):
+        res = detect_pauli_qubit(c)
+        assert row_caps.max() == res.c_det_bits
+        assert row_caps.tolist() == [r.mutual_information_bits for r in res.per_basis]
+        assert row_p0s.tolist() == [r.optimal_prior[0] for r in res.per_basis]
 
 
 def test_detect_pauli_qubit_unital_closed_form():
@@ -337,6 +354,18 @@ def test_von_mises_matches_scipy_simpson():
             ref = simpson(values * weights, x=phi) / simpson(weights, x=phi)
             got = von_mises_expected_capacity(0.15, 0.05, 0.1, k, quad_points)
             assert abs(got - ref) < 1e-14
+
+
+def test_von_mises_array_call_matches_scalar_calls():
+    ks = np.concatenate([np.linspace(0.0, 10.0, 101), [0.05, 1000.0]])
+    vec = von_mises_expected_capacity(0.15, 0.05, 0.1, ks)
+    assert vec.shape == ks.shape
+    assert vec.tolist() == [von_mises_expected_capacity(0.15, 0.05, 0.1, k) for k in ks]
+    assert isinstance(von_mises_expected_capacity(0.15, 0.05, 0.1, 0.5), float)
+    grid = von_mises_expected_capacity(0.15, 0.05, 0.1, ks[:100].reshape(10, 10))
+    assert np.array_equal(grid.ravel(), vec[:100])
+    with pytest.raises(ValueError, match=r"got -1\.0 \(2 of 3 entries\)"):
+        von_mises_expected_capacity(0.15, 0.05, 0.1, [0.5, -1.0, np.nan])
 
 
 def test_von_mises_rejects_bad_args():

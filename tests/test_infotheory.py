@@ -182,6 +182,17 @@ def test_binary_capacity_rejects_out_of_range():
         binary_capacity(0.1, 1.5)
 
 
+def test_range_errors_name_first_bad_entry():
+    with pytest.raises(ValueError, match=r"^eps1 = 1\.5 outside \[0, 1\]$"):
+        binary_capacity(0.1, 1.5)
+    with pytest.raises(ValueError, match=r"^eps1 = 1\.5 outside \[0, 1\] \(2 of 3 entries\)$"):
+        binary_capacity([0.1, 0.1, 0.1], [0.2, 1.5, np.nan])
+    with pytest.raises(ValueError, match=r"^binary entropy argument = -0\.5 outside \[0, 1\] \(1 of 3"):
+        binary_entropy([0.2, -0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^binary entropy argument = nan outside"):
+        binary_entropy(np.nan)
+
+
 def test_binary_capacity_against_ba_small_grid():
     for e0 in np.linspace(0, 0.5, 8):
         for e1 in np.linspace(0, 0.5, 8):
