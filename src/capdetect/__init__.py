@@ -12,14 +12,12 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    DegenerateBasisError,
     KrausChannel,
     MeasurementBasis,
     apply_channel,
     choi_matrix,
     computational_basis,
     conditional_probs,
-    eigenbasis,
     fourier_basis,
     is_cptp,
     maximally_entangled,
@@ -58,7 +56,6 @@ from .detect import (
     detect_capacity,
     detect_from_transitions,
     detect_pauli_qubit,
-    detect_weyl,
     holevo_gad_p1,
     pauli_axis_capacity,
     pauli_bases,
@@ -72,9 +69,7 @@ from .detect import (
 )
 from .protocol_sim import (
     EstimatedDetection,
-    ShotRecord,
     detect_from_samples,
     entangled_joint_distribution,
     sample_transition,
-    write_shot_records_csv,
 )

@@ -294,6 +294,11 @@ class ChannelSpec:
             raise ValueError(f"unknown parameter(s) for kind '{kind}': {sorted(given - expected)}")
         if expected - given - optional:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(expected - given - optional)}")
+        for name, value in params.items():
+            if name not in ("q", "operators") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"parameter '{name}' of kind '{kind}' must be a number, got {value!r}")
         spec = cls(kind, dict(params))
         if build:
             spec.build(require_cptp=require_cptp)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from .qcore import (
     KrausChannel,
-    PAULIS,
+    MeasurementBasis,
+    PAULI_KETS,
     conditional_probs,
-    eigenbasis,
-    weyl_operator,
+    weyl_class,
+    weyl_class_kets,
 )
 from .channels import AffineQubitChannel
 from .infotheory import (
@@ -35,23 +36,39 @@ PAULI_AXES = ("x", "y", "z")
 
 def pauli_bases() -> list:
     """Eigenbases of the three Pauli operators, labeled x, y, z."""
-    return [eigenbasis(s, label=ax) for s, ax in zip(PAULIS, PAULI_AXES)]
+    return [MeasurementBasis(ax, kets) for ax, kets in zip(PAULI_AXES, PAULI_KETS)]
 
 
-def weyl_bases(d: int) -> list:
-    """Eigenbases of all nontrivial generalized Pauli unitaries U_ls.
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
-    Coinciding eigenbases are kept (the cost is negligible and the maximum
-    is unaffected). Raises for operators with degenerate spectra, which can
-    occur in composite dimensions.
+
+def weyl_bases(d: int) -> tuple:
+    """The d + 1 distinct eigenbases of the nontrivial generalized Pauli
+    unitaries U_ls in prime dimension d, and each U_ls's place among them.
+
+    Returns ``(bases, views)``. ``views`` lists ``(label, i, order)`` for
+    every (l, s) != (0, 0) in row-major order, where ``bases[i].kets[order]``
+    is U_ls's eigenbasis; each basis carries the label of its class's first
+    U_ls, so its own ``order`` is the identity.
     """
-    bases = []
+    if not _is_prime(d):
+        raise ValueError(f"the weyl basis family needs a prime dimension, got {d}")
+    bases, views, first = [], [], {}
     for l in range(d):
         for s in range(d):
             if (l, s) == (0, 0):
                 continue
-            bases.append(eigenbasis(weyl_operator(d, l, s), label=f"weyl({l},{s})"))
-    return bases
+            label = f"weyl({l},{s})"
+            c, order = weyl_class(d, l, s)
+            if c not in first:
+                first[c] = len(bases), {k: pos for pos, k in enumerate(order)}
+                bases.append(MeasurementBasis(label, weyl_class_kets(d, c)[order]))
+            i, rank = first[c]
+            views.append((label, i, [rank[k] for k in order]))
+    return bases, views
 
 
 @dataclass
@@ -63,21 +80,27 @@ class DetectionConfig:
     ba_tolerance_bits: float = 1e-9
     max_iterations: int = 100_000
 
-    def resolve_bases(self, dim: int) -> list:
-        if isinstance(self.bases, str):
-            if self.bases == "pauli":
-                if dim != 2:
-                    raise ValueError("the pauli basis family is only defined for qubits")
-                return pauli_bases()
-            if self.bases == "weyl":
-                return weyl_bases(dim)
+    def resolve_bases(self, dim: int) -> tuple:
+        """The distinct bases to measure, and the reported labels as
+        ``(label, basis index, ket order)`` views of them (see
+        :func:`weyl_bases`); outside the weyl family each basis is its own
+        view."""
+        if self.bases == "weyl":
+            return weyl_bases(dim)
+        if self.bases == "pauli":
+            if dim != 2:
+                raise ValueError("the pauli basis family is only defined for qubits")
+            bases = pauli_bases()
+        elif isinstance(self.bases, str):
             raise ValueError(f"unknown basis family '{self.bases}'")
-        if not self.bases:
+        elif not self.bases:
             raise ValueError("at least one measurement basis is required")
-        for b in self.bases:
+        else:
+            bases = list(self.bases)
+        for b in bases:
             if b.dim != dim:
                 raise ValueError(f"basis '{b.label}' has dim {b.dim}, channel has dim {dim}")
-        return list(self.bases)
+        return bases, [(b.label, i, list(range(dim))) for i, b in enumerate(bases)]
 
 
 @dataclass
@@ -119,7 +142,9 @@ class DetectionResult:
 
 
 def _assemble(per_basis: list) -> DetectionResult:
-    # ties broken toward the lowest basis index
+    # the argmax is the lowest index among exactly equal values: the labels
+    # of one Weyl class share one float, so the class's first label wins;
+    # values that differ in the last bit are not ties
     best = 0
     for i, r in enumerate(per_basis):
         if r.mutual_information_bits > per_basis[best].mutual_information_bits:
@@ -173,11 +198,19 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:
-    """Detected capacity of a channel over a set of measured bases."""
+    """Detected capacity of a channel over a set of measured bases.
+
+    Each distinct basis is reconstructed and solved once; every reported
+    label gets its basis's transition and prior in its own ket order."""
     config = config or DetectionConfig()
-    bases = config.resolve_bases(channel.dim)
+    bases, views = config.resolve_bases(channel.dim)
     transitions = [conditional_probs(channel, b) for b in bases]
-    return detect_from_transitions(transitions, [b.label for b in bases], config)
+    solved = detect_from_transitions(transitions, [b.label for b in bases], config).per_basis
+    return _assemble([
+        BasisResult(label, solved[i].transition[np.ix_(order, order)], solved[i].optimal_prior[order],
+                    solved[i].mutual_information_bits, solved[i].method, solved[i].converged)
+        for label, i, order in views
+    ])
 
 
 def _axis_epsilons(l1, l2, l3, t3):
@@ -215,38 +248,6 @@ def detect_pauli_qubit(ch: AffineQubitChannel) -> DetectionResult:
         prior = np.array([p0, 1.0 - p0])
         per_basis.append(BasisResult(label, t, prior, float(cap), "binary-closed-form"))
     return _assemble(per_basis)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
-
-
-def detect_weyl(channel: KrausChannel) -> DetectionResult:
-    """Detected capacity of a generalized Pauli channel in prime dimension
-    over all nontrivial Weyl eigenbases.
-
-    In prime dimension every Weyl-basis transition matrix of such a channel
-    is symmetric (columns and rows are permutations of each other), so each
-    basis contributes log2 d - H(column) with a uniform prior. A transition
-    that is not symmetric within 1e-9 is reported as an error before any
-    basis is solved; the rest is ``detect_from_transitions``.
-    """
-    d = channel.dim
-    if not _is_prime(d):
-        raise ValueError(
-            f"dimension {d} is composite; use detect_capacity with an explicit basis list"
-        )
-    bases = weyl_bases(d)
-    transitions = [conditional_probs(channel, b) for b in bases]
-    for t, b in zip(transitions, bases):
-        if weakly_symmetric_capacity(t, tol=1e-9) is None:
-            raise ValueError(
-                f"transition matrix in basis '{b.label}' is not symmetric; "
-                "the channel is not a generalized Pauli channel"
-            )
-    return detect_from_transitions(transitions, [b.label for b in bases], DetectionConfig("weyl"))
 
 
 _LN2 = math.log(2.0)
@@ -330,12 +331,15 @@ def holevo_gad_p1(gamma):
     grid = np.linspace(0.0, 1.0, 10_001)
     i = np.empty(g.size, dtype=int)
     top = np.empty(g.size)
-    # the scan runs over blocks of 4 gammas; one (101, 10^4) block and the
-    # entropy temporaries raised fig1's peak memory from 36 to 106 MB
-    for k in range(0, g.size, 4):
-        vals = value(grid, g[k:k + 4, None])
-        i[k:k + 4] = np.argmax(vals, axis=1)
-        top[k:k + 4] = vals.max(axis=1)
+    # the scan runs over blocks of 2 gammas. One (101, 10^4) block and the
+    # entropy temporaries raised fig1's peak memory from 36 to 106 MB. With
+    # blocks of 4, the freed temporaries (~320 KB each) could exceed
+    # glibc's heap trim threshold, and then every block faulted its pages
+    # in again: fig1 took 29 or 55 ms depending on the heap layout
+    for k in range(0, g.size, 2):
+        vals = value(grid, g[k:k + 2, None])
+        i[k:k + 2] = np.argmax(vals, axis=1)
+        top[k:k + 2] = vals.max(axis=1)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a = grid[np.maximum(i - 1, 0)]
     b = grid[np.minimum(i + 1, grid.size - 1)]

@@ -27,28 +27,17 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> np.
     return np.random.Generator(np.random.Philox(key=np.array([seed, sub], dtype=np.uint64)))
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Raw outcome counts for one basis; each column sums to shots_per_input."""
-
-    basis_label: str
-    counts: np.ndarray
-    shots_per_input: int
-    seed: int
-
-
 def sample_transition(
     transition,
     shots_per_input: int,
     seed: int,
     *,
     basis_index: int = 0,
-    basis_label: str = "",
 ):
     """Draw multinomial counts from each column of a transition matrix.
 
-    Returns the :class:`ShotRecord` and the plug-in estimate counts/shots,
-    whose columns sum to one by construction.
+    Returns the counts and the plug-in estimate counts/shots, whose columns
+    sum to one by construction.
     """
     t = np.asarray(transition, dtype=float)
     if shots_per_input < 1:
@@ -59,8 +48,7 @@ def sample_transition(
         col = t[:, n] / t[:, n].sum()
         rng = _stream(seed, basis_index, n)
         counts[:, n] = rng.multinomial(shots_per_input, col)
-    record = ShotRecord(basis_label, counts, shots_per_input, seed)
-    return record, counts / float(shots_per_input)
+    return counts, counts / float(shots_per_input)
 
 
 def entangled_joint_distribution(channel: KrausChannel, basis: MeasurementBasis) -> np.ndarray:
@@ -114,20 +102,20 @@ def detect_from_samples(
 ) -> EstimatedDetection:
     """Estimate the detected capacity from finite sampling statistics.
 
-    Transition matrices are estimated basis by basis, the detection
-    pipeline runs on the estimates, and a 95% percentile bootstrap over
-    column-resampled counts gives the confidence interval. Identical
-    (seed, config) inputs reproduce identical results.
+    Transition matrices are estimated basis by basis, each distinct basis
+    once (the weyl family's d + 1 classes, under their first labels), the
+    detection pipeline runs on the estimates, and a 95% percentile
+    bootstrap over column-resampled counts gives the confidence interval.
+    Identical (seed, config) inputs reproduce identical results.
     """
     if resamples < 100:
         raise ValueError("use at least 100 bootstrap resamples")
-    bases = config.resolve_bases(channel.dim)
+    bases, _ = config.resolve_bases(channel.dim)
     labels = [b.label for b in bases]
     estimates = []
     for i, b in enumerate(bases):
         t = conditional_probs(channel, b)
-        _, est = sample_transition(t, shots_per_input, seed, basis_index=i, basis_label=b.label)
-        estimates.append(est)
+        estimates.append(sample_transition(t, shots_per_input, seed, basis_index=i)[1])
     point = detect_from_transitions(estimates, labels, config)
 
     d = channel.dim
@@ -165,14 +153,3 @@ def _replicate_capacities(stack: np.ndarray, config: DetectionConfig) -> np.ndar
     caps, _, _, gaps = blahut_arimoto_batch(stack, tol, config.max_iterations)
     warn_unconverged(gaps, tol, "bootstrap replicates")
     return caps
-
-
-def write_shot_records_csv(records: list, path) -> None:
-    """Export shot records as CSV rows (basis, input, output, count)."""
-    with open(path, "w", newline="") as f:
-        f.write("basis,input,output,count\n")
-        for rec in records:
-            n_out, n_in = rec.counts.shape
-            for n in range(n_in):
-                for m in range(n_out):
-                    f.write(f"{rec.basis_label},{n},{m},{rec.counts[m, n]}\n")

@@ -9,7 +9,7 @@ channel plus a basis into a column-stochastic classical transition matrix.
 import numpy as np
 from dataclasses import dataclass
 
-# Orthonormality, normality and CPTP certification tolerance; the checks
+# Orthonormality and CPTP certification tolerance; the checks
 # that take a tolerance argument can override it per call.
 CERT_TOL = 1e-10
 
@@ -17,11 +17,12 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-class DegenerateBasisError(ValueError):
-    """The operator has a (near-)degenerate spectrum, so its eigenbasis is
-    not unique; the caller must supply a basis explicitly."""
+# eigenbases of PAULIS: kets for eigenvalue +1, then -1
+PAULI_KETS = (
+    (1 / np.sqrt(2)) * np.array([[1, 1], [1, -1]], dtype=complex),
+    (1 / np.sqrt(2)) * np.array([[1, 1j], [1, -1j]], dtype=complex),
+    np.eye(2, dtype=complex),
+)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -181,47 +182,43 @@ def weyl_operator(d: int, l: int, s: int) -> np.ndarray:
     return u
 
 
-def eigenbasis(
-    m: np.ndarray,
-    label: str = "",
-    *,
-    normal_tol: float = CERT_TOL,
-    gap_tol: float = 1e-8,
-) -> MeasurementBasis:
-    """Orthonormal eigenbasis of a normal matrix with nondegenerate spectrum.
+def weyl_class(d: int, l: int, s: int) -> tuple:
+    """Which of the d + 1 Weyl classes U_ls belongs to in prime d, and the
+    order of its eigenvalues on that class's kets.
 
-    Eigenvectors are sorted by eigenvalue phase in [0, 2pi) and each ket is
-    normalized so its first significant amplitude is real positive, making
-    the output deterministic for a fixed input. A (near-)degenerate spectrum
-    raises :class:`DegenerateBasisError`.
-
-    ``np.linalg.eig`` alone gives eigenvectors orthogonal only to about
-    eps/gap (1.5e-9 at a gap of 1e-6), too coarse for the 1e-10 check of
-    :class:`MeasurementBasis`. The Q factor of the sorted, nearly orthogonal
-    eigenvectors is orthonormal to machine precision, and each of its
-    columns is still an eigenvector up to a phase (residual near eps).
+    U_ls^k is proportional to U_(kl, ks), so U_ls shares its eigenbasis with
+    its powers: class 0 holds the diagonal U_(l,0) and class 1 + r the powers
+    of U_(r,1) (Wootters & Fields, Ann. Phys. 191, 363, 1989). From
+    U_(rs, s) = w^(-r s(s-1)/2) U_(r,1)^s, U_ls has the eigenvalue phase
+    (s theta_m - r s(s-1)) pi/d on ket m of :func:`weyl_class_kets`.
+    Returns the class and U_ls's kets as indices into those, in ascending
+    eigenvalue phase. With l, s != 0 the eigenvalue 1 sorts last, as phase
+    2 pi: earlier versions took this order from a numerical eigensolver,
+    which rounded that eigenvalue to 1 - O(eps) i, and `bound` keeps it.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(m @ dagger(m) - dagger(m) @ m)) > normal_tol:
-        raise ValueError("matrix is not normal; it has no orthonormal eigenbasis")
-    evals, vecs = np.linalg.eig(m)
-    d = m.shape[0]
-    if d > 1:
-        gaps = np.abs(evals[:, None] - evals[None, :])[~np.eye(d, dtype=bool)]
-        if gaps.min() <= gap_tol:
-            raise DegenerateBasisError(
-                f"degenerate basis: minimum eigenvalue gap {gaps.min():.3e}; "
-                "supply a measurement basis explicitly"
-            )
-    phases = np.angle(evals) % (2 * np.pi)
-    order = np.lexsort((evals.imag, evals.real, phases))
-    kets = np.linalg.qr(vecs[:, order])[0].T
-    for v in kets:
-        idx = np.flatnonzero(np.abs(v) > 1e-8)[0]
-        v *= v[idx].conj() / abs(v[idx])
-    return MeasurementBasis(label, kets)
+    if s == 0:
+        return 0, sorted(range(d), key=lambda k: k * l % d)
+    r = l * pow(s, -1, d) % d
+    keys = [(s * (r * (d - 1) + 2 * k) - r * s * (s - 1)) % (2 * d) for k in range(d)]
+    if r:
+        keys = [key or 2 * d for key in keys]
+    return 1 + r, sorted(range(d), key=keys.__getitem__)
+
+
+def weyl_class_kets(d: int, c: int) -> np.ndarray:
+    """Kets (rows) of Weyl class c in prime d; class 0 is the computational
+    basis. Class 1 + r is the eigenbasis of U_(r,1): ket m has amplitudes
+    v_k = lambda^k w^(-r k(k-1)/2)/sqrt(d) for the eigenvalue
+    lambda = e^(i theta_m pi/d), theta_m = r(d-1) + 2m, so its first
+    amplitude is real and positive. Phases are reduced mod 2 pi exactly
+    before the exponential."""
+    if c == 0:
+        return np.eye(d, dtype=complex)
+    k = np.arange(d)
+    r = c - 1
+    theta = r * (d - 1) + 2 * k
+    phase = (np.outer(theta, k) - r * k * (k - 1)) % (2 * d)
+    return np.exp(1j * np.pi / d * phase) / np.sqrt(d)
 
 
 def computational_basis(d: int, label: str = "computational") -> MeasurementBasis:

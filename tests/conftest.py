@@ -78,3 +78,27 @@ def random_cp_affine(rng: np.random.Generator) -> AffineQubitChannel:
 def random_transition(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
     """Random column-stochastic matrix, columns uniform on the simplex."""
     return rng.dirichlet(np.ones(n_out), size=n_in).T
+
+
+def reference_eigenbasis(m: np.ndarray) -> np.ndarray:
+    """Eigenbasis kets (rows) of a normal matrix with a nondegenerate
+    spectrum, from np.linalg.eig: sorted by eigenvalue phase in [0, 2pi) as
+    np.angle rounds it, orthonormalized by QR, and each ket's first
+    significant amplitude made real positive."""
+    evals, vecs = np.linalg.eig(m)
+    order = np.lexsort((evals.imag, evals.real, np.angle(evals) % (2 * np.pi)))
+    kets = np.linalg.qr(vecs[:, order])[0].T
+    for v in kets:
+        idx = np.flatnonzero(np.abs(v) > 1e-8)[0]
+        v *= v[idx].conj() / abs(v[idx])
+    return kets
+
+
+def weyl_label_kets(d: int) -> dict:
+    """Every nontrivial U_ls's eigenbasis as the weyl family reports it:
+    {(l, s): kets}."""
+    from capdetect import weyl_bases
+
+    bases, views = weyl_bases(d)
+    return {tuple(int(x) for x in label[5:-1].split(",")): bases[i].kets[order]
+            for label, i, order in views}

@@ -6,9 +6,9 @@ from capdetect import (
     ChannelSpec,
     affine_to_kraus,
     apply_channel,
+    computational_basis,
     conditional_probs,
     dephasing_axis_channel,
-    eigenbasis,
     extremal_affine,
     gad_affine,
     is_cptp,
@@ -21,7 +21,7 @@ from capdetect import (
     vshape_qutrit_channel,
     weyl_bases,
 )
-from capdetect.qcore import SIGMA_Z, basis_ket, projector
+from capdetect.qcore import basis_ket, projector
 from conftest import random_cp_affine
 
 
@@ -41,7 +41,7 @@ def test_pauli_family_d2_affine_map():
 
 def test_pauli_family_d3_uniform_is_uniform_in_weyl_bases():
     ch = pauli_family_channel(3, np.full((3, 3), 1 / 9))
-    for b in weyl_bases(3):
+    for b in weyl_bases(3)[0]:
         assert np.allclose(conditional_probs(ch, b), np.full((3, 3), 1 / 3), atol=1e-10)
 
 
@@ -114,7 +114,7 @@ def test_dephasing_axis_z_flip_probability():
     # flip probability in the z basis is p sin^2(theta)
     theta = np.arccos(1 / np.sqrt(3))
     ch = dephasing_axis_channel(0.9, theta, np.pi / 4)
-    t = conditional_probs(ch, eigenbasis(SIGMA_Z, "z"))
+    t = conditional_probs(ch, computational_basis(2))
     assert t[1, 0] == pytest.approx(0.9 * np.sin(theta) ** 2, abs=1e-12)
     assert t[1, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -127,7 +127,7 @@ def test_rotated_pauli_phi_zero_matches_plain():
 
 
 def test_rotated_pauli_z_statistics_unchanged():
-    z = eigenbasis(SIGMA_Z, "z")
+    z = computational_basis(2)
     ref = conditional_probs(pauli_channel(0.15, 0.05, 0.1), z)
     for phi in (-np.pi, -1.1, 0.4, np.pi):
         t = conditional_probs(rotated_pauli_channel(0.15, 0.05, 0.1, phi), z)
@@ -153,7 +153,7 @@ def test_affine_to_kraus_depolarizing():
 
 def test_affine_to_kraus_gad_z_errors():
     ch = affine_to_kraus(gad_affine(0.36, 1.0))
-    t = conditional_probs(ch, eigenbasis(SIGMA_Z, "z"))
+    t = conditional_probs(ch, computational_basis(2))
     # input |0> (excited Bloch +z) is noise-free, input |1> decays with 0.36
     assert t[1, 0] == pytest.approx(0.0, abs=1e-10)
     assert t[0, 1] == pytest.approx(0.36, abs=1e-10)
@@ -237,6 +237,18 @@ def test_channel_spec_rejects_unknown_kind_and_params():
         ChannelSpec.from_dict({"kind": "gad", "params": {"gamma": 0.1, "p": 0.5, "zeta": 1}})
     with pytest.raises(ValueError, match="missing parameter"):
         ChannelSpec.from_dict({"kind": "gad", "params": {"gamma": 0.1}})
+
+
+def test_channel_spec_rejects_non_numeric_parameters():
+    for kind, params, bad in (
+        ("pauli", {"px": "0.1", "py": 0.1, "pz": 0.1}, "px"),
+        ("gad", {"gamma": 0.1, "p": None}, "p"),
+        ("rotated_pauli", {"px": 0.1, "py": 0.1, "pz": 0.1, "phi": [0.2]}, "phi"),
+        ("affine_qubit", {"lambda1": 0.5, "lambda2": 0.5, "lambda3": True}, "lambda3"),
+        ("generalized_pauli", {"dim": "3", "q": np.eye(3).tolist()}, "dim"),
+    ):
+        with pytest.raises(ValueError, match=f"parameter '{bad}' of kind '{kind}' must be a number"):
+            ChannelSpec.from_dict({"kind": kind, "params": params})
 
 
 def test_channel_spec_kraus_round_trip():

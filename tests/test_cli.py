@@ -101,6 +101,19 @@ def test_bound_rejects_invalid_specs(tmp_path, capsys):
     assert code == 1 and "simplex" in err
 
 
+def test_bound_rejects_non_numeric_parameter_and_composite_weyl(tmp_path, capsys):
+    spec = write_json(tmp_path, "p.json", {"kind": "pauli", "params": {"px": "0.1", "py": 0.1, "pz": 0.1}})
+    code, out, err = run(capsys, "bound", "--channel", spec)
+    assert code == 1 and out == ""
+    assert err == "capdetect: error: parameter 'px' of kind 'pauli' must be a number, got '0.1'\n"
+    q = np.zeros((4, 4))
+    q[0, 0] = 1.0
+    spec = write_json(tmp_path, "w4.json", {"kind": "generalized_pauli", "params": {"dim": 4, "q": q.tolist()}})
+    code, out, err = run(capsys, "bound", "--channel", spec, "--bases", "weyl")
+    assert code == 1 and out == ""
+    assert err == "capdetect: error: the weyl basis family needs a prime dimension, got 4\n"
+
+
 def test_bound_custom_bases(tmp_path, capsys):
     spec = write_json(tmp_path, "gad.json", GAD)
     s = 1 / np.sqrt(2)

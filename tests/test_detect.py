@@ -5,6 +5,7 @@ from capdetect import (
     AffineQubitChannel,
     DetectionConfig,
     KrausChannel,
+    MeasurementBasis,
     affine_to_kraus,
     binary_capacity,
     blahut_arimoto_batch,
@@ -14,7 +15,6 @@ from capdetect import (
     dephasing_detected,
     detect_capacity,
     detect_pauli_qubit,
-    detect_weyl,
     extremal_affine,
     fourier_basis,
     gad_affine,
@@ -33,9 +33,11 @@ from capdetect import (
     t_threshold,
     von_mises_expected_capacity,
     vshape_qutrit_channel,
+    weakly_symmetric_capacity,
+    weyl_operator,
 )
-from capdetect.qcore import haar_random_basis
-from conftest import random_cp_affine
+from capdetect.qcore import haar_random_basis, random_cptp_channel
+from conftest import random_cp_affine, reference_eigenbasis
 
 LN2 = np.log(2.0)
 
@@ -139,32 +141,42 @@ def test_detect_pauli_qubit_stretched_zero():
     assert res.argmax_basis == "z"
 
 
+WEYL = DetectionConfig("weyl")
+
+
+def _weyl_symmetric(res) -> bool:
+    # in prime d every Weyl-basis transition of a generalized Pauli channel
+    # is symmetric: its columns and rows are permutations of each other
+    return all(weakly_symmetric_capacity(r.transition, tol=1e-9) is not None for r in res.per_basis)
+
+
 def test_detect_weyl_qubit_matches_unital_form():
     ch = pauli_channel(0.15, 0.05, 0.1)
-    res = detect_weyl(ch)
+    res = detect_capacity(ch, WEYL)
     assert res.c_det_bits == pytest.approx(0.3901596952835996, abs=1e-9)
 
 
 def test_detect_weyl_qutrit_endpoints():
     q = np.zeros((3, 3))
     q[0, 0] = 1.0
-    assert detect_weyl(pauli_family_channel(3, q)).c_det_bits == pytest.approx(
+    assert detect_capacity(pauli_family_channel(3, q), WEYL).c_det_bits == pytest.approx(
         np.log2(3), abs=1e-12
     )
     uniform = pauli_family_channel(3, np.full((3, 3), 1 / 9))
-    assert detect_weyl(uniform).c_det_bits == pytest.approx(0.0, abs=1e-9)
+    assert detect_capacity(uniform, WEYL).c_det_bits == pytest.approx(0.0, abs=1e-9)
 
 
 def test_detect_weyl_rejects_composite():
     q = np.zeros((4, 4))
     q[0, 0] = 1.0
-    with pytest.raises(ValueError, match="composite"):
-        detect_weyl(pauli_family_channel(4, q))
+    with pytest.raises(ValueError, match="needs a prime dimension, got 4"):
+        detect_capacity(pauli_family_channel(4, q), WEYL)
 
 
 def test_detect_weyl_rejects_non_pauli_channel():
-    with pytest.raises(ValueError, match="not symmetric"):
-        detect_weyl(vshape_qutrit_channel(0.3, 0.6))
+    assert not _weyl_symmetric(detect_capacity(vshape_qutrit_channel(0.3, 0.6), WEYL))
+    q = np.random.default_rng(2).dirichlet(np.ones(9)).reshape(3, 3)
+    assert _weyl_symmetric(detect_capacity(pauli_family_channel(3, q), WEYL))
 
 
 def test_detect_weyl_matches_engine():
@@ -173,7 +185,8 @@ def test_detect_weyl_matches_engine():
     for d in (2, 3, 5):
         for _ in range(4):
             ch = pauli_family_channel(d, rng.dirichlet(np.ones(d * d)).reshape(d, d))
-            res = detect_weyl(ch)
+            res = detect_capacity(ch, WEYL)
+            assert _weyl_symmetric(res)
             caps, _, _, gaps = blahut_arimoto_batch(
                 np.stack([r.transition for r in res.per_basis]), 1e-12
             )
@@ -181,6 +194,36 @@ def test_detect_weyl_matches_engine():
             got = np.array([r.mutual_information_bits for r in res.per_basis])
             np.testing.assert_allclose(got, caps, rtol=0, atol=1e-10)
             assert res.c_det_bits == pytest.approx(caps.max(), abs=1e-10)
+
+
+def test_detect_weyl_matches_reference_bases():
+    # every label solved on its own eig-reference basis gives the values
+    # that one solve per Weyl class reports under that label
+    rng = np.random.default_rng(31)
+    for d in (3, 5):
+        for rank in (1, 2, 3):
+            ch = random_cptp_channel(d, rank, rng)
+            ref_bases = [MeasurementBasis(f"weyl({l},{s})", reference_eigenbasis(weyl_operator(d, l, s)))
+                         for l in range(d) for s in range(d) if (l, s) != (0, 0)]
+            ref = detect_capacity(ch, DetectionConfig(ref_bases))
+            res = detect_capacity(ch, WEYL)
+            assert [r.label for r in res.per_basis] == [r.label for r in ref.per_basis]
+            for a, b in zip(res.per_basis, ref.per_basis):
+                assert np.max(np.abs(a.transition - b.transition)) <= 1e-12
+            assert abs(res.c_det_bits - ref.c_det_bits) <= 1e-12
+
+
+def test_weyl_argmax_is_first_label_of_winning_class():
+    # U_ls and its powers U_(kl, ks) share one basis, so their values tie exactly
+    d = 5
+    res = detect_capacity(random_cptp_channel(d, 3, np.random.default_rng(8)), WEYL)
+    value = {r.label: r.mutual_information_bits for r in res.per_basis}
+    l, s = (int(x) for x in res.argmax_basis[5:-1].split(","))
+    members = [f"weyl({k * l % d},{k * s % d})" for k in range(1, d)]
+    assert len({value[m] for m in members}) == 1
+    labels = [r.label for r in res.per_basis]
+    assert res.argmax_index == min(labels.index(m) for m in members)
+    assert sum(v == res.c_det_bits for v in value.values()) == len(members)
 
 
 def test_t_threshold_anchor():

@@ -6,39 +6,40 @@ import pytest
 from capdetect import (
     DetectionConfig,
     KrausChannel,
+    MeasurementBasis,
     binary_entropy,
     computational_basis,
     conditional_probs,
     detect_from_samples,
     entangled_joint_distribution,
-    eigenbasis,
     fourier_basis,
     pauli_channel,
     qutrit_vshape_transitions,
     sample_transition,
     vshape_qutrit_channel,
-    write_shot_records_csv,
+    weyl_operator,
 )
 from capdetect.protocol_sim import _stream
-from capdetect.qcore import SIGMA_Z, haar_random_basis, random_cptp_channel
+from capdetect.qcore import haar_random_basis, random_cptp_channel
+from conftest import reference_eigenbasis
 
 
 def test_sample_deterministic_column_is_exact():
     t = np.array([[1.0, 0.2], [0.0, 0.8]])
-    rec, est = sample_transition(t, 500, seed=9)
-    assert np.array_equal(rec.counts[:, 0], [500, 0])
+    counts, est = sample_transition(t, 500, seed=9)
+    assert np.array_equal(counts[:, 0], [500, 0])
     assert est[0, 0] == 1.0
-    assert np.array_equal(rec.counts.sum(axis=0), [500, 500])
+    assert np.array_equal(counts.sum(axis=0), [500, 500])
 
 
 def test_sample_same_seed_identical():
     t = np.array([[0.8, 0.2], [0.2, 0.8]])
-    rec1, est1 = sample_transition(t, 1000, seed=123)
-    rec2, est2 = sample_transition(t, 1000, seed=123)
-    assert np.array_equal(rec1.counts, rec2.counts)
+    counts1, est1 = sample_transition(t, 1000, seed=123)
+    counts2, est2 = sample_transition(t, 1000, seed=123)
+    assert np.array_equal(counts1, counts2)
     assert np.array_equal(est1, est2)
-    rec3, _ = sample_transition(t, 1000, seed=124)
-    assert not np.array_equal(rec1.counts, rec3.counts)
+    counts3, _ = sample_transition(t, 1000, seed=124)
+    assert not np.array_equal(counts1, counts3)
 
 
 def test_sample_concentration_at_many_shots():
@@ -74,7 +75,7 @@ def test_entangled_joint_identity_channel():
 
 def test_entangled_joint_pauli_z():
     ch = pauli_channel(0.15, 0.05, 0.1)
-    p = entangled_joint_distribution(ch, eigenbasis(SIGMA_Z, "z"))
+    p = entangled_joint_distribution(ch, computational_basis(2))
     assert np.allclose(p, np.array([[0.8, 0.2], [0.2, 0.8]]) / 2, atol=1e-12)
 
 
@@ -162,19 +163,22 @@ def test_bootstrap_warns_when_replicates_unconverged():
         detect_from_samples(ch, DetectionConfig("weyl"), 500, seed=4, resamples=100)
 
 
+def test_weyl_simulation_samples_each_class_once():
+    # the d + 1 = 4 distinct qutrit Weyl bases, built independently and
+    # labelled by the first U_ls of each class
+    ch = vshape_qutrit_channel(0.3, 0.6)
+    classes = [MeasurementBasis(f"weyl({l},{s})", reference_eigenbasis(weyl_operator(3, l, s)))
+               for l, s in ((0, 1), (1, 0), (1, 1), (1, 2))]
+    for shots, seed in ((500, 4), (10**5, 9)):
+        got = detect_from_samples(ch, DetectionConfig("weyl"), shots, seed, resamples=200)
+        ref = detect_from_samples(ch, DetectionConfig(classes), shots, seed, resamples=200)
+        assert got.argmax_basis == ref.argmax_basis
+        for key in ("point_estimate_bits", "ci_low_bits", "ci_high_bits"):
+            assert getattr(got, key) == pytest.approx(getattr(ref, key), abs=1e-12)
+
+
 def test_resamples_floor():
     ch = pauli_channel(0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
         detect_from_samples(ch, DetectionConfig("pauli"), 100, seed=0, resamples=50)
 
-
-def test_shot_record_csv_export(tmp_path):
-    t = np.array([[0.8, 0.2], [0.2, 0.8]])
-    rec, _ = sample_transition(t, 100, seed=1, basis_label="z")
-    path = tmp_path / "shots.csv"
-    write_shot_records_csv([rec], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "basis,input,output,count"
-    assert len(lines) == 5
-    counts = {(c[1], c[2]): int(c[3]) for c in (l.split(",") for l in lines[1:])}
-    assert counts[("0", "0")] + counts[("0", "1")] == 100

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from capdetect import (
-    DegenerateBasisError,
     KrausChannel,
     MeasurementBasis,
     SIGMA_X,
@@ -11,7 +10,6 @@ from capdetect import (
     choi_matrix,
     computational_basis,
     conditional_probs,
-    eigenbasis,
     fourier_basis,
     is_cptp,
     maximally_entangled,
@@ -20,7 +18,16 @@ from capdetect import (
     weyl_operator,
 )
 from capdetect.channels import affine_to_kraus, gad_affine
-from capdetect.qcore import basis_ket, dagger, haar_random_basis, projector, random_cptp_channel
+from capdetect.qcore import (
+    PAULI_KETS,
+    PAULIS,
+    basis_ket,
+    dagger,
+    haar_random_basis,
+    projector,
+    random_cptp_channel,
+)
+from conftest import reference_eigenbasis, weyl_label_kets
 
 
 def test_apply_identity_channel():
@@ -110,7 +117,7 @@ def test_conditional_probs_identity():
 
 def test_conditional_probs_pauli_z():
     ch = pauli_channel(0.15, 0.05, 0.1)
-    t = conditional_probs(ch, eigenbasis(SIGMA_Z, "z"))
+    t = conditional_probs(ch, computational_basis(2))
     assert np.allclose(t, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
 
 
@@ -161,68 +168,68 @@ def test_weyl_index_range():
         weyl_operator(3, 3, 0)
 
 
+WEYL_DIMS = (2, 3, 5, 7)
+
+
 def test_eigenbasis_sigma_z():
-    b = eigenbasis(SIGMA_Z, "z")
-    assert np.allclose(b.kets, np.eye(2))
+    assert np.array_equal(PAULI_KETS[2], np.eye(2))
 
 
 def test_eigenbasis_sigma_x_phase_convention():
-    b = eigenbasis(SIGMA_X, "x")
     s = 1 / np.sqrt(2)
-    assert np.allclose(b.kets, [[s, s], [s, -s]])
+    assert np.allclose(PAULI_KETS[0], [[s, s], [s, -s]])
 
 
 def test_eigenbasis_weyl_d3_is_fourier():
-    b = eigenbasis(weyl_operator(3, 0, 1), "u01")
-    assert np.max(np.abs(b.kets - fourier_basis(3).kets)) < 1e-12
-
-
-def test_eigenbasis_rejects_degenerate():
-    with pytest.raises(DegenerateBasisError):
-        eigenbasis(np.eye(2, dtype=complex))
-
-
-def test_eigenbasis_rejects_non_normal():
-    with pytest.raises(ValueError, match="not normal"):
-        eigenbasis(np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex))
+    kets = weyl_label_kets(3)[0, 1]
+    assert np.max(np.abs(kets - fourier_basis(3).kets)) < 1e-15
 
 
 def test_eigenbasis_bit_stable():
-    rng = np.random.default_rng(6)
-    m = weyl_operator(5, 2, 3)
-    a = eigenbasis(m, "u23")
-    b = eigenbasis(m.copy(), "u23")
-    assert np.array_equal(a.kets, b.kets)
-    u = haar_random_basis(3, rng).kets.T
-    assert np.array_equal(eigenbasis(u).kets, eigenbasis(u.copy()).kets)
-    # phase convention: first significant amplitude is real positive
-    for v in eigenbasis(weyl_operator(3, 1, 2)).kets:
-        lead = v[np.flatnonzero(np.abs(v) > 1e-8)[0]]
-        assert lead.imag == pytest.approx(0.0, abs=1e-14)
-        assert lead.real > 0
+    a, b = weyl_label_kets(5), weyl_label_kets(5)
+    assert all(np.array_equal(a[key], b[key]) for key in a)
 
 
-def test_eigenbasis_orthonormal_on_random_unitaries():
-    rng = np.random.default_rng(5)
-    matrices = [haar_random_basis(int(rng.integers(2, 6)), rng).kets.T for _ in range(25)]
-    # near-degenerate normal matrices U diag(lambda) U^dag, one gap above
-    # gap_tol: bare eigenvectors are orthogonal only to about eps/gap here
-    for gap in (1e-6, 1e-7, 3e-8):
-        for d in (2, 3, 5):
-            u = haar_random_basis(d, rng).kets.T
-            theta = rng.uniform(0.0, 2 * np.pi, d)
-            theta[1] = theta[0] + gap
-            matrices.append(u @ np.diag(np.exp(1j * theta)) @ dagger(u))
-    for m in matrices:
-        d = m.shape[0]
-        try:
-            b = eigenbasis(m)
-        except DegenerateBasisError:
-            continue
-        gram = b.kets.conj() @ b.kets.T
-        assert np.max(np.abs(gram - np.eye(d))) < 1e-10
-        for v in b.kets:
-            assert np.linalg.norm(m @ v - (v.conj() @ m @ v) * v) < 1e-12
+def test_pauli_kets_match_eig_reference():
+    for kets, sigma in zip(PAULI_KETS, PAULIS):
+        assert np.max(np.abs(kets - reference_eigenbasis(sigma))) < 1e-15
+
+
+def test_weyl_kets_are_eigenvectors_in_phase_order():
+    for d in WEYL_DIMS:
+        for (l, s), kets in weyl_label_kets(d).items():
+            u = weyl_operator(d, l, s)
+            lam = np.einsum("ij,jk,ik->i", kets.conj(), u, kets)
+            assert np.max(np.linalg.norm(kets @ u.T - lam[:, None] * kets, axis=1)) <= 1e-13
+            # phases are multiples of pi/d; with l, s != 0 the eigenvalue 1
+            # is listed last, as phase 2 pi
+            steps = np.rint(np.angle(lam) * d / np.pi).astype(int) % (2 * d)
+            if l and s:
+                steps[steps == 0] = 2 * d
+            assert np.all(np.diff(steps) > 0), (d, l, s, steps)
+            lead = kets[np.arange(d), np.argmax(np.abs(kets) > 1e-8, axis=1)]
+            assert np.all(lead.imag == 0.0) and np.all(lead.real > 0)
+
+
+def test_weyl_kets_match_eig_reference():
+    for d in WEYL_DIMS:
+        for (l, s), kets in weyl_label_kets(d).items():
+            ref = reference_eigenbasis(weyl_operator(d, l, s))
+            assert np.max(np.abs(kets - ref)) <= 1e-14, (d, l, s)
+
+
+def test_weyl_family_is_d_plus_one_unbiased_classes():
+    for d in WEYL_DIMS:
+        # two labels share a class when their overlap matrix is a permutation
+        classes = []
+        for kets in weyl_label_kets(d).values():
+            if not any(np.allclose(np.abs(c.conj() @ kets.T).max(axis=1), 1.0, atol=1e-12)
+                       for c in classes):
+                classes.append(kets)
+        assert len(classes) == d + 1
+        for i, a in enumerate(classes):
+            for b in classes[i + 1:]:
+                assert np.max(np.abs(np.abs(a.conj() @ b.T) ** 2 - 1.0 / d)) < 1e-14
 
 
 def test_measurement_basis_rejects_non_orthonormal():
