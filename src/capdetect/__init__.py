@@ -20,7 +20,6 @@ from .qcore import (
     conditional_probs,
     fourier_basis,
     is_cptp,
-    maximally_entangled,
     weyl_operator,
 )
 from .channels import (
@@ -59,7 +58,6 @@ from .detect import (
     holevo_gad_p1,
     pauli_axis_capacity,
     pauli_bases,
-    pauli_epsilons,
     pseudoclassicality,
     qutrit_vshape_transitions,
     rotated_pauli_detected,

@@ -247,6 +247,18 @@ _PARAM_NAMES = {
     "kraus": ("dim", "operators"),
 }
 _CHANNEL_KINDS = tuple(_PARAM_NAMES)
+_ARRAY_PARAMS = ("q", "operators")
+
+
+def _cells(value):
+    """The leaf entries of nested lists, tuples and arrays."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _cells(v)
+    else:
+        yield value
 
 
 def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:
@@ -273,12 +285,25 @@ class ChannelSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # every path to a channel constructs a spec first, so this is the
+        # one type check: numbers only, in array cells too (no string,
+        # boolean or null, which np.asarray(..., dtype=float) would accept)
+        for name, value in self.params.items():
+            nested = name in _ARRAY_PARAMS
+            for cell in _cells(value) if nested else (value,):
+                if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                    what = "an array of numbers" if nested else "a number"
+                    raise ValueError(
+                        f"parameter '{name}' of kind '{self.kind}' must be {what}, got {cell!r}"
+                    )
+
     @classmethod
     def from_dict(cls, doc: dict, require_cptp: bool = True, build: bool = True) -> "ChannelSpec":
-        """Check the document's kind and parameter names, then, with
-        ``build``, build the channel once so that range and constraint
-        violations surface here; a caller that builds the channel itself
-        passes ``build=False``."""
+        """Check the document's kind and parameter names (construction
+        checks their types), then, with ``build``, build the channel once so
+        that range and constraint violations surface here; a caller that
+        builds the channel itself passes ``build=False``."""
         if not isinstance(doc, dict):
             raise ValueError("channel spec must be a JSON object")
         kind = doc.get("kind")
@@ -294,11 +319,6 @@ class ChannelSpec:
             raise ValueError(f"unknown parameter(s) for kind '{kind}': {sorted(given - expected)}")
         if expected - given - optional:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(expected - given - optional)}")
-        for name, value in params.items():
-            if name not in ("q", "operators") and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ValueError(f"parameter '{name}' of kind '{kind}' must be a number, got {value!r}")
         spec = cls(kind, dict(params))
         if build:
             spec.build(require_cptp=require_cptp)

@@ -7,6 +7,7 @@ regenerated files are byte-identical for a fixed configuration.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,6 +20,7 @@ from .infotheory import (
     binary_capacity,
     blahut_arimoto,
     blahut_arimoto_batch,
+    check_solver_settings,
     warn_unconverged,
 )
 from .detect import (
@@ -167,10 +169,13 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
     optionally writes them to ``out``."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
+    check_solver_settings(tol, max_iter)
     grids = dict(_DEFAULT_GRIDS[which])
     for name, spec in (grid_overrides or {}).items():
         if name not in grids:
             raise ValueError(f"figure {which} has no grid '{name}' (has {sorted(grids)})")
+        if not np.isfinite(spec).all():
+            raise ValueError(f"grid '{name}' values must be finite, got {spec}")
         grids[name] = spec
     columns, rows = _FIGURE_BUILDERS[which](grids, tol, max_iter)
     _write_table(columns, rows, out, fmt, which)
@@ -328,7 +333,12 @@ def _add_common(p, channel=False, bases=False, sampling=False):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one. ``parse_args`` does not change it and returns a fresh namespace;
+    the one list option, ``--grid``, defaults to None, so every call starts
+    its own list."""
     parser = argparse.ArgumentParser(
         prog="capdetect",
         description="Measurement-based lower bounds to the classical capacity of quantum channels.",
@@ -372,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

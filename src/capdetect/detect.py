@@ -26,6 +26,7 @@ from .infotheory import (
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
+    check_solver_settings,
     check_transition_stack,
     check_unit_interval,
     weakly_symmetric_capacity,
@@ -79,6 +80,9 @@ class DetectionConfig:
     bases: list | str = "pauli"
     ba_tolerance_bits: float = 1e-9
     max_iterations: int = 100_000
+
+    def __post_init__(self):
+        check_solver_settings(self.ba_tolerance_bits, self.max_iterations)
 
     def resolve_bases(self, dim: int) -> tuple:
         """The distinct bases to measure, and the reported labels as
@@ -214,6 +218,10 @@ def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None
 
 
 def _axis_epsilons(l1, l2, l3, t3):
+    """Binary-channel error pairs (eps0, eps1) of the three Pauli-axis
+    encodings of canonical qubit channels, each of shape (..., 3):
+    eps0 = (1 - |l_i| - |t_i|)/2 and eps1 = eps0 + |t_i|, with the shift
+    along z only."""
     l1, l2, l3, t3 = np.broadcast_arrays(l1, l2, l3, t3)
     lam = np.abs(np.stack([l1, l2, l3], axis=-1))
     t = np.zeros_like(lam)
@@ -222,32 +230,20 @@ def _axis_epsilons(l1, l2, l3, t3):
     return e0, np.minimum(e0 + t, 1.0)
 
 
-def pauli_epsilons(ch: AffineQubitChannel) -> list:
-    """Binary-channel error pairs (eps0, eps1) for the three Pauli-axis
-    encodings of a canonical qubit channel: eps0 = (1 - |l_i| - |t_i|)/2 and
-    eps1 = eps0 + |t_i|, with the shift along z only."""
-    e0, e1 = _axis_epsilons(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
-    return list(zip(e0.tolist(), e1.tolist()))
-
-
 def pauli_axis_capacity(l1, l2, l3, t3) -> BinaryCapacity:
-    """Binary closed form of the three Pauli-axis encodings (see
-    :func:`pauli_epsilons`) of canonical qubit channels (l1, l2, l3, t3),
-    elementwise over broadcast arrays: capacities and input-0 priors of
-    shape (..., 3), the last axis ordered x, y, z."""
+    """Binary closed form of the three Pauli-axis encodings of canonical
+    qubit channels (l1, l2, l3, t3), elementwise over broadcast arrays:
+    capacities and input-0 priors of shape (..., 3), the last axis ordered
+    x, y, z."""
     return binary_capacity(*_axis_epsilons(l1, l2, l3, t3))
 
 
 def detect_pauli_qubit(ch: AffineQubitChannel) -> DetectionResult:
     """Detected capacity of a canonical qubit channel under the three Pauli
     bases, each axis solved with the binary-channel closed form."""
-    caps, p0s = pauli_axis_capacity(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
-    per_basis = []
-    for label, (e0, e1), cap, p0 in zip(PAULI_AXES, pauli_epsilons(ch), caps, p0s):
-        t = np.array([[1.0 - e0, e1], [e0, 1.0 - e1]])
-        prior = np.array([p0, 1.0 - p0])
-        per_basis.append(BasisResult(label, t, prior, float(cap), "binary-closed-form"))
-    return _assemble(per_basis)
+    e0, e1 = _axis_epsilons(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
+    transitions = np.moveaxis(np.array([[1.0 - e0, e1], [e0, 1.0 - e1]]), -1, 0)
+    return detect_from_transitions(transitions, PAULI_AXES)
 
 
 _LN2 = math.log(2.0)

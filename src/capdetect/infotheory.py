@@ -59,6 +59,20 @@ def check_unit_interval(name: str, values, slack: float = 0.0) -> np.ndarray:
     return v
 
 
+def check_tolerance(name: str, tol) -> None:
+    """Require a finite tolerance > 0 (NaN fails)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+
+
+def check_solver_settings(tol_bits, max_iter) -> None:
+    """Require what Blahut-Arimoto needs: a finite tolerance > 0 and an
+    integer iteration limit >= 1."""
+    check_tolerance("tol_bits", tol_bits)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def binary_entropy(x):
     """H(x) = -x log2 x - (1-x) log2(1-x), elementwise, with 0 log 0 = 0."""
     x = check_unit_interval("binary entropy argument", x, slack=1e-9)
@@ -151,8 +165,7 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     once its gap reaches ``tol_bits``, or after ``max_iter`` evaluations.
     """
     t = check_transition_stack(transitions)
-    if tol_bits <= 0.0:
-        raise ValueError("tol_bits must be positive")
+    check_solver_settings(tol_bits, max_iter)
     g, _, n_in = t.shape
     mask = t > 0.0
     t_log_t = np.zeros_like(t)

@@ -9,6 +9,8 @@ channel plus a basis into a column-stochastic classical transition matrix.
 import numpy as np
 from dataclasses import dataclass
 
+from .infotheory import check_tolerance
+
 # Orthonormality and CPTP certification tolerance; the checks
 # that take a tolerance argument can override it per call.
 CERT_TOL = 1e-10
@@ -34,11 +36,6 @@ def basis_ket(d: int, k: int) -> np.ndarray:
     v = np.zeros(d, dtype=complex)
     v[k] = 1.0
     return v
-
-
-def projector(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex)
-    return np.outer(ket, ket.conj())
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,6 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def maximally_entangled(d: int) -> np.ndarray:
-    """(1/sqrt(d)) sum_k |k>|k> in the computational product basis."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Choi state (E ⊗ id) acting on the maximally entangled projector.
 
@@ -148,8 +136,7 @@ class CPTPDiagnostics:
 def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
     """Certify trace preservation (sum A^dag A = I) and complete positivity
     (Choi eigenvalues >= -tol), reporting the worst deviations."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance("tol", tol)
     d = channel.dim
     acc = np.zeros((d, d), dtype=complex)
     for a in channel.operators:

@@ -1,5 +1,6 @@
 """Shared test helpers: an independent capacity oracle (dense simplex grid
-search with local refinement) and random samplers for channels."""
+search with local refinement), random samplers for channels, and small
+state constructors."""
 
 import itertools
 
@@ -102,3 +103,18 @@ def weyl_label_kets(d: int) -> dict:
     bases, views = weyl_bases(d)
     return {tuple(int(x) for x in label[5:-1].split(",")): bases[i].kets[order]
             for label, i, order in views}
+
+
+def projector(ket: np.ndarray) -> np.ndarray:
+    """|ket><ket|."""
+    ket = np.asarray(ket, dtype=complex)
+    return np.outer(ket, ket.conj())
+
+
+def maximally_entangled(d: int) -> np.ndarray:
+    """(1/sqrt(d)) sum_k |k>|k> in the computational product basis."""
+    if d < 2:
+        raise ValueError(f"need dimension >= 2, got {d}")
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return v

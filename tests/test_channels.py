@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from capdetect import (
     vshape_qutrit_channel,
     weyl_bases,
 )
-from capdetect.qcore import basis_ket, projector
-from conftest import random_cp_affine
+from capdetect.qcore import basis_ket
+from conftest import projector, random_cp_affine
 
 
 def test_pauli_family_identity():
@@ -276,3 +278,27 @@ def test_channel_spec_rejects_non_cptp_kraus():
     # but parse succeeds with the gate off
     spec = ChannelSpec.from_dict(doc, require_cptp=False)
     assert not is_cptp(spec.build(require_cptp=False)).valid
+
+
+def test_channel_spec_rejects_non_numeric_cells():
+    # checked before any channel is built, on the from_dict and the build path
+    with pytest.raises(ValueError, match=r"^parameter 'px' of kind 'pauli' must be a number, got '0.1'$"):
+        ChannelSpec("pauli", {"px": "0.1", "py": 0.1, "pz": 0.1}).build()
+    array_msg = "parameter '{}' of kind '{}' must be an array of numbers, got {}"
+    for kind, params, bad in (
+        ("generalized_pauli", {"dim": 2, "q": [["0.7", 0.1], [0.1, 0.1]]}, "'0.7'"),
+        ("generalized_pauli", {"dim": 2, "q": [[True, False], [False, False]]}, "True"),
+        ("kraus", {"dim": 2, "operators": [[["1", 0], [0, 0], [0, 0], [1, 0]]]}, "'1'"),
+        ("kraus", {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [None, 0]]]}, "None"),
+    ):
+        name = "q" if kind == "generalized_pauli" else "operators"
+        message = "^" + re.escape(array_msg.format(name, kind, bad)) + "$"
+        for build in (True, False):
+            with pytest.raises(ValueError, match=message):
+                ChannelSpec.from_dict({"kind": kind, "params": params}, build=build)
+        with pytest.raises(ValueError, match=message):
+            ChannelSpec(kind, params).build()
+    # numbers in numpy arrays and tuples are still accepted
+    q = np.array([[0.7, 0.1], [0.1, 0.1]])
+    assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
+    assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2

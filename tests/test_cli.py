@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -370,3 +371,86 @@ def test_each_request_builds_its_channel_once(tmp_path, capsys, monkeypatch):
         builds.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and builds == ["kraus"], argv
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    code, out, _ = run(capsys, "reproduce", "fig1", "--grid", "gamma=0:1:0.5")
+    assert code == 0 and len(out.splitlines()) == 1 + 3
+    code, out, _ = run(capsys, "reproduce", "fig1")
+    assert code == 0 and len(out.splitlines()) == 1 + 101
+
+    qutrit = write_json(tmp_path, "v.json", {"kind": "vshape_qutrit",
+                                             "params": {"gamma01": 0.3, "gamma02": 0.6}})
+    qubit = write_json(tmp_path, "gad.json", GAD)
+    out_path = tmp_path / "weyl.json"
+    code, out, _ = run(capsys, "bound", "--channel", qutrit, "--bases", "weyl", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert len(json.loads(out_path.read_text())["per_basis"]) == 8
+    code, out, _ = run(capsys, "bound", "--channel", qubit)
+    assert code == 0
+    assert [r["label"] for r in json.loads(out)["per_basis"]] == ["x", "y", "z"]
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bound"])
+    assert exit_info.value.code == 2
+    assert "--channel" in capsys.readouterr().err
+    code, out, _ = run(capsys, "bound", "--channel", qubit)
+    assert code == 0 and json.loads(out)["argmax_basis"] == "x"
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    from capdetect.cli import build_parser
+
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["binary", "0", "0.5"]) == 0
+    assert len(inits) == 7  # the top-level parser and its 6 sub-parsers
+    inits.clear()
+    assert main(["binary", "0.1", "0.2"]) == 0
+    assert inits == []
+
+
+@pytest.mark.parametrize("command, message", [
+    (["bound", "--channel", "{v}", "--bases", "weyl", "--tol", "nan"],
+     "tol_bits must be finite and > 0, got nan"),
+    (["bound", "--channel", "{v}", "--max-iter", "0"], "max_iter must be an integer >= 1, got 0"),
+    (["simulate", "--channel", "{g}", "--shots", "100", "--seed", "1", "--tol", "inf"],
+     "tol_bits must be finite and > 0, got inf"),
+    (["ba", "{t}", "--max-iter", "0"], "max_iter must be an integer >= 1, got 0"),
+    (["ba", "{t}", "--tol=-1e-9"], "tol_bits must be finite and > 0, got -1e-09"),
+    (["check-cp", "--channel", "{g}", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["reproduce", "fig2", "--max-iter", "0"], "max_iter must be an integer >= 1, got 0"),
+    (["reproduce", "fig1", "--tol", "nan"], "tol_bits must be finite and > 0, got nan"),
+])
+def test_cli_rejects_bad_solver_settings(tmp_path, capsys, command, message):
+    paths = {
+        "v": write_json(tmp_path, "v.json", {"kind": "vshape_qutrit",
+                                             "params": {"gamma01": 0.3, "gamma02": 0.6}}),
+        "g": write_json(tmp_path, "g.json", GAD),
+        "t": str(tmp_path / "t.csv"),
+    }
+    (tmp_path / "t.csv").write_text("1.0,0.5\n0.0,0.5\n")
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in command))
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: {message}\n"
+
+
+@pytest.mark.parametrize("grid, shown", [
+    ("gamma=0:inf:0.1", "(0.0, inf, 0.1)"),
+    ("gamma=nan:1:0.1", "(nan, 1.0, 0.1)"),
+    ("gamma=0:1:nan", "(0.0, 1.0, nan)"),
+    ("gamma=-inf:1:0.1", "(-inf, 1.0, 0.1)"),
+])
+def test_reproduce_rejects_non_finite_grid(capsys, grid, shown):
+    code, out, err = run(capsys, "reproduce", "fig1", "--grid", grid)
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: grid 'gamma' values must be finite, got {shown}\n"
+    with pytest.raises(ValueError, match=r"grid 'gamma' values must be finite"):
+        reproduce_figure("fig1", grid_overrides={"gamma": tuple(map(float, grid[6:].split(":")))})

@@ -23,7 +23,6 @@ from capdetect import (
     pauli_bases,
     pauli_channel,
     pauli_axis_capacity,
-    pauli_epsilons,
     pauli_family_channel,
     pseudoclassicality,
     qutrit_vshape_transitions,
@@ -94,15 +93,24 @@ def test_detect_basis_monotonicity():
 
 
 def test_pauli_epsilons_examples():
+    # each Pauli axis is the binary channel [[1 - eps0, eps1], [eps0, 1 - eps1]]
+    def axis_epsilons(ch):
+        res = detect_pauli_qubit(ch)
+        assert [r.label for r in res.per_basis] == ["x", "y", "z"]
+        for r in res.per_basis:
+            assert r.method == "binary-closed-form"
+            assert np.allclose(r.transition.sum(axis=0), 1.0, atol=1e-15)
+        return [(r.transition[1, 0], r.transition[0, 1]) for r in res.per_basis]
+
     assert np.allclose(
-        pauli_epsilons(gad_affine(0.36, 1.0)),
+        axis_epsilons(gad_affine(0.36, 1.0)),
         [(0.1, 0.1), (0.1, 0.1), (0.0, 0.36)],
         atol=1e-12,
     )
     lam = (0.7, 0.5, 0.6)
-    for (e0, e1), l in zip(pauli_epsilons(AffineQubitChannel(*lam)), lam):
+    for (e0, e1), l in zip(axis_epsilons(AffineQubitChannel(*lam)), lam):
         assert e0 == e1 == pytest.approx((1 - l) / 2, abs=1e-12)
-    assert np.allclose(pauli_epsilons(AffineQubitChannel(1.0, 1.0, 1.0)), 0.0, atol=1e-15)
+    assert np.allclose(axis_epsilons(AffineQubitChannel(1.0, 1.0, 1.0)), 0.0, atol=1e-15)
 
 
 def test_pauli_axis_capacity_array_matches_detect_pauli_qubit():

@@ -301,3 +301,22 @@ def test_weakly_symmetric_bsc():
 def test_weakly_symmetric_absent_for_q1():
     q1, _, _ = qutrit_vshape_transitions(0.3, 0.3)
     assert weakly_symmetric_capacity(q1) is None
+
+
+def test_solver_settings_are_checked_in_one_place():
+    from capdetect import DetectionConfig, is_cptp, pauli_channel
+
+    stack = np.stack([bsc(0.1)])
+    for tol in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match=r"tol_bits must be finite and > 0, got"):
+            blahut_arimoto_batch(stack, tol_bits=tol)
+        with pytest.raises(ValueError, match=r"tol_bits must be finite and > 0, got"):
+            DetectionConfig("pauli", ba_tolerance_bits=tol)
+        with pytest.raises(ValueError, match=r"tol must be finite and > 0, got"):
+            is_cptp(pauli_channel(0.1, 0.1, 0.1), tol=tol)
+    for max_iter in (0, -3, 2.5, True, None):
+        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got"):
+            blahut_arimoto_batch(stack, max_iter=max_iter)
+        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got"):
+            DetectionConfig("pauli", max_iterations=max_iter)
+    assert blahut_arimoto_batch(stack, max_iter=np.int64(1))[2].tolist() == [1]

@@ -12,7 +12,6 @@ from capdetect import (
     conditional_probs,
     fourier_basis,
     is_cptp,
-    maximally_entangled,
     pauli_channel,
     vshape_qutrit_channel,
     weyl_operator,
@@ -24,10 +23,9 @@ from capdetect.qcore import (
     basis_ket,
     dagger,
     haar_random_basis,
-    projector,
     random_cptp_channel,
 )
-from conftest import reference_eigenbasis, weyl_label_kets
+from conftest import maximally_entangled, projector, reference_eigenbasis, weyl_label_kets
 
 
 def test_apply_identity_channel():
