@@ -261,6 +261,17 @@ def _cells(value):
         yield value
 
 
+def check_numbers(value, subject: str, nested: bool = True) -> None:
+    """Require every leaf of ``value`` (``value`` itself unless ``nested``)
+    to be a number: no string, boolean or null, which
+    ``np.asarray(..., dtype=float)`` would accept. The error starts with
+    ``subject``."""
+    for cell in _cells(value) if nested else (value,):
+        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            what = "an array of numbers" if nested else "a number"
+            raise ValueError(f"{subject} must be {what}, got {cell!r}")
+
+
 def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:
     """Decode a complex matrix from [re, im] cells, either flat row-major
     (d*d cells) or nested (d rows of d cells)."""
@@ -287,16 +298,9 @@ class ChannelSpec:
 
     def __post_init__(self):
         # every path to a channel constructs a spec first, so this is the
-        # one type check: numbers only, in array cells too (no string,
-        # boolean or null, which np.asarray(..., dtype=float) would accept)
+        # one type check: numbers only, in array cells too
         for name, value in self.params.items():
-            nested = name in _ARRAY_PARAMS
-            for cell in _cells(value) if nested else (value,):
-                if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                    what = "an array of numbers" if nested else "a number"
-                    raise ValueError(
-                        f"parameter '{name}' of kind '{self.kind}' must be {what}, got {cell!r}"
-                    )
+            check_numbers(value, f"parameter '{name}' of kind '{self.kind}'", name in _ARRAY_PARAMS)
 
     @classmethod
     def from_dict(cls, doc: dict, require_cptp: bool = True, build: bool = True) -> "ChannelSpec":
@@ -326,10 +330,11 @@ class ChannelSpec:
 
     def build(self, require_cptp: bool = True) -> KrausChannel:
         kind, p = self.kind, self.params
-        if kind == "kraus":
+        if "dim" in _PARAM_NAMES[kind]:
             d = p["dim"]
             if not isinstance(d, int) or d < 2:
-                raise ValueError(f"kraus dim must be an integer >= 2, got {d!r}")
+                raise ValueError(f"{kind} dim must be an integer >= 2, got {d!r}")
+        if kind == "kraus":
             ops = [_matrix_from_cells(op, d, f"operator {i}") for i, op in enumerate(p["operators"])]
             ch = KrausChannel(tuple(ops))
             if require_cptp:
@@ -346,7 +351,7 @@ class ChannelSpec:
         if kind == "pauli":
             return pauli_channel(p["px"], p["py"], p["pz"])
         if kind == "generalized_pauli":
-            return pauli_family_channel(p["dim"], np.asarray(p["q"], dtype=float))
+            return pauli_family_channel(d, np.asarray(p["q"], dtype=float))
         if kind == "dephasing_axis":
             return dephasing_axis_channel(p["p"], p["theta"], p["phi"])
         if kind == "rotated_pauli":

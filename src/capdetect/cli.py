@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .qcore import KrausChannel, MeasurementBasis, is_cptp
-from .channels import ChannelSpec, gad_params, stretched_affine
+from .channels import ChannelSpec, check_numbers, gad_params, stretched_affine
 from .infotheory import (
     binary_capacity,
     blahut_arimoto,
@@ -80,21 +80,28 @@ def _csv_column(values) -> tuple:
     return "%s", [_fmt(v) for v in values]
 
 
-def _write_table(columns, rows, out, fmt: str, name: str):
-    if fmt == "csv":
-        formats, cells = zip(*map(_csv_column, zip(*rows)))
-        template = ",".join(formats) + "\n"
-        text = ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
-    elif fmt == "json":
-        payload = {"figure": name, "columns": list(columns), "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
+def _emit(text: str, out):
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as f:
             f.write(text)
+
+
+def _emit_json(payload: dict, out):
+    _emit(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _write_table(columns, rows, out, fmt: str, name: str):
+    if fmt == "json":
+        _emit_json({"figure": name, "columns": list(columns), "rows": rows}, out)
+    elif fmt == "csv":
+        formats, cells = zip(*map(_csv_column, zip(*rows)))
+        template = ",".join(formats) + "\n"
+        _emit(",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells))), out)
+    else:
+        raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
 
 
 def _fig1(grids, tol, max_iter):
@@ -195,6 +202,7 @@ def _load_custom_bases(path: str) -> list:
         raise ValueError("custom basis file must be a non-empty JSON list of matrices")
     bases = []
     for i, mat in enumerate(docs):
+        check_numbers(mat, f"basis {i}")
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
             raise ValueError(
@@ -212,15 +220,6 @@ def _resolve_config(args, dim: int) -> DetectionConfig:
     if args.bases in ("pauli", "weyl"):
         return DetectionConfig(args.bases, args.tol, args.max_iter)
     raise ValueError(f"--bases must be pauli, weyl, or custom:<path>, got '{args.bases}'")
-
-
-def _emit_json(payload: dict, out):
-    text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as f:
-            f.write(text)
 
 
 def _read_transition_csv(path: str) -> np.ndarray:

@@ -115,6 +115,25 @@ def test_bound_rejects_non_numeric_parameter_and_composite_weyl(tmp_path, capsys
     assert err == "capdetect: error: the weyl basis family needs a prime dimension, got 4\n"
 
 
+@pytest.mark.parametrize("dim", [2.0, 2.5])
+def test_bound_rejects_non_integer_generalized_pauli_dim(tmp_path, capsys, dim):
+    spec = write_json(tmp_path, "gp.json", {"kind": "generalized_pauli",
+                                            "params": {"dim": dim, "q": [[0.7, 0.1], [0.1, 0.1]]}})
+    code, out, err = run(capsys, "bound", "--channel", spec)
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: generalized_pauli dim must be an integer >= 2, got {dim}\n"
+
+
+@pytest.mark.parametrize("cell, shown", [('"1"', "'1'"), ("true", "True"), ("null", "None")])
+def test_bound_rejects_non_numeric_custom_basis_cells(tmp_path, capsys, cell, shown):
+    spec = write_json(tmp_path, "gad.json", GAD)
+    bpath = tmp_path / "bases.json"
+    bpath.write_text(f"[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [{cell}, 0]]]]")
+    code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: basis 1 must be an array of numbers, got {shown}\n"
+
+
 def test_bound_custom_bases(tmp_path, capsys):
     spec = write_json(tmp_path, "gad.json", GAD)
     s = 1 / np.sqrt(2)
@@ -302,10 +321,11 @@ def test_runs_without_scipy(tmp_path):
     assert len(json.loads(bound.read_text())["per_basis"]) == 8
 
 
-# sha256 of the default-grid tables as the per-row builders wrote them
+# sha256 of the default-grid tables (csv, json); fig1's json pins c1_bits to
+# the last bit, so a change to holevo_gad_p1's search shows here first
 FIGURE_SHA256 = {
     "fig1": ("eae119209faabcff2934e0c6f31b57953d294aa4aff782d8a96dc9deb4e6042d",
-             "2f6c6b3b62cd1fd4ffd564379705c72bbff7bb0d9fecbb328d00d7ec76fdb0e3"),
+             "38cfcfda744a6b091747b15bf078796045e1e54cd321cf5a26d8a2e28e0fa737"),
     "fig2": ("90dfacdfc873e32ad508659e800e06fae3e6b5444306c12ec963c208b6507b2c",
              "7b8fe139f57f40021a0ac4a4606d5b1d2caa26610cacac2bce07aefd3ca49878"),
     "fig3": ("22adb84d13a7ce12c77499342896678c52567bef6a6bd6a12957cc10a6ce643c",
