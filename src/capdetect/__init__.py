@@ -63,6 +63,7 @@ from .detect import (
     rotated_pauli_detected,
     t_threshold,
     von_mises_expected_capacity,
+    vshape_detected,
     weyl_bases,
 )
 from .protocol_sim import (

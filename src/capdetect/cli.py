@@ -16,22 +16,16 @@ import numpy as np
 from . import __version__
 from .qcore import KrausChannel, MeasurementBasis, is_cptp
 from .channels import ChannelSpec, check_numbers, gad_params, stretched_affine
-from .infotheory import (
-    binary_capacity,
-    blahut_arimoto,
-    blahut_arimoto_batch,
-    check_solver_settings,
-    warn_unconverged,
-)
+from .infotheory import binary_capacity, blahut_arimoto
 from .detect import (
     DetectionConfig,
     detect_capacity,
     holevo_gad_p1,
     dephasing_detected,
     pauli_axis_capacity,
-    qutrit_vshape_transitions,
     t_threshold,
     von_mises_expected_capacity,
+    vshape_detected,
 )
 from .protocol_sim import detect_from_samples
 
@@ -104,7 +98,7 @@ def _write_table(columns, rows, out, fmt: str, name: str):
         raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
 
 
-def _fig1(grids, tol, max_iter):
+def _fig1(grids):
     gammas = grid_values(*grids["gamma"])
     c1 = holevo_gad_p1(gammas)  # rejects gammas outside [0, 1]
     c_det = pauli_axis_capacity(*gad_params(gammas, 1.0)).capacity_bits.max(axis=-1)
@@ -112,28 +106,18 @@ def _fig1(grids, tol, max_iter):
     return ("gamma", "c_det_bits", "c1_bits"), rows
 
 
-def _fig2(grids, tol, max_iter):
+def _fig2(grids):
     g01 = grid_values(*grids["gamma01"])
     g02 = grid_values(*grids["gamma02"])
-    q1, _, gt = qutrit_vshape_transitions(g01[:, None], g02)
-    gt = gt.ravel()
-    i1, _, _, gaps = blahut_arimoto_batch(q1.reshape(-1, 3, 3), tol_bits=tol, max_iter=max_iter)
-    warn_unconverged(gaps, tol, "fig2")
-    diag = 1.0 - 2.0 * gt
-    ent = np.zeros_like(gt)
-    m = gt > 0.0
-    ent[m] -= 2.0 * gt[m] * np.log2(gt[m])
-    m = diag > 0.0
-    ent[m] -= diag[m] * np.log2(diag[m])
-    i2 = np.log2(3.0) - ent
+    i1, i2 = vshape_detected(g01[:, None], g02)
     b2 = i2 > i1
     a, b = np.meshgrid(g01, g02, indexing="ij")
-    rows = list(zip(a.ravel().tolist(), b.ravel().tolist(), np.where(b2, i2, i1).tolist(),
-                    np.where(b2, "B2", "B1").tolist()))
+    rows = list(zip(a.ravel().tolist(), b.ravel().tolist(), np.where(b2, i2, i1).ravel().tolist(),
+                    np.where(b2, "B2", "B1").ravel().tolist()))
     return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), rows
 
 
-def _fig3(grids, tol, max_iter):
+def _fig3(grids):
     thetas = grid_values(*grids["theta"])
     phis = grid_values(*grids["phi"])
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
@@ -142,13 +126,13 @@ def _fig3(grids, tol, max_iter):
     return ("theta", "phi", "c_det_bits"), rows
 
 
-def _fig4(grids, tol, max_iter):
+def _fig4(grids):
     ks = grid_values(*grids["k"])
     caps = von_mises_expected_capacity(0.15, 0.05, 0.1, ks)
     return ("k_phi", "avg_c_det_bits"), list(zip(ks.tolist(), caps.tolist()))
 
 
-def _suppl_stretched(grids, tol, max_iter):
+def _suppl_stretched(grids):
     s = grid_values(*grids["s"])
     # complete positivity bounds |s|, so the widest channel checks the grid
     widest = stretched_affine(0.5, float(s[np.argmax(np.abs(s))]))
@@ -170,13 +154,11 @@ _FIGURE_BUILDERS = {
 }
 
 
-def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv",
-                     tol: float = 1e-9, max_iter: int = 100_000):
+def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
     """Regenerate one figure's data table; returns (columns, rows) and
     optionally writes them to ``out``."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
-    check_solver_settings(tol, max_iter)
     grids = dict(_DEFAULT_GRIDS[which])
     for name, spec in (grid_overrides or {}).items():
         if name not in grids:
@@ -184,7 +166,7 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
         if not np.isfinite(spec).all():
             raise ValueError(f"grid '{name}' values must be finite, got {spec}")
         grids[name] = spec
-    columns, rows = _FIGURE_BUILDERS[which](grids, tol, max_iter)
+    columns, rows = _FIGURE_BUILDERS[which](grids)
     _write_table(columns, rows, out, fmt, which)
     return columns, rows
 
@@ -236,6 +218,9 @@ def _read_transition_csv(path: str) -> np.ndarray:
                 if rows:
                     raise ValueError(f"non-numeric row in {path}: {line!r}")
                 continue  # optional header
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"row {len(rows)} of {path} has {len(cells)} cells, "
+                                 f"expected {len(rows[0])}")
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return np.array(rows)
@@ -312,8 +297,6 @@ def _cmd_reproduce(args) -> int:
         out=args.out,
         grid_overrides=_parse_grid_overrides(args.grid),
         fmt=args.format,
-        tol=args.tol,
-        max_iter=args.max_iter,
     )
     return 0
 
@@ -375,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--grid", action="append", metavar="NAME=START:STOP:STEP",
                    help="override a sweep grid (repeatable)")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(fn=_cmd_reproduce)
     return parser
 

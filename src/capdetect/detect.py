@@ -409,6 +409,13 @@ def von_mises_expected_capacity(
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
+def _vshape_gamma_tilde(g01, g02):
+    """Off-diagonal weight of the V-shape channel's Fourier-basis transition."""
+    a = np.sqrt(1.0 - g01)
+    b = np.sqrt(1.0 - g02)
+    return 1.0 / 3.0 - (a + b + a * b) / 9.0
+
+
 def qutrit_vshape_transitions(gamma01, gamma02):
     """Transition matrices of the V-configuration qutrit decay channel in
     the computational basis (Q1) and the Fourier basis (Q2), plus the
@@ -425,8 +432,43 @@ def qutrit_vshape_transitions(gamma01, gamma02):
     q1[..., 0, 2] = g02
     q1[..., 1, 1] = 1.0 - g01
     q1[..., 2, 2] = 1.0 - g02
-    a = np.sqrt(1.0 - g01)
-    b = np.sqrt(1.0 - g02)
-    gt = 1.0 / 3.0 - (a + b + a * b) / 9.0
+    gt = _vshape_gamma_tilde(g01, g02)
     q2 = gt[..., None, None] + np.eye(3) * (1.0 - 3.0 * gt)[..., None, None]
     return q1, q2, (float(gt) if gt.ndim == 0 else gt)
+
+
+def _decay_arm(gamma):
+    """f(gamma) = (1 - gamma) gamma^(gamma / (1 - gamma)), with f(1) = 0."""
+    power = np.divide(gamma, 1.0 - gamma, out=np.zeros_like(gamma), where=gamma < 1.0)
+    return (1.0 - gamma) * gamma**power
+
+
+def vshape_detected(gamma01, gamma02):
+    """Detected capacities (I(B1), I(B2)) of the V-configuration qutrit decay
+    channel in the computational basis B1 and the Fourier basis B2, both in
+    closed form; elementwise over broadcast arrays, and floats for scalars.
+
+    B1's transition Q1 sends input 0 to output 0 and input n = 1, 2 to
+    output 0 with probability gamma_0n, else to output n: a Z channel with
+    two decaying arms. Every input is active at its optimum, and the KKT
+    conditions give I(B1) = C(Q1) = log2(1 + f(gamma01) + f(gamma02)) with
+    f(g) = (1 - g) g^(g/(1-g)), attained by p_n = 2^-C g_n^(g_n/(1-g_n)) and
+    p_0 = 2^-C (1 - sum_n g_n^(1/(1-g_n))) >= 0, since g^(1/(1-g)) <= 1/e
+    (for one arm, Golomb, IEEE TIT 26(3), 1980). B2's transition Q2 is
+    symmetric with off-diagonal weight gamma_tilde, so I(B2) =
+    log2 3 - H(1 - 2 gamma_tilde, gamma_tilde, gamma_tilde).
+    """
+    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
+                                   check_unit_interval("gamma02", gamma02))
+    i1 = np.log2(1.0 + _decay_arm(g01) + _decay_arm(g02))
+    gt = _vshape_gamma_tilde(g01, g02)
+    diag = 1.0 - 2.0 * gt
+    ent = np.zeros_like(gt)
+    m = gt > 0.0
+    ent[m] -= 2.0 * gt[m] * np.log2(gt[m])
+    m = diag > 0.0
+    ent[m] -= diag[m] * np.log2(diag[m])
+    i2 = np.log2(3.0) - ent
+    if i1.ndim == 0:
+        return float(i1), float(i2)
+    return i1, i2

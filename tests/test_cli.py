@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +76,18 @@ def test_ba_command_rejects_bad_matrix(tmp_path, capsys):
     code, _, err = run(capsys, "ba", str(path))
     assert code == 1
     assert "columns must sum to 1" in err
+
+
+@pytest.mark.parametrize("text, row, cells", [
+    ("1.0,0.5\n0.0\n", 2, 1),
+    ("out0,out1\n1.0,0.5\n0.0,0.5\n0.0,0.0,0.0\n", 3, 3),
+])
+def test_ba_command_rejects_ragged_matrix(tmp_path, capsys, text, row, cells):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "ba", str(path))
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: row {row} of {path} has {cells} cells, expected 2\n"
 
 
 def test_bound_command_and_round_trip(tmp_path, capsys):
@@ -212,18 +223,6 @@ def test_reproduce_fig2_region_boundary(tmp_path):
     assert labels == {"B1", "B2"}
 
 
-def test_reproduce_fig2_warns_when_unconverged(capsys):
-    grid = ["--grid", "gamma01=0.1:0.9:0.4", "--grid", "gamma02=0.1:0.9:0.4"]
-    with pytest.warns(RuntimeWarning, match=r"fig2: \d+ of 9 .* did not converge .* worst gap"):
-        main(["reproduce", "fig2", "--max-iter", "2", *grid])
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "gamma01,gamma02,c_det_bits,argmax_basis"
-    assert len(lines) == 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        main(["reproduce", "fig2", *grid])
-
-
 def test_reproduce_fig2_matches_engine():
     from capdetect import DetectionConfig, computational_basis, detect_capacity, fourier_basis, vshape_qutrit_channel
 
@@ -321,13 +320,15 @@ def test_runs_without_scipy(tmp_path):
     assert len(json.loads(bound.read_text())["per_basis"]) == 8
 
 
-# sha256 of the default-grid tables (csv, json); fig1's json pins c1_bits to
-# the last bit, so a change to holevo_gad_p1's search shows here first
+# sha256 of the default-grid tables (csv, json); each csv digest is that of
+# the gunzipped table in perfbench/reference/. The json pins every value to
+# the last bit, so a change to holevo_gad_p1's search or to fig2's closed
+# forms shows there first
 FIGURE_SHA256 = {
     "fig1": ("eae119209faabcff2934e0c6f31b57953d294aa4aff782d8a96dc9deb4e6042d",
              "38cfcfda744a6b091747b15bf078796045e1e54cd321cf5a26d8a2e28e0fa737"),
-    "fig2": ("90dfacdfc873e32ad508659e800e06fae3e6b5444306c12ec963c208b6507b2c",
-             "7b8fe139f57f40021a0ac4a4606d5b1d2caa26610cacac2bce07aefd3ca49878"),
+    "fig2": ("e6000894d8a5a7dfcb1fcb17796aae36de163f3f9f80f4607b48476a787c5c29",
+             "b1aeb4251d561173855d722b69ae231077d74fbdf3cea96a0f3b3676bc727364"),
     "fig3": ("22adb84d13a7ce12c77499342896678c52567bef6a6bd6a12957cc10a6ce643c",
              "cd33f66b90dd63e3973797802daea2705cbacef6329b9956aa66b6323083a8dd"),
     "fig4": ("ce88b7d625ead6129ebce2a89d6abd8f12fbd1f4271e50c9b2b7b8a40bc24555",
@@ -446,8 +447,6 @@ def test_main_builds_the_parser_once(monkeypatch):
     (["ba", "{t}", "--max-iter", "0"], "max_iter must be an integer >= 1, got 0"),
     (["ba", "{t}", "--tol=-1e-9"], "tol_bits must be finite and > 0, got -1e-09"),
     (["check-cp", "--channel", "{g}", "--tol", "nan"], "tol must be finite and > 0, got nan"),
-    (["reproduce", "fig2", "--max-iter", "0"], "max_iter must be an integer >= 1, got 0"),
-    (["reproduce", "fig1", "--tol", "nan"], "tol_bits must be finite and > 0, got nan"),
 ])
 def test_cli_rejects_bad_solver_settings(tmp_path, capsys, command, message):
     paths = {
@@ -460,6 +459,16 @@ def test_cli_rejects_bad_solver_settings(tmp_path, capsys, command, message):
     code, out, err = run(capsys, *(arg.format(**paths) for arg in command))
     assert code == 1 and out == ""
     assert err == f"capdetect: error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-9"), ("--max-iter", "100")])
+def test_reproduce_takes_no_solver_settings(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reproduce", "fig1", flag, value])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in out.err
 
 
 @pytest.mark.parametrize("grid, shown", [

@@ -31,6 +31,7 @@ from capdetect import (
     stretched_affine,
     t_threshold,
     von_mises_expected_capacity,
+    vshape_detected,
     vshape_qutrit_channel,
     weakly_symmetric_capacity,
     weyl_operator,
@@ -472,6 +473,59 @@ def test_qutrit_transitions_array_matches_scalar_calls():
         with pytest.raises(ValueError, match="gamma01"):
             qutrit_vshape_transitions(bad, 0.5)
 
+
+
+VSHAPE_EDGES = np.array([0.0, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53, 1.0])
+
+
+def _vshape_pairs():
+    """fig2's default grid, 2,000 seeded random pairs and the edge set, each
+    as two flat gamma arrays."""
+    grid = grid_values(0.0, 1.0, 0.01)
+    rng = np.random.default_rng(909)
+    sets = [(grid[:, None], grid), tuple(rng.uniform(0.0, 1.0, (2, 2000))),
+            (VSHAPE_EDGES[:, None], VSHAPE_EDGES)]
+    return [tuple(g.ravel() for g in np.broadcast_arrays(*s)) for s in sets]
+
+
+def test_vshape_closed_form_inside_ba_bracket():
+    for g01, g02 in _vshape_pairs():
+        i1, _ = vshape_detected(g01, g02)
+        q1, _, _ = qutrit_vshape_transitions(g01, g02)
+        lower, _, _, gaps = blahut_arimoto_batch(q1, tol_bits=1e-12)
+        assert gaps.max() <= 1e-12
+        assert np.all(lower - 1e-15 <= i1) and np.all(i1 <= lower + gaps + 1e-15)
+
+
+def test_vshape_with_one_closed_arm_is_a_z_channel():
+    # gamma02 = 1 makes input 2 a copy of input 0. binary_capacity reports 0
+    # once 1 - gamma01 < 1e-12, where C < 1e-12 / (e ln 2)
+    for g01, _ in _vshape_pairs():
+        i1, _ = vshape_detected(g01, 1.0)
+        z = binary_capacity(0.0, g01).capacity_bits
+        live = 1.0 - g01 >= 1e-12
+        np.testing.assert_allclose(i1[live], z[live], rtol=0, atol=1e-15)
+        assert np.all(z[~live] == 0.0) and np.all((0.0 <= i1[~live]) & (i1[~live] <= 1e-12))
+
+
+def test_vshape_detected_fourier_matches_weakly_symmetric_and_scalars():
+    edges = np.stack(_vshape_pairs()[2])
+    g01, g02 = np.concatenate([edges, np.random.default_rng(13).uniform(0.0, 1.0, (2, 30))], axis=1)
+    i1, i2 = vshape_detected(g01, g02)
+    _, q2, _ = qutrit_vshape_transitions(g01, g02)
+    for k in range(g01.size):
+        assert vshape_detected(float(g01[k]), float(g02[k])) == (i1[k], i2[k])
+        assert i2[k] == pytest.approx(weakly_symmetric_capacity(q2[k]).capacity_bits, abs=1e-14)
+
+
+def test_vshape_detected_rejects_gammas_outside_unit_interval():
+    for bad in (-0.1, 1.1, np.nan):
+        for args in ((np.array([0.1, 0.2, 0.3]), np.array([0.2, bad, 0.4])), (bad, 0.5)):
+            with pytest.raises(ValueError) as want:
+                qutrit_vshape_transitions(*args)
+            with pytest.raises(ValueError) as got:
+                vshape_detected(*args)
+            assert str(got.value) == str(want.value)
 
 def test_detect_capacity_vshape_uses_shortcut_for_fourier():
     ch = vshape_qutrit_channel(0.4, 0.7)
