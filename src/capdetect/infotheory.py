@@ -135,7 +135,9 @@ def blahut_arimoto(transition, tol_bits: float = 1e-9, max_iter: int = 100_000) 
     ``max_iter`` evaluations run out first the best-so-far result is
     returned with ``converged=False``.
     """
-    t = check_transition_matrix(transition)
+    t = np.asarray(transition, dtype=float)
+    if t.ndim != 2:
+        raise ValueError("transition matrix must be two-dimensional")
     caps, priors, iterations, gaps = blahut_arimoto_batch(t[None], tol_bits, max_iter)
     gap = float(gaps[0])
     return BAResult(float(caps[0]), priors[0], int(iterations[0]), gap, gap <= tol_bits)
@@ -157,7 +159,10 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     negative entry, alpha is moved halfway to -1, at most 5 times, and if it
     is still infeasible the cycle starts from p2 (which alpha = -1 gives).
     Step lengths, backtracking and fallback are per matrix, so a batched
-    call equals the one-matrix calls.
+    call equals the one-matrix calls. A round skips a mask where no entry
+    needs it (log2 q when every q > 0, |r|/|v| when every |v| > 0, the
+    backtracking when every step is feasible); the masked forms give the
+    same floats on those rounds, so results do not depend on the path.
 
     Returns arrays (capacities, priors, iterations, gaps): the best lower
     bound seen with the BA-map prior that attains it, the evaluations made,
@@ -167,10 +172,9 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     t = check_transition_stack(transitions)
     check_solver_settings(tol_bits, max_iter)
     g, _, n_in = t.shape
-    mask = t > 0.0
-    t_log_t = np.zeros_like(t)
-    t_log_t[mask] = t[mask] * np.log2(t[mask])
-    kl_const = t_log_t.sum(axis=1)  # (g, n_in)
+    log_t = np.zeros_like(t)
+    np.log2(t, out=log_t, where=t > 0.0)
+    kl_const = (t * log_t).sum(axis=1)  # sum_m t log2 t, (g, n_in)
 
     priors = np.full((g, n_in), 1.0 / n_in)
     capacities = np.zeros(g)
@@ -178,33 +182,38 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     iterations = np.zeros(g, dtype=int)
     # the still-iterating matrices, compacted only on rounds where one of
     # them converges; outputs that never occur (q = 0) contribute nothing.
-    # lo, hi and best hold the running bracket and the prior attaining lo
+    # lo, hi and best hold the running bracket and the prior attaining lo,
+    # updated in place
     active, ta, ka, pa = np.arange(g), t, kl_const, priors.copy()
     lo, hi, best = np.full(g, -np.inf), uppers.copy(), priors.copy()
     for it in range(1, max_iter + 1):
         q = np.einsum("gmn,gn->gm", ta, pa)
-        logq = np.zeros_like(q)
-        np.log2(q, out=logq, where=q > 0.0)
+        if q.min() > 0.0:
+            logq = np.log2(q)
+        else:
+            logq = np.zeros_like(q)
+            np.log2(q, out=logq, where=q > 0.0)
         kl = ka - np.einsum("gmn,gm->gn", ta, logq)  # log2 c_n = D(p(.|n) || q)
         weighted = pa * np.exp2(kl)
         total = weighted.sum(axis=1)
         mapped = weighted / total[:, None]
         lower = np.log2(total)
         raised = lower > lo
-        lo = np.where(raised, lower, lo)
-        best = np.where(raised[:, None], mapped, best)
-        hi = np.minimum(hi, kl.max(axis=1))
+        np.copyto(lo, lower, where=raised)
+        np.copyto(best, mapped, where=raised[:, None])
+        np.minimum(hi, kl.max(axis=1), out=hi)
         if it % 2:
             p0, pa = pa, mapped
         else:
             pa = _squarem_step(p0, pa, mapped)
-        done = hi - lo <= tol_bits
-        if done.any() or it == max_iter:
+        # fmin.reduce skips NaN gaps, which never count as done
+        gap = hi - lo
+        if np.fmin.reduce(gap) <= tol_bits or it == max_iter:
             capacities[active] = lo
             uppers[active] = hi
             iterations[active] = it
             priors[active] = best
-            keep = ~done
+            keep = ~(gap <= tol_bits)
             active, ta, ka, pa = active[keep], ta[keep], ka[keep], pa[keep]
             lo, hi, best = lo[keep], hi[keep], best[keep]
             if it % 2:
@@ -232,11 +241,16 @@ def _squarem_step(p0, p1, p2):
     """The extrapolated prior of one SQUAREM cycle, row by row."""
     r = p1 - p0
     v = p2 - 2.0 * p1 + p0
-    nr = np.linalg.norm(r, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    alpha = -np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
-    alpha = np.minimum(alpha, -1.0)[:, None]
+    nr = np.sqrt((r * r).sum(axis=1))  # np.linalg.norm(r, axis=1)
+    nv = np.sqrt((v * v).sum(axis=1))
+    if nv.min() > 0.0:
+        ratio = nr / nv
+    else:
+        ratio = np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
+    alpha = -np.maximum(ratio, 1.0)[:, None]  # min(-|r|/|v|, -1)
     step = p0 - 2.0 * alpha * r + alpha * alpha * v
+    if step.min() >= 0.0:
+        return step / step.sum(axis=1, keepdims=True)
     for _ in range(5):
         bad = (step < 0.0).any(axis=1, keepdims=True)
         if not bad.any():
@@ -262,7 +276,11 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     input 0. The optimal prior has a closed form (Silverman 1955), and the
     reported capacity is the mutual information at that prior, which stays
     accurate where the closed-form capacity expression cancels, near the
-    degenerate line eps0 + eps1 = 1. That line carries no information.
+    degenerate line eps0 + eps1 = 1. Where the canonical span
+    1 - eps0 - eps1 is below 1e-12 the result is capacity 0 with
+    p0 = 0.5; the line itself carries no information, and C is at most
+    about 1e-12/(e ln 2) = 5.3e-13 bits inside the cut (the Z channel attains
+    it), so the value reported there is a lower bound within that much.
     """
     e0 = check_unit_interval("eps0", eps0)
     e1 = check_unit_interval("eps1", eps1)

@@ -14,7 +14,7 @@ from .detect import DetectionConfig, detect_from_transitions
 from .infotheory import binary_capacity, blahut_arimoto_batch, warn_unconverged
 
 
-def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> np.random.Generator:
+def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np.random.Generator":
     """Independent keyed stream for one (basis, input) sampling cell."""
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

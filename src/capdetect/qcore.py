@@ -219,7 +219,7 @@ def fourier_basis(d: int, label: str = "fourier") -> MeasurementBasis:
     return MeasurementBasis(label, kets)
 
 
-def random_cptp_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
+def random_cptp_channel(d: int, kraus_rank: int, rng: "np.random.Generator") -> KrausChannel:
     """Random CPTP channel from an orthonormalized complex Gaussian block matrix."""
     g = rng.standard_normal((d * kraus_rank, d)) + 1j * rng.standard_normal((d * kraus_rank, d))
     q, _ = np.linalg.qr(g)
@@ -227,7 +227,7 @@ def random_cptp_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> Kr
     return KrausChannel(tuple(ops))
 
 
-def haar_random_basis(d: int, rng: np.random.Generator, label: str = "random") -> MeasurementBasis:
+def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random") -> MeasurementBasis:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -1,12 +1,14 @@
 """Shared test helpers: an independent capacity oracle (dense simplex grid
-search with local refinement), random samplers for channels, and small
-state constructors."""
+search with local refinement), random samplers for channels, reference
+copies of the Blahut-Arimoto recursion and of the eig + QR eigenbasis, and
+small state constructors."""
 
 import itertools
 
 import numpy as np
 
 from capdetect import AffineQubitChannel
+from capdetect.infotheory import check_solver_settings, check_transition_stack
 
 
 def _compositions(total: int, parts: int):
@@ -79,6 +81,80 @@ def random_cp_affine(rng: np.random.Generator) -> AffineQubitChannel:
 def random_transition(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
     """Random column-stochastic matrix, columns uniform on the simplex."""
     return rng.dirichlet(np.ones(n_out), size=n_in).T
+
+
+def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000):
+    """The recursion of ``blahut_arimoto_batch`` written plainly, with no
+    fast paths: np.where bracket updates, a masked log2 on every round,
+    np.linalg.norm and a backtracking loop on every SQUAREM step. The
+    solver must equal it bit for bit."""
+    t = check_transition_stack(transitions)
+    check_solver_settings(tol_bits, max_iter)
+    g, _, n_in = t.shape
+    mask = t > 0.0
+    t_log_t = np.zeros_like(t)
+    t_log_t[mask] = t[mask] * np.log2(t[mask])
+    kl_const = t_log_t.sum(axis=1)  # (g, n_in)
+
+    priors = np.full((g, n_in), 1.0 / n_in)
+    capacities = np.zeros(g)
+    uppers = np.full(g, np.inf)
+    iterations = np.zeros(g, dtype=int)
+    # the still-iterating matrices, compacted only on rounds where one of
+    # them converges; outputs that never occur (q = 0) contribute nothing.
+    # lo, hi and best hold the running bracket and the prior attaining lo
+    active, ta, ka, pa = np.arange(g), t, kl_const, priors.copy()
+    lo, hi, best = np.full(g, -np.inf), uppers.copy(), priors.copy()
+    for it in range(1, max_iter + 1):
+        q = np.einsum("gmn,gn->gm", ta, pa)
+        logq = np.zeros_like(q)
+        np.log2(q, out=logq, where=q > 0.0)
+        kl = ka - np.einsum("gmn,gm->gn", ta, logq)  # log2 c_n = D(p(.|n) || q)
+        weighted = pa * np.exp2(kl)
+        total = weighted.sum(axis=1)
+        mapped = weighted / total[:, None]
+        lower = np.log2(total)
+        raised = lower > lo
+        lo = np.where(raised, lower, lo)
+        best = np.where(raised[:, None], mapped, best)
+        hi = np.minimum(hi, kl.max(axis=1))
+        if it % 2:
+            p0, pa = pa, mapped
+        else:
+            pa = _reference_squarem_step(p0, pa, mapped)
+        done = hi - lo <= tol_bits
+        if done.any() or it == max_iter:
+            capacities[active] = lo
+            uppers[active] = hi
+            iterations[active] = it
+            priors[active] = best
+            keep = ~done
+            active, ta, ka, pa = active[keep], ta[keep], ka[keep], pa[keep]
+            lo, hi, best = lo[keep], hi[keep], best[keep]
+            if it % 2:
+                p0 = p0[keep]
+            if active.size == 0:
+                break
+    return capacities, priors, iterations, uppers - capacities
+
+
+def _reference_squarem_step(p0, p1, p2):
+    """The extrapolated prior of one SQUAREM cycle, row by row."""
+    r = p1 - p0
+    v = p2 - 2.0 * p1 + p0
+    nr = np.linalg.norm(r, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    alpha = -np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
+    alpha = np.minimum(alpha, -1.0)[:, None]
+    step = p0 - 2.0 * alpha * r + alpha * alpha * v
+    for _ in range(5):
+        bad = (step < 0.0).any(axis=1, keepdims=True)
+        if not bad.any():
+            break
+        alpha = np.where(bad, (alpha - 1.0) / 2.0, alpha)
+        step = p0 - 2.0 * alpha * r + alpha * alpha * v
+    bad = (step < 0.0).any(axis=1, keepdims=True)
+    return np.where(bad, p2, step / step.sum(axis=1, keepdims=True))
 
 
 def reference_eigenbasis(m: np.ndarray) -> np.ndarray:

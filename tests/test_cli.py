@@ -320,6 +320,31 @@ def test_runs_without_scipy(tmp_path):
     assert len(json.loads(bound.read_text())["per_basis"]) == 8
 
 
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+    # only simulate samples; importing the CLI, and a bound request, must
+    # not pay for loading numpy.random
+    script = (
+        "import sys; from capdetect.cli import main; "
+        "loaded = 'numpy.random' in sys.modules; code = main(sys.argv[1:]); "
+        "print(loaded, 'numpy.random' in sys.modules); sys.exit(code)"
+    )
+    src = os.path.dirname(os.path.dirname(capdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spec = write_json(tmp_path, "gad.json", GAD)
+    out = tmp_path / "out.json"
+    loads = {}
+    for argv in (["bound", "--channel", spec, "--out", str(out)],
+                 ["simulate", "--channel", spec, "--shots", "500", "--seed", "3",
+                  "--resamples", "100", "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loads[argv[0]] = proc.stdout.split()
+    assert loads == {"bound": ["False", "False"], "simulate": ["False", "True"]}
+    doc = json.loads(out.read_text())
+    assert 0.0 <= doc["ci_low_bits"] <= doc["point_estimate_bits"] <= doc["ci_high_bits"] <= 1.0
+
+
 # sha256 of the default-grid tables (csv, json); each csv digest is that of
 # the gunzipped table in perfbench/reference/. The json pins every value to
 # the last bit, so a change to holevo_gad_p1's search or to fig2's closed

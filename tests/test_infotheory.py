@@ -12,7 +12,7 @@ from capdetect import (
     weakly_symmetric_capacity,
     qutrit_vshape_transitions,
 )
-from conftest import random_transition, simplex_grid_search_capacity
+from conftest import random_transition, reference_ba_batch, simplex_grid_search_capacity
 
 
 def bsc(eps):
@@ -142,6 +142,66 @@ def test_ba_batch_matches_scalar():
         assert np.allclose(priors[i], r.optimal_prior, atol=1e-10)
 
 
+def reference_corpus():
+    """Seeded (stack, tol_bits, max_iter) cases that together reach every
+    branch of the BA round and of the SQUAREM step: outputs that never
+    occur (the masked log), SQUAREM backtracking and its fallback to p2
+    (Dirichlet(0.05) columns and boundary optima), batches whose matrices
+    finish on different rounds, max_iter stops at odd and even counts, and
+    fixed points where v = 0 (the masked step length)."""
+    rng = np.random.default_rng(2008)
+    cases = []
+    for _ in range(30):
+        g, n_out, n_in = (int(x) for x in rng.integers([1, 2, 2], [6, 6, 6]))
+        conc = rng.choice([0.05, 0.2, 1.0, 5.0])
+        stack = rng.dirichlet(np.full(n_out, conc), size=(g, n_in)).transpose(0, 2, 1)
+        if rng.random() < 0.5:
+            stack = np.insert(stack, int(rng.integers(n_out + 1)), 0.0, axis=1)
+        cases.append((stack, 1e-9, 3000))
+    for _ in range(10):
+        e0, e1 = rng.uniform(0.0, 0.45, 2)
+        a, b = np.array([1.0 - e0, e0]), np.array([e1, 1.0 - e1])
+        cols = [a, b] + [lam * a + (1.0 - lam) * b for lam in rng.uniform(0.05, 0.95, 3)]
+        cases.append((np.stack(cols, axis=1)[None], 1e-12, 100_000))
+    stack = rng.dirichlet(np.ones(4), size=(4, 4)).transpose(0, 2, 1)
+    cases += [(stack, 1e-15, max_iter) for max_iter in range(1, 9)]
+    cases.append((np.stack([np.eye(3), np.eye(3)[:, [1, 2, 0]]]), 1e-300, 6))
+    cases.append((bsc(0.1)[None], 1e-300, 6))
+    return cases
+
+
+def test_ba_equals_reference_recursion_bit_for_bit():
+    stops, staggered = set(), False
+    for stack, tol, max_iter in reference_corpus():
+        ref = reference_ba_batch(stack, tol, max_iter)
+        got = blahut_arimoto_batch(stack, tol, max_iter)
+        for r, x in zip(ref, got):  # capacities, priors, iterations, gaps
+            assert x.dtype == r.dtype and np.array_equal(x, r)
+        one = blahut_arimoto(stack[0], tol, max_iter)
+        assert one.capacity_bits == ref[0][0] and one.gap_bits == ref[3][0]
+        assert one.iterations == ref[2][0] and np.array_equal(one.optimal_prior, ref[1][0])
+        stops.update(ref[2][ref[3] > tol].tolist())
+        staggered |= len(set(ref[2].tolist())) > 1
+    assert {1, 2, 7, 8} <= stops  # max_iter stops at odd and even counts
+    assert staggered
+
+
+def test_ba_output_that_never_occurs():
+    # an all-zero row is an output no input reaches; it changes nothing
+    # but the rounding, so each bracket holds the other solve's capacity
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        n_out, n_in = (int(x) for x in rng.integers(3, 6, 2))
+        t = random_transition(rng, n_out, n_in)
+        padded = np.vstack([t, np.zeros(n_in)])
+        a = blahut_arimoto(t, tol_bits=1e-9)
+        b = blahut_arimoto(padded, tol_bits=1e-9)
+        assert a.converged and b.converged
+        for x, y in ((a, b), (b, a)):
+            assert x.capacity_bits - 1e-15 <= y.capacity_bits <= x.capacity_bits + x.gap_bits + 1e-15
+        assert np.max(np.abs(a.optimal_prior - b.optimal_prior)) <= 1e-9
+
+
 def test_binary_capacity_symmetric_recovers_bsc():
     for eps in np.linspace(0, 0.49, 25):
         cap, p0 = binary_capacity(eps, eps)
@@ -158,6 +218,19 @@ def test_binary_capacity_z_channel():
 def test_binary_capacity_degenerate_line():
     assert binary_capacity(0.4, 0.6) == (0.0, 0.5)
     assert binary_capacity(0.5, 0.5) == (0.0, 0.5)
+
+
+def test_binary_capacity_cut_near_degenerate_z_channel():
+    # the Z channel eps0 = 0, C = log2(1 + (1 - e1) e1^(e1/(1 - e1))), at
+    # spans 1 - e1 on both sides of the 1e-12 cut: inside it the reported 0
+    # is short of C by at most 1e-12/(e ln 2) = 5.3e-13 bits
+    e1 = 1.0 - np.geomspace(1e-13, 1e-9, 81)
+    span = 1.0 - e1
+    closed = np.log1p(span * np.exp(e1 / span * np.log(e1))) / np.log(2.0)
+    cap = binary_capacity(np.zeros_like(e1), e1).capacity_bits
+    assert np.all(cap <= closed + 1e-15)
+    assert np.all(cap >= closed - 5.4e-13)
+    assert np.all((cap == 0.0) == (span < 1e-12))
 
 
 def test_binary_capacity_relabeling_invariance():
