@@ -18,7 +18,6 @@ from .qcore import (
     choi_matrix,
     computational_basis,
     conditional_probs,
-    fourier_basis,
     is_cptp,
     weyl_operator,
 )
@@ -59,7 +58,6 @@ from .detect import (
     pauli_axis_capacity,
     pauli_bases,
     pseudoclassicality,
-    qutrit_vshape_transitions,
     rotated_pauli_detected,
     t_threshold,
     von_mises_expected_capacity,
@@ -69,6 +67,5 @@ from .detect import (
 from .protocol_sim import (
     EstimatedDetection,
     detect_from_samples,
-    entangled_joint_distribution,
     sample_transition,
 )

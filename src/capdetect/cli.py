@@ -9,7 +9,9 @@ regenerated files are byte-identical for a fixed configuration.
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -83,8 +85,50 @@ def _emit(text: str, out):
             f.write(text)
 
 
+def _json_text(o, indent: str = "\n") -> str:
+    """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, float, bool and None; any other type raises
+    TypeError, as json.dumps does. Before 3.13, CPython encodes with an
+    indent in pure Python; this writer joins each flat list of finite
+    floats in one call, and those lists are most of a `bound` response."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = None
+        if isinstance(o[0], float):
+            try:  # float.__repr__ rejects every non-float
+                items = sep.join(map(float.__repr__, o))
+            except TypeError:
+                pass
+        if items is None or "n" in items:  # "nan" and "inf" are written NaN, Infinity
+            items = sep.join([_json_text(v, inner) for v in o])
+        return "[" + inner + items + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        parts = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            parts.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
+        return "{" + inner + sep.join(parts) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict, out):
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit(_json_text(payload) + "\n", out)
 
 
 def _write_table(columns, rows, out, fmt: str, name: str):

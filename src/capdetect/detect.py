@@ -7,6 +7,7 @@ that basis. It lower-bounds the one-shot (Holevo) capacity; for
 pseudoclassical channels the two coincide and the bound is tight.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -35,9 +36,29 @@ from .infotheory import (
 PAULI_AXES = ("x", "y", "z")
 
 
+def _family(bases: list, views: list) -> tuple:
+    """``(bases, views)`` as tuples, each view's ket order a read-only index
+    array, so that a family shared between calls cannot be changed."""
+    frozen = []
+    for label, i, order in views:
+        order = np.array(order, dtype=np.intp)
+        order.setflags(write=False)
+        frozen.append((label, i, order))
+    return tuple(bases), tuple(frozen)
+
+
+@functools.cache
+def _pauli_family() -> tuple:
+    # built on first use, not at import: the orthonormality check's first
+    # matmul sets up BLAS buffers that the figure commands never need
+    return _family([MeasurementBasis(ax, kets) for ax, kets in zip(PAULI_AXES, PAULI_KETS)],
+                   [(ax, i, range(2)) for i, ax in enumerate(PAULI_AXES)])
+
+
 def pauli_bases() -> list:
-    """Eigenbases of the three Pauli operators, labeled x, y, z."""
-    return [MeasurementBasis(ax, kets) for ax, kets in zip(PAULI_AXES, PAULI_KETS)]
+    """Eigenbases of the three Pauli operators, labeled x, y, z: a new list
+    over bases built once per process."""
+    return list(_pauli_family()[0])
 
 
 def _is_prime(n: int) -> bool:
@@ -46,14 +67,18 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
 
+@functools.cache
 def weyl_bases(d: int) -> tuple:
     """The d + 1 distinct eigenbases of the nontrivial generalized Pauli
     unitaries U_ls in prime dimension d, and each U_ls's place among them.
 
-    Returns ``(bases, views)``. ``views`` lists ``(label, i, order)`` for
-    every (l, s) != (0, 0) in row-major order, where ``bases[i].kets[order]``
-    is U_ls's eigenbasis; each basis carries the label of its class's first
-    U_ls, so its own ``order`` is the identity.
+    Returns the tuples ``(bases, views)``. ``views`` holds ``(label, i,
+    order)`` for every (l, s) != (0, 0) in row-major order, where
+    ``bases[i].kets[order]`` is U_ls's eigenbasis and ``order`` is a
+    read-only index array; each basis carries the label of its class's first
+    U_ls, so its own ``order`` is the identity. Each prime d's family is
+    built and checked once per process and shared by every later call; a
+    composite d raises on every call, since the cache keeps no exception.
     """
     if not _is_prime(d):
         raise ValueError(f"the weyl basis family needs a prime dimension, got {d}")
@@ -69,7 +94,7 @@ def weyl_bases(d: int) -> tuple:
                 bases.append(MeasurementBasis(label, weyl_class_kets(d, c)[order]))
             i, rank = first[c]
             views.append((label, i, [rank[k] for k in order]))
-    return bases, views
+    return _family(bases, views)
 
 
 @dataclass
@@ -88,23 +113,23 @@ class DetectionConfig:
         """The distinct bases to measure, and the reported labels as
         ``(label, basis index, ket order)`` views of them (see
         :func:`weyl_bases`); outside the weyl family each basis is its own
-        view."""
+        view. Returns tuples. The named families are built once per
+        process and shared; explicit bases are checked on every call."""
         if self.bases == "weyl":
             return weyl_bases(dim)
         if self.bases == "pauli":
             if dim != 2:
                 raise ValueError("the pauli basis family is only defined for qubits")
-            bases = pauli_bases()
-        elif isinstance(self.bases, str):
+            return _pauli_family()
+        if isinstance(self.bases, str):
             raise ValueError(f"unknown basis family '{self.bases}'")
-        elif not self.bases:
+        bases = tuple(self.bases)
+        if not bases:
             raise ValueError("at least one measurement basis is required")
-        else:
-            bases = list(self.bases)
         for b in bases:
             if b.dim != dim:
                 raise ValueError(f"basis '{b.label}' has dim {b.dim}, channel has dim {dim}")
-        return bases, [(b.label, i, list(range(dim))) for i, b in enumerate(bases)]
+        return _family(bases, [(b.label, i, range(dim)) for i, b in enumerate(bases)])
 
 
 @dataclass
@@ -115,6 +140,9 @@ class BasisResult:
     mutual_information_bits: float
     method: str  # "binary-closed-form" (every 2x2), "weakly-symmetric", or "BA"
     converged: bool = True
+    # the BA solve's evaluations and final bracket width; 0 for closed forms
+    iterations: int = 0
+    gap_bits: float = 0.0
 
 
 @dataclass
@@ -137,8 +165,8 @@ class DetectionResult:
                     "mutual_information_bits": r.mutual_information_bits,
                     "method": r.method,
                     "converged": r.converged,
-                    "optimal_prior": list(map(float, r.optimal_prior)),
-                    "transition": [list(map(float, row)) for row in r.transition],
+                    "optimal_prior": r.optimal_prior.tolist(),
+                    "transition": r.transition.tolist(),
                 }
                 for r in self.per_basis
             ],
@@ -187,17 +215,18 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
             stack = check_transition_stack(stack)
             caps, p0 = binary_capacity(stack[:, 1, 0], stack[:, 0, 1])
             priors = np.stack([p0, 1.0 - p0], axis=1)
-            converged = np.ones(len(members), dtype=bool)
+            iterations = np.zeros(len(members), dtype=int)
+            gaps = np.zeros(len(members))
             method = "binary-closed-form"
         else:
-            caps, priors, _, gaps = blahut_arimoto_batch(
+            caps, priors, iterations, gaps = blahut_arimoto_batch(
                 stack, config.ba_tolerance_bits, config.max_iterations
             )
-            converged = gaps <= config.ba_tolerance_bits
             method = "BA"
+        converged = gaps <= config.ba_tolerance_bits
         for k, i in enumerate(members):
-            per_basis[i] = BasisResult(labels[i], transitions[i], priors[k], float(caps[k]),
-                                       method, converged=bool(converged[k]))
+            per_basis[i] = BasisResult(labels[i], transitions[i], priors[k], float(caps[k]), method,
+                                       bool(converged[k]), int(iterations[k]), float(gaps[k]))
     return _assemble(per_basis)
 
 
@@ -205,16 +234,19 @@ def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None
     """Detected capacity of a channel over a set of measured bases.
 
     Each distinct basis is reconstructed and solved once; every reported
-    label gets its basis's transition and prior in its own ket order."""
+    label gets its basis's transition and prior in its own ket order, and
+    its basis's method, iterations and gap."""
     config = config or DetectionConfig()
     bases, views = config.resolve_bases(channel.dim)
     transitions = [conditional_probs(channel, b) for b in bases]
     solved = detect_from_transitions(transitions, [b.label for b in bases], config).per_basis
-    return _assemble([
-        BasisResult(label, solved[i].transition[np.ix_(order, order)], solved[i].optimal_prior[order],
-                    solved[i].mutual_information_bits, solved[i].method, solved[i].converged)
-        for label, i, order in views
-    ])
+    per_basis = []
+    for label, i, order in views:
+        r = solved[i]
+        per_basis.append(BasisResult(label, r.transition[order[:, None], order], r.optimal_prior[order],
+                                     r.mutual_information_bits, r.method, r.converged,
+                                     r.iterations, r.gap_bits))
+    return _assemble(per_basis)
 
 
 def _axis_epsilons(l1, l2, l3, t3):
@@ -414,27 +446,6 @@ def _vshape_gamma_tilde(g01, g02):
     a = np.sqrt(1.0 - g01)
     b = np.sqrt(1.0 - g02)
     return 1.0 / 3.0 - (a + b + a * b) / 9.0
-
-
-def qutrit_vshape_transitions(gamma01, gamma02):
-    """Transition matrices of the V-configuration qutrit decay channel in
-    the computational basis (Q1) and the Fourier basis (Q2), plus the
-    off-diagonal weight gamma_tilde of the symmetric Q2.
-
-    Array arguments are broadcast together and give stacks of shape
-    (..., 3, 3) and a gamma_tilde array; scalars give single matrices and a
-    float."""
-    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
-                                   check_unit_interval("gamma02", gamma02))
-    q1 = np.zeros(g01.shape + (3, 3))
-    q1[..., 0, 0] = 1.0
-    q1[..., 0, 1] = g01
-    q1[..., 0, 2] = g02
-    q1[..., 1, 1] = 1.0 - g01
-    q1[..., 2, 2] = 1.0 - g02
-    gt = _vshape_gamma_tilde(g01, g02)
-    q2 = gt[..., None, None] + np.eye(3) * (1.0 - 3.0 * gt)[..., None, None]
-    return q1, q2, (float(gt) if gt.ndim == 0 else gt)
 
 
 def _decay_arm(gamma):

@@ -9,7 +9,7 @@ column-wise percentile bootstrap of the counts.
 import numpy as np
 from dataclasses import dataclass
 
-from .qcore import KrausChannel, MeasurementBasis, choi_matrix, conditional_probs
+from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, detect_from_transitions
 from .infotheory import binary_capacity, blahut_arimoto_batch, warn_unconverged
 
@@ -49,26 +49,6 @@ def sample_transition(
         rng = _stream(seed, basis_index, n)
         counts[:, n] = rng.multinomial(shots_per_input, col)
     return counts, counts / float(shots_per_input)
-
-
-def entangled_joint_distribution(channel: KrausChannel, basis: MeasurementBasis) -> np.ndarray:
-    """Joint outcome distribution P(m, n) of the two-sided protocol: local
-    projectors |m><m| x (|n><n|)^T measured on the channel's Choi state.
-
-    Equals conditional_probs(channel, basis)/d entrywise, which is what
-    makes the one-sided preparation scheme equivalent."""
-    if channel.dim != basis.dim:
-        raise ValueError(
-            f"dimension mismatch: channel dim {channel.dim}, basis dim {basis.dim}"
-        )
-    d = basis.dim
-    choi = choi_matrix(channel)
-    p = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            v = np.kron(basis.kets[m], basis.kets[n].conj())
-            p[m, n] = np.real(v.conj() @ choi @ v)
-    return np.clip(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -210,25 +210,3 @@ def weyl_class_kets(d: int, c: int) -> np.ndarray:
 
 def computational_basis(d: int, label: str = "computational") -> MeasurementBasis:
     return MeasurementBasis(label, np.eye(d, dtype=complex))
-
-
-def fourier_basis(d: int, label: str = "fourier") -> MeasurementBasis:
-    """Basis with kets |n> = (1/sqrt(d)) sum_j w^(nj) |j>, w = exp(2 pi i/d)."""
-    n, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    kets = np.exp(2j * np.pi * n * j / d) / np.sqrt(d)
-    return MeasurementBasis(label, kets)
-
-
-def random_cptp_channel(d: int, kraus_rank: int, rng: "np.random.Generator") -> KrausChannel:
-    """Random CPTP channel from an orthonormalized complex Gaussian block matrix."""
-    g = rng.standard_normal((d * kraus_rank, d)) + 1j * rng.standard_normal((d * kraus_rank, d))
-    q, _ = np.linalg.qr(g)
-    ops = [q[i * d : (i + 1) * d, :] for i in range(kraus_rank)]
-    return KrausChannel(tuple(ops))
-
-
-def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random") -> MeasurementBasis:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return MeasurementBasis(label, q.T)

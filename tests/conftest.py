@@ -1,14 +1,15 @@
 """Shared test helpers: an independent capacity oracle (dense simplex grid
-search with local refinement), random samplers for channels, reference
-copies of the Blahut-Arimoto recursion and of the eig + QR eigenbasis, and
-small state constructors."""
+search with local refinement), random samplers for channels and bases,
+reference copies of the Blahut-Arimoto recursion and of the eig + QR
+eigenbasis, the Fourier basis, the V-shape qutrit's transition matrices, the
+two-sided protocol's joint distribution, and small state constructors."""
 
 import itertools
 
 import numpy as np
 
-from capdetect import AffineQubitChannel
-from capdetect.infotheory import check_solver_settings, check_transition_stack
+from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, choi_matrix
+from capdetect.infotheory import check_solver_settings, check_transition_stack, check_unit_interval
 
 
 def _compositions(total: int, parts: int):
@@ -194,3 +195,68 @@ def maximally_entangled(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
+
+
+def fourier_basis(d: int, label: str = "fourier") -> MeasurementBasis:
+    """Basis with kets |n> = (1/sqrt(d)) sum_j w^(nj) |j>, w = exp(2 pi i/d)."""
+    n, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    kets = np.exp(2j * np.pi * n * j / d) / np.sqrt(d)
+    return MeasurementBasis(label, kets)
+
+
+def random_cptp_channel(d: int, kraus_rank: int, rng: "np.random.Generator") -> KrausChannel:
+    """Random CPTP channel from an orthonormalized complex Gaussian block matrix."""
+    g = rng.standard_normal((d * kraus_rank, d)) + 1j * rng.standard_normal((d * kraus_rank, d))
+    q, _ = np.linalg.qr(g)
+    ops = [q[i * d : (i + 1) * d, :] for i in range(kraus_rank)]
+    return KrausChannel(tuple(ops))
+
+
+def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random") -> MeasurementBasis:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return MeasurementBasis(label, q.T)
+
+
+def qutrit_vshape_transitions(gamma01, gamma02):
+    """Transition matrices of the V-configuration qutrit decay channel in
+    the computational basis (Q1) and the Fourier basis (Q2), plus the
+    off-diagonal weight gamma_tilde of the symmetric Q2.
+
+    Array arguments are broadcast together and give stacks of shape
+    (..., 3, 3) and a gamma_tilde array; scalars give single matrices and a
+    float."""
+    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
+                                   check_unit_interval("gamma02", gamma02))
+    q1 = np.zeros(g01.shape + (3, 3))
+    q1[..., 0, 0] = 1.0
+    q1[..., 0, 1] = g01
+    q1[..., 0, 2] = g02
+    q1[..., 1, 1] = 1.0 - g01
+    q1[..., 2, 2] = 1.0 - g02
+    a = np.sqrt(1.0 - g01)
+    b = np.sqrt(1.0 - g02)
+    gt = 1.0 / 3.0 - (a + b + a * b) / 9.0
+    q2 = gt[..., None, None] + np.eye(3) * (1.0 - 3.0 * gt)[..., None, None]
+    return q1, q2, (float(gt) if gt.ndim == 0 else gt)
+
+
+def entangled_joint_distribution(channel: KrausChannel, basis: MeasurementBasis) -> np.ndarray:
+    """Joint outcome distribution P(m, n) of the two-sided protocol: local
+    projectors |m><m| x (|n><n|)^T measured on the channel's Choi state.
+
+    Equals conditional_probs(channel, basis)/d entrywise, which is what
+    makes the one-sided preparation scheme equivalent."""
+    if channel.dim != basis.dim:
+        raise ValueError(
+            f"dimension mismatch: channel dim {channel.dim}, basis dim {basis.dim}"
+        )
+    d = basis.dim
+    choi = choi_matrix(channel)
+    p = np.empty((d, d))
+    for m in range(d):
+        for n in range(d):
+            v = np.kron(basis.kets[m], basis.kets[n].conj())
+            p[m, n] = np.real(v.conj() @ choi @ v)
+    return np.clip(p, 0.0, 1.0)

@@ -23,10 +23,8 @@ from capdetect import (
     dephasing_detected,
     detect_capacity,
     detect_pauli_qubit,
-    fourier_basis,
     pauli_channel,
     pseudoclassicality,
-    qutrit_vshape_transitions,
     rotated_pauli_channel,
     rotated_pauli_detected,
     stretched_affine,
@@ -34,11 +32,18 @@ from capdetect import (
     von_mises_expected_capacity,
     vshape_qutrit_channel,
     detect_from_samples,
-    entangled_joint_distribution,
 )
 from capdetect.cli import main, reproduce_figure
-from capdetect.qcore import haar_random_basis, random_cptp_channel
-from conftest import random_cp_affine, random_transition, simplex_grid_search_capacity
+from conftest import (
+    entangled_joint_distribution,
+    fourier_basis,
+    haar_random_basis,
+    qutrit_vshape_transitions,
+    random_cp_affine,
+    random_cptp_channel,
+    random_transition,
+    simplex_grid_search_capacity,
+)
 
 LN2 = np.log(2.0)
 

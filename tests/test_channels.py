@@ -24,7 +24,7 @@ from capdetect import (
     weyl_bases,
 )
 from capdetect.qcore import basis_ket
-from conftest import projector, random_cp_affine
+from conftest import haar_random_basis, projector, random_cp_affine
 
 
 def test_pauli_family_identity():
@@ -146,7 +146,6 @@ def test_affine_to_kraus_identity():
 def test_affine_to_kraus_depolarizing():
     ch = affine_to_kraus(AffineQubitChannel(0.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(6)
-    from capdetect.qcore import haar_random_basis
 
     for _ in range(5):
         t = conditional_probs(ch, haar_random_basis(2, rng))

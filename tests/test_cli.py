@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import capdetect
 from capdetect import (
@@ -18,7 +23,10 @@ from capdetect import (
     pseudoclassicality,
     stretched_affine,
 )
+from capdetect import cli
 from capdetect.cli import grid_values, main, reproduce_figure
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -224,7 +232,8 @@ def test_reproduce_fig2_region_boundary(tmp_path):
 
 
 def test_reproduce_fig2_matches_engine():
-    from capdetect import DetectionConfig, computational_basis, detect_capacity, fourier_basis, vshape_qutrit_channel
+    from capdetect import DetectionConfig, computational_basis, detect_capacity, vshape_qutrit_channel
+    from conftest import fourier_basis
 
     _, rows = reproduce_figure("fig2", grid_overrides={"gamma01": (0.3, 0.3, 1.0), "gamma02": (0.8, 0.8, 1.0)})
     (g1, g2, c, label), = rows
@@ -508,3 +517,150 @@ def test_reproduce_rejects_non_finite_grid(capsys, grid, shown):
     assert err == f"capdetect: error: grid 'gamma' values must be finite, got {shown}\n"
     with pytest.raises(ValueError, match=r"grid 'gamma' values must be finite"):
         reproduce_figure("fig1", grid_overrides={"gamma": tuple(map(float, grid[6:].split(":")))})
+
+
+# the JSON writer: every --out and stdout JSON is json.dumps(payload, indent=2)
+
+def _emitted(payload) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_json(payload, None)
+    return buf.getvalue()
+
+
+_JSON_KEYS = st.text(alphabet=st.characters(max_codepoint=0x2FFFF, exclude_categories=("Cs",)),
+                     max_size=6) | st.sampled_from(["", "é", "\n\t\"\\", "\x00\x1f", "\U0001F600"])
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]),
+    _JSON_KEYS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=5),
+        # flat float lists take the writer's one-join path, NaN and inf included
+        st.lists(st.floats() | st.floats().map(np.float64), max_size=8),
+        st.lists(st.floats(), max_size=8).map(tuple),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_equals_json_dumps(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), np.float32(0.5), np.bool_(True), {1, 2}, object(), 1j,
+    [1.0, np.int64(2)], [0.5, {0.5}], {"a": {"b": frozenset()}}, ({"c": [np.array(1.0)]},),
+])
+def test_json_writer_raises_where_json_dumps_does(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        _emitted(payload)
+
+
+def test_bound_mix_payloads_are_json_dumps_bytes(tmp_path, monkeypatch):
+    # every seed-1 request of the benchmark's bound_mix workload, replayed
+    # in process: each --out file holds json.dumps(payload, indent=2)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    seen = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda payload, out: (seen.append((payload, out)), emit(payload, out)))
+    requests = workloads.request_list("bound_mix", 1)
+    for k, request in enumerate(requests):
+        argv, _ = workloads.argv_for(request, tmp_path, f"r{k}")
+        assert main(argv) == 0
+    assert len(seen) == len(requests) == 101
+    for payload, out in seen:
+        with open(out) as f:
+            assert f.read() == json.dumps(payload, indent=2) + "\n"
+
+
+# basis families are built once per process; nothing a caller does to them
+# reaches the next request
+
+def test_basis_family_caches_leak_nothing():
+    from capdetect import DetectionConfig, pauli_bases, weyl_bases
+
+    labels = [b.label for b in pauli_bases()]
+    got = pauli_bases()
+    got.append(got[0])
+    got[0] = None
+    assert [b.label for b in pauli_bases()] == labels == ["x", "y", "z"]
+
+    bases, views = weyl_bases(5)
+    snapshot = [(label, i, order.copy()) for label, i, order in views]
+    kets = [b.kets.copy() for b in bases]
+    with pytest.raises(TypeError):
+        bases[0] = None
+    with pytest.raises(TypeError):
+        views[0] = None
+    with pytest.raises(ValueError):
+        views[3][2][0] = 4
+    with pytest.raises(ValueError):
+        bases[1].kets[0, 0] = 1.0
+    again, again_views = weyl_bases(5)
+    assert len(again) == 6 and len(again_views) == 24
+    assert all(np.array_equal(b.kets, k) for b, k in zip(again, kets))
+    assert all(v[:2] == s[:2] and np.array_equal(v[2], s[2]) for v, s in zip(again_views, snapshot))
+
+    for family in ("pauli", "weyl"):
+        d = 2 if family == "pauli" else 5
+        resolved = DetectionConfig(family).resolve_bases(d)
+        with pytest.raises((TypeError, AttributeError)):
+            resolved[0].append(None)
+        with pytest.raises(ValueError):
+            resolved[1][0][2][0] = 1
+        assert DetectionConfig(family).resolve_bases(d) is resolved
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="prime dimension, got 4"):
+            weyl_bases(4)
+
+
+def test_weyl_request_after_another_dimension_matches_a_fresh_process(tmp_path, capsys):
+    q5 = np.full((5, 5), 0.02)
+    q5[0, 0] = 0.52
+    w5 = write_json(tmp_path, "w5.json", {"kind": "generalized_pauli", "params": {"dim": 5, "q": q5.tolist()}})
+    q3 = [[0.6, 0.1, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.1]]
+    w3 = write_json(tmp_path, "w3.json", {"kind": "generalized_pauli", "params": {"dim": 3, "q": q3}})
+    assert run(capsys, "bound", "--channel", w5, "--bases", "weyl")[0] == 0
+    code, warm, _ = run(capsys, "bound", "--channel", w3, "--bases", "weyl")
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(capdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "capdetect.cli", "bound", "--channel", w3,
+                           "--bases", "weyl"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert warm == proc.stdout and len(json.loads(warm)["per_basis"]) == 8
+
+
+def test_custom_bases_are_read_on_every_request(tmp_path, capsys):
+    spec = write_json(tmp_path, "gad.json", GAD)
+    s = 1 / np.sqrt(2)
+    computational = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    x = [[[s, 0], [s, 0]], [[s, 0], [-s, 0]]]
+    bpath = write_json(tmp_path, "bases.json", [computational])
+    first = json.loads(run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")[1])
+    write_json(tmp_path, "bases.json", [x, computational])
+    second = json.loads(run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")[1])
+    assert len(first["per_basis"]) == 1 and len(second["per_basis"]) == 2
+    assert second["per_basis"][1] == first["per_basis"][0] | {"label": "custom1"}
+    assert second["argmax_basis"] == "custom0" and second["c_det_bits"] > first["c_det_bits"]

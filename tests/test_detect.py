@@ -16,7 +16,6 @@ from capdetect import (
     detect_capacity,
     detect_pauli_qubit,
     extremal_affine,
-    fourier_basis,
     gad_affine,
     holevo_gad_p1,
     kraus_to_affine,
@@ -25,7 +24,6 @@ from capdetect import (
     pauli_axis_capacity,
     pauli_family_channel,
     pseudoclassicality,
-    qutrit_vshape_transitions,
     rotated_pauli_channel,
     rotated_pauli_detected,
     stretched_affine,
@@ -37,8 +35,14 @@ from capdetect import (
     weyl_operator,
 )
 from capdetect.cli import grid_values
-from capdetect.qcore import haar_random_basis, random_cptp_channel
-from conftest import random_cp_affine, reference_eigenbasis
+from conftest import (
+    fourier_basis,
+    haar_random_basis,
+    qutrit_vshape_transitions,
+    random_cp_affine,
+    random_cptp_channel,
+    reference_eigenbasis,
+)
 
 LN2 = np.log(2.0)
 
@@ -84,7 +88,6 @@ def test_detect_flags_unconverged():
 
 def test_detect_basis_monotonicity():
     rng = np.random.default_rng(10)
-    from capdetect.qcore import random_cptp_channel
 
     for _ in range(15):
         ch = random_cptp_channel(2, 3, rng)
@@ -593,3 +596,32 @@ def test_closed_form_vs_engine_qubit_affine():
         ch = random_cp_affine(rng)
         eng = detect_capacity(affine_to_kraus(ch), cfg).c_det_bits
         assert abs(eng - detect_pauli_qubit(ch).c_det_bits) < 1e-9
+
+
+def test_basis_results_keep_each_solve_iterations_and_gap():
+    rng = np.random.default_rng(41)
+    for d, max_iter in ((2, 100_000), (3, 100_000), (5, 100_000), (3, 3), (5, 2)):
+        ch = random_cptp_channel(d, 3, rng)
+        config = DetectionConfig("pauli" if d == 2 else "weyl", 1e-10, max_iter)
+        res = detect_capacity(ch, config)
+        _, views = config.resolve_bases(d)
+        solves = {}
+        for r, (label, i, _) in zip(res.per_basis, views):
+            assert r.label == label
+            if r.method == "BA":
+                assert 1 <= r.iterations <= max_iter and r.converged == (r.gap_bits <= 1e-10)
+            else:
+                assert (r.iterations, r.gap_bits, r.converged) == (0, 0.0, True)
+            # every label of a Weyl class reports its class's one solve
+            solve = (r.mutual_information_bits, r.method, r.iterations, r.gap_bits)
+            assert solves.setdefault(i, solve) == solve
+        assert len(solves) == (3 if d == 2 else d + 1)
+        assert res.converged == all(r.converged for r in res.per_basis)
+        if max_iter < 10:
+            assert any(r.method == "BA" and not r.converged for r in res.per_basis)
+        for entry in res.as_dict()["per_basis"]:
+            assert list(entry) == ["label", "mutual_information_bits", "method", "converged",
+                                   "optimal_prior", "transition"]
+    ws = detect_capacity(vshape_qutrit_channel(0.3, 0.6),
+                         DetectionConfig([computational_basis(3), fourier_basis(3)])).per_basis[1]
+    assert (ws.method, ws.iterations, ws.gap_bits) == ("weakly-symmetric", 0, 0.0)

@@ -10,9 +10,13 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
     weakly_symmetric_capacity,
-    qutrit_vshape_transitions,
 )
-from conftest import random_transition, reference_ba_batch, simplex_grid_search_capacity
+from conftest import (
+    qutrit_vshape_transitions,
+    random_transition,
+    reference_ba_batch,
+    simplex_grid_search_capacity,
+)
 
 
 def bsc(eps):

@@ -11,17 +11,20 @@ from capdetect import (
     computational_basis,
     conditional_probs,
     detect_from_samples,
-    entangled_joint_distribution,
-    fourier_basis,
     pauli_channel,
-    qutrit_vshape_transitions,
     sample_transition,
     vshape_qutrit_channel,
     weyl_operator,
 )
 from capdetect.protocol_sim import _stream
-from capdetect.qcore import haar_random_basis, random_cptp_channel
-from conftest import reference_eigenbasis
+from conftest import (
+    entangled_joint_distribution,
+    fourier_basis,
+    haar_random_basis,
+    qutrit_vshape_transitions,
+    random_cptp_channel,
+    reference_eigenbasis,
+)
 
 
 def test_sample_deterministic_column_is_exact():

@@ -10,7 +10,6 @@ from capdetect import (
     choi_matrix,
     computational_basis,
     conditional_probs,
-    fourier_basis,
     is_cptp,
     pauli_channel,
     vshape_qutrit_channel,
@@ -22,10 +21,17 @@ from capdetect.qcore import (
     PAULIS,
     basis_ket,
     dagger,
-    haar_random_basis,
-    random_cptp_channel,
 )
-from conftest import maximally_entangled, projector, reference_eigenbasis, weyl_label_kets
+from conftest import (
+    fourier_basis,
+    haar_random_basis,
+    maximally_entangled,
+    projector,
+    qutrit_vshape_transitions,
+    random_cptp_channel,
+    reference_eigenbasis,
+    weyl_label_kets,
+)
 
 
 def test_apply_identity_channel():
@@ -120,7 +126,6 @@ def test_conditional_probs_pauli_z():
 
 
 def test_conditional_probs_vshape_matches_closed_form():
-    from capdetect import qutrit_vshape_transitions
 
     for g01, g02 in [(0.3, 0.8), (0.0, 0.5), (1.0, 0.2)]:
         ch = vshape_qutrit_channel(g01, g02)
