@@ -42,38 +42,46 @@ _DEFAULT_GRIDS = {
 }
 
 
-def grid_values(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive arithmetic grid with endpoint snapping against float drift."""
+# Most rows a figure table may have; its rows are the product of its grids'
+# point counts. The defaults have at most 10,201, and at this limit the
+# costliest table (fig1) peaks near 0.7 GB.
+_MAX_TABLE_ROWS = 1_000_000
+
+
+def _grid_points(start: float, stop: float, step: float) -> float:
+    """Point count of the inclusive grid start:stop:step; inf when it overflows."""
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    v = start + step * np.arange(n)
+    return float(np.floor((stop - start) / step + 1e-9)) + 1
+
+
+def grid_values(start: float, stop: float, step: float) -> np.ndarray:
+    """Inclusive arithmetic grid with endpoint snapping against float drift."""
+    v = start + step * np.arange(int(_grid_points(start, stop, step)))
     v[np.abs(v - stop) < step * 1e-9] = stop
     return v
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.12g}"
-
-
-def _csv_column(values) -> tuple:
-    """The row-template format and the cells of one CSV column. The template
-    prints a column of floats or of labels itself; any other column (flags,
-    missing values) is formatted cell by cell."""
-    types = set(map(type, values))
-    if types == {float}:
-        return "%.12g", values
-    if types == {str}:
-        return "%s", values
-    return "%s", [_fmt(v) for v in values]
+def _csv_cells(column: np.ndarray, end: str) -> np.ndarray:
+    """The cells of one CSV column, each ending in ``end``. Each distinct
+    float bit pattern (so -0.0 and 0.0 stay apart) or label is formatted
+    once; None is an empty cell and a flag is true or false."""
+    if column.dtype == object:  # floats and None
+        missing = np.equal(column, None)
+        cells = _csv_cells(np.where(missing, 0.0, column).astype(float), end)
+        cells[missing] = end
+        return cells
+    if column.dtype == bool:
+        column = np.where(column, "true", "false")
+    if column.dtype == float:
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        text = ["%.12g%s" % (x, end) for x in keys.view(float).tolist()]
+    else:
+        keys, inverse = np.unique(column, return_inverse=True)
+        text = [label + end for label in keys.tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
 def _emit(text: str, out):
@@ -131,13 +139,19 @@ def _emit_json(payload: dict, out):
     _emit(_json_text(payload) + "\n", out)
 
 
-def _write_table(columns, rows, out, fmt: str, name: str):
+def _rows(columns) -> list:
+    """The table's rows, as tuples of Python float, str, bool and None."""
+    return list(zip(*[c.tolist() for c in columns]))
+
+
+def _write_table(names, columns, out, fmt: str, figure: str):
     if fmt == "json":
-        _emit_json({"figure": name, "columns": list(columns), "rows": rows}, out)
+        _emit_json({"figure": figure, "columns": list(names), "rows": _rows(columns)}, out)
     elif fmt == "csv":
-        formats, cells = zip(*map(_csv_column, zip(*rows)))
-        template = ",".join(formats) + "\n"
-        _emit(",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells))), out)
+        cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            cells[:, j] = _csv_cells(column, "\n" if j == len(columns) - 1 else ",")
+        _emit(",".join(names) + "\n" + "".join(cells.ravel().tolist()), out)
     else:
         raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
 
@@ -146,8 +160,7 @@ def _fig1(grids):
     gammas = grid_values(*grids["gamma"])
     c1 = holevo_gad_p1(gammas)  # rejects gammas outside [0, 1]
     c_det = pauli_axis_capacity(*gad_params(gammas, 1.0)).capacity_bits.max(axis=-1)
-    rows = list(zip(gammas.tolist(), c_det.tolist(), c1.tolist()))
-    return ("gamma", "c_det_bits", "c1_bits"), rows
+    return ("gamma", "c_det_bits", "c1_bits"), (gammas, c_det, c1)
 
 
 def _fig2(grids):
@@ -156,9 +169,8 @@ def _fig2(grids):
     i1, i2 = vshape_detected(g01[:, None], g02)
     b2 = i2 > i1
     a, b = np.meshgrid(g01, g02, indexing="ij")
-    rows = list(zip(a.ravel().tolist(), b.ravel().tolist(), np.where(b2, i2, i1).ravel().tolist(),
-                    np.where(b2, "B2", "B1").ravel().tolist()))
-    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), rows
+    columns = (a, b, np.where(b2, i2, i1), np.where(b2, "B2", "B1"))
+    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), [c.ravel() for c in columns]
 
 
 def _fig3(grids):
@@ -166,14 +178,12 @@ def _fig3(grids):
     phis = grid_values(*grids["phi"])
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
     caps = dephasing_detected(0.9, th, ph)
-    rows = list(zip(th.ravel().tolist(), ph.ravel().tolist(), caps.ravel().tolist()))
-    return ("theta", "phi", "c_det_bits"), rows
+    return ("theta", "phi", "c_det_bits"), [c.ravel() for c in (th, ph, caps)]
 
 
 def _fig4(grids):
     ks = grid_values(*grids["k"])
-    caps = von_mises_expected_capacity(0.15, 0.05, 0.1, ks)
-    return ("k_phi", "avg_c_det_bits"), list(zip(ks.tolist(), caps.tolist()))
+    return ("k_phi", "avg_c_det_bits"), (ks, von_mises_expected_capacity(0.15, 0.05, 0.1, ks))
 
 
 def _suppl_stretched(grids):
@@ -183,10 +193,9 @@ def _suppl_stretched(grids):
     l3, t3 = widest.lambda3, widest.t3
     caps = pauli_axis_capacity(s, s, l3, t3).capacity_bits
     # max(l1^2, l2^2) = s^2 against T(|t3|, |l3|), one threshold for the grid
-    pseudo = (s * s <= t_threshold(abs(t3), abs(l3))).tolist()
-    c1 = [c if p else None for c, p in zip(caps[:, 2].tolist(), pseudo)]
-    rows = list(zip(s.tolist(), caps.max(axis=-1).tolist(), c1, pseudo))
-    return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), rows
+    pseudo = s * s <= t_threshold(abs(t3), abs(l3))
+    c1 = np.where(pseudo, caps[:, 2], None)
+    return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), (s, caps.max(axis=-1), c1, pseudo)
 
 
 _FIGURE_BUILDERS = {
@@ -198,9 +207,9 @@ _FIGURE_BUILDERS = {
 }
 
 
-def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
-    """Regenerate one figure's data table; returns (columns, rows) and
-    optionally writes them to ``out``."""
+def _figure_table(which: str, grid_overrides=None):
+    """One figure's column names and columns, on its default grids with
+    ``grid_overrides`` in place."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
     grids = dict(_DEFAULT_GRIDS[which])
@@ -210,9 +219,19 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
         if not np.isfinite(spec).all():
             raise ValueError(f"grid '{name}' values must be finite, got {spec}")
         grids[name] = spec
-    columns, rows = _FIGURE_BUILDERS[which](grids)
-    _write_table(columns, rows, out, fmt, which)
-    return columns, rows
+    points = {name: _grid_points(*spec) for name, spec in grids.items()}
+    if math.prod(points.values()) > _MAX_TABLE_ROWS:
+        shown = " x ".join(f"'{name}' ({n:.0f} points)" for name, n in points.items())
+        raise ValueError(f"grid {shown} exceeds the limit of {_MAX_TABLE_ROWS:,} rows per table")
+    return _FIGURE_BUILDERS[which](grids)
+
+
+def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
+    """Regenerate one figure's data table; returns (columns, rows) and
+    optionally writes them to ``out``."""
+    names, columns = _figure_table(which, grid_overrides)
+    _write_table(names, columns, out, fmt, which)
+    return names, _rows(columns)
 
 
 def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
@@ -336,12 +355,8 @@ def _cmd_check_cp(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    reproduce_figure(
-        args.figure,
-        out=args.out,
-        grid_overrides=_parse_grid_overrides(args.grid),
-        fmt=args.format,
-    )
+    names, columns = _figure_table(args.figure, _parse_grid_overrides(args.grid))
+    _write_table(names, columns, args.out, args.format, args.figure)
     return 0
 
 

@@ -24,6 +24,7 @@ from .qcore import (
 from .channels import AffineQubitChannel
 from .infotheory import (
     BinaryCapacity,
+    _h,
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
@@ -365,7 +366,7 @@ def holevo_gad_p1(gamma):
     for _ in range(_GAD_GRID_ROUNDS):
         t = lo[:, None] + width * frac
         s = (1.0 + np.sqrt(np.clip(1.0 - 4.0 * g * (1.0 - g) * t * t, 0.0, 1.0))) / 2.0
-        vals = binary_entropy(t * (1.0 - g)) - binary_entropy(s)
+        vals = _h(t * (1.0 - g)) - _h(s)  # t (1 - g) and s lie in [0, 1]: no range check
         i = np.argmax(vals, axis=1)
         top = np.maximum(top, vals[rows, i])
         lo = t[rows, np.clip(i - 1, 0, _GAD_GRID_POINTS - 3)]

@@ -1,7 +1,7 @@
 """Shared test helpers: an independent capacity oracle (dense simplex grid
 search with local refinement), random samplers for channels and bases,
-reference copies of the Blahut-Arimoto recursion and of the eig + QR
-eigenbasis, the Fourier basis, the V-shape qutrit's transition matrices, the
+reference copies of the Blahut-Arimoto recursion, of the eig + QR
+eigenbasis and of the row-wise figure tables and CSV writer, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, and small state constructors."""
 
 import itertools
@@ -9,6 +9,16 @@ import itertools
 import numpy as np
 
 from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, choi_matrix
+from capdetect.channels import gad_params, stretched_affine
+from capdetect.cli import grid_values
+from capdetect.detect import (
+    dephasing_detected,
+    holevo_gad_p1,
+    pauli_axis_capacity,
+    t_threshold,
+    von_mises_expected_capacity,
+    vshape_detected,
+)
 from capdetect.infotheory import check_solver_settings, check_transition_stack, check_unit_interval
 
 
@@ -260,3 +270,92 @@ def entangled_joint_distribution(channel: KrausChannel, basis: MeasurementBasis)
             v = np.kron(basis.kets[m], basis.kets[n].conj())
             p[m, n] = np.real(v.conj() @ choi @ v)
     return np.clip(p, 0.0, 1.0)
+
+
+# The figure tables as rows of Python values, and the CSV writer that took
+# them: the column-wise builders and writer in ``capdetect.cli`` must give the
+# same rows and the same bytes.
+
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    return f"{float(x):.12g}"
+
+
+def _csv_column(values) -> tuple:
+    """The row-template format and the cells of one CSV column. The template
+    prints a column of floats or of labels itself; any other column (flags,
+    missing values) is formatted cell by cell."""
+    types = set(map(type, values))
+    if types == {float}:
+        return "%.12g", values
+    if types == {str}:
+        return "%s", values
+    return "%s", [_fmt(v) for v in values]
+
+
+def reference_csv_text(columns, rows) -> str:
+    """The CSV text of a table given as column names and row tuples."""
+    formats, cells = zip(*map(_csv_column, zip(*rows)))
+    template = ",".join(formats) + "\n"
+    return ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+
+
+def _fig1(grids):
+    gammas = grid_values(*grids["gamma"])
+    c1 = holevo_gad_p1(gammas)  # rejects gammas outside [0, 1]
+    c_det = pauli_axis_capacity(*gad_params(gammas, 1.0)).capacity_bits.max(axis=-1)
+    rows = list(zip(gammas.tolist(), c_det.tolist(), c1.tolist()))
+    return ("gamma", "c_det_bits", "c1_bits"), rows
+
+
+def _fig2(grids):
+    g01 = grid_values(*grids["gamma01"])
+    g02 = grid_values(*grids["gamma02"])
+    i1, i2 = vshape_detected(g01[:, None], g02)
+    b2 = i2 > i1
+    a, b = np.meshgrid(g01, g02, indexing="ij")
+    rows = list(zip(a.ravel().tolist(), b.ravel().tolist(), np.where(b2, i2, i1).ravel().tolist(),
+                    np.where(b2, "B2", "B1").ravel().tolist()))
+    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), rows
+
+
+def _fig3(grids):
+    thetas = grid_values(*grids["theta"])
+    phis = grid_values(*grids["phi"])
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    caps = dephasing_detected(0.9, th, ph)
+    rows = list(zip(th.ravel().tolist(), ph.ravel().tolist(), caps.ravel().tolist()))
+    return ("theta", "phi", "c_det_bits"), rows
+
+
+def _fig4(grids):
+    ks = grid_values(*grids["k"])
+    caps = von_mises_expected_capacity(0.15, 0.05, 0.1, ks)
+    return ("k_phi", "avg_c_det_bits"), list(zip(ks.tolist(), caps.tolist()))
+
+
+def _suppl_stretched(grids):
+    s = grid_values(*grids["s"])
+    # complete positivity bounds |s|, so the widest channel checks the grid
+    widest = stretched_affine(0.5, float(s[np.argmax(np.abs(s))]))
+    l3, t3 = widest.lambda3, widest.t3
+    caps = pauli_axis_capacity(s, s, l3, t3).capacity_bits
+    # max(l1^2, l2^2) = s^2 against T(|t3|, |l3|), one threshold for the grid
+    pseudo = (s * s <= t_threshold(abs(t3), abs(l3))).tolist()
+    c1 = [c if p else None for c, p in zip(caps[:, 2].tolist(), pseudo)]
+    rows = list(zip(s.tolist(), caps.max(axis=-1).tolist(), c1, pseudo))
+    return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), rows
+
+
+REFERENCE_FIGURE_BUILDERS = {
+    "fig1": _fig1,
+    "fig2": _fig2,
+    "fig3": _fig3,
+    "fig4": _fig4,
+    "suppl_stretched": _suppl_stretched,
+}

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import capdetect
 from capdetect import (
@@ -24,7 +24,8 @@ from capdetect import (
     stretched_affine,
 )
 from capdetect import cli
-from capdetect.cli import grid_values, main, reproduce_figure
+from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
+from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -517,6 +518,97 @@ def test_reproduce_rejects_non_finite_grid(capsys, grid, shown):
     assert err == f"capdetect: error: grid 'gamma' values must be finite, got {shown}\n"
     with pytest.raises(ValueError, match=r"grid 'gamma' values must be finite"):
         reproduce_figure("fig1", grid_overrides={"gamma": tuple(map(float, grid[6:].split(":")))})
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["fig1", "--grid", "gamma=0:1:1e-13"], "'gamma' (10000000000001 points)"),
+    (["fig1", "--grid", "gamma=0:1:5e-324"], "'gamma' (inf points)"),
+    (["fig2", "--grid", "gamma01=0:1:0.001", "--grid", "gamma02=0:1:0.001"],
+     "'gamma01' (1001 points) x 'gamma02' (1001 points)"),
+    (["fig3", "--grid", "phi=0:6:1e-5"], "'theta' (101 points) x 'phi' (600001 points)"),
+])
+def test_reproduce_refuses_an_oversized_table(capsys, argv, shown):
+    code, out, err = run(capsys, "reproduce", *argv)
+    assert code == 1 and out == ""
+    assert err == f"capdetect: error: grid {shown} exceeds the limit of 1,000,000 rows per table\n"
+
+
+def test_table_limit_counts_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_MAX_TABLE_ROWS", 11)
+    assert main(["reproduce", "fig1", "--grid", "gamma=0:1:0.1", "--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(ValueError, match=r"'gamma' \(12 points\) exceeds the limit of 11 rows"):
+        reproduce_figure("fig1", grid_overrides={"gamma": (0.0, 1.0, 0.09)})
+
+
+# the CSV writer: one column at a time, each distinct value formatted once,
+# and the bytes of the row-wise writer it replaced
+
+def _csv_text(names, columns) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_table(names, columns, None, "csv", "table")
+    return buf.getvalue()
+
+
+def _table(*columns):
+    """(names, numpy columns, rows) of a table given as (values, dtype) pairs."""
+    return (tuple(f"c{j}" for j in range(len(columns))),
+            [np.array(values, dtype=dtype) for values, dtype in columns],
+            list(zip(*[values for values, _ in columns])))
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1])
+_CSV_KINDS = (
+    (_CSV_FLOATS, float),
+    (st.text(alphabet="B12 ,xé", max_size=3), str),
+    (st.booleans(), bool),
+    (st.none() | _CSV_FLOATS, object),  # a float-or-None column
+)
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(1, 12))
+    columns = []
+    for values, dtype in draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=5)):
+        # a few distinct values per column, as in a figure, so most repeat
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        columns.append((draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)), dtype))
+    return _table(*columns)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tables())
+@example(_table(([-0.0], float), (["B2"], str), ([True], bool), ([None], object)))
+@example(_table(([0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e16, -0.0], float)))
+@example(_table(([None, -0.0, 0.0, None, math.nan, 1e16], object)))
+@example(_table(([False, True, True], bool), (["B1", "B1", ""], str)))
+def test_csv_writer_equals_the_row_writer(table):
+    names, columns, rows = table
+    assert _csv_text(names, columns) == reference_csv_text(names, rows)
+
+
+_SMALL_GRIDS = {
+    "fig1": {"gamma": (0.0, 1.0, 0.125)},
+    "fig2": {"gamma01": (0.0, 1.0, 0.25), "gamma02": (0.0, 1.0, 0.2)},
+    "fig3": {"theta": (0.0, 1.5, 0.25), "phi": (0.0, 6.0, 1.5)},
+    "fig4": {"k": (0.0, 2.0, 0.5)},
+    "suppl_stretched": {"s": (-0.7, 0.7, 0.05)},
+}
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_reproduce_rows_equal_the_row_builders(capsys, figure):
+    grids = _SMALL_GRIDS[figure]
+    names, rows = REFERENCE_FIGURE_BUILDERS[figure]({**cli._DEFAULT_GRIDS[figure], **grids})
+    got_names, got_rows = reproduce_figure(figure, out=os.devnull, grid_overrides=grids)
+    # repr tells float from bool and -0.0 from 0.0, and shows tuple and list
+    assert (got_names, repr(got_rows)) == (names, repr(rows))
+    argv = ["reproduce", figure] + [f"--grid={k}={a!r}:{b!r}:{c!r}" for k, (a, b, c) in grids.items()]
+    assert run(capsys, *argv) == (0, reference_csv_text(names, rows), "")
+    payload = {"figure": figure, "columns": list(names), "rows": rows}
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
 # the JSON writer: every --out and stdout JSON is json.dumps(payload, indent=2)

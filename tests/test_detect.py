@@ -402,7 +402,9 @@ def test_rotated_pauli_detected_matches_engine():
 def test_von_mises_flat_equals_uniform_average():
     flat = von_mises_expected_capacity(0.15, 0.05, 0.1, 0.0)
     phis = np.linspace(-np.pi, np.pi, 200_001)
-    uniform = np.trapezoid(rotated_pauli_detected(0.15, 0.05, 0.1, phis), phis) / (2 * np.pi)
+    caps = rotated_pauli_detected(0.15, 0.05, 0.1, phis)
+    # the trapezoid rule, written out: np.trapezoid is numpy >= 2.0 only
+    uniform = np.sum((caps[1:] + caps[:-1]) / 2 * np.diff(phis)) / (2 * np.pi)
     assert flat == pytest.approx(uniform, abs=1e-6)
 
 
