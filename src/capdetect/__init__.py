@@ -29,7 +29,6 @@ from .channels import (
     extremal_affine,
     gad_affine,
     kraus_to_affine,
-    named_affine_params,
     pauli_channel,
     pauli_family_channel,
     rotated_pauli_channel,

@@ -6,6 +6,8 @@ and shift t = (0, 0, t3); :func:`affine_to_kraus` / :func:`kraus_to_affine`
 convert between the two pictures.
 """
 
+import inspect
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -77,21 +79,21 @@ class AffineQubitChannel:
         return self.t3 == 0.0
 
 
-def pauli_family_channel(d: int, q: np.ndarray) -> KrausChannel:
-    """Channel sum_ls q_ls U_ls rho U_ls^dag from a d x d probability table
-    over the generalized Pauli unitaries."""
+def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
+    """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability
+    table over the generalized Pauli unitaries."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (d, d):
-        raise ValueError(f"probability table must be {d}x{d}, got {q.shape}")
+    if q.shape != (dim, dim):
+        raise ValueError(f"probability table must be {dim}x{dim}, got {q.shape}")
     if q.min() < -1e-12:
         raise ValueError(f"negative probability q = {q.min()}")
     if abs(q.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {q.sum()}")
     ops = []
-    for l in range(d):
-        for s in range(d):
+    for l in range(dim):
+        for s in range(dim):
             if q[l, s] > 0.0:
-                ops.append(np.sqrt(q[l, s]) * weyl_operator(d, l, s))
+                ops.append(np.sqrt(q[l, s]) * weyl_operator(dim, l, s))
     return KrausChannel(tuple(ops))
 
 
@@ -139,16 +141,6 @@ def extremal_affine(alpha: float, beta: float) -> AffineQubitChannel:
         raise ValueError(f"need 0 <= alpha <= beta <= pi/2, got ({alpha}, {beta})")
     ca, cb = np.cos(alpha), np.cos(beta)
     return AffineQubitChannel(ca, cb, ca * cb, np.sin(alpha) * np.sin(beta))
-
-
-_AFFINE_FAMILIES = {"gad": gad_affine, "stretched": stretched_affine, "extremal": extremal_affine}
-
-
-def named_affine_params(kind: str, params: dict) -> AffineQubitChannel:
-    """Look up a named affine qubit family by kind and parameter dict."""
-    if kind not in _AFFINE_FAMILIES:
-        raise ValueError(f"unknown affine family '{kind}'; choose from {sorted(_AFFINE_FAMILIES)}")
-    return _AFFINE_FAMILIES[kind](**params)
 
 
 def vshape_qutrit_channel(gamma01: float, gamma02: float) -> KrausChannel:
@@ -234,19 +226,6 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-_PARAM_NAMES = {
-    "pauli": ("px", "py", "pz"),
-    "generalized_pauli": ("dim", "q"),
-    "gad": ("gamma", "p"),
-    "stretched": ("gamma", "s"),
-    "extremal": ("alpha", "beta"),
-    "dephasing_axis": ("p", "theta", "phi"),
-    "rotated_pauli": ("px", "py", "pz", "phi"),
-    "vshape_qutrit": ("gamma01", "gamma02"),
-    "affine_qubit": ("lambda1", "lambda2", "lambda3", "t3"),
-    "kraus": ("dim", "operators"),
-}
-_CHANNEL_KINDS = tuple(_PARAM_NAMES)
 _ARRAY_PARAMS = ("q", "operators")
 
 
@@ -276,16 +255,38 @@ def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:
     """Decode a complex matrix from [re, im] cells, either flat row-major
     (d*d cells) or nested (d rows of d cells)."""
     arr = np.asarray(cells, dtype=float)
-    if arr.shape == (d * d, 2):
-        pass
-    elif arr.shape == (d, d, 2):
-        arr = arr.reshape(d * d, 2)
-    else:
+    if arr.shape not in ((d * d, 2), (d, d, 2)):
         raise ValueError(
             f"{what}: expected {d * d} [re, im] cells (flat row-major or {d} rows), "
             f"got shape {arr.shape}"
         )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d)
+    return (arr[..., 0] + 1j * arr[..., 1]).reshape(d, d)
+
+
+def _kraus_channel(dim: int, operators) -> KrausChannel:
+    """Channel from Kraus operators given as [re, im] cells (see
+    :func:`_matrix_from_cells`), without a CPTP check."""
+    return KrausChannel(tuple(_matrix_from_cells(op, dim, f"operator {i}")
+                              for i, op in enumerate(operators)))
+
+
+# Each spec kind's builder. The builder's parameters are the kind's
+# parameters, and one with a default is optional; the kinds whose builder
+# returns an AffineQubitChannel have an affine form.
+_KINDS = {
+    "pauli": pauli_channel,
+    "generalized_pauli": pauli_family_channel,
+    "gad": gad_affine,
+    "stretched": stretched_affine,
+    "extremal": extremal_affine,
+    "dephasing_axis": dephasing_axis_channel,
+    "rotated_pauli": rotated_pauli_channel,
+    "vshape_qutrit": vshape_qutrit_channel,
+    "affine_qubit": AffineQubitChannel,
+    "kraus": _kraus_channel,
+}
+# read once: inspecting a signature costs about as much as loading a spec
+_PARAMS = {kind: inspect.signature(builder).parameters for kind, builder in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -311,61 +312,47 @@ class ChannelSpec:
         if not isinstance(doc, dict):
             raise ValueError("channel spec must be a JSON object")
         kind = doc.get("kind")
-        if kind not in _CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind '{kind}'; choose from {sorted(_CHANNEL_KINDS)}")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown channel kind '{kind}'; choose from {sorted(_KINDS)}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object")
-        expected = set(_PARAM_NAMES[kind])
-        optional = {"t3"} if kind == "affine_qubit" else set()
-        given = set(params)
-        if given - expected:
-            raise ValueError(f"unknown parameter(s) for kind '{kind}': {sorted(given - expected)}")
-        if expected - given - optional:
-            raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(expected - given - optional)}")
+        expected = _PARAMS[kind]
+        unknown = params.keys() - expected.keys()
+        if unknown:
+            raise ValueError(f"unknown parameter(s) for kind '{kind}': {sorted(unknown)}")
+        missing = [name for name, p in expected.items() if p.default is p.empty and name not in params]
+        if missing:
+            raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(missing)}")
         spec = cls(kind, dict(params))
         if build:
             spec.build(require_cptp=require_cptp)
         return spec
 
-    def build(self, require_cptp: bool = True) -> KrausChannel:
-        kind, p = self.kind, self.params
-        if "dim" in _PARAM_NAMES[kind]:
-            d = p["dim"]
-            if not isinstance(d, int) or d < 2:
-                raise ValueError(f"{kind} dim must be an integer >= 2, got {d!r}")
-        if kind == "kraus":
-            ops = [_matrix_from_cells(op, d, f"operator {i}") for i, op in enumerate(p["operators"])]
-            ch = KrausChannel(tuple(ops))
-            if require_cptp:
-                from .qcore import is_cptp
+    def _make(self):
+        """The kind's builder applied to the parameters."""
+        p = self.params
+        if "dim" in p and (not isinstance(p["dim"], int) or p["dim"] < 2):
+            raise ValueError(f"{self.kind} dim must be an integer >= 2, got {p['dim']!r}")
+        return _KINDS[self.kind](**p)
 
-                diag = is_cptp(ch)
-                if not diag:
-                    raise ValueError(
-                        "Kraus set is not CPTP: trace-preservation error "
-                        f"{diag.trace_preservation_error:.3e}, worst Choi eigenvalue "
-                        f"{diag.min_choi_eigenvalue:.3e}"
-                    )
-            return ch
-        if kind == "pauli":
-            return pauli_channel(p["px"], p["py"], p["pz"])
-        if kind == "generalized_pauli":
-            return pauli_family_channel(d, np.asarray(p["q"], dtype=float))
-        if kind == "dephasing_axis":
-            return dephasing_axis_channel(p["p"], p["theta"], p["phi"])
-        if kind == "rotated_pauli":
-            return rotated_pauli_channel(p["px"], p["py"], p["pz"], p["phi"])
-        if kind == "vshape_qutrit":
-            return vshape_qutrit_channel(p["gamma01"], p["gamma02"])
-        if kind == "affine_qubit":
-            return affine_to_kraus(AffineQubitChannel(**p))
-        return affine_to_kraus(named_affine_params(kind, p))
+    def build(self, require_cptp: bool = True) -> KrausChannel:
+        ch = self._make()
+        if isinstance(ch, AffineQubitChannel):
+            return affine_to_kraus(ch)
+        if require_cptp and "operators" in self.params:
+            from .qcore import is_cptp
+
+            diag = is_cptp(ch)
+            if not diag:
+                raise ValueError(
+                    "Kraus set is not CPTP: trace-preservation error "
+                    f"{diag.trace_preservation_error:.3e}, worst Choi eigenvalue "
+                    f"{diag.min_choi_eigenvalue:.3e}"
+                )
+        return ch
 
     def affine(self) -> AffineQubitChannel | None:
         """Canonical affine form, for kinds that define one directly."""
-        if self.kind in _AFFINE_FAMILIES:
-            return named_affine_params(self.kind, self.params)
-        if self.kind == "affine_qubit":
-            return AffineQubitChannel(**self.params)
-        return None
+        ch = self._make()
+        return ch if isinstance(ch, AffineQubitChannel) else None

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import __version__
 from .qcore import KrausChannel, MeasurementBasis, is_cptp
-from .channels import ChannelSpec, check_numbers, gad_params, stretched_affine
+from .channels import ChannelSpec, _matrix_from_cells, check_numbers, gad_params, stretched_affine
 from .infotheory import binary_capacity, blahut_arimoto
 from .detect import (
+    BASIS_FAMILIES,
     DetectionConfig,
     detect_capacity,
     holevo_gad_p1,
@@ -30,17 +31,6 @@ from .detect import (
     vshape_detected,
 )
 from .protocol_sim import detect_from_samples
-
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "suppl_stretched")
-
-_DEFAULT_GRIDS = {
-    "fig1": {"gamma": (0.0, 1.0, 0.01)},
-    "fig2": {"gamma01": (0.0, 1.0, 0.01), "gamma02": (0.0, 1.0, 0.01)},
-    "fig3": {"theta": (0.0, np.pi / 2, np.pi / 200), "phi": (0.0, 2 * np.pi, np.pi / 50)},
-    "fig4": {"k": (0.0, 10.0, 0.1)},
-    "suppl_stretched": {"s": (-0.707, 0.707, 0.002)},
-}
-
 
 # Most rows a figure table may have; its rows are the product of its grids'
 # point counts. The defaults have at most 10,201, and at this limit the
@@ -198,13 +188,15 @@ def _suppl_stretched(grids):
     return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), (s, caps.max(axis=-1), c1, pseudo)
 
 
-_FIGURE_BUILDERS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "suppl_stretched": _suppl_stretched,
+# each figure's table builder and default grids
+_FIGURE_TABLES = {
+    "fig1": (_fig1, {"gamma": (0.0, 1.0, 0.01)}),
+    "fig2": (_fig2, {"gamma01": (0.0, 1.0, 0.01), "gamma02": (0.0, 1.0, 0.01)}),
+    "fig3": (_fig3, {"theta": (0.0, np.pi / 2, np.pi / 200), "phi": (0.0, 2 * np.pi, np.pi / 50)}),
+    "fig4": (_fig4, {"k": (0.0, 10.0, 0.1)}),
+    "suppl_stretched": (_suppl_stretched, {"s": (-0.707, 0.707, 0.002)}),
 }
+FIGURES = tuple(_FIGURE_TABLES)
 
 
 def _figure_table(which: str, grid_overrides=None):
@@ -212,7 +204,8 @@ def _figure_table(which: str, grid_overrides=None):
     ``grid_overrides`` in place."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
-    grids = dict(_DEFAULT_GRIDS[which])
+    builder, defaults = _FIGURE_TABLES[which]
+    grids = dict(defaults)
     for name, spec in (grid_overrides or {}).items():
         if name not in grids:
             raise ValueError(f"figure {which} has no grid '{name}' (has {sorted(grids)})")
@@ -223,7 +216,7 @@ def _figure_table(which: str, grid_overrides=None):
     if math.prod(points.values()) > _MAX_TABLE_ROWS:
         shown = " x ".join(f"'{name}' ({n:.0f} points)" for name, n in points.items())
         raise ValueError(f"grid {shown} exceeds the limit of {_MAX_TABLE_ROWS:,} rows per table")
-    return _FIGURE_BUILDERS[which](grids)
+    return builder(grids)
 
 
 def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
@@ -240,7 +233,9 @@ def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
     return ChannelSpec.from_dict(doc, build=False).build(require_cptp=require_cptp)
 
 
-def _load_custom_bases(path: str) -> list:
+def _load_custom_bases(path: str, dim: int) -> list:
+    """The bases of a custom basis file: dim x dim matrices whose rows are
+    the kets, in the cell layouts of Kraus operators."""
     with open(path) as f:
         docs = json.load(f)
     if not isinstance(docs, list) or not docs:
@@ -248,23 +243,17 @@ def _load_custom_bases(path: str) -> list:
     bases = []
     for i, mat in enumerate(docs):
         check_numbers(mat, f"basis {i}")
-        arr = np.asarray(mat, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-            raise ValueError(
-                f"basis {i}: expected a d x d matrix of [re, im] cells, got shape {arr.shape}"
-            )
-        kets = arr[..., 0] + 1j * arr[..., 1]
-        bases.append(MeasurementBasis(f"custom{i}", kets))
+        bases.append(MeasurementBasis(f"custom{i}", _matrix_from_cells(mat, dim, f"basis {i}")))
     return bases
 
 
 def _resolve_config(args, dim: int) -> DetectionConfig:
-    if args.bases.startswith("custom:"):
-        bases = _load_custom_bases(args.bases.split(":", 1)[1])
-        return DetectionConfig(bases, args.tol, args.max_iter)
-    if args.bases in ("pauli", "weyl"):
-        return DetectionConfig(args.bases, args.tol, args.max_iter)
-    raise ValueError(f"--bases must be pauli, weyl, or custom:<path>, got '{args.bases}'")
+    bases = args.bases
+    if bases.startswith("custom:"):
+        bases = _load_custom_bases(bases.split(":", 1)[1], dim)
+    elif bases not in BASIS_FAMILIES:
+        raise ValueError(f"--bases must be {', '.join(BASIS_FAMILIES)}, or custom:<path>, got '{bases}'")
+    return DetectionConfig(bases, args.tol, args.max_iter)
 
 
 def _read_transition_csv(path: str) -> np.ndarray:
@@ -364,7 +353,8 @@ def _add_common(p, channel=False, bases=False, sampling=False):
     if channel:
         p.add_argument("--channel", required=True, help="path to a channel spec JSON file")
     if bases:
-        p.add_argument("--bases", default="pauli", help="pauli | weyl | custom:<path>")
+        families = " | ".join([*BASIS_FAMILIES, "custom:<path>"])
+        p.add_argument("--bases", default=DetectionConfig.bases, help=families)
     p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance in bits")
     p.add_argument("--max-iter", type=int, default=100_000)
     if sampling:

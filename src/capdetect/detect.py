@@ -49,9 +49,11 @@ def _family(bases: list, views: list) -> tuple:
 
 
 @functools.cache
-def _pauli_family() -> tuple:
+def _pauli_family(d: int) -> tuple:
     # built on first use, not at import: the orthonormality check's first
     # matmul sets up BLAS buffers that the figure commands never need
+    if d != 2:
+        raise ValueError("the pauli basis family is only defined for qubits")
     return _family([MeasurementBasis(ax, kets) for ax, kets in zip(PAULI_AXES, PAULI_KETS)],
                    [(ax, i, range(2)) for i, ax in enumerate(PAULI_AXES)])
 
@@ -59,7 +61,7 @@ def _pauli_family() -> tuple:
 def pauli_bases() -> list:
     """Eigenbases of the three Pauli operators, labeled x, y, z: a new list
     over bases built once per process."""
-    return list(_pauli_family()[0])
+    return list(_pauli_family(2)[0])
 
 
 def _is_prime(n: int) -> bool:
@@ -98,10 +100,15 @@ def weyl_bases(d: int) -> tuple:
     return _family(bases, views)
 
 
+# The named basis families: each maps a channel dimension to its ``(bases,
+# views)``, built once per process (see :func:`weyl_bases`).
+BASIS_FAMILIES = {"pauli": _pauli_family, "weyl": weyl_bases}
+
+
 @dataclass
 class DetectionConfig:
     """Measured bases plus solver settings. ``bases`` is either an explicit
-    list of bases or one of the named families "pauli" / "weyl"."""
+    list of bases or the name of a family in :data:`BASIS_FAMILIES`."""
 
     bases: list | str = "pauli"
     ba_tolerance_bits: float = 1e-9
@@ -116,14 +123,11 @@ class DetectionConfig:
         :func:`weyl_bases`); outside the weyl family each basis is its own
         view. Returns tuples. The named families are built once per
         process and shared; explicit bases are checked on every call."""
-        if self.bases == "weyl":
-            return weyl_bases(dim)
-        if self.bases == "pauli":
-            if dim != 2:
-                raise ValueError("the pauli basis family is only defined for qubits")
-            return _pauli_family()
         if isinstance(self.bases, str):
-            raise ValueError(f"unknown basis family '{self.bases}'")
+            if self.bases not in BASIS_FAMILIES:
+                raise ValueError(f"unknown basis family '{self.bases}'; choose from "
+                                 f"{', '.join(BASIS_FAMILIES)}")
+            return BASIS_FAMILIES[self.bases](dim)
         bases = tuple(self.bases)
         if not bases:
             raise ValueError("at least one measurement basis is required")
@@ -191,44 +195,57 @@ def _assemble(per_basis: list) -> DetectionResult:
     )
 
 
-def detect_from_transitions(transitions, labels, config: DetectionConfig | None = None) -> DetectionResult:
-    """Detection pipeline on already-reconstructed transition matrices: the
-    binary-channel closed form for every 2x2 matrix, the weakly-symmetric
-    closed form when it applies, Blahut-Arimoto otherwise.
+def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
+    """Solve a stack (g, outputs, inputs) of same-shape column-stochastic
+    transitions: the binary-channel closed form when they are 2x2,
+    Blahut-Arimoto otherwise. The closed form reads two entries of each
+    matrix and checks no column sum; the caller checks input from outside.
 
-    The remaining matrices are grouped by shape, one solver call per group.
-    """
-    config = config or DetectionConfig()
+    Returns ``(method, capacities, priors, iterations, gaps)``, the arrays
+    as :func:`blahut_arimoto_batch` gives them; the closed form is exact,
+    with 0 iterations and a 0 gap."""
+    if stack.shape[1:] == (2, 2):
+        caps, p0 = binary_capacity(stack[:, 1, 0], stack[:, 0, 1])
+        g = len(stack)
+        priors = np.stack([p0, 1.0 - p0], axis=1)
+        return "binary-closed-form", caps, priors, np.zeros(g, dtype=int), np.zeros(g)
+    return "BA", *blahut_arimoto_batch(stack, config.ba_tolerance_bits, config.max_iterations)
+
+
+def _solve_bases(transitions, labels, config: DetectionConfig) -> list:
+    """One :class:`BasisResult` per transition, all of one shape: the
+    weakly-symmetric closed form where it applies to a matrix other than
+    2x2, :func:`solve_stack` on the rest in one call."""
     transitions = [np.asarray(t, dtype=float) for t in transitions]
+    shapes = sorted({t.shape for t in transitions})
+    if len(shapes) > 1:
+        raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
     per_basis: list = [None] * len(labels)
-    groups: dict = {}
+    rest = []
     for i, (t, label) in enumerate(zip(transitions, labels)):
         ws = None if t.shape == (2, 2) else weakly_symmetric_capacity(t)
-        if ws is not None:
+        if ws is None:
+            rest.append(i)
+        else:
             n_in = t.shape[1]
             per_basis[i] = BasisResult(label, t, np.full(n_in, 1.0 / n_in),
                                        ws.capacity_bits, "weakly-symmetric")
-        else:
-            groups.setdefault(t.shape, []).append(i)
-    for shape, members in groups.items():
-        stack = np.stack([transitions[i] for i in members])
-        if shape == (2, 2):
-            stack = check_transition_stack(stack)
-            caps, p0 = binary_capacity(stack[:, 1, 0], stack[:, 0, 1])
-            priors = np.stack([p0, 1.0 - p0], axis=1)
-            iterations = np.zeros(len(members), dtype=int)
-            gaps = np.zeros(len(members))
-            method = "binary-closed-form"
-        else:
-            caps, priors, iterations, gaps = blahut_arimoto_batch(
-                stack, config.ba_tolerance_bits, config.max_iterations
-            )
-            method = "BA"
+    if rest:
+        stack = check_transition_stack(np.stack([transitions[i] for i in rest]))
+        method, caps, priors, iterations, gaps = solve_stack(stack, config)
         converged = gaps <= config.ba_tolerance_bits
-        for k, i in enumerate(members):
+        for k, i in enumerate(rest):
             per_basis[i] = BasisResult(labels[i], transitions[i], priors[k], float(caps[k]), method,
                                        bool(converged[k]), int(iterations[k]), float(gaps[k]))
-    return _assemble(per_basis)
+    return per_basis
+
+
+def detect_from_transitions(transitions, labels, config: DetectionConfig | None = None) -> DetectionResult:
+    """Detection pipeline on already-reconstructed transition matrices of
+    one shape: the binary-channel closed form for 2x2 matrices, the
+    weakly-symmetric closed form when it applies, Blahut-Arimoto otherwise.
+    Matrices of different shapes raise a ValueError that names them."""
+    return _assemble(_solve_bases(transitions, labels, config or DetectionConfig()))
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:
@@ -240,7 +257,7 @@ def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None
     config = config or DetectionConfig()
     bases, views = config.resolve_bases(channel.dim)
     transitions = [conditional_probs(channel, b) for b in bases]
-    solved = detect_from_transitions(transitions, [b.label for b in bases], config).per_basis
+    solved = _solve_bases(transitions, [b.label for b in bases], config)
     per_basis = []
     for label, i, order in views:
         r = solved[i]
@@ -315,7 +332,6 @@ class PseudoclassicalityReport:
     """Certificate that the one-shot capacity is reached by orthogonal
     inputs and a single-axis measurement, so the detected bound is tight."""
 
-    applicable: bool
     lambda_m_sq: float
     threshold_T: float
     pseudoclassical: bool
@@ -337,7 +353,7 @@ def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
     c1 = None
     if pseudo:
         c1 = float(caps.max() if ch.unital else caps[2])
-    return PseudoclassicalityReport(True, lam_m_sq, threshold, pseudo, c1)
+    return PseudoclassicalityReport(lam_m_sq, threshold, pseudo, c1)
 
 
 _GAD_GRID_POINTS = 9

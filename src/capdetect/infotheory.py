@@ -7,8 +7,6 @@ column-stochastic: entry (m, n) is the probability of output m given
 input n.
 """
 
-import warnings
-
 import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -221,20 +219,6 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
             if active.size == 0:
                 break
     return capacities, priors, iterations, uppers - capacities
-
-
-def warn_unconverged(gaps, tol_bits: float, what: str) -> None:
-    """Warn, naming ``what``, when brackets returned by
-    :func:`blahut_arimoto_batch` are wider than ``tol_bits``: their
-    capacities are still lower bounds, but not within ``tol_bits`` of C."""
-    wide = gaps > tol_bits
-    if wide.any():
-        warnings.warn(
-            f"{what}: {int(wide.sum())} of {gaps.size} Blahut-Arimoto solves did not "
-            f"converge to {tol_bits:g} bits; worst gap {gaps.max():.3e} bits",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _squarem_step(p0, p1, p2):

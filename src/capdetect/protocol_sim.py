@@ -6,12 +6,13 @@ independent of execution order. Confidence intervals come from a
 column-wise percentile bootstrap of the counts.
 """
 
+import warnings
+
 import numpy as np
 from dataclasses import dataclass
 
 from .qcore import KrausChannel, conditional_probs
-from .detect import DetectionConfig, detect_from_transitions
-from .infotheory import binary_capacity, blahut_arimoto_batch, warn_unconverged
+from .detect import DetectionConfig, detect_from_transitions, solve_stack
 
 
 def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np.random.Generator":
@@ -86,7 +87,8 @@ def detect_from_samples(
     once (the weyl family's d + 1 classes, under their first labels), the
     detection pipeline runs on the estimates, and a 95% percentile
     bootstrap over column-resampled counts gives the confidence interval.
-    Identical (seed, config) inputs reproduce identical results.
+    Identical (seed, config) inputs reproduce identical results. One
+    RuntimeWarning reports the point estimate's and replicates' unconverged solves.
     """
     if resamples < 100:
         raise ValueError("use at least 100 bootstrap resamples")
@@ -112,24 +114,26 @@ def detect_from_samples(
         )
         for i in range(len(bases))
     ]  # each (resamples, n_out, n_in)
-    per_basis_caps = np.stack(
-        [_replicate_capacities(bc / float(shots_per_input), config) for bc in boot_counts]
-    )
-    values = per_basis_caps.max(axis=0)
+    tol = config.ba_tolerance_bits
+    unconverged = [r for r in point.per_basis if not r.converged]
+    notes = []
+    if unconverged:
+        notes.append(f"point estimate: {', '.join(r.label for r in unconverged)} did not converge "
+                     f"to {tol:g} bits; worst gap {max(r.gap_bits for r in unconverged):.3e} bits")
+    per_basis_caps = []
+    for label, bc in zip(labels, boot_counts):
+        _, caps, _, _, gaps = solve_stack(bc / float(shots_per_input), config)
+        per_basis_caps.append(caps)
+        wide = gaps > tol
+        if wide.any():
+            notes.append(f"bootstrap replicates: {int(wide.sum())} of {gaps.size} Blahut-Arimoto solves "
+                         f"of {label} did not converge to {tol:g} bits; worst gap {gaps.max():.3e} bits")
+    if notes:
+        warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=2)
+    values = np.max(per_basis_caps, axis=0)
     lo, hi = np.percentile(values, [2.5, 97.5])
     lo = min(float(lo), point.c_det_bits)
     hi = max(float(hi), point.c_det_bits)
     return EstimatedDetection(
         point.c_det_bits, lo, hi, resamples, shots_per_input, seed, point.argmax_basis
     )
-
-
-def _replicate_capacities(stack: np.ndarray, config: DetectionConfig) -> np.ndarray:
-    """Capacities of a stack of bootstrap transition estimates: the binary
-    closed form for 2x2 matrices, Blahut-Arimoto otherwise."""
-    if stack.shape[1:] == (2, 2):
-        return binary_capacity(stack[:, 1, 0], stack[:, 0, 1]).capacity_bits
-    tol = config.ba_tolerance_bits
-    caps, _, _, gaps = blahut_arimoto_batch(stack, tol, config.max_iterations)
-    warn_unconverged(gaps, tol, "bootstrap replicates")
-    return caps

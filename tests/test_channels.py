@@ -1,3 +1,5 @@
+import inspect
+import pathlib
 import re
 
 import numpy as np
@@ -15,7 +17,6 @@ from capdetect import (
     gad_affine,
     is_cptp,
     kraus_to_affine,
-    named_affine_params,
     pauli_channel,
     pauli_family_channel,
     rotated_pauli_channel,
@@ -23,6 +24,7 @@ from capdetect import (
     vshape_qutrit_channel,
     weyl_bases,
 )
+from capdetect.channels import _KINDS
 from capdetect.qcore import basis_ket
 from conftest import haar_random_basis, projector, random_cp_affine
 
@@ -78,13 +80,6 @@ def test_extremal_alpha_zero_is_unital():
 def test_stretched_rejects_overstretching():
     with pytest.raises(ValueError, match="sqrt"):
         stretched_affine(0.5, 0.8)
-
-
-def test_named_affine_dispatch():
-    ch = named_affine_params("gad", {"gamma": 0.36, "p": 1.0})
-    assert ch.t3 == pytest.approx(0.36)
-    with pytest.raises(ValueError, match="unknown affine family"):
-        named_affine_params("nope", {})
 
 
 def test_affine_constructor_rejects_cp_violation():
@@ -219,6 +214,18 @@ def test_channel_spec_valid_gad():
     spec = ChannelSpec.from_dict({"kind": "gad", "params": {"gamma": 0.36, "p": 1.0}})
     assert spec.affine().t3 == pytest.approx(0.36)
     assert is_cptp(spec.build()).valid
+
+
+def test_readme_spec_table_lists_every_kind_and_parameter():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Channel spec files", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    documented = {kind: re.findall(r"(optional )?`(\w+)`", params) for kind, params in rows}
+    expected = {}
+    for kind, builder in _KINDS.items():
+        params = inspect.signature(builder).parameters.values()
+        expected[kind] = [("optional " if p.default is not p.empty else "", p.name) for p in params]
+    assert documented == expected
 
 
 def test_channel_spec_rejects_overstretched():

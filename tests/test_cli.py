@@ -168,6 +168,26 @@ def test_bound_custom_bases(tmp_path, capsys):
     assert {r["label"] for r in doc["per_basis"]} == {"custom0", "custom1"}
 
 
+def test_bound_custom_bases_layouts_and_dimension(tmp_path, capsys):
+    spec = write_json(tmp_path, "gad.json", GAD)
+    s = 1 / np.sqrt(2)
+    nested = [[[[s, 0], [s, 0]], [[s, 0], [-s, 0]]]]
+    flat = [[[s, 0], [s, 0], [s, 0], [-s, 0]]]
+    outs = []
+    for layout in (nested, flat):
+        bpath = write_json(tmp_path, "bases.json", layout)
+        code, out, _ = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    qutrit = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+    bpath = write_json(tmp_path, "bases.json", [nested[0], qutrit])
+    code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
+    assert code == 1 and out == ""
+    assert err == ("capdetect: error: basis 1: expected 4 [re, im] cells (flat row-major or 2 rows), "
+                   "got shape (3, 3, 2)\n")
+
+
 def test_check_cp_valid_and_invalid(tmp_path, capsys):
     good = write_json(tmp_path, "good.json", GAD)
     code, out, _ = run(capsys, "check-cp", "--channel", good)
@@ -601,7 +621,7 @@ _SMALL_GRIDS = {
 @pytest.mark.parametrize("figure", FIGURES)
 def test_reproduce_rows_equal_the_row_builders(capsys, figure):
     grids = _SMALL_GRIDS[figure]
-    names, rows = REFERENCE_FIGURE_BUILDERS[figure]({**cli._DEFAULT_GRIDS[figure], **grids})
+    names, rows = REFERENCE_FIGURE_BUILDERS[figure]({**cli._FIGURE_TABLES[figure][1], **grids})
     got_names, got_rows = reproduce_figure(figure, out=os.devnull, grid_overrides=grids)
     # repr tells float from bool and -0.0 from 0.0, and shows tuple and list
     assert (got_names, repr(got_rows)) == (names, repr(rows))

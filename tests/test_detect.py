@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from capdetect import (
     dephasing_axis_channel,
     dephasing_detected,
     detect_capacity,
+    detect_from_transitions,
     detect_pauli_qubit,
     extremal_affine,
     gad_affine,
@@ -627,3 +630,17 @@ def test_basis_results_keep_each_solve_iterations_and_gap():
     ws = detect_capacity(vshape_qutrit_channel(0.3, 0.6),
                          DetectionConfig([computational_basis(3), fourier_basis(3)])).per_basis[1]
     assert (ws.method, ws.iterations, ws.gap_bits) == ("weakly-symmetric", 0, 0.0)
+
+
+def test_detect_from_transitions_checks_its_input():
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    with pytest.raises(ValueError, match=re.escape("share one shape, got shapes [(2, 2), (3, 3)]")):
+        detect_from_transitions([bsc, np.eye(3)], ["a", "b"])
+    # the 2x2 closed form reads two entries, so the column sums are checked first
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        detect_from_transitions([bsc, np.array([[0.5, 0.5], [0.2, 0.2]])], ["a", "b"])
+    z = np.array([[1.0, 0.5], [0.0, 0.5]])
+    result = detect_from_transitions([bsc, z], ["bsc", "z"])
+    assert result.c_det_bits == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-12)
+    assert result.per_basis[1].mutual_information_bits == pytest.approx(np.log2(1.25), abs=1e-12)
+

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,20 @@ def test_bootstrap_warns_when_replicates_unconverged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         detect_from_samples(ch, DetectionConfig("weyl"), 500, seed=4, resamples=100)
+
+
+def test_simulate_warns_when_the_point_estimate_is_unconverged():
+    ch = vshape_qutrit_channel(0.3, 0.6)
+    cfg = DetectionConfig("weyl", max_iterations=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = detect_from_samples(ch, cfg, 500, seed=4, resamples=100)
+    assert len(caught) == 1 and caught[0].category is RuntimeWarning
+    labels = ("weyl(0,1)", "weyl(1,0)", "weyl(1,1)", "weyl(1,2)")
+    point = str(caught[0].message).splitlines()[0]
+    assert re.fullmatch(r"point estimate: (.*) did not converge to 1e-09 bits; worst gap \S+ bits", point)
+    assert point.split(": ", 1)[1].split(" did", 1)[0] == ", ".join(labels)
+    assert est.ci_low_bits <= est.point_estimate_bits <= est.ci_high_bits
 
 
 def test_weyl_simulation_samples_each_class_once():
