@@ -39,7 +39,8 @@ def check_transition_stack(t, tol: float = 1e-9) -> np.ndarray:
     # written so that NaN entries fail the checks
     if not (t.min() >= -tol and t.max() <= 1.0 + tol):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    worst = np.max(np.abs(t.sum(axis=1) - 1.0))
+    # the same sums as t.sum(axis=1), several times faster on wide stacks
+    worst = np.max(np.abs(np.einsum("gmn->gn", t) - 1.0))
     if not worst <= tol:
         raise ValueError(f"columns must sum to 1; worst deviation {worst:.3e}")
     return np.clip(t, 0.0, 1.0)

@@ -12,7 +12,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .qcore import KrausChannel, conditional_probs
-from .detect import DetectionConfig, detect_from_transitions, solve_stack
+from .detect import DetectionConfig, solve_stack
+
+# a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
+# one request's replicates at about 0.5 GB
+_MAX_BOOTSTRAP_CELLS = 5_000_000
 
 
 def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np.random.Generator":
@@ -28,13 +32,14 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np
     return np.random.Generator(np.random.Philox(key=np.array([seed, sub], dtype=np.uint64)))
 
 
-def sample_transition(
-    transition,
-    shots_per_input: int,
-    seed: int,
-    *,
-    basis_index: int = 0,
-):
+def _counts(t, shots: int, seed: int, basis_index: int, kind: int = 0, size=None) -> np.ndarray:
+    """Multinomial counts of ``shots`` draws from each column of ``t``, one
+    keyed stream per input: (outputs, inputs), or (size, outputs, inputs)."""
+    return np.stack([_stream(seed, basis_index, n, kind).multinomial(shots, t[:, n], size)
+                     for n in range(t.shape[1])], axis=-1)
+
+
+def sample_transition(transition, shots_per_input: int, seed: int, *, basis_index: int = 0):
     """Draw multinomial counts from each column of a transition matrix.
 
     Returns the counts and the plug-in estimate counts/shots, whose columns
@@ -43,12 +48,9 @@ def sample_transition(
     t = np.asarray(transition, dtype=float)
     if shots_per_input < 1:
         raise ValueError("need at least one shot per input")
-    n_out, n_in = t.shape
-    counts = np.empty((n_out, n_in), dtype=np.int64)
-    for n in range(n_in):
-        col = t[:, n] / t[:, n].sum()
-        rng = _stream(seed, basis_index, n)
-        counts[:, n] = rng.multinomial(shots_per_input, col)
+    # each column over its own 1-D sum; t.sum(axis=0) adds in another order
+    # from 8 outputs on, and would move the draws
+    counts = _counts(t / [col.sum() for col in t.T], shots_per_input, seed, basis_index)
     return counts, counts / float(shots_per_input)
 
 
@@ -83,57 +85,47 @@ def detect_from_samples(
 ) -> EstimatedDetection:
     """Estimate the detected capacity from finite sampling statistics.
 
-    Transition matrices are estimated basis by basis, each distinct basis
-    once (the weyl family's d + 1 classes, under their first labels), the
-    detection pipeline runs on the estimates, and a 95% percentile
-    bootstrap over column-resampled counts gives the confidence interval.
-    Identical (seed, config) inputs reproduce identical results. One
-    RuntimeWarning reports the point estimate's and replicates' unconverged solves.
+    Each distinct basis is sampled once (the weyl family's d + 1 classes,
+    under their first labels), and its plug-in estimate is solved with its
+    column-resampled bootstrap replicates in one :func:`solve_stack` call,
+    with no weakly-symmetric shortcut. The point estimate is the best
+    basis's value (the lowest index among exact ties); the 95% percentile
+    interval of the replicates' best values, widened to contain it, is the
+    confidence interval. Identical (seed, config) inputs reproduce identical
+    results. One RuntimeWarning reports every unconverged solve, and
+    ``resamples * d * d`` may not exceed ``_MAX_BOOTSTRAP_CELLS``.
     """
     if resamples < 100:
         raise ValueError("use at least 100 bootstrap resamples")
-    bases, _ = config.resolve_bases(channel.dim)
-    labels = [b.label for b in bases]
-    estimates = []
-    for i, b in enumerate(bases):
-        t = conditional_probs(channel, b)
-        estimates.append(sample_transition(t, shots_per_input, seed, basis_index=i)[1])
-    point = detect_from_transitions(estimates, labels, config)
-
     d = channel.dim
-    # one multinomial block per (basis, input) cell keeps streams independent
-    boot_counts = [
-        np.stack(
-            [
-                _stream(seed, i, n, kind=1).multinomial(
-                    shots_per_input, estimates[i][:, n], size=resamples
-                )
-                for n in range(d)
-            ],
-            axis=2,
-        )
-        for i in range(len(bases))
-    ]  # each (resamples, n_out, n_in)
+    if resamples * d * d > _MAX_BOOTSTRAP_CELLS:
+        raise ValueError(f"resamples x d^2 = {resamples} x {d}^2 exceeds the limit of "
+                         f"{_MAX_BOOTSTRAP_CELLS:,} bootstrap cells")
+    bases, _ = config.resolve_bases(d)
+    caps, gaps = [], []  # per basis: the point estimate, then the replicates
+    for i, b in enumerate(bases):
+        counts, estimate = sample_transition(conditional_probs(channel, b), shots_per_input, seed,
+                                             basis_index=i)
+        boot = _counts(estimate, shots_per_input, seed, i, kind=1, size=resamples)
+        _, c, _, _, g = solve_stack(np.concatenate([counts[None], boot]) / float(shots_per_input), config)
+        caps.append(c)
+        gaps.append(g)
+    caps, gaps = np.array(caps), np.array(gaps)
     tol = config.ba_tolerance_bits
-    unconverged = [r for r in point.per_basis if not r.converged]
+    wide = gaps > tol
     notes = []
-    if unconverged:
-        notes.append(f"point estimate: {', '.join(r.label for r in unconverged)} did not converge "
-                     f"to {tol:g} bits; worst gap {max(r.gap_bits for r in unconverged):.3e} bits")
-    per_basis_caps = []
-    for label, bc in zip(labels, boot_counts):
-        _, caps, _, _, gaps = solve_stack(bc / float(shots_per_input), config)
-        per_basis_caps.append(caps)
-        wide = gaps > tol
-        if wide.any():
-            notes.append(f"bootstrap replicates: {int(wide.sum())} of {gaps.size} Blahut-Arimoto solves "
-                         f"of {label} did not converge to {tol:g} bits; worst gap {gaps.max():.3e} bits")
+    if wide[:, 0].any():
+        unconverged = ", ".join(b.label for b, w in zip(bases, wide[:, 0]) if w)
+        notes.append(f"point estimate: {unconverged} did not converge to {tol:g} bits; "
+                     f"worst gap {gaps[wide[:, 0], 0].max():.3e} bits")
+    for b, w, g in zip(bases, wide[:, 1:], gaps[:, 1:]):
+        if w.any():
+            notes.append(f"bootstrap replicates: {int(w.sum())} of {resamples} Blahut-Arimoto solves "
+                         f"of {b.label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
     if notes:
         warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=2)
-    values = np.max(per_basis_caps, axis=0)
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    lo = min(float(lo), point.c_det_bits)
-    hi = max(float(hi), point.c_det_bits)
-    return EstimatedDetection(
-        point.c_det_bits, lo, hi, resamples, shots_per_input, seed, point.argmax_basis
-    )
+    best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
+    point = float(caps[best, 0])
+    lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
+    return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
+                              shots_per_input, seed, bases[best].label)

@@ -23,7 +23,7 @@ from capdetect import (
     pseudoclassicality,
     stretched_affine,
 )
-from capdetect import cli
+from capdetect import cli, protocol_sim
 from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
 from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text
 
@@ -218,6 +218,17 @@ def test_simulate_deterministic(tmp_path, capsys):
     doc = json.loads(out1.read_text())
     assert doc["shots_per_input"] == 2000
     assert 0.0 <= doc["ci_low_bits"] <= doc["point_estimate_bits"] <= doc["ci_high_bits"] <= 1.0
+
+
+def test_simulate_refuses_an_oversized_bootstrap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(protocol_sim, "_MAX_BOOTSTRAP_CELLS", 400)
+    spec = write_json(tmp_path, "gad.json", GAD)
+    args = ["simulate", "--channel", spec, "--shots", "50", "--seed", "1"]
+    assert run(capsys, *args, "--resamples", "100")[0] == 0
+    monkeypatch.setattr(protocol_sim, "_counts", None)  # refused before any sampling
+    code, out, err = run(capsys, *args, "--resamples", "101")
+    assert (code, out) == (1, "")
+    assert "resamples x d^2 = 101 x 2^2 exceeds the limit of 400 bootstrap cells" in err
 
 
 def test_reproduce_fig1_rows(tmp_path):

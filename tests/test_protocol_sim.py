@@ -12,11 +12,15 @@ from capdetect import (
     computational_basis,
     conditional_probs,
     detect_from_samples,
+    detect_from_transitions,
     pauli_channel,
+    pauli_family_channel,
     sample_transition,
     vshape_qutrit_channel,
     weyl_operator,
 )
+from capdetect import protocol_sim
+from capdetect.infotheory import weakly_symmetric_capacity
 from capdetect.protocol_sim import _stream
 from conftest import (
     entangled_joint_distribution,
@@ -200,3 +204,52 @@ def test_resamples_floor():
     with pytest.raises(ValueError):
         detect_from_samples(ch, DetectionConfig("pauli"), 100, seed=0, resamples=50)
 
+
+# the point estimate and its argmax: each basis's plug-in estimate is solved
+# with its replicates, and must give what the bound pipeline gives on the
+# same sampled estimates, closed forms and exact ties included
+
+def _plug_in_cases():
+    rng = np.random.default_rng(15)
+    for d, family in ((2, "pauli"), (3, "weyl"), (5, "weyl")):
+        for _ in range(3):
+            yield random_cptp_channel(d, int(rng.integers(1, d * d + 1)), rng), DetectionConfig(family), 300
+    for d in (2, 3):
+        ch = random_cptp_channel(d, 2, rng)
+        yield ch, DetectionConfig([haar_random_basis(d, rng, f"b{k}") for k in range(3)]), 300
+    for d in (3, 5):  # every estimate is exactly the identity
+        yield KrausChannel((np.eye(d, dtype=complex),)), DetectionConfig("weyl"), 50
+    uniform = pauli_family_channel(3, np.full((3, 3), 1 / 9))
+    for shots in (1, 1, 1, 1, 2):  # one-shot columns are often a permutation matrix
+        yield uniform, DetectionConfig("weyl"), shots
+
+
+def test_point_estimate_equals_detection_on_the_sampled_estimates():
+    weakly_symmetric = 0
+    for k, (ch, cfg, shots) in enumerate(_plug_in_cases()):
+        bases, _ = cfg.resolve_bases(ch.dim)
+        estimates = [sample_transition(conditional_probs(ch, b), shots, k, basis_index=i)[1]
+                     for i, b in enumerate(bases)]
+        ref = detect_from_transitions(estimates, [b.label for b in bases], cfg)
+        est = detect_from_samples(ch, cfg, shots, k, resamples=100)
+        assert est.point_estimate_bits == ref.c_det_bits
+        assert est.argmax_basis == ref.argmax_basis
+        weakly_symmetric += sum(t.shape != (2, 2) and weakly_symmetric_capacity(t) is not None
+                                for t in estimates)
+    assert weakly_symmetric >= 10
+
+
+def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
+    shapes = []
+    solve_stack = protocol_sim.solve_stack
+
+    def recording(stack, config):
+        shapes.append(stack.shape)
+        return solve_stack(stack, config)
+
+    monkeypatch.setattr(protocol_sim, "solve_stack", recording)
+    detect_from_samples(vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 500, seed=4, resamples=100)
+    assert shapes == [(101, 3, 3)] * 4
+    shapes.clear()
+    detect_from_samples(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, seed=4, resamples=120)
+    assert shapes == [(121, 2, 2)] * 3
