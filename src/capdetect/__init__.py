@@ -43,7 +43,6 @@ from .infotheory import (
     blahut_arimoto_batch,
     mutual_information,
     shannon_entropy,
-    weakly_symmetric_capacity,
 )
 from .detect import (
     DetectionConfig,

@@ -31,7 +31,6 @@ from .infotheory import (
     check_solver_settings,
     check_transition_stack,
     check_unit_interval,
-    weakly_symmetric_capacity,
 )
 
 PAULI_AXES = ("x", "y", "z")
@@ -143,9 +142,9 @@ class BasisResult:
     transition: np.ndarray
     optimal_prior: np.ndarray
     mutual_information_bits: float
-    method: str  # "binary-closed-form" (every 2x2), "weakly-symmetric", or "BA"
+    method: str  # "binary-closed-form" (every 2x2) or "BA", as solve_stack chose
     converged: bool = True
-    # the BA solve's evaluations and final bracket width; 0 for closed forms
+    # the BA solve's evaluations and final bracket width; 0 for the closed form
     iterations: int = 0
     gap_bits: float = 0.0
 
@@ -213,38 +212,30 @@ def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
 
 
 def _solve_bases(transitions, labels, config: DetectionConfig) -> list:
-    """One :class:`BasisResult` per transition, all of one shape: the
-    weakly-symmetric closed form where it applies to a matrix other than
-    2x2, :func:`solve_stack` on the rest in one call."""
+    """One :class:`BasisResult` per transition, all of one shape and each
+    with its label, solved in one :func:`solve_stack` call."""
     transitions = [np.asarray(t, dtype=float) for t in transitions]
+    if len(transitions) != len(labels):
+        raise ValueError(f"got {len(transitions)} transition matrices and {len(labels)} labels")
+    if not transitions:
+        raise ValueError("at least one transition matrix is required")
     shapes = sorted({t.shape for t in transitions})
     if len(shapes) > 1:
         raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
-    per_basis: list = [None] * len(labels)
-    rest = []
-    for i, (t, label) in enumerate(zip(transitions, labels)):
-        ws = None if t.shape == (2, 2) else weakly_symmetric_capacity(t)
-        if ws is None:
-            rest.append(i)
-        else:
-            n_in = t.shape[1]
-            per_basis[i] = BasisResult(label, t, np.full(n_in, 1.0 / n_in),
-                                       ws.capacity_bits, "weakly-symmetric")
-    if rest:
-        stack = check_transition_stack(np.stack([transitions[i] for i in rest]))
-        method, caps, priors, iterations, gaps = solve_stack(stack, config)
-        converged = gaps <= config.ba_tolerance_bits
-        for k, i in enumerate(rest):
-            per_basis[i] = BasisResult(labels[i], transitions[i], priors[k], float(caps[k]), method,
-                                       bool(converged[k]), int(iterations[k]), float(gaps[k]))
-    return per_basis
+    stack = check_transition_stack(np.stack(transitions))
+    method, caps, priors, iterations, gaps = solve_stack(stack, config)
+    converged = gaps <= config.ba_tolerance_bits
+    return [BasisResult(label, t, priors[k], float(caps[k]), method, bool(converged[k]),
+                        int(iterations[k]), float(gaps[k]))
+            for k, (label, t) in enumerate(zip(labels, transitions))]
 
 
 def detect_from_transitions(transitions, labels, config: DetectionConfig | None = None) -> DetectionResult:
     """Detection pipeline on already-reconstructed transition matrices of
-    one shape: the binary-channel closed form for 2x2 matrices, the
-    weakly-symmetric closed form when it applies, Blahut-Arimoto otherwise.
-    Matrices of different shapes raise a ValueError that names them."""
+    one shape, one label each, solved by :func:`solve_stack`: the
+    binary-channel closed form for 2x2 matrices, Blahut-Arimoto otherwise.
+    Matrices of different shapes, a label count that differs from the
+    matrix count, and an empty list raise a ValueError that says so."""
     return _assemble(_solve_bases(transitions, labels, config or DetectionConfig()))
 
 

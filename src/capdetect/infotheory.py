@@ -1,6 +1,5 @@
 """Classical information theory: entropies, mutual information, the
-Blahut-Arimoto capacity solver, and closed forms for binary and weakly
-symmetric channels.
+Blahut-Arimoto capacity solver, and the closed form for binary channels.
 
 Everything is in bits (base-2 logarithms). Transition matrices are
 column-stochastic: entry (m, n) is the probability of output m given
@@ -286,23 +285,3 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     if cap.ndim == 0:
         return BinaryCapacity(float(cap), float(p0))
     return BinaryCapacity(cap, p0)
-
-
-class WeaklySymmetric(NamedTuple):
-    capacity_bits: float
-    note: str
-
-
-def weakly_symmetric_capacity(transition, tol: float = 1e-10) -> WeaklySymmetric | None:
-    """Closed-form capacity when every column is a permutation of every
-    other and all row sums are equal: log2(outputs) - H(column), achieved
-    by the uniform prior. Returns None when the structure is absent."""
-    t = check_transition_matrix(transition)
-    sorted_cols = np.sort(t, axis=0)
-    if np.max(np.abs(sorted_cols - sorted_cols[:, [0]])) > tol:
-        return None
-    row_sums = t.sum(axis=1)
-    if row_sums.max() - row_sums.min() > tol:
-        return None
-    cap = float(np.log2(t.shape[0]) - shannon_entropy(t[:, 0]))
-    return WeaklySymmetric(max(cap, 0.0), "weakly symmetric: uniform prior is optimal")

@@ -88,7 +88,7 @@ def detect_from_samples(
     Each distinct basis is sampled once (the weyl family's d + 1 classes,
     under their first labels), and its plug-in estimate is solved with its
     column-resampled bootstrap replicates in one :func:`solve_stack` call,
-    with no weakly-symmetric shortcut. The point estimate is the best
+    the route every ``bound`` solve takes too. The point estimate is the best
     basis's value (the lowest index among exact ties); the 95% percentile
     interval of the replicates' best values, widened to contain it, is the
     confidence interval. Identical (seed, config) inputs reproduce identical

@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent capacity oracle (dense simplex grid
-search with local refinement), random samplers for channels and bases,
+"""Shared test helpers: independent capacity oracles (dense simplex grid
+search with local refinement, and the weakly-symmetric closed form),
+random samplers for channels and bases,
 reference copies of the Blahut-Arimoto recursion, of the eig + QR
 eigenbasis and of the row-wise figure tables and CSV writer, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, and small state constructors."""
@@ -77,6 +78,22 @@ def simplex_grid_search_capacity(transition, coarse: int = 50, final_step: float
             else:
                 break
     return float(best_val)
+
+
+def weakly_symmetric_capacity(transition, tol: float = 1e-10) -> float | None:
+    """Closed-form capacity of a weakly symmetric channel, whose columns are
+    permutations of each other and whose row sums are equal: log2(outputs) -
+    H(column), attained by the uniform prior. None when the structure is
+    absent (to ``tol``)."""
+    t = np.asarray(transition, dtype=float)
+    sorted_cols = np.sort(t, axis=0)
+    if np.max(np.abs(sorted_cols - sorted_cols[:, [0]])) > tol:
+        return None
+    row_sums = t.sum(axis=1)
+    if row_sums.max() - row_sums.min() > tol:
+        return None
+    col = t[:, 0][t[:, 0] > 0.0]
+    return max(float(np.log2(t.shape[0]) + (col * np.log2(col)).sum()), 0.0)
 
 
 def random_cp_affine(rng: np.random.Generator) -> AffineQubitChannel:

@@ -34,7 +34,6 @@ from capdetect import (
     von_mises_expected_capacity,
     vshape_detected,
     vshape_qutrit_channel,
-    weakly_symmetric_capacity,
     weyl_operator,
 )
 from capdetect.cli import grid_values
@@ -45,6 +44,7 @@ from conftest import (
     random_cp_affine,
     random_cptp_channel,
     reference_eigenbasis,
+    weakly_symmetric_capacity,
 )
 
 LN2 = np.log(2.0)
@@ -79,8 +79,9 @@ def test_detect_pauli_channel_value_and_argmax():
 
 
 def test_detect_flags_unconverged():
-    # 2x2 transitions use the exact closed form; a 3x3 one without the
-    # weakly-symmetric structure has to iterate
+    # 2x2 transitions use the exact closed form and every other shape
+    # iterates; the V-shape's computational-basis transition needs more
+    # than 2 evaluations
     ch = vshape_qutrit_channel(0.3, 0.6)
     cfg = DetectionConfig([computational_basis(3)], 1e-12, max_iterations=2)
     res = detect_capacity(ch, cfg)
@@ -523,7 +524,7 @@ def test_vshape_detected_fourier_matches_weakly_symmetric_and_scalars():
     _, q2, _ = qutrit_vshape_transitions(g01, g02)
     for k in range(g01.size):
         assert vshape_detected(float(g01[k]), float(g02[k])) == (i1[k], i2[k])
-        assert i2[k] == pytest.approx(weakly_symmetric_capacity(q2[k]).capacity_bits, abs=1e-14)
+        assert i2[k] == pytest.approx(weakly_symmetric_capacity(q2[k]), abs=1e-14)
 
 
 def test_vshape_detected_rejects_gammas_outside_unit_interval():
@@ -535,13 +536,15 @@ def test_vshape_detected_rejects_gammas_outside_unit_interval():
                 vshape_detected(*args)
             assert str(got.value) == str(want.value)
 
-def test_detect_capacity_vshape_uses_shortcut_for_fourier():
+def test_detect_capacity_vshape_certifies_fourier_at_once():
+    # the Fourier-basis transition is weakly symmetric, so Blahut-Arimoto's
+    # bracket closes on its first evaluations from the uniform prior
     ch = vshape_qutrit_channel(0.4, 0.7)
     cfg = DetectionConfig([computational_basis(3, "B1"), fourier_basis(3, "B2")])
-    res = detect_capacity(ch, cfg)
-    methods = {r.label: r.method for r in res.per_basis}
-    assert methods["B2"] == "weakly-symmetric"
-    assert methods["B1"] == "BA"
+    b1, b2 = detect_capacity(ch, cfg).per_basis
+    assert (b1.label, b1.method) == ("B1", "BA")
+    assert (b2.label, b2.method) == ("B2", "BA")
+    assert b2.iterations <= 2 and b2.gap_bits <= cfg.ba_tolerance_bits and b2.converged
 
 
 def test_chain_inequality_on_zoo():
@@ -627,13 +630,19 @@ def test_basis_results_keep_each_solve_iterations_and_gap():
         for entry in res.as_dict()["per_basis"]:
             assert list(entry) == ["label", "mutual_information_bits", "method", "converged",
                                    "optimal_prior", "transition"]
-    ws = detect_capacity(vshape_qutrit_channel(0.3, 0.6),
-                         DetectionConfig([computational_basis(3), fourier_basis(3)])).per_basis[1]
-    assert (ws.method, ws.iterations, ws.gap_bits) == ("weakly-symmetric", 0, 0.0)
+    config = DetectionConfig([computational_basis(3), fourier_basis(3)])
+    ws = detect_capacity(vshape_qutrit_channel(0.3, 0.6), config).per_basis[1]
+    assert ws.method == "BA" and ws.iterations <= 2 and ws.gap_bits <= config.ba_tolerance_bits
 
 
 def test_detect_from_transitions_checks_its_input():
     bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="got 2 transition matrices and 1 labels"):
+        detect_from_transitions([bsc, bsc], ["a"])
+    with pytest.raises(ValueError, match="got 1 transition matrices and 2 labels"):
+        detect_from_transitions([bsc], ["a", "b"])
+    with pytest.raises(ValueError, match="at least one transition matrix is required"):
+        detect_from_transitions([], [])
     with pytest.raises(ValueError, match=re.escape("share one shape, got shapes [(2, 2), (3, 3)]")):
         detect_from_transitions([bsc, np.eye(3)], ["a", "b"])
     # the 2x2 closed form reads two entries, so the column sums are checked first

@@ -9,13 +9,13 @@ from capdetect import (
     blahut_arimoto_batch,
     mutual_information,
     shannon_entropy,
-    weakly_symmetric_capacity,
 )
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
     reference_ba_batch,
     simplex_grid_search_capacity,
+    weakly_symmetric_capacity,
 )
 
 
@@ -361,18 +361,52 @@ def test_ba_against_grid_search_oracle():
         assert abs(blahut_arimoto(t, tol_bits=1e-9).capacity_bits - oracle) < 1e-5
 
 
+@st.composite
+def weakly_symmetric_matrices(draw):
+    """A circulant matrix T[m, n] = c[(m - n) mod k] on a random column c,
+    with its rows and columns optionally permuted; c may be peaked (a
+    Dirichlet draw with a small concentration) and may have zero entries."""
+    k = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.dirichlet(np.full(k, draw(st.sampled_from([0.05, 1.0, 20.0]))))
+    zeros = draw(st.integers(0, k - 1))
+    if zeros:  # never the largest entry, so the column keeps its mass
+        c[rng.choice(np.argsort(c)[:-1], zeros, replace=False)] = 0.0
+        c /= c.sum()
+    t = c[(np.arange(k)[:, None] - np.arange(k)) % k]
+    if draw(st.booleans()):
+        t = t[rng.permutation(k)]
+    if draw(st.booleans()):
+        t = t[:, rng.permutation(k)]
+    return t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weakly_symmetric_matrices())
+def test_ba_certifies_weakly_symmetric_matrices_at_once(t):
+    # from the uniform prior every c_n of a weakly symmetric matrix is equal,
+    # so the first evaluation's bracket already closes
+    oracle = weakly_symmetric_capacity(t)
+    assert oracle is not None
+    res = blahut_arimoto(t, tol_bits=1e-9)
+    assert res.iterations <= 2 and res.converged
+    assert abs(res.capacity_bits - oracle) <= 1e-14
+
+
 def test_weakly_symmetric_q2():
     _, q2, gt = qutrit_vshape_transitions(0.5, 0.5)
-    ws = weakly_symmetric_capacity(q2)
-    assert ws is not None
     expected = np.log2(3) - shannon_entropy([gt, gt, 1 - 2 * gt])
-    assert ws.capacity_bits == pytest.approx(expected, abs=1e-12)
+    assert weakly_symmetric_capacity(q2) == pytest.approx(expected, abs=1e-12)
+    res = blahut_arimoto(q2, tol_bits=1e-9)
+    assert res.iterations <= 2 and res.converged
+    assert res.capacity_bits == pytest.approx(expected, abs=1e-12)
 
 
 def test_weakly_symmetric_bsc():
-    ws = weakly_symmetric_capacity(bsc(0.2))
-    assert ws is not None
-    assert ws.capacity_bits == pytest.approx(0.2780719051126377, abs=1e-12)
+    assert weakly_symmetric_capacity(bsc(0.2)) == pytest.approx(0.2780719051126377, abs=1e-12)
+    res = blahut_arimoto(bsc(0.2), tol_bits=1e-9)
+    assert res.iterations <= 2 and res.converged
+    assert res.capacity_bits == pytest.approx(0.2780719051126377, abs=1e-12)
 
 
 def test_weakly_symmetric_absent_for_q1():

@@ -20,7 +20,6 @@ from capdetect import (
     weyl_operator,
 )
 from capdetect import protocol_sim
-from capdetect.infotheory import weakly_symmetric_capacity
 from capdetect.protocol_sim import _stream
 from conftest import (
     entangled_joint_distribution,
@@ -29,6 +28,7 @@ from conftest import (
     qutrit_vshape_transitions,
     random_cptp_channel,
     reference_eigenbasis,
+    weakly_symmetric_capacity,
 )
 
 
@@ -237,6 +237,27 @@ def test_point_estimate_equals_detection_on_the_sampled_estimates():
         weakly_symmetric += sum(t.shape != (2, 2) and weakly_symmetric_capacity(t) is not None
                                 for t in estimates)
     assert weakly_symmetric >= 10
+
+
+def test_simulate_keys_its_streams_by_seed_kind_basis_and_input(monkeypatch):
+    # the draws' bits belong to numpy's sampler, but their keys are the
+    # program's: per basis, the point draw's (kind 0) keys over the inputs,
+    # then the bootstrap's (kind 1)
+    keys = []
+    stream = protocol_sim._stream
+
+    def recording(seed, basis_index, input_index, kind=0):
+        keys.append((seed, kind, basis_index, input_index))
+        return stream(seed, basis_index, input_index, kind)
+
+    monkeypatch.setattr(protocol_sim, "_stream", recording)
+    seed = 2**64 - 3
+    detect_from_samples(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, seed, resamples=100)
+    assert keys == [(seed, kind, b, n) for b in range(3) for kind in (0, 1) for n in range(2)]
+    keys.clear()
+    q = np.random.default_rng(8).dirichlet(np.ones(9)).reshape(3, 3)
+    detect_from_samples(pauli_family_channel(3, q), DetectionConfig("weyl"), 500, 11, resamples=100)
+    assert keys == [(11, kind, b, n) for b in range(4) for kind in (0, 1) for n in range(3)]
 
 
 def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
