@@ -12,13 +12,15 @@ from typing import NamedTuple
 
 
 def check_prob_vector(p, tol: float = 1e-10) -> np.ndarray:
+    """Validate a non-empty one-dimensional probability vector and return
+    it clipped to [0, 1]. The comparisons are written so that NaN fails."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be one-dimensional")
-    if p.min() < -tol:
-        raise ValueError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > max(tol, 1e-12 * p.size):
-        raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"probability vector must be one-dimensional and non-empty, got shape {p.shape}")
+    if not p.min() >= -tol:
+        raise ValueError(f"probabilities must be >= 0, got {p.min()}")
+    if not abs(p.sum() - 1.0) <= max(tol, 1e-12 * p.size):
+        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
     return np.clip(p, 0.0, 1.0)
 
 
@@ -93,7 +95,7 @@ def shannon_entropy(p) -> float:
     """Shannon entropy in bits of a probability vector."""
     p = check_prob_vector(p)
     nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(0.0 - (nz * np.log2(nz)).sum())  # 0.0, not -0.0, for a point mass
 
 
 def mutual_information(prior, transition) -> float:
@@ -162,10 +164,22 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     backtracking when every step is feasible); the masked forms give the
     same floats on those rounds, so results do not depend on the path.
 
+    A matrix still open after 24 evaluations, and every 8 after that, also
+    gets a candidate prior: 3 Newton steps for max I(p, T) on the face of
+    inputs whose weight in the best prior exceeds 1e-3 of its largest
+    entry, on the KKT system of H_nk = sum_m T_mn T_mk / q_m with a 1e-12
+    trace(H) ridge, right side ln2 D_n and sum_n p_n = 1, each step the
+    full Newton step or 0.9 of the way to the face's boundary, if shorter.
+    Its bracket may only raise the lower end (with F(candidate) as the best
+    prior) and lower the upper end, so a wrong face costs only time. An
+    input with mass on an output where q = 0 has D = +inf, or the upper end
+    at a prior with zero entries could fall below the capacity.
+
     Returns arrays (capacities, priors, iterations, gaps): the best lower
-    bound seen with the BA-map prior that attains it, the evaluations made,
-    and the smallest upper bound seen minus that lower bound. A matrix stops
-    once its gap reaches ``tol_bits``, or after ``max_iter`` evaluations.
+    bound seen with the BA-map prior that attains it, the loop rounds made
+    (a candidate's evaluation is not counted), and the smallest upper bound
+    seen minus that lower bound. A matrix stops once its gap reaches
+    ``tol_bits``, or after ``max_iter`` rounds.
     """
     t = check_transition_stack(transitions)
     check_solver_settings(tol_bits, max_iter)
@@ -179,31 +193,28 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     uppers = np.full(g, np.inf)
     iterations = np.zeros(g, dtype=int)
     # the still-iterating matrices, compacted only on rounds where one of
-    # them converges; outputs that never occur (q = 0) contribute nothing.
-    # lo, hi and best hold the running bracket and the prior attaining lo,
-    # updated in place
+    # them converges; lo, hi and best hold the running bracket and the prior
+    # attaining lo, updated in place
     active, ta, ka, pa = np.arange(g), t, kl_const, priors.copy()
     lo, hi, best = np.full(g, -np.inf), uppers.copy(), priors.copy()
     for it in range(1, max_iter + 1):
-        q = np.einsum("gmn,gn->gm", ta, pa)
-        if q.min() > 0.0:
-            logq = np.log2(q)
-        else:
-            logq = np.zeros_like(q)
-            np.log2(q, out=logq, where=q > 0.0)
-        kl = ka - np.einsum("gmn,gm->gn", ta, logq)  # log2 c_n = D(p(.|n) || q)
-        weighted = pa * np.exp2(kl)
-        total = weighted.sum(axis=1)
-        mapped = weighted / total[:, None]
-        lower = np.log2(total)
+        mapped, lower, upper = _ba_map(ta, ka, pa)
         raised = lower > lo
         np.copyto(lo, lower, where=raised)
         np.copyto(best, mapped, where=raised[:, None])
-        np.minimum(hi, kl.max(axis=1), out=hi)
+        np.minimum(hi, upper, out=hi)
         if it % 2:
             p0, pa = pa, mapped
         else:
             pa = _squarem_step(p0, pa, mapped)
+        # the face-Newton candidates of the matrices still open
+        rows = np.flatnonzero(~(hi - lo <= tol_bits)) if it >= 24 and it % 8 == 0 else ()
+        if len(rows):
+            mapped, lower, upper = _ba_map(ta[rows], ka[rows], _face_newton(ta[rows], ka[rows], best[rows]))
+            raised = lower > lo[rows]
+            lo[rows[raised]] = lower[raised]
+            best[rows[raised]] = mapped[raised]
+            hi[rows] = np.fmin(hi[rows], upper)
         # fmin.reduce skips NaN gaps, which never count as done
         gap = hi - lo
         if np.fmin.reduce(gap) <= tol_bits or it == max_iter:
@@ -219,6 +230,50 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
             if active.size == 0:
                 break
     return capacities, priors, iterations, uppers - capacities
+
+
+def _ba_map(t, kl_const, p):
+    """The BA map at the priors p (rows) and its bracket: F(p),
+    log2(sum_n p_n c_n) and max_n log2 c_n, with the +inf rule for q = 0."""
+    q = np.einsum("gmn,gn->gm", t, p)
+    if q.min() > 0.0:
+        kl = kl_const - np.einsum("gmn,gm->gn", t, np.log2(q))  # log2 c_n = D(p(.|n) || q)
+        upper = kl.max(axis=1)
+    else:
+        logq = np.zeros_like(q)
+        np.log2(q, out=logq, where=q > 0.0)
+        kl = kl_const - np.einsum("gmn,gm->gn", t, logq)
+        unreached = np.einsum("gmn,gm->gn", t, q == 0.0) > 0.0  # D = +inf
+        upper = np.where(unreached, np.inf, kl).max(axis=1)
+    weighted = p * np.exp2(kl)
+    total = weighted.sum(axis=1)
+    return weighted / total[:, None], np.log2(total), upper
+
+
+def _face_newton(t, kl_const, best):
+    """The face-Newton candidate of each row of ``best`` (see
+    :func:`blahut_arimoto_batch`); inputs off the face keep weight 0."""
+    g, _, n = t.shape
+    face = best > 1e-3 * best.max(axis=1, keepdims=True)
+    p = np.where(face, best, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    kkt, rhs = np.zeros((g, n + 1, n + 1)), np.zeros((g, n + 1))
+    kkt[:, :n, n] = kkt[:, n, :n] = face
+    on_face, eye = face[:, :, None] & face[:, None, :], np.eye(n)
+    for _ in range(3):
+        q = np.einsum("gmn,gn->gm", t, p)
+        inv_q = np.divide(1.0, q, out=np.zeros_like(q), where=q > 0.0)
+        logq = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+        h = np.einsum("gmn,gm,gmk->gnk", t, inv_q, t)
+        ridge = 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None]
+        kkt[:, :n, :n] = np.where(on_face, h + ridge * eye, eye)
+        rhs[:, :n] = np.where(face, np.log(2.0) * (kl_const - np.einsum("gmn,gm->gn", t, logq)), 0.0)
+        step = np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
+        # the full step, or 0.9 of the largest that keeps p >= 0 if shorter
+        room = np.divide(p, -step, out=np.full_like(p, np.inf), where=step < 0.0).min(axis=1)
+        p = p + np.minimum(1.0, 0.9 * room)[:, None] * step
+        p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def _squarem_step(p0, p1, p2):

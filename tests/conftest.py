@@ -111,11 +111,14 @@ def random_transition(rng: np.random.Generator, n_out: int, n_in: int) -> np.nda
     return rng.dirichlet(np.ones(n_out), size=n_in).T
 
 
-def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000):
+def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000, taken=None):
     """The recursion of ``blahut_arimoto_batch`` written plainly, with no
-    fast paths: np.where bracket updates, a masked log2 on every round,
-    np.linalg.norm and a backtracking loop on every SQUAREM step. The
-    solver must equal it bit for bit."""
+    fast paths: np.where bracket updates, a masked log2 and the +inf rule
+    on every round, np.linalg.norm and a backtracking loop on every SQUAREM
+    step, and the face-Newton candidate at evaluations 24, 32, 40, ...
+    The solver must equal it bit for bit. When ``taken`` is a list, each
+    time a candidate raises a matrix's lower bound the matrix's index in
+    the still-iterating set is appended to it."""
     t = check_transition_stack(transitions)
     check_solver_settings(tol_bits, max_iter)
     g, _, n_in = t.shape
@@ -129,27 +132,31 @@ def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_
     uppers = np.full(g, np.inf)
     iterations = np.zeros(g, dtype=int)
     # the still-iterating matrices, compacted only on rounds where one of
-    # them converges; outputs that never occur (q = 0) contribute nothing.
-    # lo, hi and best hold the running bracket and the prior attaining lo
+    # them converges; lo, hi and best hold the running bracket and the
+    # prior attaining lo
     active, ta, ka, pa = np.arange(g), t, kl_const, priors.copy()
     lo, hi, best = np.full(g, -np.inf), uppers.copy(), priors.copy()
     for it in range(1, max_iter + 1):
-        q = np.einsum("gmn,gn->gm", ta, pa)
-        logq = np.zeros_like(q)
-        np.log2(q, out=logq, where=q > 0.0)
-        kl = ka - np.einsum("gmn,gm->gn", ta, logq)  # log2 c_n = D(p(.|n) || q)
-        weighted = pa * np.exp2(kl)
-        total = weighted.sum(axis=1)
-        mapped = weighted / total[:, None]
-        lower = np.log2(total)
+        mapped, lower, upper = _reference_ba_map(ta, ka, pa)
         raised = lower > lo
         lo = np.where(raised, lower, lo)
         best = np.where(raised[:, None], mapped, best)
-        hi = np.minimum(hi, kl.max(axis=1))
+        hi = np.minimum(hi, upper)
         if it % 2:
             p0, pa = pa, mapped
         else:
             pa = _reference_squarem_step(p0, pa, mapped)
+        if it in range(24, max_iter + 1, 8):
+            # every matrix still open gets a candidate, whose bracket may
+            # only raise lo (with F(candidate) as best) and lower hi
+            for i in np.flatnonzero(~(hi - lo <= tol_bits)):
+                cand = _reference_face_newton(ta[i], ka[i], best[i])
+                c_mapped, c_lower, c_upper = _reference_ba_map(ta[i][None], ka[i][None], cand[None])
+                if c_lower[0] > lo[i]:
+                    lo[i], best[i] = c_lower[0], c_mapped[0]
+                    if taken is not None:
+                        taken.append(int(i))
+                hi[i] = np.fmin(hi[i], c_upper[0])
         done = hi - lo <= tol_bits
         if done.any() or it == max_iter:
             capacities[active] = lo
@@ -164,6 +171,51 @@ def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_
             if active.size == 0:
                 break
     return capacities, priors, iterations, uppers - capacities
+
+
+def _reference_ba_map(t, kl_const, p):
+    """F(p), log2(sum_n p_n c_n) and max_n log2 c_n, where an output that
+    never occurs (q = 0) adds nothing to D, unless the column has mass on it:
+    then D = +inf."""
+    q = np.einsum("gmn,gn->gm", t, p)
+    logq = np.zeros_like(q)
+    np.log2(q, out=logq, where=q > 0.0)
+    kl = kl_const - np.einsum("gmn,gm->gn", t, logq)  # log2 c_n = D(p(.|n) || q)
+    unreached = ((t > 0.0) & (q == 0.0)[:, :, None]).any(axis=1)
+    weighted = p * np.exp2(kl)
+    total = weighted.sum(axis=1)
+    return weighted / total[:, None], np.log2(total), np.where(unreached, np.inf, kl).max(axis=1)
+
+
+def _reference_face_newton(t, kl_const, best):
+    """Three Newton steps for max I(p, T) over the inputs whose weight in
+    ``best`` exceeds 1e-3 of its largest entry (the face), one matrix at a
+    time: solve [[H + ridge, 1], [1^T, 0]] [step, nu] = [ln2 D, 0] on the
+    face, with H_nk = sum_m T_mn T_mk / q_m and ridge = 1e-12 trace(H), keep
+    the inputs off the face at 0, and take the full step or 0.9 of the way
+    to the face's boundary, whichever is shorter."""
+    n = t.shape[1]
+    face = best > 1e-3 * best.max()
+    p = np.where(face, best, 0.0)
+    p = p / p.sum()
+    for _ in range(3):
+        q = np.einsum("gmn,gn->gm", t[None], p[None])[0]
+        inv_q = np.zeros_like(q)
+        inv_q[q > 0.0] = 1.0 / q[q > 0.0]
+        logq = np.zeros_like(q)
+        logq[q > 0.0] = np.log2(q[q > 0.0])
+        h = np.einsum("gmn,gm,gmk->gnk", t[None], inv_q[None], t[None])[0]
+        h[np.diag_indices(n)] += 1e-12 * np.trace(h)
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = np.where(np.outer(face, face), h, np.eye(n))
+        kkt[:n, n] = kkt[n, :n] = face
+        rhs = np.zeros(n + 1)
+        rhs[:n][face] = np.log(2.0) * (kl_const - np.einsum("gmn,gm->gn", t[None], logq[None])[0])[face]
+        step = np.linalg.solve(kkt, rhs)[:n]
+        room = min([p[k] / -step[k] for k in range(n) if step[k] < 0.0], default=np.inf)
+        p = p + min(1.0, 0.9 * room) * step
+        p = p / p.sum()
+    return p
 
 
 def _reference_squarem_step(p0, p1, p2):

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import re
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from capdetect import (
     AffineQubitChannel,
+    ChannelSpec,
     DetectionConfig,
     KrausChannel,
     MeasurementBasis,
@@ -48,6 +51,7 @@ from conftest import (
 )
 
 LN2 = np.log(2.0)
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_detect_identity_qubit():
@@ -653,3 +657,19 @@ def test_detect_from_transitions_checks_its_input():
     assert result.c_det_bits == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-12)
     assert result.per_basis[1].mutual_information_bits == pytest.approx(np.log2(1.25), abs=1e-12)
 
+
+
+@pytest.mark.parametrize("name, c_det, argmax", [
+    # random d = 5 Kraus channels whose Weyl transitions have optimal priors
+    # on a face of the simplex; SQUAREM alone took 414 and 305 evaluations,
+    # and found these values
+    ("kraus_d5_member24", 0.4052774236577389, "weyl(1,2)"),
+    ("kraus_d5_member21", 0.48016985650560123, "weyl(1,0)"),
+])
+def test_boundary_tail_closes_within_48_evaluations(name, c_det, argmax):
+    spec = ChannelSpec.from_dict(json.loads((DATA / f"{name}.json").read_text()), build=False)
+    res = detect_capacity(spec.build(), DetectionConfig("weyl"))
+    assert len(res.per_basis) == 24 and res.converged and res.argmax_basis == argmax
+    for r in res.per_basis:
+        assert r.method == "BA" and r.converged and r.iterations <= 48, r.label
+    assert abs(res.c_det_bits - c_det) <= 1e-9

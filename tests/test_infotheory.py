@@ -10,6 +10,7 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
 )
+from capdetect.infotheory import _ba_map
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
@@ -30,10 +31,32 @@ def test_shannon_entropy_anchors():
 
 
 def test_shannon_entropy_rejects_bad_vectors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.1"):
         shannon_entropy([0.5, 0.6])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities must be >= 0, got -0\.2$"):
         shannon_entropy([1.2, -0.2])
+
+
+def test_prob_vector_check_fails_nan():
+    with pytest.raises(ValueError, match=r"^probabilities must be >= 0, got nan$"):
+        shannon_entropy([np.nan, 1.0])
+    with pytest.raises(ValueError, match=r"^probabilities must be >= 0, got nan$"):
+        mutual_information([np.nan, 1.0], np.eye(2))
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got inf$"):
+        shannon_entropy([np.inf, 0.0])
+
+
+def test_prob_vector_check_names_shape():
+    for bad, shape in (([], r"\(0,\)"), ([[0.5, 0.5]], r"\(1, 2\)"), (1.0, r"\(\)")):
+        with pytest.raises(ValueError, match=r"^probability vector must be one-dimensional and "
+                                             rf"non-empty, got shape {shape}$"):
+            shannon_entropy(bad)
+
+
+def test_shannon_entropy_of_point_mass_is_positive_zero():
+    for p in ([1.0], [0.0, 1.0, 0.0], [1.0, 0.0]):
+        h = shannon_entropy(p)
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0
 
 
 def test_binary_entropy_symmetry_and_range():
@@ -169,15 +192,23 @@ def reference_corpus():
         cases.append((np.stack(cols, axis=1)[None], 1e-12, 100_000))
     stack = rng.dirichlet(np.ones(4), size=(4, 4)).transpose(0, 2, 1)
     cases += [(stack, 1e-15, max_iter) for max_iter in range(1, 9)]
+    # a near-mixture of two inputs with a little mass d on an output of its
+    # own: its optimal weight can fall below the candidates' face threshold,
+    # and then a candidate's bracket meets the +inf rule on that column
+    mixed = rng.dirichlet(np.full(4, 0.05), size=(4, 3)).transpose(0, 2, 1)
+    d, lam = rng.uniform(0.02, 0.3, (4, 1)), rng.uniform(0.0, 1.0, (4, 1))
+    own = np.append((1.0 - d) * (lam * mixed[:, :, 0] + (1.0 - lam) * mixed[:, :, 1]), d, axis=1)
+    mixed = np.concatenate([np.pad(mixed, ((0, 0), (0, 1), (0, 0))), own[:, :, None]], axis=2)
+    cases.append((mixed, 1e-9, 3000))
     cases.append((np.stack([np.eye(3), np.eye(3)[:, [1, 2, 0]]]), 1e-300, 6))
     cases.append((bsc(0.1)[None], 1e-300, 6))
     return cases
 
 
 def test_ba_equals_reference_recursion_bit_for_bit():
-    stops, staggered = set(), False
+    stops, staggered, taken = set(), False, []
     for stack, tol, max_iter in reference_corpus():
-        ref = reference_ba_batch(stack, tol, max_iter)
+        ref = reference_ba_batch(stack, tol, max_iter, taken)
         got = blahut_arimoto_batch(stack, tol, max_iter)
         for r, x in zip(ref, got):  # capacities, priors, iterations, gaps
             assert x.dtype == r.dtype and np.array_equal(x, r)
@@ -188,6 +219,7 @@ def test_ba_equals_reference_recursion_bit_for_bit():
         staggered |= len(set(ref[2].tolist())) > 1
     assert {1, 2, 7, 8} <= stops  # max_iter stops at odd and even counts
     assert staggered
+    assert taken  # some face-Newton candidate raised a lower bound
 
 
 def test_ba_output_that_never_occurs():
@@ -204,6 +236,25 @@ def test_ba_output_that_never_occurs():
         for x, y in ((a, b), (b, a)):
             assert x.capacity_bits - 1e-15 <= y.capacity_bits <= x.capacity_bits + x.gap_bits + 1e-15
         assert np.max(np.abs(a.optimal_prior - b.optimal_prior)) <= 1e-9
+
+
+def test_ba_bracket_counts_unreached_outputs_as_infinite_divergence():
+    # input 2 is the only one that reaches output 2; at a prior with an
+    # exact zero there, q_2 = 0 and D_2 = +inf, so the bracket's upper end
+    # is +inf. Leaving the q = 0 term out would give D_2 = (1-d) log2(1-d)
+    # < 1 and an upper end of 1 bit, below the capacity.
+    d = 0.05
+    t = np.array([[1.0, 0.0, 0.5 - d / 2], [0.0, 1.0, 0.5 - d / 2], [0.0, 0.0, d]])
+    kl_const = (t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)).sum(axis=0)
+    mapped, lower, upper = _ba_map(t[None], kl_const[None], np.array([[0.5, 0.5, 0.0]]))
+    assert upper.tolist() == [np.inf]
+    assert lower.tolist() == [1.0] and mapped.tolist() == [[0.5, 0.5, 0.0]]
+    res = blahut_arimoto(t, tol_bits=1e-12)
+    assert res.converged and res.capacity_bits > 1.0 + 1e-8
+    # an output that no input reaches stays out of every D
+    padded = np.vstack([t, np.zeros(3)])
+    _, _, upper = _ba_map(padded[None], kl_const[None], np.array([[0.25, 0.25, 0.5]]))
+    assert np.isfinite(upper).all()
 
 
 def test_binary_capacity_symmetric_recovers_bsc():
@@ -351,6 +402,27 @@ def test_ba_batch_properties(stack):
         assert one[0][0] == caps[i] and one[2][0] == iters[i] and one[3][0] == gaps[i]
         assert np.array_equal(one[1][0], priors[i])
         assert mutual_information(priors[i], stack[i]) >= caps[i] - 1e-12
+
+
+@st.composite
+def sparse_transitions(draw):
+    """A Dirichlet(0.05) matrix with at most 4 inputs and 4 outputs, whose
+    optimal prior often leaves some inputs out; sometimes with an extra
+    all-zero output row."""
+    n_out, n_in = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.dirichlet(np.full(n_out, 0.05), size=n_in).T
+    if draw(st.booleans()):
+        t = np.insert(t, draw(st.integers(0, n_out)), 0.0, axis=0)
+    return t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sparse_transitions())
+def test_ba_on_sparse_matrices_against_grid_search(t):
+    res = blahut_arimoto(t, tol_bits=1e-9)
+    assert res.converged
+    assert abs(res.capacity_bits - simplex_grid_search_capacity(t)) < 1e-5
 
 
 def test_ba_against_grid_search_oracle():
