@@ -64,6 +64,8 @@ from .detect import (
 )
 from .protocol_sim import (
     EstimatedDetection,
+    detect_from_counts,
     detect_from_samples,
+    sample_counts,
     sample_transition,
 )

@@ -199,23 +199,19 @@ def kraus_to_affine(channel: KrausChannel) -> tuple:
 
 def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
     """Kraus operators of a canonical affine qubit channel, from the spectral
-    factorization of its Choi matrix."""
+    factorization of its Choi matrix sum_kl E(|k><l|) ⊗ |k><l| / 2.
+
+    That matrix is written out: its 8 nonzero entries are 0.5 E(|k><l|)_ij
+    at (2i + k, 2j + l), each summed in the order that applying the Bloch
+    form (l1, l2, l3, t3) to |k><l| sums it, so the bits are those of that
+    construction."""
     l1, l2, l3, t3 = ch.lambda1, ch.lambda2, ch.lambda3, ch.t3
-
-    def apply(m):
-        a0 = np.trace(m) / 2.0
-        coeff = np.array([np.trace(s @ m) / 2.0 for s in PAULIS])
-        out = a0 * (np.eye(2, dtype=complex) + t3 * SIGMA_Z)
-        for li, ci, si in zip((l1, l2, l3), coeff, PAULIS):
-            out = out + li * ci * si
-        return out
-
+    up, down, z = 0.5 * (1 + t3), 0.5 * (1 - t3), 0.5 * l3
+    plus, minus = 0.5 * l1 + 0.5 * l2, 0.5 * l1 - 0.5 * l2
     choi = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            e_kl = np.zeros((2, 2), dtype=complex)
-            e_kl[k, l] = 1.0
-            choi += 0.5 * np.kron(apply(e_kl), e_kl)
+    # added to zeros, as the sum over (k, l) was, so no entry is -0.0
+    choi[[0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] += 0.5 * np.array(
+        [up + z, up - z, down - z, down + z, plus, plus, minus, minus])
     evals, evecs = np.linalg.eigh(choi)
     if evals.min() < -1e-10:
         raise ValueError(f"Choi matrix not positive semidefinite (min eigenvalue {evals.min():.3e})")

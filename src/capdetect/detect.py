@@ -242,13 +242,12 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:
     """Detected capacity of a channel over a set of measured bases.
 
-    Each distinct basis is reconstructed and solved once; every reported
-    label gets its basis's transition and prior in its own ket order, and
-    its basis's method, iterations and gap."""
+    The distinct bases are reconstructed in one stacked pass and solved
+    once each; every reported label gets its basis's transition and prior
+    in its own ket order, and its basis's method, iterations and gap."""
     config = config or DetectionConfig()
     bases, views = config.resolve_bases(channel.dim)
-    transitions = [conditional_probs(channel, b) for b in bases]
-    solved = _solve_bases(transitions, [b.label for b in bases], config)
+    solved = _solve_bases(conditional_probs(channel, bases), [b.label for b in bases], config)
     per_basis = []
     for label, i, order in views:
         r = solved[i]

@@ -83,7 +83,10 @@ def binary_entropy(x):
 
 
 def _h(x: np.ndarray) -> np.ndarray:
-    """Binary entropy of an array already inside [0, 1]."""
+    """Binary entropy of an array already inside [0, 1]. The mask is skipped
+    when every entry lies inside (0, 1), where it gives the same floats."""
+    if x.size and x.min() > 0.0 and x.max() < 1.0:
+        return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
@@ -326,7 +329,7 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     flip = e0 + e1 > 1.0
     e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1
-    e0, e1 = np.where(swapped, e1, e0), np.where(swapped, e0, e1)
+    e0, e1 = np.minimum(e0, e1), np.maximum(e0, e1)
     span = 1.0 - e0 - e1
     live = span >= 1e-12
     span = np.where(live, span, 1.0)

@@ -1,11 +1,12 @@
 """Finite-statistics simulation of the measurement protocol.
 
 Shot sampling uses counter-based (Philox) streams keyed by
-(seed, basis index, input index), so per-cell sampling is reproducible and
-independent of execution order. Confidence intervals come from a
-column-wise percentile bootstrap of the counts.
+(seed, kind, basis index, input index), so per-cell sampling is
+reproducible and independent of execution order. Confidence intervals come
+from a column-wise percentile bootstrap of the counts.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -17,10 +18,13 @@ from .detect import DetectionConfig, solve_stack
 # a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
 # one request's replicates at about 0.5 GB
 _MAX_BOOTSTRAP_CELLS = 5_000_000
+_local = threading.local()  # each thread's generator, made on first use
 
 
 def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np.random.Generator":
-    """Independent keyed stream for one (basis, input) sampling cell."""
+    """Independent keyed stream for one (kind, basis, input) sampling cell:
+    this thread's generator re-keyed to counter 0 and an empty buffer, so it
+    draws what a fresh Generator(Philox(key)) draws, until its next call."""
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     # the key packs both indices into 24-bit fields; a wider one would
@@ -28,8 +32,12 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np
     for name, index in (("basis_index", basis_index), ("input_index", input_index)):
         if not 0 <= index < 2**24:
             raise ValueError(f"{name} = {index} outside [0, 2^24)")
-    sub = np.uint64((kind << 48) | (basis_index << 24) | input_index)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, sub], dtype=np.uint64)))
+    state = {"counter": (0,) * 4, "key": (seed, (kind << 48) | (basis_index << 24) | input_index)}
+    if not hasattr(_local, "gen"):
+        _local.gen = np.random.Generator(np.random.Philox())
+    _local.gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0,) * 4,
+                                      "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _local.gen
 
 
 def _counts(t, shots: int, seed: int, basis_index: int, kind: int = 0, size=None) -> np.ndarray:
@@ -76,56 +84,70 @@ class EstimatedDetection:
         }
 
 
-def detect_from_samples(
-    channel: KrausChannel,
-    config: DetectionConfig,
-    shots_per_input: int,
-    seed: int,
-    resamples: int = 1000,
-) -> EstimatedDetection:
-    """Estimate the detected capacity from finite sampling statistics.
-
-    Each distinct basis is sampled once (the weyl family's d + 1 classes,
-    under their first labels), and its plug-in estimate is solved with its
-    column-resampled bootstrap replicates in one :func:`solve_stack` call,
-    the route every ``bound`` solve takes too. The point estimate is the best
-    basis's value (the lowest index among exact ties); the 95% percentile
-    interval of the replicates' best values, widened to contain it, is the
-    confidence interval. Identical (seed, config) inputs reproduce identical
-    results. One RuntimeWarning reports every unconverged solve, and
-    ``resamples * d * d`` may not exceed ``_MAX_BOOTSTRAP_CELLS``.
-    """
+def _check_resamples(resamples: int, d: int) -> None:
     if resamples < 100:
         raise ValueError("use at least 100 bootstrap resamples")
-    d = channel.dim
     if resamples * d * d > _MAX_BOOTSTRAP_CELLS:
         raise ValueError(f"resamples x d^2 = {resamples} x {d}^2 exceeds the limit of "
                          f"{_MAX_BOOTSTRAP_CELLS:,} bootstrap cells")
-    bases, _ = config.resolve_bases(d)
+
+
+def sample_counts(channel: KrausChannel, bases, shots: int, seed: int) -> np.ndarray:
+    """(k, outputs, inputs) multinomial counts of ``shots`` draws per input of
+    the k bases, from one transition pass; basis i's keys are (seed, 0, i, input)."""
+    return np.stack([sample_transition(t, shots, seed, basis_index=i)[0]
+                     for i, t in enumerate(conditional_probs(channel, bases))])
+
+
+def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed: int,
+                       resamples: int = 1000) -> EstimatedDetection:
+    """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
+    inputs) table of ``shots`` draws per input, labelled ``labels[i]``.
+
+    Each plug-in estimate counts/shots is solved with its column-resampled
+    bootstrap replicates, keyed (seed, 1, i, input), in one
+    :func:`solve_stack` call, the route every ``bound`` solve takes too. The
+    point estimate is the best basis's value (the lowest index among exact
+    ties); the 95% percentile interval of the replicates' best values,
+    widened to contain it, is the confidence interval. One RuntimeWarning
+    reports every unconverged solve, and ``resamples * d * d`` may not
+    exceed ``_MAX_BOOTSTRAP_CELLS``."""
+    counts = np.asarray(counts)
+    _check_resamples(resamples, d := counts.shape[-1])
+    if shots < 1 or counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
+        raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
     caps, gaps = [], []  # per basis: the point estimate, then the replicates
-    for i, b in enumerate(bases):
-        counts, estimate = sample_transition(conditional_probs(channel, b), shots_per_input, seed,
-                                             basis_index=i)
-        boot = _counts(estimate, shots_per_input, seed, i, kind=1, size=resamples)
-        _, c, _, _, g = solve_stack(np.concatenate([counts[None], boot]) / float(shots_per_input), config)
-        caps.append(c)
+    for i, c in enumerate(counts):
+        boot = _counts(c / float(shots), shots, seed, i, kind=1, size=resamples)
+        _, cap, _, _, g = solve_stack(np.concatenate([c[None], boot]) / float(shots), config)
+        caps.append(cap)
         gaps.append(g)
     caps, gaps = np.array(caps), np.array(gaps)
     tol = config.ba_tolerance_bits
     wide = gaps > tol
     notes = []
     if wide[:, 0].any():
-        unconverged = ", ".join(b.label for b, w in zip(bases, wide[:, 0]) if w)
+        unconverged = ", ".join(label for label, w in zip(labels, wide[:, 0]) if w)
         notes.append(f"point estimate: {unconverged} did not converge to {tol:g} bits; "
                      f"worst gap {gaps[wide[:, 0], 0].max():.3e} bits")
-    for b, w, g in zip(bases, wide[:, 1:], gaps[:, 1:]):
+    for label, w, g in zip(labels, wide[:, 1:], gaps[:, 1:]):
         if w.any():
             notes.append(f"bootstrap replicates: {int(w.sum())} of {resamples} Blahut-Arimoto solves "
-                         f"of {b.label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
+                         f"of {label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
     if notes:
         warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=2)
     best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
     point = float(caps[best, 0])
     lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
     return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
-                              shots_per_input, seed, bases[best].label)
+                              shots, seed, labels[best])
+
+
+def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_per_input: int, seed: int,
+                        resamples: int = 1000) -> EstimatedDetection:
+    """:func:`detect_from_counts` on the :func:`sample_counts` of each distinct
+    basis (the weyl family's d + 1 classes, under their first labels)."""
+    _check_resamples(resamples, channel.dim)
+    bases, _ = config.resolve_bases(channel.dim)
+    counts = sample_counts(channel, bases, shots_per_input, seed)
+    return detect_from_counts(counts, shots_per_input, [b.label for b in bases], config, seed, resamples)

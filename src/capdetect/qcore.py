@@ -146,17 +146,18 @@ def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
     return CPTPDiagnostics(tp_err <= tol and min_eig >= -tol, tp_err, min_eig)
 
 
-def conditional_probs(channel: KrausChannel, basis: MeasurementBasis) -> np.ndarray:
+def conditional_probs(channel: KrausChannel, basis) -> np.ndarray:
     """Transition matrix p(m|n) = <m|E(|n><n|)|m> for basis preparation and
-    measurement. Columns are inputs and sum to one."""
-    if channel.dim != basis.dim:
-        raise ValueError(
-            f"dimension mismatch: channel dim {channel.dim}, basis dim {basis.dim}"
-        )
+    measurement. Columns are inputs and sum to one. A sequence of k bases
+    gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
+    single = isinstance(basis, MeasurementBasis)
+    kets = np.stack([b.kets for b in ([basis] if single else basis)])
+    if kets.shape[-1] != channel.dim:
+        raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {kets.shape[-1]}")
     # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows
-    kets = basis.kets
-    amplitudes = kets.conj() @ np.stack(channel.operators) @ kets.T
-    return np.clip((np.abs(amplitudes) ** 2).sum(axis=0), 0.0, 1.0)
+    amplitudes = kets.conj() @ np.stack(channel.operators)[:, None] @ kets.transpose(0, 2, 1)
+    t = np.clip((np.abs(amplitudes) ** 2).sum(axis=0), 0.0, 1.0)
+    return t[0] if single else t
 
 
 def weyl_operator(d: int, l: int, s: int) -> np.ndarray:

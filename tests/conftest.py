@@ -1,7 +1,8 @@
 """Shared test helpers: independent capacity oracles (dense simplex grid
 search with local refinement, and the weakly-symmetric closed form),
 random samplers for channels and bases,
-reference copies of the Blahut-Arimoto recursion, of the eig + QR
+reference copies of the Blahut-Arimoto recursion, of the affine Choi
+construction, of the eig + QR
 eigenbasis and of the row-wise figure tables and CSV writer, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, and small state constructors."""
 
@@ -10,7 +11,8 @@ import itertools
 import numpy as np
 
 from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, choi_matrix
-from capdetect.channels import gad_params, stretched_affine
+from capdetect.qcore import PAULIS, SIGMA_Z
+from capdetect.channels import _CHOI_CUTOFF, gad_params, stretched_affine
 from capdetect.cli import grid_values
 from capdetect.detect import (
     dephasing_detected,
@@ -104,6 +106,36 @@ def random_cp_affine(rng: np.random.Generator) -> AffineQubitChannel:
             return AffineQubitChannel(l1, l2, l3, t3)
         except ValueError:
             continue
+
+
+def reference_affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
+    """Kraus operators of a canonical affine qubit channel, from the spectral
+    factorization of its Choi matrix: the construction that
+    ``channels.affine_to_kraus`` writes out, which must equal it bit for bit."""
+    l1, l2, l3, t3 = ch.lambda1, ch.lambda2, ch.lambda3, ch.t3
+
+    def apply(m):
+        a0 = np.trace(m) / 2.0
+        coeff = np.array([np.trace(s @ m) / 2.0 for s in PAULIS])
+        out = a0 * (np.eye(2, dtype=complex) + t3 * SIGMA_Z)
+        for li, ci, si in zip((l1, l2, l3), coeff, PAULIS):
+            out = out + li * ci * si
+        return out
+
+    choi = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            e_kl = np.zeros((2, 2), dtype=complex)
+            e_kl[k, l] = 1.0
+            choi += 0.5 * np.kron(apply(e_kl), e_kl)
+    evals, evecs = np.linalg.eigh(choi)
+    if evals.min() < -1e-10:
+        raise ValueError(f"Choi matrix not positive semidefinite (min eigenvalue {evals.min():.3e})")
+    ops = []
+    for mu, v in zip(evals, evecs.T):
+        if mu > _CHOI_CUTOFF:
+            ops.append(np.sqrt(2.0 * mu) * v.reshape(2, 2))
+    return KrausChannel(tuple(ops))
 
 
 def random_transition(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:

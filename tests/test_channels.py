@@ -26,7 +26,7 @@ from capdetect import (
 )
 from capdetect.channels import _KINDS
 from capdetect.qcore import basis_ket
-from conftest import haar_random_basis, projector, random_cp_affine
+from conftest import haar_random_basis, projector, random_cp_affine, reference_affine_to_kraus
 
 
 def test_pauli_family_identity():
@@ -153,6 +153,61 @@ def test_affine_to_kraus_gad_z_errors():
     # input |0> (excited Bloch +z) is noise-free, input |1> decays with 0.36
     assert t[1, 0] == pytest.approx(0.0, abs=1e-10)
     assert t[0, 1] == pytest.approx(0.36, abs=1e-10)
+
+
+def _cp_or_none(*params):
+    try:
+        return AffineQubitChannel(*params)
+    except ValueError:
+        return None
+
+
+def _written_out_choi_cases(rng):
+    """Canonical channels for the bit-for-bit Choi test: uniform in the CP
+    region, with t3 = 0, with l1 = l2, just inside the CP boundary along a
+    random ray, signed zeros and the corners, and every affine zoo kind."""
+    yield from (random_cp_affine(rng) for _ in range(3000))
+    for tie in (False, True):  # t3 = 0, then l1 = l2
+        n = 0
+        while n < 600:
+            l1, l2, l3, t3 = rng.uniform(-1, 1, 4)
+            ch = _cp_or_none(l1, l1 if tie else l2, l3, t3 if tie else 0.0)
+            if ch is not None:
+                n += 1
+                yield ch
+    for _ in range(600):
+        ray, lo, hi = rng.uniform(-1, 1, 4), 0.0, 2.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _cp_or_none(*(mid * ray)) else (lo, mid)
+        yield AffineQubitChannel(*(lo * ray))
+    for params in ((-0.0, -0.0, -0.0, -0.0), (0, 0, 0, 0), (1, 1, 1, 0), (-1, -1, 1, 0), (0, 0, 1, 0),
+                   (-0.0, 0.0, 0.0, 1.0), (0.0, -0.0, 0.0, -1.0), (-0.0, 0.0, -1.0, 0.0), (1, -1, -1, 0)):
+        yield AffineQubitChannel(*params)
+    grid = np.linspace(0.0, 1.0, 9)
+    for a in grid:
+        for b in grid:
+            yield gad_affine(a, b)
+            yield stretched_affine(a, (2 * b - 1) * np.sqrt(1 - a))
+            yield extremal_affine(a * np.pi / 2, max(a, b) * np.pi / 2)
+            yield ChannelSpec("affine_qubit", {"lambda1": b, "lambda2": b * a, "lambda3": a, "t3": 0.0}).affine()
+
+
+def test_affine_to_kraus_writes_out_the_choi_construction_bit_for_bit():
+    # the 8 written-out Choi entries keep the bits of applying the Bloch
+    # form to each |k><l|, so eigh and the Kraus operators keep theirs; the
+    # cases cover every zoo kind with an affine form
+    assert {k for k, b in _KINDS.items() if b is AffineQubitChannel
+            or inspect.signature(b).return_annotation is AffineQubitChannel} == {
+        "gad", "stretched", "extremal", "affine_qubit"}
+    count = 0
+    for ch in _written_out_choi_cases(np.random.default_rng(18)):
+        ref, got = reference_affine_to_kraus(ch), affine_to_kraus(ch)
+        assert len(got.operators) == len(ref.operators)
+        for a, b in zip(got.operators, ref.operators):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), ch
+        count += 1
+    assert count >= 5000
 
 
 def test_affine_round_trip():

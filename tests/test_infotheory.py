@@ -10,7 +10,7 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
 )
-from capdetect.infotheory import _ba_map
+from capdetect.infotheory import _ba_map, _h
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
@@ -503,3 +503,20 @@ def test_solver_settings_are_checked_in_one_place():
         with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got"):
             DetectionConfig("pauli", max_iterations=max_iter)
     assert blahut_arimoto_batch(stack, max_iter=np.int64(1))[2].tolist() == [1]
+
+
+def test_binary_entropy_skips_its_mask_with_the_same_bits():
+    # inside (0, 1) the mask is skipped; an exact 0 or 1 takes the masked
+    # path, whose other entries must keep their bits and which gives +0.0
+    rng = np.random.default_rng(18)
+    inner = np.concatenate([rng.uniform(0.0, 1.0, 2000), [5e-324, 1e-300, 2**-53, 0.5, 1.0 - 2**-53]])
+    for x in (inner, inner.reshape(5, -1)):
+        fast = _h(x)
+        for edge in ([0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 1.0]):
+            masked = _h(np.concatenate([x.ravel(), edge]))
+            assert np.array_equal(masked[:x.size].view(np.uint64), fast.ravel().view(np.uint64))
+            assert masked[x.size:].view(np.uint64).tolist() == [0] * len(edge)  # +0.0, not -0.0
+    assert binary_entropy(0.0) == 0.0 and np.signbit(binary_entropy(np.array([0.0, 1.0]))).sum() == 0
+    # elementwise, as the masked formula computes each entry
+    for v in inner[:50]:
+        assert _h(np.array([v, 0.0]))[0] == -v * np.log2(v) - (1.0 - v) * np.log2(1.0 - v)

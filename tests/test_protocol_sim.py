@@ -1,25 +1,32 @@
+import json
+import pathlib
 import re
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from capdetect import (
+    ChannelSpec,
     DetectionConfig,
     KrausChannel,
     MeasurementBasis,
     binary_entropy,
     computational_basis,
     conditional_probs,
+    detect_capacity,
+    detect_from_counts,
     detect_from_samples,
     detect_from_transitions,
     pauli_channel,
     pauli_family_channel,
+    sample_counts,
     sample_transition,
     vshape_qutrit_channel,
     weyl_operator,
 )
-from capdetect import protocol_sim
+from capdetect import detect, protocol_sim
 from capdetect.protocol_sim import _stream
 from conftest import (
     entangled_joint_distribution,
@@ -241,8 +248,9 @@ def test_point_estimate_equals_detection_on_the_sampled_estimates():
 
 def test_simulate_keys_its_streams_by_seed_kind_basis_and_input(monkeypatch):
     # the draws' bits belong to numpy's sampler, but their keys are the
-    # program's: per basis, the point draw's (kind 0) keys over the inputs,
-    # then the bootstrap's (kind 1)
+    # program's: every basis's point draw (kind 0) keys over the inputs,
+    # from sample_counts, then every basis's bootstrap (kind 1), from
+    # detect_from_counts
     keys = []
     stream = protocol_sim._stream
 
@@ -253,11 +261,11 @@ def test_simulate_keys_its_streams_by_seed_kind_basis_and_input(monkeypatch):
     monkeypatch.setattr(protocol_sim, "_stream", recording)
     seed = 2**64 - 3
     detect_from_samples(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, seed, resamples=100)
-    assert keys == [(seed, kind, b, n) for b in range(3) for kind in (0, 1) for n in range(2)]
+    assert keys == [(seed, kind, b, n) for kind in (0, 1) for b in range(3) for n in range(2)]
     keys.clear()
     q = np.random.default_rng(8).dirichlet(np.ones(9)).reshape(3, 3)
     detect_from_samples(pauli_family_channel(3, q), DetectionConfig("weyl"), 500, 11, resamples=100)
-    assert keys == [(11, kind, b, n) for b in range(4) for kind in (0, 1) for n in range(3)]
+    assert keys == [(11, kind, b, n) for kind in (0, 1) for b in range(4) for n in range(3)]
 
 
 def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
@@ -274,3 +282,111 @@ def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
     shapes.clear()
     detect_from_samples(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, seed=4, resamples=120)
     assert shapes == [(121, 2, 2)] * 3
+
+
+def test_rekeyed_stream_draws_what_a_fresh_generator_draws():
+    # _stream re-keys one generator per thread; every cell must still draw
+    # what its own Generator(Philox(key)) draws, whatever the last cell left
+    # behind: a part-used buffer, a cached uint32, or the binomial sampler's
+    # set-up for the same (shots, column) on the next key
+    rng = np.random.default_rng(18)
+    for case in range(300):
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        kind, basis, first = int(rng.integers(0, 2)), int(rng.integers(0, 2**24)), int(rng.integers(0, 2**24 - 1))
+        shots = (1, 10**6)[case] if case < 2 else int(10 ** rng.uniform(0.0, 6.0))
+        column = rng.dirichlet(np.ones(2 + case % 5))
+        size = (None, 200, 1000)[case % 3]
+        if case % 4 == 0:
+            _stream(1, 0, 0).random(3, dtype=np.float32)  # leaves a cached uint32
+        for index in (first, first + 1):
+            key = np.array([seed, (kind << 48) | (basis << 24) | index], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key)).multinomial(shots, column, size)
+            assert np.array_equal(_stream(seed, basis, index, kind).multinomial(shots, column, size), fresh)
+
+
+def test_two_threads_each_get_the_serial_result(monkeypatch):
+    # each thread re-keys its own generator, so two requests running at once
+    # draw what they draw alone; the threads take their streams in lockstep,
+    # so each re-keys before the other draws, the order a shared generator
+    # would fail in
+    pairs = [[(pauli_channel(0.15, 0.05, 0.1), DetectionConfig("pauli"), 2000, 5),
+              (pauli_channel(0.02, 0.3, 0.1), DetectionConfig("pauli"), 500, 6)],
+             [(vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 500, 9),
+              (pauli_family_channel(3, np.full((3, 3), 1 / 9)), DetectionConfig("weyl"), 10**5, 9)]]
+    serial = [[detect_from_samples(*case, resamples=100) for case in pair] for pair in pairs]
+    barrier, stream = threading.Barrier(2, timeout=60), protocol_sim._stream
+
+    def lockstep(*key):
+        gen = stream(*key)
+        barrier.wait()
+        return gen
+
+    monkeypatch.setattr(protocol_sim, "_stream", lockstep)
+    for pair, expected in zip(pairs, serial):
+        results = [None, None]
+
+        def run(i):
+            results[i] = detect_from_samples(*pair[i], resamples=100)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
+
+def test_each_request_reconstructs_its_transitions_in_one_pass(monkeypatch):
+    calls = []
+    for module in (detect, protocol_sim):
+        monkeypatch.setattr(module, "conditional_probs",
+                            lambda ch, b, f=conditional_probs: calls.append(len(b)) or f(ch, b))
+    ch = vshape_qutrit_channel(0.3, 0.6)
+    detect_capacity(ch, DetectionConfig("weyl"))
+    detect_from_samples(ch, DetectionConfig("weyl"), 500, seed=4, resamples=100)
+    assert calls == [4, 4]
+
+
+COUNT_TABLES = pathlib.Path(__file__).parent / "data" / "count_tables.json"
+
+
+def test_detect_from_counts_pins_the_point_estimate_on_committed_tables():
+    # no random draw enters the point estimate or its argmax, so these are
+    # pinned bit for bit on count tables drawn once: 2x2 closed forms, 3x3
+    # and 5x5 Blahut-Arimoto, and one-shot permutation tables that tie
+    for case in json.loads(COUNT_TABLES.read_text()):
+        counts = np.array(case["counts"])
+        est = detect_from_counts(counts, case["shots"], case["labels"], DetectionConfig(case["bases"]),
+                                 case["seed"], resamples=100)
+        assert (est.point_estimate_bits, est.argmax_basis) == (case["point_estimate_bits"], case["argmax_basis"])
+        assert est.ci_low_bits <= est.point_estimate_bits <= est.ci_high_bits
+
+
+def test_detect_from_samples_is_detect_from_counts_on_sample_counts():
+    spec = json.loads((pathlib.Path(__file__).parent / "data" / "kraus_d5_member24.json").read_text())
+    for ch, cfg, shots, seed in ((pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, 2**64 - 3),
+                                 (vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 10**5, 8),
+                                 (ChannelSpec.from_dict(spec).build(), DetectionConfig("weyl"), 1000, 11)):
+        bases, _ = cfg.resolve_bases(ch.dim)
+        counts = sample_counts(ch, bases, shots, seed)
+        assert counts.shape == (len(bases), ch.dim, ch.dim) and counts.dtype.kind == "i"
+        assert (counts.sum(axis=1) == shots).all()
+        for i, b in enumerate(bases):
+            assert np.array_equal(counts[i], sample_transition(conditional_probs(ch, b), shots, seed,
+                                                               basis_index=i)[0])
+        labels = [b.label for b in bases]
+        assert detect_from_counts(counts, shots, labels, cfg, seed, 100) == detect_from_samples(
+            ch, cfg, shots, seed, resamples=100)
+
+
+def test_detect_from_counts_rejects_malformed_tables():
+    counts = np.array([[[3, 1], [2, 4]], [[5, 0], [0, 5]]])
+    cfg = DetectionConfig("pauli")
+    detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 100)
+    for bad_counts, shots, labels in ((counts, 5, ["a"]), (counts, 6, ["a", "b"]), (counts[:, :1], 5, ["a", "b"]),
+                                      (counts[0], 5, ["a", "b"]), (0 * counts, 0, ["a", "b"])):
+        with pytest.raises(ValueError, match="count table per label"):
+            detect_from_counts(bad_counts, shots, labels, cfg, 1, 100)
+    with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
+        detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 99)

@@ -11,8 +11,10 @@ from capdetect import (
     computational_basis,
     conditional_probs,
     is_cptp,
+    pauli_bases,
     pauli_channel,
     vshape_qutrit_channel,
+    weyl_bases,
     weyl_operator,
 )
 from capdetect.channels import affine_to_kraus, gad_affine
@@ -149,6 +151,28 @@ def test_conditional_probs_columns_are_distributions():
              for m in basis.kets]
         )
         assert np.max(np.abs(t - loop)) < 1e-14
+
+
+def test_stacked_transitions_equal_each_basis_bit_for_bit():
+    # one stacked pass over k bases gives each basis's own matrix, and the
+    # bits of the one-basis formula: Pauli, Weyl and Haar-random bases
+    rng = np.random.default_rng(18)
+    for d in (2, 3, 5, 7):
+        families = [list(weyl_bases(d)[0]), [haar_random_basis(d, rng, f"custom{k}") for k in range(3)]]
+        if d == 2:
+            families.append(pauli_bases())
+        for _ in range(12):
+            ch = random_cptp_channel(d, int(rng.integers(1, d * d + 1)), rng)
+            for bases in families:
+                stack = conditional_probs(ch, bases)
+                assert stack.shape == (len(bases), d, d)
+                for t, b in zip(stack, bases):
+                    plain = np.clip((np.abs(b.kets.conj() @ np.stack(ch.operators) @ b.kets.T) ** 2).sum(axis=0),
+                                    0.0, 1.0)
+                    assert np.array_equal(t.view(np.uint64), plain.view(np.uint64))
+                    assert np.array_equal(t.view(np.uint64), conditional_probs(ch, b).view(np.uint64))
+    with pytest.raises(ValueError, match="dimension mismatch: channel dim 3, basis dim 2"):
+        conditional_probs(vshape_qutrit_channel(0.3, 0.6), pauli_bases())
 
 
 def test_weyl_pauli_identifications():
