@@ -10,6 +10,16 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# A Blahut-Arimoto round reduces (rows, inputs) arrays across their inputs.
+# numpy's axis=1 reductions pay a fixed cost per row; on a stack at least
+# this tall, with fewer than 8 inputs, the round reduces column by column
+# instead. Per call on 1,001 rows (2 vCPU, numpy 2.4), numpy -> columns:
+# sum 19.9 -> 3.9 us and max 48.4 -> 3.3 us at 3 inputs, sum 24.0 -> 9.3 us
+# and max 64.7 -> 12.4 us at 7. The column sums break even near 64 rows at
+# 3 inputs and 128-256 rows at 5-7, the maxima from 32-64 rows; below that
+# the columns lose (4 rows, 5 inputs: sum 1.8 vs 3.2 us).
+_TALL_ROWS = 128
+
 
 def check_prob_vector(p, tol: float = 1e-10) -> np.ndarray:
     """Validate a non-empty one-dimensional probability vector and return
@@ -165,7 +175,11 @@ def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 10
     call equals the one-matrix calls. A round skips a mask where no entry
     needs it (log2 q when every q > 0, |r|/|v| when every |v| > 0, the
     backtracking when every step is feasible); the masked forms give the
-    same floats on those rounds, so results do not depend on the path.
+    same floats on those rounds, so results do not depend on the path. On a
+    stack of at least ``_TALL_ROWS`` still-open matrices with fewer than 8
+    inputs, the round's sums, maxima and ``any`` across inputs run column by
+    column, with the same bits: numpy adds fewer than 8 terms in index
+    order, and max and any are exact.
 
     A matrix still open after 24 evaluations, and every 8 after that, also
     gets a candidate prior: 3 Newton steps for max I(p, T) on the face of
@@ -241,15 +255,15 @@ def _ba_map(t, kl_const, p):
     q = np.einsum("gmn,gn->gm", t, p)
     if q.min() > 0.0:
         kl = kl_const - np.einsum("gmn,gm->gn", t, np.log2(q))  # log2 c_n = D(p(.|n) || q)
-        upper = kl.max(axis=1)
+        upper = _row_reduce(np.maximum, kl)
     else:
         logq = np.zeros_like(q)
         np.log2(q, out=logq, where=q > 0.0)
         kl = kl_const - np.einsum("gmn,gm->gn", t, logq)
         unreached = np.einsum("gmn,gm->gn", t, q == 0.0) > 0.0  # D = +inf
-        upper = np.where(unreached, np.inf, kl).max(axis=1)
+        upper = _row_reduce(np.maximum, np.where(unreached, np.inf, kl))
     weighted = p * np.exp2(kl)
-    total = weighted.sum(axis=1)
+    total = _row_reduce(np.add, weighted)
     return weighted / total[:, None], np.log2(total), upper
 
 
@@ -283,8 +297,8 @@ def _squarem_step(p0, p1, p2):
     """The extrapolated prior of one SQUAREM cycle, row by row."""
     r = p1 - p0
     v = p2 - 2.0 * p1 + p0
-    nr = np.sqrt((r * r).sum(axis=1))  # np.linalg.norm(r, axis=1)
-    nv = np.sqrt((v * v).sum(axis=1))
+    nr = np.sqrt(_row_reduce(np.add, r * r))  # np.linalg.norm(r, axis=1)
+    nv = np.sqrt(_row_reduce(np.add, v * v))
     if nv.min() > 0.0:
         ratio = nr / nv
     else:
@@ -292,15 +306,29 @@ def _squarem_step(p0, p1, p2):
     alpha = -np.maximum(ratio, 1.0)[:, None]  # min(-|r|/|v|, -1)
     step = p0 - 2.0 * alpha * r + alpha * alpha * v
     if step.min() >= 0.0:
-        return step / step.sum(axis=1, keepdims=True)
+        return step / _row_reduce(np.add, step)[:, None]
     for _ in range(5):
-        bad = (step < 0.0).any(axis=1, keepdims=True)
+        bad = _row_reduce(np.logical_or, step < 0.0)[:, None]
         if not bad.any():
             break
         alpha = np.where(bad, (alpha - 1.0) / 2.0, alpha)
         step = p0 - 2.0 * alpha * r + alpha * alpha * v
-    bad = (step < 0.0).any(axis=1, keepdims=True)
-    return np.where(bad, p2, step / step.sum(axis=1, keepdims=True))
+    bad = _row_reduce(np.logical_or, step < 0.0)[:, None]
+    return np.where(bad, p2, step / _row_reduce(np.add, step)[:, None])
+
+
+def _row_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` (np.add, np.maximum or np.logical_or) of
+    a (rows, inputs) array, column by column in index order on a stack of at
+    least ``_TALL_ROWS`` rows with fewer than 8 inputs. numpy's sum of fewer
+    than 8 terms adds them in index order from +0.0, which this repeats, so
+    every float and signed zero is the same."""
+    if len(a) < _TALL_ROWS or a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1)
+    out = a[:, 0] + 0.0 if ufunc is np.add else a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
 
 
 class BinaryCapacity(NamedTuple):

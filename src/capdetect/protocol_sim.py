@@ -18,6 +18,15 @@ from .detect import DetectionConfig, solve_stack
 # a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
 # one request's replicates at about 0.5 GB
 _MAX_BOOTSTRAP_CELLS = 5_000_000
+# consecutive bases whose point-plus-replicate stacks fit in this many cells
+# (128 KB of float64) are drawn and solved in one solve_stack call, which
+# saves numpy's fixed cost per call. On a 2-vCPU VM, a qubit request's three
+# 1,001-row closed-form calls took 0.50 ms and one call 0.21-0.28 ms, and
+# Blahut-Arimoto on a 200-resample qutrit request's four stacks went from
+# 2.47 to 1.72 ms. Fusing 1,001-row qutrit stacks was no faster (30.8 vs
+# 30.3 ms over 20 stacks), so a larger basis is solved alone, and a request
+# peaks at the memory of its largest basis, as with one call per basis.
+_GROUP_CELLS = 2**14
 _local = threading.local()  # each thread's generator, made on first use
 
 
@@ -105,24 +114,46 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
-    bootstrap replicates, keyed (seed, 1, i, input), in one
-    :func:`solve_stack` call, the route every ``bound`` solve takes too. The
-    point estimate is the best basis's value (the lowest index among exact
-    ties); the 95% percentile interval of the replicates' best values,
-    widened to contain it, is the confidence interval. One RuntimeWarning
-    reports every unconverged solve, and ``resamples * d * d`` may not
-    exceed ``_MAX_BOOTSTRAP_CELLS``."""
+    bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
+    the route every ``bound`` solve takes too; consecutive bases whose
+    stacks fit ``_GROUP_CELLS`` together share one call, a larger basis has
+    one of its own, and either way every value is the same. The point
+    estimate is the best basis's value (the lowest index among exact ties);
+    the 95% percentile interval of the replicates' best values, widened to
+    contain it, is the confidence interval. One RuntimeWarning, at the
+    caller's line, reports every unconverged solve, and
+    ``resamples * d * d`` may not exceed ``_MAX_BOOTSTRAP_CELLS``."""
+    return _warned(_estimate(counts, shots, labels, config, seed, resamples))
+
+
+def _warned(estimate_and_notes) -> EstimatedDetection:
+    """The estimate, after warning with the notes, if any, at the line that
+    called the public function."""
+    estimate, notes = estimate_and_notes
+    if notes:
+        warnings.warn(notes, RuntimeWarning, stacklevel=3)
+    return estimate
+
+
+def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):
+    """:func:`detect_from_counts`'s estimate, and its warning's text ("" if
+    every solve converged)."""
     counts = np.asarray(counts)
     _check_resamples(resamples, d := counts.shape[-1])
     if shots < 1 or counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
         raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
-    caps, gaps = [], []  # per basis: the point estimate, then the replicates
-    for i, c in enumerate(counts):
-        boot = _counts(c / float(shots), shots, seed, i, kind=1, size=resamples)
-        _, cap, _, _, g = solve_stack(np.concatenate([c[None], boot]) / float(shots), config)
-        caps.append(cap)
-        gaps.append(g)
-    caps, gaps = np.array(caps), np.array(gaps)
+    rows = resamples + 1
+    per_call = max(1, _GROUP_CELLS // (rows * d * d))
+    caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates
+    for first in range(0, len(counts), per_call):
+        stack = []
+        for i in range(first, min(first + per_call, len(counts))):
+            boot = _counts(counts[i] / float(shots), shots, seed, i, kind=1, size=resamples)
+            stack += [counts[i][None], boot]
+        _, cap, _, _, g = solve_stack(np.concatenate(stack) / float(shots), config)
+        caps.append(cap.reshape(-1, rows))
+        gaps.append(g.reshape(-1, rows))
+    caps, gaps = np.concatenate(caps), np.concatenate(gaps)
     tol = config.ba_tolerance_bits
     wide = gaps > tol
     notes = []
@@ -134,13 +165,11 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
         if w.any():
             notes.append(f"bootstrap replicates: {int(w.sum())} of {resamples} Blahut-Arimoto solves "
                          f"of {label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
-    if notes:
-        warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=2)
     best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
     point = float(caps[best, 0])
     lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
     return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
-                              shots, seed, labels[best])
+                              shots, seed, labels[best]), "\n".join(notes)
 
 
 def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_per_input: int, seed: int,
@@ -150,4 +179,4 @@ def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_pe
     _check_resamples(resamples, channel.dim)
     bases, _ = config.resolve_bases(channel.dim)
     counts = sample_counts(channel, bases, shots_per_input, seed)
-    return detect_from_counts(counts, shots_per_input, [b.label for b in bases], config, seed, resamples)
+    return _warned(_estimate(counts, shots_per_input, [b.label for b in bases], config, seed, resamples))

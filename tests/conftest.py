@@ -4,9 +4,11 @@ random samplers for channels and bases,
 reference copies of the Blahut-Arimoto recursion, of the affine Choi
 construction, of the eig + QR
 eigenbasis and of the row-wise figure tables and CSV writer, the Fourier basis, the V-shape qutrit's transition matrices, the
-two-sided protocol's joint distribution, and small state constructors."""
+two-sided protocol's joint distribution, a per-basis copy of the bootstrap,
+and small state constructors."""
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -15,14 +17,17 @@ from capdetect.qcore import PAULIS, SIGMA_Z
 from capdetect.channels import _CHOI_CUTOFF, gad_params, stretched_affine
 from capdetect.cli import grid_values
 from capdetect.detect import (
+    DetectionConfig,
     dephasing_detected,
     holevo_gad_p1,
     pauli_axis_capacity,
+    solve_stack,
     t_threshold,
     von_mises_expected_capacity,
     vshape_detected,
 )
 from capdetect.infotheory import check_solver_settings, check_transition_stack, check_unit_interval
+from capdetect.protocol_sim import EstimatedDetection, _check_resamples, _counts
 
 
 def _compositions(total: int, parts: int):
@@ -460,3 +465,49 @@ REFERENCE_FIGURE_BUILDERS = {
     "fig4": _fig4,
     "suppl_stretched": _suppl_stretched,
 }
+
+
+# protocol_sim.detect_from_counts as it was before bases were solved in
+# groups: one draw and one solve_stack call per basis
+def reference_detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed: int,
+                                 resamples: int = 1000) -> EstimatedDetection:
+    """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
+    inputs) table of ``shots`` draws per input, labelled ``labels[i]``.
+
+    Each plug-in estimate counts/shots is solved with its column-resampled
+    bootstrap replicates, keyed (seed, 1, i, input), in one
+    :func:`solve_stack` call, the route every ``bound`` solve takes too. The
+    point estimate is the best basis's value (the lowest index among exact
+    ties); the 95% percentile interval of the replicates' best values,
+    widened to contain it, is the confidence interval. One RuntimeWarning
+    reports every unconverged solve, and ``resamples * d * d`` may not
+    exceed ``_MAX_BOOTSTRAP_CELLS``."""
+    counts = np.asarray(counts)
+    _check_resamples(resamples, d := counts.shape[-1])
+    if shots < 1 or counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
+        raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
+    caps, gaps = [], []  # per basis: the point estimate, then the replicates
+    for i, c in enumerate(counts):
+        boot = _counts(c / float(shots), shots, seed, i, kind=1, size=resamples)
+        _, cap, _, _, g = solve_stack(np.concatenate([c[None], boot]) / float(shots), config)
+        caps.append(cap)
+        gaps.append(g)
+    caps, gaps = np.array(caps), np.array(gaps)
+    tol = config.ba_tolerance_bits
+    wide = gaps > tol
+    notes = []
+    if wide[:, 0].any():
+        unconverged = ", ".join(label for label, w in zip(labels, wide[:, 0]) if w)
+        notes.append(f"point estimate: {unconverged} did not converge to {tol:g} bits; "
+                     f"worst gap {gaps[wide[:, 0], 0].max():.3e} bits")
+    for label, w, g in zip(labels, wide[:, 1:], gaps[:, 1:]):
+        if w.any():
+            notes.append(f"bootstrap replicates: {int(w.sum())} of {resamples} Blahut-Arimoto solves "
+                         f"of {label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
+    if notes:
+        warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=2)
+    best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
+    point = float(caps[best, 0])
+    lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
+    return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
+                              shots, seed, labels[best])

@@ -10,7 +10,7 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
 )
-from capdetect.infotheory import _ba_map, _h
+from capdetect.infotheory import _TALL_ROWS, _ba_map, _h, _row_reduce
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
@@ -175,7 +175,10 @@ def reference_corpus():
     occur (the masked log), SQUAREM backtracking and its fallback to p2
     (Dirichlet(0.05) columns and boundary optima), batches whose matrices
     finish on different rounds, max_iter stops at odd and even counts, and
-    fixed points where v = 0 (the masked step length)."""
+    fixed points where v = 0 (the masked step length). The last cases are
+    stacks of 127 to 1,001 count-quantized matrices with 2 to 9 inputs,
+    whose exact zeros reach the same branches on rounds that reduce column
+    by column, and rounds that do not once few matrices are left open."""
     rng = np.random.default_rng(2008)
     cases = []
     for _ in range(30):
@@ -202,12 +205,21 @@ def reference_corpus():
     cases.append((mixed, 1e-9, 3000))
     cases.append((np.stack([np.eye(3), np.eye(3)[:, [1, 2, 0]]]), 1e-300, 6))
     cases.append((bsc(0.1)[None], 1e-300, 6))
+    heights = (_TALL_ROWS - 1, _TALL_ROWS, _TALL_ROWS + 1, 1001, 300, 1000, 129, 1001)
+    for n_in, g in zip(range(2, 10), heights):
+        n_out, shots = int(rng.integers(2, 8)), int(rng.choice([5, 50, 500, 5000]))
+        columns = rng.dirichlet(np.full(n_out, 0.3), size=n_in)
+        stack = np.stack([rng.multinomial(shots, col, size=g) for col in columns], axis=-1) / shots
+        if rng.random() < 0.5:
+            stack = np.insert(stack, int(rng.integers(n_out + 1)), 0.0, axis=1)
+        cases.append((stack, 1e-9, 3000))
     return cases
 
 
 def test_ba_equals_reference_recursion_bit_for_bit():
-    stops, staggered, taken = set(), False, []
+    stops, staggered, taken, tall = set(), False, [], False
     for stack, tol, max_iter in reference_corpus():
+        tall |= len(stack) >= _TALL_ROWS and stack.shape[2] < 8
         ref = reference_ba_batch(stack, tol, max_iter, taken)
         got = blahut_arimoto_batch(stack, tol, max_iter)
         for r, x in zip(ref, got):  # capacities, priors, iterations, gaps
@@ -220,6 +232,20 @@ def test_ba_equals_reference_recursion_bit_for_bit():
     assert {1, 2, 7, 8} <= stops  # max_iter stops at odd and even counts
     assert staggered
     assert taken  # some face-Newton candidate raised a lower bound
+    assert tall  # some rounds reduce column by column
+
+
+def test_row_reduce_equals_numpy_bit_for_bit():
+    # index-order sums from +0.0, exact maxima and any, signed zeros, infs
+    # and NaN included, on both sides of the height and input limits
+    rng = np.random.default_rng(19)
+    for case in range(400):
+        g, n = int(rng.choice([1, _TALL_ROWS - 1, _TALL_ROWS, 1001])), int(rng.integers(1, 10))
+        a = rng.standard_normal((g, n)) * 10.0 ** rng.integers(-8, 8, (g, n))
+        a[rng.random((g, n)) < 0.3] = (0.0, -0.0, np.inf, -np.inf, np.nan)[case % 5]
+        for ufunc, x in ((np.add, a), (np.maximum, a), (np.logical_or, a < 0.0)):
+            got, want = _row_reduce(ufunc, x), ufunc.reduce(x, axis=1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ba_output_that_never_occurs():

@@ -34,6 +34,7 @@ from conftest import (
     haar_random_basis,
     qutrit_vshape_transitions,
     random_cptp_channel,
+    reference_detect_from_counts,
     reference_eigenbasis,
     weakly_symmetric_capacity,
 )
@@ -268,20 +269,74 @@ def test_simulate_keys_its_streams_by_seed_kind_basis_and_input(monkeypatch):
     assert keys == [(11, kind, b, n) for kind in (0, 1) for b in range(4) for n in range(3)]
 
 
-def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
-    shapes = []
-    solve_stack = protocol_sim.solve_stack
+def record_solve_shapes(monkeypatch) -> list:
+    """The shape of every stack protocol_sim passes to solve_stack."""
+    shapes, solve_stack = [], protocol_sim.solve_stack
 
     def recording(stack, config):
         shapes.append(stack.shape)
         return solve_stack(stack, config)
 
     monkeypatch.setattr(protocol_sim, "solve_stack", recording)
+    return shapes
+
+
+def test_simulate_solves_each_basis_once_with_its_replicates(monkeypatch):
+    # bases whose stacks fit the cell budget together share one call; a
+    # 1,001-row qutrit stack (9,009 cells) is solved alone
+    shapes = record_solve_shapes(monkeypatch)
     detect_from_samples(vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 500, seed=4, resamples=100)
-    assert shapes == [(101, 3, 3)] * 4
+    assert shapes == [(404, 3, 3)]
     shapes.clear()
     detect_from_samples(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, seed=4, resamples=120)
-    assert shapes == [(121, 2, 2)] * 3
+    assert shapes == [(363, 2, 2)]
+    shapes.clear()
+    detect_from_samples(vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 500, seed=4, resamples=1000)
+    assert shapes == [(1001, 3, 3)] * 4
+
+
+def test_grouped_bootstrap_equals_the_per_basis_one(monkeypatch):
+    # with cell budgets that make groups of one basis, of two and of all,
+    # detect_from_counts gives what one solve per basis gives, warnings too
+    rng = np.random.default_rng(19)
+    shapes = record_solve_shapes(monkeypatch)
+    cases = [(pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, 1000),
+             (random_cptp_channel(2, 2, rng), DetectionConfig("pauli"), 10**5, 100),
+             (vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 5000, 200),
+             (random_cptp_channel(3, 2, rng), DetectionConfig("weyl", max_iterations=3), 500, 100),
+             (random_cptp_channel(5, 3, rng), DetectionConfig("weyl"), 2000, 100),
+             (random_cptp_channel(3, 1, rng), DetectionConfig([haar_random_basis(3, rng, f"custom{i}")
+                                                                for i in range(3)]), 10**4, 300),
+             (random_cptp_channel(4, 2, rng), DetectionConfig([haar_random_basis(4, rng, f"custom{i}")
+                                                                for i in range(2)]), 800, 100)]
+    for seed, (ch, cfg, shots, resamples) in enumerate(cases):
+        bases, _ = cfg.resolve_bases(ch.dim)
+        counts, labels = sample_counts(ch, bases, shots, seed), [b.label for b in bases]
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            ref = reference_detect_from_counts(counts, shots, labels, cfg, seed, resamples).as_dict()
+        rows = resamples + 1
+        for per_call in (1, 2, len(bases)):
+            monkeypatch.setattr(protocol_sim, "_GROUP_CELLS", per_call * rows * ch.dim ** 2)
+            shapes.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert detect_from_counts(counts, shots, labels, cfg, seed, resamples).as_dict() == ref
+            assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+            assert shapes == [(min(per_call, len(bases) - first) * rows, ch.dim, ch.dim)
+                              for first in range(0, len(bases), per_call)]
+
+
+def test_unconverged_warning_points_at_the_caller():
+    ch, cfg = vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl", max_iterations=2)
+    bases, _ = cfg.resolve_bases(3)
+    counts = sample_counts(ch, bases, 500, 4)
+    with pytest.warns(RuntimeWarning) as through_samples:
+        detect_from_samples(ch, cfg, 500, seed=4, resamples=100)
+    with pytest.warns(RuntimeWarning) as through_counts:
+        detect_from_counts(counts, 500, [b.label for b in bases], cfg, 4, 100)
+    for caught in (through_samples, through_counts):
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_rekeyed_stream_draws_what_a_fresh_generator_draws():
