@@ -7,11 +7,12 @@ convert between the two pictures.
 """
 
 import inspect
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
 
-from .infotheory import check_unit_interval
+from .infotheory import check_interval
 from .qcore import (
     KrausChannel,
     PAULIS,
@@ -29,7 +30,7 @@ _CHOI_CUTOFF = 1e-12
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    return min(max(float(check_unit_interval(name, value, slack=1e-12)), 0.0), 1.0)
+    return min(max(float(check_interval(name, value, slack=1e-12)), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,11 @@ class AffineQubitChannel:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "t3"):
-            v = getattr(self, name)
-            if not -1.0 - 1e-12 <= v <= 1.0 + 1e-12:
-                raise ValueError(f"{name} = {v} outside [-1, 1]")
-        mp, mm = self.cp_margins()
-        if mp < -1e-12:
-            raise ValueError(
-                "not completely positive: (l1+l2)^2 <= (1+l3)^2 - t3^2 violated "
-                f"by {-mp:.3e}"
-            )
-        if mm < -1e-12:
-            raise ValueError(
-                "not completely positive: (l1-l2)^2 <= (1-l3)^2 - t3^2 violated "
-                f"by {-mm:.3e}"
-            )
+            check_interval(name, getattr(self, name), -1.0, 1.0, 1e-12)
+        for sign, margin in zip("+-", self.cp_margins()):
+            if not margin >= -1e-12:
+                raise ValueError(f"not completely positive: (l1{sign}l2)^2 <= (1{sign}l3)^2 - t3^2 "
+                                 f"violated by {-margin:.3e}")
 
     def cp_margins(self) -> tuple:
         """Slack in the two complete-positivity inequalities (negative = violated)."""
@@ -85,9 +77,8 @@ def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     q = np.asarray(q, dtype=float)
     if q.shape != (dim, dim):
         raise ValueError(f"probability table must be {dim}x{dim}, got {q.shape}")
-    if q.min() < -1e-12:
-        raise ValueError(f"negative probability q = {q.min()}")
-    if abs(q.sum() - 1.0) > 1e-12:
+    check_interval("q", q, 0.0, np.inf, 1e-12)
+    if not abs(q.sum() - 1.0) <= 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {q.sum()}")
     ops = []
     for l in range(dim):
@@ -127,7 +118,7 @@ def gad_affine(gamma: float, p: float) -> AffineQubitChannel:
 def stretched_affine(gamma: float, s: float) -> AffineQubitChannel:
     """Stretched damping channel: (s, s, 1-gamma, gamma) with |s| <= sqrt(1-gamma)."""
     gamma = _check_unit_interval("gamma", gamma)
-    if abs(s) > np.sqrt(1.0 - gamma) + 1e-12:
+    if not abs(s) <= np.sqrt(1.0 - gamma) + 1e-12:
         raise ValueError(
             f"|s| = {abs(s)} exceeds sqrt(1-gamma) = {np.sqrt(1 - gamma):.6f}; not completely positive"
         )
@@ -159,10 +150,8 @@ def vshape_qutrit_channel(gamma01: float, gamma02: float) -> KrausChannel:
 def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
     """Dephasing with probability p along the Bloch axis (theta, phi)."""
     p = _check_unit_interval("p", p)
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta = {theta} outside [0, pi/2]")
-    if not 0.0 <= phi < 2 * np.pi + 1e-12:
-        raise ValueError(f"phi = {phi} outside [0, 2*pi)")
+    check_interval("theta", theta, 0.0, np.pi / 2 + 1e-12)
+    check_interval("phi", phi, 0.0, 2 * np.pi + 1e-12)
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     sigma_n = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     ops = []
@@ -175,8 +164,7 @@ def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
 
 def rotated_pauli_channel(px: float, py: float, pz: float, phi: float) -> KrausChannel:
     """Pauli channel followed by a rotation of phi around the z axis."""
-    if not -np.pi - 1e-12 <= phi <= np.pi + 1e-12:
-        raise ValueError(f"phi = {phi} outside [-pi, pi]")
+    check_interval("phi", phi, -np.pi, np.pi, 1e-12)
     rot = np.cos(phi / 2) * np.eye(2, dtype=complex) + 1j * np.sin(phi / 2) * SIGMA_Z
     base = pauli_channel(px, py, pz)
     return KrausChannel(tuple(rot @ a for a in base.operators))
@@ -238,13 +226,15 @@ def _cells(value):
 
 def check_numbers(value, subject: str, nested: bool = True) -> None:
     """Require every leaf of ``value`` (``value`` itself unless ``nested``)
-    to be a number: no string, boolean or null, which
-    ``np.asarray(..., dtype=float)`` would accept. The error starts with
-    ``subject``."""
+    to be a finite number: no string, boolean or null, which
+    ``np.asarray(..., dtype=float)`` would accept, and no NaN or infinity,
+    which ``json.load`` reads. The error starts with ``subject``."""
     for cell in _cells(value) if nested else (value,):
         if isinstance(cell, bool) or not isinstance(cell, (int, float)):
             what = "an array of numbers" if nested else "a number"
             raise ValueError(f"{subject} must be {what}, got {cell!r}")
+        if isinstance(cell, float) and not math.isfinite(cell):
+            raise ValueError(f"{subject} must be a finite number, got {cell!r}")
 
 
 def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:

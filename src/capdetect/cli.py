@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .qcore import KrausChannel, MeasurementBasis, is_cptp
+from .qcore import CERT_TOL, KrausChannel, MeasurementBasis, is_cptp
 from .channels import ChannelSpec, _matrix_from_cells, check_numbers, gad_params, stretched_affine
 from .infotheory import binary_capacity, blahut_arimoto
 from .detect import (
@@ -355,8 +355,9 @@ def _add_common(p, channel=False, bases=False, sampling=False):
     if bases:
         families = " | ".join([*BASIS_FAMILIES, "custom:<path>"])
         p.add_argument("--bases", default=DetectionConfig.bases, help=families)
-    p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance in bits")
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=DetectionConfig.ba_tolerance_bits,
+                   help="solver tolerance in bits")
+    p.add_argument("--max-iter", type=int, default=DetectionConfig.max_iterations)
     if sampling:
         p.add_argument("--shots", type=int, required=True, help="shots per input state")
         p.add_argument("--seed", type=int, required=True, help="unsigned 64-bit sampling seed")
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cp", help="certify trace preservation and complete positivity")
     p.add_argument("--channel", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=CERT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_check_cp)
 

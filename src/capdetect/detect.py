@@ -28,9 +28,9 @@ from .infotheory import (
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
+    check_interval,
     check_solver_settings,
     check_transition_stack,
-    check_unit_interval,
 )
 
 PAULI_AXES = ("x", "y", "z")
@@ -299,8 +299,8 @@ def t_threshold(t_norm: float, r: float) -> float:
     of 1e-6 around it the analytic limit
     r^2 - t_norm*r + (ln 2 / 2) (1 - H(1/2 + r)) is used instead.
     """
-    if not 0.0 <= t_norm <= 1.0 or not 0.0 <= r <= 1.0:
-        raise ValueError(f"arguments ({t_norm}, {r}) outside [0, 1]")
+    check_interval("t_norm", t_norm)
+    check_interval("r", r)
     if t_norm + r > 1.0 + 1e-12:
         raise ValueError(
             f"t_norm + r = {t_norm + r} exceeds 1; no completely positive "
@@ -364,7 +364,7 @@ def holevo_gad_p1(gamma):
     The schedule is fixed, so each gamma's value does not depend on the
     others in the call.
     """
-    gam = check_unit_interval("gamma", gamma)
+    gam = check_interval("gamma", gamma)
     g = gam.ravel()[:, None]
     rows = np.arange(g.size)
     frac = np.linspace(0.0, 1.0, _GAD_GRID_POINTS)
@@ -416,26 +416,21 @@ def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     return float(out) if out.ndim == 0 else out
 
 
-def von_mises_expected_capacity(
-    px: float, py: float, pz: float, k_phi, quad_points: int = 2001
-):
+# an odd count, as composite Simpson needs
+_VON_MISES_POINTS = 2001
+
+
+def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
     """Expected detected capacity of a z-rotated Pauli channel when the
     rotation phase is distributed as exp(K cos phi) on [-pi, pi]; elementwise
     over an array of concentrations K, and a float for a scalar K.
 
-    Composite-Simpson quadrature on a shared grid; normalizing on the same
-    grid removes the Bessel-function normalization constant, and the step
-    h/3 cancels in the ratio."""
-    k = np.asarray(k_phi, dtype=float)
-    if not k.min() >= 0.0:  # NaN fails too
-        bad = ~(k >= 0.0)
-        count = f" ({int(bad.sum())} of {k.size} entries)" if k.ndim else ""
-        raise ValueError(f"concentration must be nonnegative, got {k[bad][0]}{count}")
-    if quad_points < 64:
-        raise ValueError("use at least 64 quadrature points")
-    n = quad_points + 1 - quad_points % 2  # Simpson wants an odd point count
-    phi = np.linspace(-np.pi, np.pi, n)
-    simpson = np.ones(n)
+    Composite-Simpson quadrature on a shared grid of ``_VON_MISES_POINTS``
+    phases; normalizing on the same grid removes the Bessel-function
+    normalization constant, and the step h/3 cancels in the ratio."""
+    k = check_interval("concentration", k_phi, 0.0, np.inf)
+    phi = np.linspace(-np.pi, np.pi, _VON_MISES_POINTS)
+    simpson = np.ones(_VON_MISES_POINTS)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
     values = rotated_pauli_detected(px, py, pz, phi)
@@ -476,8 +471,8 @@ def vshape_detected(gamma01, gamma02):
     symmetric with off-diagonal weight gamma_tilde, so I(B2) =
     log2 3 - H(1 - 2 gamma_tilde, gamma_tilde, gamma_tilde).
     """
-    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
-                                   check_unit_interval("gamma02", gamma02))
+    g01, g02 = np.broadcast_arrays(check_interval("gamma01", gamma01),
+                                   check_interval("gamma02", gamma02))
     i1 = np.log2(1.0 + _decay_arm(g01) + _decay_arm(g02))
     gt = _vshape_gamma_tilde(g01, g02)
     diag = 1.0 - 2.0 * gt

@@ -57,15 +57,15 @@ def check_transition_stack(t, tol: float = 1e-9) -> np.ndarray:
     return np.clip(t, 0.0, 1.0)
 
 
-def check_unit_interval(name: str, values, slack: float = 0.0) -> np.ndarray:
+def check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: float = 0.0) -> np.ndarray:
     """``values`` as a float array, after checking that every entry lies in
-    [-slack, 1 + slack]. The error names the first entry outside (NaN
+    [lo - slack, hi + slack]. The error names the first entry outside (NaN
     included) and, for arrays, how many entries are outside."""
     v = np.asarray(values, dtype=float)
-    bad = ~((v >= -slack) & (v <= 1.0 + slack))
+    bad = ~((v >= lo - slack) & (v <= hi + slack))
     if bad.any():
         count = f" ({int(bad.sum())} of {v.size} entries)" if v.ndim else ""
-        raise ValueError(f"{name} = {v[bad][0]} outside [0, 1]{count}")
+        raise ValueError(f"{name} = {v[bad][0]} outside [{lo:g}, {hi:g}]{count}")
     return v
 
 
@@ -85,7 +85,7 @@ def check_solver_settings(tol_bits, max_iter) -> None:
 
 def binary_entropy(x):
     """H(x) = -x log2 x - (1-x) log2(1-x), elementwise, with 0 log 0 = 0."""
-    x = check_unit_interval("binary entropy argument", x, slack=1e-9)
+    x = check_interval("binary entropy argument", x, slack=1e-9)
     out = _h(np.clip(x, 0.0, 1.0))
     if np.ndim(out) == 0:
         return float(out)
@@ -352,8 +352,8 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     about 1e-12/(e ln 2) = 5.3e-13 bits inside the cut (the Z channel attains
     it), so the value reported there is a lower bound within that much.
     """
-    e0 = check_unit_interval("eps0", eps0)
-    e1 = check_unit_interval("eps1", eps1)
+    e0 = check_interval("eps0", eps0)
+    e1 = check_interval("eps1", eps1)
     flip = e0 + e1 > 1.0
     e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1

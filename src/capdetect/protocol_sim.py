@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, solve_stack
+from .infotheory import check_interval
 
 # a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
 # one request's replicates at about 0.5 GB
@@ -111,7 +112,8 @@ def sample_counts(channel: KrausChannel, bases, shots: int, seed: int) -> np.nda
 def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed: int,
                        resamples: int = 1000) -> EstimatedDetection:
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
-    inputs) table of ``shots`` draws per input, labelled ``labels[i]``.
+    inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
+    a negative or non-integer count fails with an error that says which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -140,6 +142,11 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
     every solve converged)."""
     counts = np.asarray(counts)
     _check_resamples(resamples, d := counts.shape[-1])
+    values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
+    fractional = values[values != np.floor(values)]
+    if fractional.size:
+        raise ValueError(f"counts must be integers, got {fractional[0]} "
+                         f"({fractional.size} of {values.size} entries)")
     if shots < 1 or counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
         raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
     rows = resamples + 1

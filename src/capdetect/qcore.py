@@ -55,7 +55,7 @@ class MeasurementBasis:
             raise ValueError("basis must be a square array of kets (rows)")
         gram = kets.conj() @ kets.T
         dev = np.max(np.abs(gram - np.eye(kets.shape[0])))
-        if dev > CERT_TOL:
+        if not dev <= CERT_TOL:  # NaN fails too
             raise ValueError(
                 f"basis '{self.label}' is not orthonormal: "
                 f"max |<m|n> - delta_mn| = {dev:.3e}"

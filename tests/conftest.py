@@ -26,7 +26,7 @@ from capdetect.detect import (
     von_mises_expected_capacity,
     vshape_detected,
 )
-from capdetect.infotheory import check_solver_settings, check_transition_stack, check_unit_interval
+from capdetect.infotheory import check_interval, check_solver_settings, check_transition_stack
 from capdetect.protocol_sim import EstimatedDetection, _check_resamples, _counts
 
 
@@ -343,8 +343,8 @@ def qutrit_vshape_transitions(gamma01, gamma02):
     Array arguments are broadcast together and give stacks of shape
     (..., 3, 3) and a gamma_tilde array; scalars give single matrices and a
     float."""
-    g01, g02 = np.broadcast_arrays(check_unit_interval("gamma01", gamma01),
-                                   check_unit_interval("gamma02", gamma02))
+    g01, g02 = np.broadcast_arrays(check_interval("gamma01", gamma01),
+                                   check_interval("gamma02", gamma02))
     q1 = np.zeros(g01.shape + (3, 3))
     q1[..., 0, 0] = 1.0
     q1[..., 0, 1] = g01

@@ -52,6 +52,10 @@ def test_pauli_family_d3_uniform_is_uniform_in_weyl_bases():
 def test_pauli_family_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_family_channel(2, np.full((2, 2), 0.3))
+    with pytest.raises(ValueError, match=r"^q = nan outside \[0, inf\] \(1 of 4 entries\)$"):
+        pauli_family_channel(2, [[np.nan, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match=r"^q = -0\.25 outside \[0, inf\] \(1 of 4 entries\)$"):
+        pauli_family_channel(2, [[-0.25, 0.75], [0.25, 0.25]])
     with pytest.raises(ValueError, match="simplex"):
         pauli_channel(0.6, 0.6, 0.0)
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from capdetect import (
     stretched_affine,
 )
 from capdetect import cli, protocol_sim
+from capdetect.channels import _ARRAY_PARAMS, _KINDS, _PARAMS
 from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
 from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text
 
@@ -152,6 +154,49 @@ def test_bound_rejects_non_numeric_custom_basis_cells(tmp_path, capsys, cell, sh
     code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
     assert code == 1 and out == ""
     assert err == f"capdetect: error: basis 1 must be an array of numbers, got {shown}\n"
+
+
+# a valid spec of every kind, with every parameter given
+VALID_PARAMS = {
+    "pauli": {"px": 0.1, "py": 0.05, "pz": 0.1},
+    "generalized_pauli": {"dim": 2, "q": [[0.7, 0.1], [0.1, 0.1]]},
+    "gad": {"gamma": 0.36, "p": 1.0},
+    "stretched": {"gamma": 0.5, "s": 0.3},
+    "extremal": {"alpha": 0.4, "beta": 1.1},
+    "dephasing_axis": {"p": 0.3, "theta": 0.5, "phi": 1.0},
+    "rotated_pauli": {"px": 0.1, "py": 0.05, "pz": 0.1, "phi": 0.3},
+    "vshape_qutrit": {"gamma01": 0.3, "gamma02": 0.6},
+    "affine_qubit": {"lambda1": 0.5, "lambda2": 0.5, "lambda3": 0.5, "t3": 0.1},
+    "kraus": {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]},
+}
+
+
+def test_non_finite_numbers_fail_at_ingestion_by_name(tmp_path, capsys):
+    """NaN, Infinity and -Infinity, which json.load reads, in every parameter
+    of every kind, in a q or operators cell and in a custom basis cell: each
+    request exits 1 naming the parameter or the basis."""
+    assert VALID_PARAMS.keys() == _KINDS.keys()
+    for kind, params in VALID_PARAMS.items():
+        assert params.keys() == _PARAMS[kind].keys(), kind
+        ChannelSpec.from_dict({"kind": kind, "params": params})
+        for name, bad in itertools.product(params, (math.nan, math.inf, -math.inf)):
+            doc = json.loads(json.dumps({"kind": kind, "params": params}))
+            if name in _ARRAY_PARAMS:  # the first number of the array
+                cell = doc["params"][name][0]
+                while isinstance(cell[0], list):
+                    cell = cell[0]
+                cell[0] = bad
+            else:
+                doc["params"][name] = bad
+            code, out, err = run(capsys, "bound", "--channel", write_json(tmp_path, "spec.json", doc))
+            assert (code, out, err) == (
+                1, "", f"capdetect: error: parameter '{name}' of kind '{kind}' must be a finite number, got {bad!r}\n")
+    spec = write_json(tmp_path, "gad.json", GAD)
+    for text, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+        bpath = tmp_path / "bases.json"
+        bpath.write_text(f"[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, {text}]]]]")
+        code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
+        assert (code, out, err) == (1, "", f"capdetect: error: basis 1 must be a finite number, got {shown}\n")
 
 
 def test_bound_custom_bases(tmp_path, capsys):

@@ -445,3 +445,9 @@ def test_detect_from_counts_rejects_malformed_tables():
             detect_from_counts(bad_counts, shots, labels, cfg, 1, 100)
     with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
         detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 99)
+    # each table's columns sum to shots = 2, so only the cells are at fault
+    for table, message in (([[0.5, 1.5], [1.5, 0.5]], r"^counts must be integers, got 0\.5 \(4 of 4 entries\)$"),
+                           ([[-1, 3], [3, -1]], r"^counts = -1\.0 outside \[0, inf\] \(2 of 4 entries\)$"),
+                           ([[np.nan, 2], [2, 0]], r"^counts = nan outside \[0, inf\] \(1 of 4 entries\)$")):
+        with pytest.raises(ValueError, match=message):
+            detect_from_counts(np.array([table]), 2, ["z"], cfg, 1, 100)

@@ -262,3 +262,5 @@ def test_weyl_family_is_d_plus_one_unbiased_classes():
 def test_measurement_basis_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         MeasurementBasis("bad", np.array([[1, 0], [1, 0]], dtype=complex))
+    with pytest.raises(ValueError, match=r"^basis 'nan' is not orthonormal: .* = nan$"):
+        MeasurementBasis("nan", np.array([[np.nan, 0], [0, 1]], dtype=complex))
