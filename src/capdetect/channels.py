@@ -7,7 +7,6 @@ convert between the two pictures.
 """
 
 import inspect
-import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -74,9 +73,9 @@ class AffineQubitChannel:
 def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability
     table over the generalized Pauli unitaries."""
-    q = np.asarray(q, dtype=float)
+    q = _float_array(q, "probability table q")
     if q.shape != (dim, dim):
-        raise ValueError(f"probability table must be {dim}x{dim}, got {q.shape}")
+        raise ValueError(f"probability table q must be {dim}x{dim}, got {q.shape}")
     check_interval("q", q, 0.0, np.inf, 1e-12)
     if not abs(q.sum() - 1.0) <= 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {q.sum()}")
@@ -90,11 +89,9 @@ def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
 
 def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
     """Qubit Pauli channel; the identity weight is 1 - px - py - pz."""
-    p0 = 1.0 - px - py - pz
-    if min(px, py, pz, p0) < -1e-12:
-        raise ValueError(
-            f"(px, py, pz) = ({px}, {py}, {pz}) not in the probability simplex"
-        )
+    for name, value in (("px", px), ("py", py), ("pz", pz)):
+        check_interval(name, value, 0.0, np.inf, 1e-12)
+    p0 = float(check_interval("simplex weight 1 - px - py - pz", 1.0 - px - py - pz, 0.0, np.inf, 1e-12))
     # table indices (l, s): identity (0,0), sigma_x (0,1), sigma_z (1,0),
     # and (1,1) which equals sigma_y up to phase
     return pauli_family_channel(2, np.array([[max(p0, 0.0), px], [pz, py]]))
@@ -211,6 +208,7 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
 
 
 _ARRAY_PARAMS = ("q", "operators")
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares exactly with any int
 
 
 def _cells(value):
@@ -225,22 +223,32 @@ def _cells(value):
 
 
 def check_numbers(value, subject: str, nested: bool = True) -> None:
-    """Require every leaf of ``value`` (``value`` itself unless ``nested``)
-    to be a finite number: no string, boolean or null, which
-    ``np.asarray(..., dtype=float)`` would accept, and no NaN or infinity,
-    which ``json.load`` reads. The error starts with ``subject``."""
+    """Require ``value``, or with ``nested`` each leaf of a list, tuple or
+    array, to be a finite number: no string, boolean or null, which
+    ``np.asarray(..., dtype=float)`` would accept, and no NaN, infinity or
+    integer beyond the float range. The error starts with ``subject``."""
+    what = "an array of numbers" if nested else "a number"
+    if nested and not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{subject} must be {what}, got {value!r}")
     for cell in _cells(value) if nested else (value,):
         if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-            what = "an array of numbers" if nested else "a number"
             raise ValueError(f"{subject} must be {what}, got {cell!r}")
-        if isinstance(cell, float) and not math.isfinite(cell):
+        if not abs(cell) <= _FLOAT_MAX:  # NaN fails
             raise ValueError(f"{subject} must be a finite number, got {cell!r}")
+
+
+def _float_array(cells, what: str) -> np.ndarray:
+    """``cells`` as a float array; unlike numpy's, the error names ``what``."""
+    try:
+        return np.asarray(cells, dtype=float)
+    except ValueError:
+        raise ValueError(f"{what} is not a rectangular array of numbers") from None
 
 
 def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:
     """Decode a complex matrix from [re, im] cells, either flat row-major
     (d*d cells) or nested (d rows of d cells)."""
-    arr = np.asarray(cells, dtype=float)
+    arr = _float_array(cells, what)
     if arr.shape not in ((d * d, 2), (d, d, 2)):
         raise ValueError(
             f"{what}: expected {d * d} [re, im] cells (flat row-major or {d} rows), "
@@ -284,25 +292,13 @@ class ChannelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # every path to a channel constructs a spec first, so this is the
-        # one type check: numbers only, in array cells too
-        for name, value in self.params.items():
-            check_numbers(value, f"parameter '{name}' of kind '{self.kind}'", name in _ARRAY_PARAMS)
-
-    @classmethod
-    def from_dict(cls, doc: dict, require_cptp: bool = True, build: bool = True) -> "ChannelSpec":
-        """Check the document's kind and parameter names (construction
-        checks their types), then, with ``build``, build the channel once so
-        that range and constraint violations surface here; a caller that
-        builds the channel itself passes ``build=False``."""
-        if not isinstance(doc, dict):
-            raise ValueError("channel spec must be a JSON object")
-        kind = doc.get("kind")
+        # every path to a channel constructs a spec: the one check of its kind, names, types and dim
+        kind, params = self.kind, self.params
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown channel kind '{kind}'; choose from {sorted(_KINDS)}")
-        params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object")
+        object.__setattr__(self, "params", params := dict(params))
         expected = _PARAMS[kind]
         unknown = params.keys() - expected.keys()
         if unknown:
@@ -310,19 +306,25 @@ class ChannelSpec:
         missing = [name for name, p in expected.items() if p.default is p.empty and name not in params]
         if missing:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(missing)}")
-        spec = cls(kind, dict(params))
-        if build:
-            spec.build(require_cptp=require_cptp)
-        return spec
+        for name, value in params.items():
+            check_numbers(value, f"parameter '{name}' of kind '{kind}'", name in _ARRAY_PARAMS)
+        if "dim" in params and (not isinstance(params["dim"], int) or params["dim"] < 2):
+            raise ValueError(f"{kind} dim must be an integer >= 2, got {params['dim']!r}")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ChannelSpec":
+        """The spec of a JSON document {"kind": ..., "params": {...}},
+        checked as construction checks it."""
+        if not isinstance(doc, dict):
+            raise ValueError("channel spec must be a JSON object")
+        return cls(doc.get("kind"), doc.get("params", {}))
 
     def _make(self):
         """The kind's builder applied to the parameters."""
-        p = self.params
-        if "dim" in p and (not isinstance(p["dim"], int) or p["dim"] < 2):
-            raise ValueError(f"{self.kind} dim must be an integer >= 2, got {p['dim']!r}")
-        return _KINDS[self.kind](**p)
+        return _KINDS[self.kind](**self.params)
 
     def build(self, require_cptp: bool = True) -> KrausChannel:
+        """The channel, after its builder's range checks and a kraus spec's CPTP check."""
         ch = self._make()
         if isinstance(ch, AffineQubitChannel):
             return affine_to_kraus(ch)

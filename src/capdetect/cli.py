@@ -30,7 +30,7 @@ from .detect import (
     von_mises_expected_capacity,
     vshape_detected,
 )
-from .protocol_sim import detect_from_samples
+from .protocol_sim import RESAMPLES, detect_from_samples
 
 # Most rows a figure table may have; its rows are the product of its grids'
 # point counts. The defaults have at most 10,201, and at this limit the
@@ -220,17 +220,17 @@ def _figure_table(which: str, grid_overrides=None):
 
 
 def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
-    """Regenerate one figure's data table; returns (columns, rows) and
-    optionally writes them to ``out``."""
+    """Regenerate one figure's data table, write it to ``out`` (stdout when
+    None) and return its column names and columns."""
     names, columns = _figure_table(which, grid_overrides)
     _write_table(names, columns, out, fmt, which)
-    return names, _rows(columns)
+    return names, columns
 
 
 def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
     with open(path) as f:
         doc = json.load(f)
-    return ChannelSpec.from_dict(doc, build=False).build(require_cptp=require_cptp)
+    return ChannelSpec.from_dict(doc).build(require_cptp=require_cptp)
 
 
 def _load_custom_bases(path: str, dim: int) -> list:
@@ -344,8 +344,7 @@ def _cmd_check_cp(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    names, columns = _figure_table(args.figure, _parse_grid_overrides(args.grid))
-    _write_table(names, columns, args.out, args.format, args.figure)
+    reproduce_figure(args.figure, args.out, _parse_grid_overrides(args.grid), args.format)
     return 0
 
 
@@ -361,7 +360,7 @@ def _add_common(p, channel=False, bases=False, sampling=False):
     if sampling:
         p.add_argument("--shots", type=int, required=True, help="shots per input state")
         p.add_argument("--seed", type=int, required=True, help="unsigned 64-bit sampling seed")
-        p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
+        p.add_argument("--resamples", type=int, default=RESAMPLES, help="bootstrap resamples")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 

@@ -23,6 +23,8 @@ from .qcore import (
 )
 from .channels import AffineQubitChannel
 from .infotheory import (
+    BA_MAX_ITER,
+    BA_TOL_BITS,
     BinaryCapacity,
     _h,
     binary_capacity,
@@ -110,8 +112,8 @@ class DetectionConfig:
     list of bases or the name of a family in :data:`BASIS_FAMILIES`."""
 
     bases: list | str = "pauli"
-    ba_tolerance_bits: float = 1e-9
-    max_iterations: int = 100_000
+    ba_tolerance_bits: float = BA_TOL_BITS
+    max_iterations: int = BA_MAX_ITER
 
     def __post_init__(self):
         check_solver_settings(self.ba_tolerance_bits, self.max_iterations)

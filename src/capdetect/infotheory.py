@@ -19,40 +19,42 @@ from typing import NamedTuple
 # 3 inputs and 128-256 rows at 5-7, the maxima from 32-64 rows; below that
 # the columns lose (4 rows, 5 inputs: sum 1.8 vs 3.2 us).
 _TALL_ROWS = 128
+BA_TOL_BITS = 1e-9  # Blahut-Arimoto's default certified gap, in bits,
+BA_MAX_ITER = 100_000  # and its default limit of BA-map evaluations
 
 
-def check_prob_vector(p, tol: float = 1e-10) -> np.ndarray:
+def check_prob_vector(p) -> np.ndarray:
     """Validate a non-empty one-dimensional probability vector and return
     it clipped to [0, 1]. The comparisons are written so that NaN fails."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"probability vector must be one-dimensional and non-empty, got shape {p.shape}")
-    if not p.min() >= -tol:
+    if not p.min() >= -1e-10:
         raise ValueError(f"probabilities must be >= 0, got {p.min()}")
-    if not abs(p.sum() - 1.0) <= max(tol, 1e-12 * p.size):
+    if not abs(p.sum() - 1.0) <= max(1e-10, 1e-12 * p.size):
         raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
     return np.clip(p, 0.0, 1.0)
 
 
-def check_transition_matrix(t, tol: float = 1e-9) -> np.ndarray:
+def check_transition_matrix(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError("transition matrix must be two-dimensional")
-    return check_transition_stack(t[None], tol)[0]
+    return check_transition_stack(t[None])[0]
 
 
-def check_transition_stack(t, tol: float = 1e-9) -> np.ndarray:
-    """Validate a stack (g, outputs, inputs) of column-stochastic matrices
-    and return it clipped to [0, 1]."""
+def check_transition_stack(t) -> np.ndarray:
+    """Validate a stack (g, outputs, inputs) of column-stochastic matrices,
+    entries and column sums within 1e-9, and return it clipped to [0, 1]."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a stack of transition matrices")
     # written so that NaN entries fail the checks
-    if not (t.min() >= -tol and t.max() <= 1.0 + tol):
+    if not (t.min() >= -1e-9 and t.max() <= 1.0 + 1e-9):
         raise ValueError("transition probabilities must lie in [0, 1]")
     # the same sums as t.sum(axis=1), several times faster on wide stacks
     worst = np.max(np.abs(np.einsum("gmn->gn", t) - 1.0))
-    if not worst <= tol:
+    if not worst <= 1e-9:
         raise ValueError(f"columns must sum to 1; worst deviation {worst:.3e}")
     return np.clip(t, 0.0, 1.0)
 
@@ -135,7 +137,7 @@ class BAResult:
     converged: bool
 
 
-def blahut_arimoto(transition, tol_bits: float = 1e-9, max_iter: int = 100_000) -> BAResult:
+def blahut_arimoto(transition, tol_bits: float = BA_TOL_BITS, max_iter: int = BA_MAX_ITER) -> BAResult:
     """Channel capacity of a discrete memoryless channel by alternating
     maximization, from the uniform prior; the one-matrix call of
     :func:`blahut_arimoto_batch`, whose docstring gives the recursion.
@@ -156,7 +158,7 @@ def blahut_arimoto(transition, tol_bits: float = 1e-9, max_iter: int = 100_000) 
     return BAResult(float(caps[0]), priors[0], int(iterations[0]), gap, gap <= tol_bits)
 
 
-def blahut_arimoto_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000):
+def blahut_arimoto_batch(transitions, tol_bits: float = BA_TOL_BITS, max_iter: int = BA_MAX_ITER):
     """Blahut-Arimoto over a stack of transition matrices (g, outputs, inputs),
     each started from the uniform prior, with squared extrapolation
     (SQUAREM; Varadhan & Roland, Scand. J. Stat. 35(2), 2008).

@@ -28,6 +28,7 @@ _MAX_BOOTSTRAP_CELLS = 5_000_000
 # 30.3 ms over 20 stacks), so a larger basis is solved alone, and a request
 # peaks at the memory of its largest basis, as with one call per basis.
 _GROUP_CELLS = 2**14
+RESAMPLES = 1000  # the default bootstrap replicate count
 _local = threading.local()  # each thread's generator, made on first use
 
 
@@ -64,8 +65,8 @@ def sample_transition(transition, shots_per_input: int, seed: int, *, basis_inde
     sum to one by construction.
     """
     t = np.asarray(transition, dtype=float)
-    if shots_per_input < 1:
-        raise ValueError("need at least one shot per input")
+    if not 1 <= shots_per_input < 2**63:  # numpy's multinomial takes at most 2^63 - 1
+        raise ValueError(f"shots per input must lie in [1, 2^63), got {shots_per_input}")
     # each column over its own 1-D sum; t.sum(axis=0) adds in another order
     # from 8 outputs on, and would move the draws
     counts = _counts(t / [col.sum() for col in t.T], shots_per_input, seed, basis_index)
@@ -110,7 +111,7 @@ def sample_counts(channel: KrausChannel, bases, shots: int, seed: int) -> np.nda
 
 
 def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed: int,
-                       resamples: int = 1000) -> EstimatedDetection:
+                       resamples: int = RESAMPLES) -> EstimatedDetection:
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
     a negative or non-integer count fails with an error that says which.
@@ -125,21 +126,12 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     contain it, is the confidence interval. One RuntimeWarning, at the
     caller's line, reports every unconverged solve, and
     ``resamples * d * d`` may not exceed ``_MAX_BOOTSTRAP_CELLS``."""
-    return _warned(_estimate(counts, shots, labels, config, seed, resamples))
-
-
-def _warned(estimate_and_notes) -> EstimatedDetection:
-    """The estimate, after warning with the notes, if any, at the line that
-    called the public function."""
-    estimate, notes = estimate_and_notes
-    if notes:
-        warnings.warn(notes, RuntimeWarning, stacklevel=3)
-    return estimate
+    return _estimate(counts, shots, labels, config, seed, resamples)
 
 
 def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):
-    """:func:`detect_from_counts`'s estimate, and its warning's text ("" if
-    every solve converged)."""
+    """:func:`detect_from_counts`'s estimate; its warning points at the line
+    that called the public function, two frames up."""
     counts = np.asarray(counts)
     _check_resamples(resamples, d := counts.shape[-1])
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
@@ -172,18 +164,20 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
         if w.any():
             notes.append(f"bootstrap replicates: {int(w.sum())} of {resamples} Blahut-Arimoto solves "
                          f"of {label} did not converge to {tol:g} bits; worst gap {g.max():.3e} bits")
+    if notes:
+        warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=3)
     best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
     point = float(caps[best, 0])
     lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
     return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
-                              shots, seed, labels[best]), "\n".join(notes)
+                              shots, seed, labels[best])
 
 
 def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_per_input: int, seed: int,
-                        resamples: int = 1000) -> EstimatedDetection:
+                        resamples: int = RESAMPLES) -> EstimatedDetection:
     """:func:`detect_from_counts` on the :func:`sample_counts` of each distinct
     basis (the weyl family's d + 1 classes, under their first labels)."""
     _check_resamples(resamples, channel.dim)
     bases, _ = config.resolve_bases(channel.dim)
     counts = sample_counts(channel, bases, shots_per_input, seed)
-    return _warned(_estimate(counts, shots_per_input, [b.label for b in bases], config, seed, resamples))
+    return _estimate(counts, shots_per_input, [b.label for b in bases], config, seed, resamples)

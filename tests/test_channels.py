@@ -56,8 +56,11 @@ def test_pauli_family_rejects_unnormalized():
         pauli_family_channel(2, [[np.nan, 0.5], [0.25, 0.25]])
     with pytest.raises(ValueError, match=r"^q = -0\.25 outside \[0, inf\] \(1 of 4 entries\)$"):
         pauli_family_channel(2, [[-0.25, 0.75], [0.25, 0.25]])
-    with pytest.raises(ValueError, match="simplex"):
+    simplex = r"^simplex weight 1 - px - py - pz = -0\.19999999999999996 outside \[0, inf\]$"
+    with pytest.raises(ValueError, match=simplex):
         pauli_channel(0.6, 0.6, 0.0)
+    with pytest.raises(ValueError, match=r"^px = nan outside \[0, inf\]$"):
+        pauli_channel(np.nan, 0.1, 0.1)
 
 
 def test_gad_affine_values():
@@ -289,21 +292,27 @@ def test_readme_spec_table_lists_every_kind_and_parameter():
 
 def test_channel_spec_rejects_overstretched():
     with pytest.raises(ValueError, match="sqrt"):
-        ChannelSpec.from_dict({"kind": "stretched", "params": {"gamma": 0.5, "s": 0.8}})
+        ChannelSpec.from_dict({"kind": "stretched", "params": {"gamma": 0.5, "s": 0.8}}).build()
 
 
 def test_channel_spec_rejects_simplex_violation():
     with pytest.raises(ValueError, match="simplex"):
-        ChannelSpec.from_dict({"kind": "pauli", "params": {"px": 0.6, "py": 0.6, "pz": 0.0}})
+        ChannelSpec.from_dict({"kind": "pauli", "params": {"px": 0.6, "py": 0.6, "pz": 0.0}}).build()
 
 
 def test_channel_spec_rejects_unknown_kind_and_params():
-    with pytest.raises(ValueError, match="unknown channel kind"):
-        ChannelSpec.from_dict({"kind": "mystery", "params": {}})
-    with pytest.raises(ValueError, match="unknown parameter"):
-        ChannelSpec.from_dict({"kind": "gad", "params": {"gamma": 0.1, "p": 0.5, "zeta": 1}})
-    with pytest.raises(ValueError, match="missing parameter"):
-        ChannelSpec.from_dict({"kind": "gad", "params": {"gamma": 0.1}})
+    # constructing a spec checks it, so the constructor and from_dict agree
+    for kind, params, message in (
+        ("mystery", {}, "unknown channel kind 'mystery'; choose from "),
+        ("gad", {"gamma": 0.1, "p": 0.5, "zeta": 1}, "unknown parameter(s) for kind 'gad': ['zeta']"),
+        ("gad", {"gamma": 0.1}, "missing parameter(s) for kind 'gad': ['p']"),
+        ("gad", [0.1, 0.5], "'params' must be an object"),
+        ("kraus", {"dim": 1, "operators": [[[1, 0]]]}, "kraus dim must be an integer >= 2, got 1"),
+    ):
+        for make in (lambda: ChannelSpec(kind, params),
+                     lambda: ChannelSpec.from_dict({"kind": kind, "params": params})):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                make()
 
 
 def test_channel_spec_rejects_non_numeric_parameters():
@@ -338,15 +347,14 @@ def test_channel_spec_rejects_non_cptp_kraus():
         "kind": "kraus",
         "params": {"dim": 2, "operators": [[[1 / np.sqrt(2), 0], [0, 0], [0, 0], [1 / np.sqrt(2), 0]]]},
     }
+    spec = ChannelSpec.from_dict(doc)  # ranges and CPTP are checked by build()
     with pytest.raises(ValueError, match="not CPTP"):
-        ChannelSpec.from_dict(doc)
-    # but parse succeeds with the gate off
-    spec = ChannelSpec.from_dict(doc, require_cptp=False)
+        spec.build()
     assert not is_cptp(spec.build(require_cptp=False)).valid
 
 
 def test_channel_spec_rejects_non_numeric_cells():
-    # checked before any channel is built, on the from_dict and the build path
+    # checked when the spec is constructed, before any channel is built
     with pytest.raises(ValueError, match=r"^parameter 'px' of kind 'pauli' must be a number, got '0.1'$"):
         ChannelSpec("pauli", {"px": "0.1", "py": 0.1, "pz": 0.1}).build()
     array_msg = "parameter '{}' of kind '{}' must be an array of numbers, got {}"
@@ -358,9 +366,8 @@ def test_channel_spec_rejects_non_numeric_cells():
     ):
         name = "q" if kind == "generalized_pauli" else "operators"
         message = "^" + re.escape(array_msg.format(name, kind, bad)) + "$"
-        for build in (True, False):
-            with pytest.raises(ValueError, match=message):
-                ChannelSpec.from_dict({"kind": kind, "params": params}, build=build)
+        with pytest.raises(ValueError, match=message):
+            ChannelSpec.from_dict({"kind": kind, "params": params})
         with pytest.raises(ValueError, match=message):
             ChannelSpec(kind, params).build()
     # numbers in numpy arrays and tuples are still accepted

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -178,7 +180,7 @@ def test_non_finite_numbers_fail_at_ingestion_by_name(tmp_path, capsys):
     assert VALID_PARAMS.keys() == _KINDS.keys()
     for kind, params in VALID_PARAMS.items():
         assert params.keys() == _PARAMS[kind].keys(), kind
-        ChannelSpec.from_dict({"kind": kind, "params": params})
+        ChannelSpec.from_dict({"kind": kind, "params": params}).build()
         for name, bad in itertools.product(params, (math.nan, math.inf, -math.inf)):
             doc = json.loads(json.dumps({"kind": kind, "params": params}))
             if name in _ARRAY_PARAMS:  # the first number of the array
@@ -197,6 +199,111 @@ def test_non_finite_numbers_fail_at_ingestion_by_name(tmp_path, capsys):
         bpath.write_text(f"[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, {text}]]]]")
         code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
         assert (code, out, err) == (1, "", f"capdetect: error: basis 1 must be a finite number, got {shown}\n")
+
+
+# what a request's parts are spoiled with: a bad number (in an array, in its
+# first cell; 401 digits is past the float range), one more list around the
+# value, ragged rows (the first innermost row cut to one cell), a plain
+# number where an array belongs, or the parameter left out
+_BAD_NUMBERS = {"huge": 10**400, "bool": True, "string": "0.1", "null": None,
+                "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+_SPOILS = (*_BAD_NUMBERS, "nested", "ragged", "number", "missing")
+_S = 2**-0.5
+_QUBIT_BASES = ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[_S, 0], [_S, 0]], [[_S, 0], [-_S, 0]]])
+
+
+def _spoiled(value, how: str):
+    if how == "nested":
+        return [value]
+    if not isinstance(value, list):
+        return [[value], [value, value]] if how == "ragged" else _BAD_NUMBERS[how]
+    if how == "number":
+        return 0.5
+    value = json.loads(json.dumps(value))
+    row = value
+    while isinstance(row[0], list):
+        row = row[0]
+    if how == "ragged":
+        del row[1:]
+    else:
+        row[0] = _BAD_NUMBERS[how]
+    return value
+
+
+@st.composite
+def _requests(draw):
+    """(spec, custom basis file or None, command with integer options, the
+    patterns of the names an error may give): each part valid or spoiled."""
+    kind = draw(st.sampled_from(sorted(VALID_PARAMS)))
+    params, names = dict(VALID_PARAMS[kind]), []
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(params)), max_size=2))):
+        how = draw(st.sampled_from(_SPOILS))
+        if how == "number" and name not in _ARRAY_PARAMS:
+            continue  # a number is what a scalar parameter takes
+        if how == "missing":
+            del params[name]
+        else:
+            params[name] = _spoiled(params[name], how)
+        if how != "missing" or _PARAMS[kind][name].default is _PARAMS[kind][name].empty:
+            names.append("operator" if name == "operators" else rf"\b{name}\b")
+    bases = None
+    if kind != "vshape_qutrit" and draw(st.booleans()):
+        bases = [draw(st.sampled_from(_QUBIT_BASES)) for _ in range(draw(st.integers(1, 2)))]
+        for i in draw(st.sets(st.integers(0, len(bases) - 1), max_size=1)):
+            how = draw(st.sampled_from((*_SPOILS[:-1], "skew")))
+            bases[i] = [bases[i][0]] * 2 if how == "skew" else _spoiled(bases[i], how)
+            names.append(rf"\b(basis {i}|custom{i})\b")
+        if draw(st.integers(0, 9)) == 0:
+            bases, names = draw(st.sampled_from(([], {}))), names + ["custom basis file"]
+    argv = [draw(st.sampled_from(("bound", "simulate")))]
+    # (flag, the name its error gives, valid values, bad values); None omits it
+    options = [("--max-iter", "max_iter", (None, 10**20), (0, -3))]
+    if argv[0] == "simulate":
+        options += [("--shots", "shots", (50, 2**63 - 1), (0, -1, 2**63, 10**20)),
+                    ("--resamples", "resamples", (100,), (99, -5, 10**20))]
+    for flag, name, good, bad in options:
+        value = draw(st.sampled_from(good * 3 + bad))
+        if value in bad:
+            names.append(name)
+        if value is not None:
+            argv += [flag, str(value)]
+    if argv[0] == "simulate":
+        argv += ["--seed", "3"]
+    return {"kind": kind, "params": params}, bases, argv, names
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_requests())
+@example(({"kind": "gad", "params": {"gamma": 10**400, "p": 1.0}}, None, ["bound"], ["gamma"]))
+@example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"], ["q"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": 0.5}}, None, ["bound"], ["operator"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[1, 0], [0], [0, 0], [1, 0]]]}}, None,
+          ["bound"], ["operator"]))
+@example((GAD, [_QUBIT_BASES[0], [[[1, 0]], [[0, 0], [1, 0]]]], ["bound"], ["basis 1"]))
+@example((GAD, [_QUBIT_BASES[0], [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], ["bound"], ["basis 1"]))
+@example((GAD, None, ["simulate", "--shots", str(10**20), "--seed", "3", "--resamples", "100"], ["shots"]))
+def test_every_bad_request_fails_with_one_named_error_line(case):
+    """Through the CLI, in process: a request exits 0 with JSON on stdout, or
+    exits 1 with one stderr line that names a spoiled parameter, basis or
+    option, never with a traceback."""
+    doc, bases, argv, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*argv, "--channel", write_json(pathlib.Path(tmp), "spec.json", doc)]
+        if bases is not None:
+            argv += ["--bases", "custom:" + write_json(pathlib.Path(tmp), "bases.json", bases)]
+        elif doc["kind"] == "vshape_qutrit":
+            argv += ["--bases", "weyl"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if not names:
+        assert (code, err) == (0, ""), err
+        json.loads(out)
+        return
+    assert (code, out) == (1, ""), out
+    assert err.startswith("capdetect: error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert any(re.search(name, err) for name in names), (names, err)
 
 
 def test_bound_custom_bases(tmp_path, capsys):
@@ -278,7 +385,8 @@ def test_simulate_refuses_an_oversized_bootstrap(tmp_path, capsys, monkeypatch):
 
 def test_reproduce_fig1_rows(tmp_path):
     out = tmp_path / "fig1.csv"
-    cols, rows = reproduce_figure("fig1", out=str(out), grid_overrides={"gamma": (0.0, 1.0, 0.1)})
+    cols, columns = reproduce_figure("fig1", out=str(out), grid_overrides={"gamma": (0.0, 1.0, 0.1)})
+    rows = cli._rows(columns)
     assert cols == ("gamma", "c_det_bits", "c1_bits")
     assert rows[0] == pytest.approx((0.0, 1.0, 1.0), abs=1e-9)
     for g, c_det, c1 in rows:
@@ -299,12 +407,12 @@ def test_reproduce_byte_stability(tmp_path):
 
 def test_reproduce_fig2_region_boundary(tmp_path):
     out = tmp_path / "fig2.csv"
-    cols, rows = reproduce_figure(
+    _, columns = reproduce_figure(
         "fig2",
         out=str(out),
         grid_overrides={"gamma01": (0.0, 1.0, 0.1), "gamma02": (0.0, 1.0, 0.1)},
     )
-    labels = {r[3] for r in rows}
+    labels = {r[3] for r in cli._rows(columns)}
     assert labels == {"B1", "B2"}
 
 
@@ -312,8 +420,8 @@ def test_reproduce_fig2_matches_engine():
     from capdetect import DetectionConfig, computational_basis, detect_capacity, vshape_qutrit_channel
     from conftest import fourier_basis
 
-    _, rows = reproduce_figure("fig2", grid_overrides={"gamma01": (0.3, 0.3, 1.0), "gamma02": (0.8, 0.8, 1.0)})
-    (g1, g2, c, label), = rows
+    _, columns = reproduce_figure("fig2", grid_overrides={"gamma01": (0.3, 0.3, 1.0), "gamma02": (0.8, 0.8, 1.0)})
+    (g1, g2, c, label), = cli._rows(columns)
     cfg = DetectionConfig([computational_basis(3, "B1"), fourier_basis(3, "B2")], 1e-10)
     ref = detect_capacity(vshape_qutrit_channel(0.3, 0.8), cfg)
     assert c == pytest.approx(ref.c_det_bits, abs=1e-8)
@@ -321,24 +429,24 @@ def test_reproduce_fig2_matches_engine():
 
 
 def test_reproduce_fig3_worst_case_present(tmp_path):
-    _, rows = reproduce_figure(
+    _, columns = reproduce_figure(
         "fig3",
         grid_overrides={"theta": (0.0, np.pi / 2, np.pi / 20), "phi": (0.0, 2 * np.pi, np.pi / 10)},
     )
-    caps = np.array([r[2] for r in rows])
+    caps = np.array([r[2] for r in cli._rows(columns)])
     assert caps.max() == pytest.approx(1.0, abs=1e-9)  # theta = 0 row is noise-free
     assert caps.min() >= 1 - binary_entropy(0.6) - 1e-9
 
 
 def test_reproduce_fig4_endpoint(tmp_path):
-    _, rows = reproduce_figure("fig4", grid_overrides={"k": (0.0, 1.0, 0.5)})
+    rows = cli._rows(reproduce_figure("fig4", grid_overrides={"k": (0.0, 1.0, 0.5)})[1])
     assert rows[0][1] == pytest.approx(0.3031, abs=5e-3)
     vals = [r[1] for r in rows]
     assert vals == sorted(vals)
 
 
 def test_reproduce_suppl_stretched_flag(tmp_path):
-    _, rows = reproduce_figure("suppl_stretched", grid_overrides={"s": (0.0, 0.7, 0.002)})
+    rows = cli._rows(reproduce_figure("suppl_stretched", grid_overrides={"s": (0.0, 0.7, 0.002)})[1])
     flips = [
         (lo[0], hi[0])
         for lo, hi in zip(rows, rows[1:])
@@ -450,15 +558,21 @@ FIGURE_SHA256 = {
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
-def test_default_figures_are_byte_stable(tmp_path, figure):
+def test_default_figures_are_byte_stable(tmp_path, monkeypatch, figure):
+    calls = []
+    monkeypatch.setattr(cli, "reproduce_figure", lambda *a, **k: calls.append(a) or reproduce_figure(*a, **k))
     for fmt, digest in zip(("csv", "json"), FIGURE_SHA256[figure]):
         out = tmp_path / f"{figure}.{fmt}"
         reproduce_figure(figure, out=str(out), fmt=fmt)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
+        # the command is the library call, with the figure first
+        assert main(["reproduce", figure, "--format", fmt, "--out", str(tmp_path / "cli")]) == 0
+        assert (tmp_path / "cli").read_bytes() == out.read_bytes(), fmt
+    assert [args[0] for args in calls] == [figure, figure]
 
 
 def test_suppl_stretched_matches_per_row_reports():
-    _, rows = reproduce_figure("suppl_stretched", out=os.devnull)
+    rows = cli._rows(reproduce_figure("suppl_stretched", out=os.devnull)[1])
     assert {r[3] for r in rows} == {True, False}
     for s, c_det, c1, flag in rows:
         ch = stretched_affine(0.5, s)
@@ -678,7 +792,8 @@ _SMALL_GRIDS = {
 def test_reproduce_rows_equal_the_row_builders(capsys, figure):
     grids = _SMALL_GRIDS[figure]
     names, rows = REFERENCE_FIGURE_BUILDERS[figure]({**cli._FIGURE_TABLES[figure][1], **grids})
-    got_names, got_rows = reproduce_figure(figure, out=os.devnull, grid_overrides=grids)
+    got_names, got_columns = reproduce_figure(figure, out=os.devnull, grid_overrides=grids)
+    got_rows = cli._rows(got_columns)
     # repr tells float from bool and -0.0 from 0.0, and shows tuple and list
     assert (got_names, repr(got_rows)) == (names, repr(rows))
     argv = ["reproduce", figure] + [f"--grid={k}={a!r}:{b!r}:{c!r}" for k, (a, b, c) in grids.items()]

@@ -664,7 +664,7 @@ def test_detect_from_transitions_checks_its_input():
     ("kraus_d5_member21", 0.48016985650560123, "weyl(1,0)"),
 ])
 def test_boundary_tail_closes_within_48_evaluations(name, c_det, argmax):
-    spec = ChannelSpec.from_dict(json.loads((DATA / f"{name}.json").read_text()), build=False)
+    spec = ChannelSpec.from_dict(json.loads((DATA / f"{name}.json").read_text()))
     res = detect_capacity(spec.build(), DetectionConfig("weyl"))
     assert len(res.per_basis) == 24 and res.converged and res.argmax_basis == argmax
     for r in res.per_basis:

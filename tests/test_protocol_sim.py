@@ -69,8 +69,11 @@ def test_sample_concentration_at_many_shots():
 
 
 def test_sample_rejects_zero_shots():
-    with pytest.raises(ValueError):
-        sample_transition(np.eye(2), 0, seed=1)
+    # numpy's multinomial takes at most 2^63 - 1 draws
+    for shots in (0, -1, 2**63, 10**20):
+        with pytest.raises(ValueError, match=rf"^shots per input must lie in \[1, 2\^63\), got {shots}$"):
+            sample_transition(np.eye(2), shots, seed=1)
+    assert (sample_transition(np.eye(2), 2**63 - 1, seed=1)[0] == (2**63 - 1) * np.eye(2)).all()
 
 
 def test_sample_rejects_basis_index_outside_key_field():
