@@ -227,17 +227,29 @@ def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"
     return names, columns
 
 
-def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
+def _json_int(text: str):
+    """A JSON integer as an int; one past int()'s digit limit (4,300 digits
+    by default) is read as the float it rounds to, +-inf, so that the number
+    checks reject it by name as they reject any integer beyond the float range."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _read_json(path: str):
     with open(path) as f:
-        doc = json.load(f)
-    return ChannelSpec.from_dict(doc).build(require_cptp=require_cptp)
+        return json.load(f, parse_int=_json_int)
+
+
+def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
+    return ChannelSpec.from_dict(_read_json(path)).build(require_cptp=require_cptp)
 
 
 def _load_custom_bases(path: str, dim: int) -> list:
     """The bases of a custom basis file: dim x dim matrices whose rows are
     the kets, in the cell layouts of Kraus operators."""
-    with open(path) as f:
-        docs = json.load(f)
+    docs = _read_json(path)
     if not isinstance(docs, list) or not docs:
         raise ValueError("custom basis file must be a non-empty JSON list of matrices")
     bases = []
@@ -256,26 +268,33 @@ def _resolve_config(args, dim: int) -> DetectionConfig:
     return DetectionConfig(bases, args.tol, args.max_iter)
 
 
+def _csv_number(cell: str):
+    """``float(cell)``, or None when the cell is no number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _read_transition_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if rows:
-                    raise ValueError(f"non-numeric row in {path}: {line!r}")
-                continue  # optional header
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"row {len(rows)} of {path} has {len(cells)} cells, "
-                                 f"expected {len(rows[0])}")
+    """The matrix of a ``ba`` CSV file, read as UTF-8 with an optional
+    byte-order mark: after at most one header line, which holds no number,
+    rows of finite numbers, all of one length. Blank lines are skipped."""
+    with open(path, encoding="utf-8-sig") as f:
+        rows = [[c.strip() for c in line.split(",")] for line in f if line.strip()]
+    if rows and all(_csv_number(c) is None for c in rows[0]):
+        del rows[0]  # the header
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
-    return np.array(rows)
+    matrix = []
+    for r, row in enumerate(rows, 1):
+        matrix.append([_csv_number(c) for c in row])
+        for c, (cell, value) in enumerate(zip(row, matrix[-1]), 1):
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"row {r} of {path}: cell {c} must be a finite number, got {cell!r}")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {r} of {path} has {len(row)} cells, expected {len(rows[0])}")
+    return np.array(matrix)
 
 
 def _parse_grid_overrides(specs) -> dict:
@@ -382,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("ba", help="Blahut-Arimoto capacity of a raw transition matrix CSV")
-    p.add_argument("matrix", help="CSV file, outputs as rows, inputs as columns, header optional")
+    p.add_argument("matrix", help="CSV file, outputs as rows, inputs as columns, "
+                                  "after an optional header line with no number")
     _add_common(p)
     p.set_defaults(fn=_cmd_ba)
 
@@ -416,7 +436,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"capdetect: error: {exc}", file=sys.stderr)
         return 1
 

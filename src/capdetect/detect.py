@@ -179,23 +179,6 @@ class DetectionResult:
         }
 
 
-def _assemble(per_basis: list) -> DetectionResult:
-    # the argmax is the lowest index among exactly equal values: the labels
-    # of one Weyl class share one float, so the class's first label wins;
-    # values that differ in the last bit are not ties
-    best = 0
-    for i, r in enumerate(per_basis):
-        if r.mutual_information_bits > per_basis[best].mutual_information_bits:
-            best = i
-    return DetectionResult(
-        per_basis,
-        per_basis[best].mutual_information_bits,
-        per_basis[best].label,
-        best,
-        converged=all(r.converged for r in per_basis),
-    )
-
-
 def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
     """Solve a stack (g, outputs, inputs) of same-shape column-stochastic
     transitions: the binary-channel closed form when they are 2x2,
@@ -213,23 +196,23 @@ def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
     return "BA", *blahut_arimoto_batch(stack, config.ba_tolerance_bits, config.max_iterations)
 
 
-def _solve_bases(transitions, labels, config: DetectionConfig) -> list:
-    """One :class:`BasisResult` per transition, all of one shape and each
-    with its label, solved in one :func:`solve_stack` call."""
-    transitions = [np.asarray(t, dtype=float) for t in transitions]
-    if len(transitions) != len(labels):
-        raise ValueError(f"got {len(transitions)} transition matrices and {len(labels)} labels")
-    if not transitions:
-        raise ValueError("at least one transition matrix is required")
-    shapes = sorted({t.shape for t in transitions})
-    if len(shapes) > 1:
-        raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
-    stack = check_transition_stack(np.stack(transitions))
-    method, caps, priors, iterations, gaps = solve_stack(stack, config)
+def _detect(stack: np.ndarray, views, config: DetectionConfig) -> DetectionResult:
+    """The detection result of a stack (k, outputs, inputs) of transitions,
+    checked and solved once by :func:`solve_stack`: each ``(label, i,
+    order)`` view (see :func:`weyl_bases`) gets a BasisResult with
+    transition i and its prior in the ket order ``order`` (``slice(None)``
+    keeps it), in arrays the caller does not hold, and basis i's method,
+    convergence, iterations and gap. The argmax is the lowest index among
+    exactly equal values, so a Weyl class's first label wins; values that
+    differ in the last bit are not ties."""
+    method, caps, priors, iterations, gaps = solve_stack(check_transition_stack(stack), config)
     converged = gaps <= config.ba_tolerance_bits
-    return [BasisResult(label, t, priors[k], float(caps[k]), method, bool(converged[k]),
-                        int(iterations[k]), float(gaps[k]))
-            for k, (label, t) in enumerate(zip(labels, transitions))]
+    per_basis = [BasisResult(label, stack[i][order][:, order], priors[i][order], float(caps[i]), method,
+                             bool(converged[i]), int(iterations[i]), float(gaps[i]))
+                 for label, i, order in views]
+    best = int(np.argmax([r.mutual_information_bits for r in per_basis]))
+    return DetectionResult(per_basis, per_basis[best].mutual_information_bits, per_basis[best].label, best,
+                           converged=all(r.converged for r in per_basis))
 
 
 def detect_from_transitions(transitions, labels, config: DetectionConfig | None = None) -> DetectionResult:
@@ -238,7 +221,16 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     binary-channel closed form for 2x2 matrices, Blahut-Arimoto otherwise.
     Matrices of different shapes, a label count that differs from the
     matrix count, and an empty list raise a ValueError that says so."""
-    return _assemble(_solve_bases(transitions, labels, config or DetectionConfig()))
+    transitions = [np.asarray(t, dtype=float) for t in transitions]
+    if len(transitions) != len(labels):
+        raise ValueError(f"got {len(transitions)} transition matrices and {len(labels)} labels")
+    if not transitions:
+        raise ValueError("at least one transition matrix is required")
+    shapes = sorted({t.shape for t in transitions})
+    if len(shapes) > 1:
+        raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
+    views = [(label, i, slice(None)) for i, label in enumerate(labels)]
+    return _detect(np.stack(transitions), views, config or DetectionConfig())
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:
@@ -249,14 +241,7 @@ def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None
     in its own ket order, and its basis's method, iterations and gap."""
     config = config or DetectionConfig()
     bases, views = config.resolve_bases(channel.dim)
-    solved = _solve_bases(conditional_probs(channel, bases), [b.label for b in bases], config)
-    per_basis = []
-    for label, i, order in views:
-        r = solved[i]
-        per_basis.append(BasisResult(label, r.transition[order[:, None], order], r.optimal_prior[order],
-                                     r.mutual_information_bits, r.method, r.converged,
-                                     r.iterations, r.gap_bits))
-    return _assemble(per_basis)
+    return _detect(conditional_probs(channel, bases), views, config)
 
 
 def _axis_epsilons(l1, l2, l3, t3):
@@ -383,23 +368,27 @@ def holevo_gad_p1(gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def _symmetric_axes_detected(flips: list):
+    """Detected capacity under Pauli measurements when each axis sees a
+    binary symmetric channel with the flip probability ``flips[axis]``: 1 -
+    the least of the three flip entropies, elementwise, and a float when the
+    flips are scalars."""
+    out = 1.0 - np.min(binary_entropy(np.stack(flips)), axis=0)
+    return float(out) if out.ndim == 0 else out
+
+
 def dephasing_detected(p: float, theta: float, phi: float):
     """Detected capacity under Pauli measurements of dephasing with
-    probability p along the Bloch axis (theta, phi). Each axis sees a binary
-    symmetric channel, so the bound is 1 - min of the three flip entropies."""
+    probability p along the Bloch axis (theta, phi)."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st2 = np.sin(theta) ** 2
     ct2 = np.cos(theta) ** 2
-    flips = np.stack(
-        [
-            p * (ct2 + st2 * np.sin(phi) ** 2),
-            p * (ct2 + st2 * np.cos(phi) ** 2),
-            p * st2 * np.ones_like(phi),
-        ]
-    )
-    out = 1.0 - np.min(binary_entropy(flips), axis=0)
-    return float(out) if out.ndim == 0 else out
+    return _symmetric_axes_detected([
+        p * (ct2 + st2 * np.sin(phi) ** 2),
+        p * (ct2 + st2 * np.cos(phi) ** 2),
+        p * st2 * np.ones_like(phi),
+    ])
 
 
 def rotated_pauli_detected(px: float, py: float, pz: float, phi):
@@ -407,15 +396,11 @@ def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     followed by a z rotation of phi."""
     phi = np.asarray(phi, dtype=float)
     c = np.cos(phi)
-    flips = np.stack(
-        [
-            (1.0 - c) / 2.0 + (py + pz) * c,
-            (1.0 - c) / 2.0 + (px + pz) * c,
-            (px + py) * np.ones_like(phi),
-        ]
-    )
-    out = 1.0 - np.min(binary_entropy(flips), axis=0)
-    return float(out) if out.ndim == 0 else out
+    return _symmetric_axes_detected([
+        (1.0 - c) / 2.0 + (py + pz) * c,
+        (1.0 - c) / 2.0 + (px + pz) * c,
+        (px + py) * np.ones_like(phi),
+    ])
 
 
 # an odd count, as composite Simpson needs

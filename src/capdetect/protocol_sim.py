@@ -10,7 +10,7 @@ import threading
 import warnings
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, solve_stack
@@ -84,15 +84,7 @@ class EstimatedDetection:
     argmax_basis: str
 
     def as_dict(self) -> dict:
-        return {
-            "point_estimate_bits": self.point_estimate_bits,
-            "ci_low_bits": self.ci_low_bits,
-            "ci_high_bits": self.ci_high_bits,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "shots_per_input": self.shots_per_input,
-            "seed": self.seed,
-            "argmax_basis": self.argmax_basis,
-        }
+        return asdict(self)
 
 
 def _check_resamples(resamples: int, d: int) -> None:

@@ -103,6 +103,47 @@ def test_ba_command_rejects_ragged_matrix(tmp_path, capsys, text, row, cells):
     assert err == f"capdetect: error: row {row} of {path} has {cells} cells, expected 2\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\ufeffin0,in1\n1.0,0.5\n0.0,0.5\n", None),
+    ("\ufeff1.0,0.5\r\n0.0,0.5\r\n", None),
+    ("\nin0,in1\n\n1.0,0.5\n\n0.0,0.5\n", None),
+    ("0.9,x\n0.1,0.9\n", "row 1 of {path}: cell 2 must be a finite number, got 'x'"),
+    ("0x1,0\n0,1\n", "row 1 of {path}: cell 1 must be a finite number, got '0x1'"),
+    ("0.5,0.5,\n0.5,0.5,\n", "row 1 of {path}: cell 3 must be a finite number, got ''"),
+    ("in0,in1\nin0,in1\n1.0,0.5\n0.0,0.5\n", "row 1 of {path}: cell 1 must be a finite number, got 'in0'"),
+    ("in0,in1\n1.0,0.5\n0.0, inf\n", "row 2 of {path}: cell 2 must be a finite number, got 'inf'"),
+    ("nan,x\n1.0,0.5\n", "row 1 of {path}: cell 1 must be a finite number, got 'nan'"),
+    ("in0,in1\n", "no numeric rows found in {path}"),
+])
+def test_ba_matrix_file_takes_one_header_line_without_numbers(tmp_path, capsys, text, message):
+    """UTF-8, with or without a byte-order mark: the first line is a header
+    only when none of its cells is a number, and every other cell must be a
+    finite number; an error names the file, the row and the cell."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, "ba", str(path))
+    if message is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["optimal_prior"][0] == pytest.approx(0.6, abs=1e-6)
+    else:
+        assert (code, out, err) == (1, "", f"capdetect: error: {message.format(path=path)}\n")
+
+
+def test_integers_past_the_digit_limit_fail_by_name(tmp_path, capsys):
+    """An integer too long for int() (4,300 digits by default) reads as +-inf,
+    so a spec parameter or a custom basis cell of 5,001 digits fails as a
+    401-digit one does: one line that names it."""
+    huge = "1" + "0" * 5000
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"kind": "gad", "params": {{"gamma": -{huge}, "p": 1.0}}}}')
+    assert run(capsys, "bound", "--channel", str(spec)) == (
+        1, "", "capdetect: error: parameter 'gamma' of kind 'gad' must be a finite number, got -inf\n")
+    bpath = tmp_path / "bases.json"
+    bpath.write_text(f"[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [{huge}, 0]]]]")
+    argv = ["bound", "--channel", write_json(tmp_path, "gad.json", GAD), "--bases", f"custom:{bpath}"]
+    assert run(capsys, *argv) == (1, "", "capdetect: error: basis 1 must be a finite number, got inf\n")
+
+
 def test_bound_command_and_round_trip(tmp_path, capsys):
     spec = write_json(tmp_path, "gad.json", GAD)
     out_path = tmp_path / "bound.json"
@@ -272,8 +313,52 @@ def _requests(draw):
     return {"kind": kind, "params": params}, bases, argv, names
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_requests())
+# what a ba matrix file's cell is spoiled with
+_CSV_CELLS = {"empty": "", "nan": "nan", "inf": "inf", "-inf": "-inf", "text": "x", "hex": "0x1"}
+_CSV_FILE = r"\S*matrix\.csv"
+
+
+@st.composite
+def _ba_requests(draw):
+    """(the text of a ba matrix file, None, the command, the patterns of the
+    names an error may give): a column-stochastic matrix of 1-3 rows and 2-3
+    columns, with or without a header line and a byte-order mark, valid, or
+    with one cell spoiled, a row cut short, a comma ending every row, or
+    only the header left. Two columns keep a number in each row, so a
+    spoiled first row is never a header."""
+    n_out, n_in = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    weights = np.array([[draw(st.integers(1, 9)) for _ in range(n_in)] for _ in range(n_out)], dtype=float)
+    rows = [[repr(x) for x in row] for row in (weights / weights.sum(axis=0)).tolist()]
+    header = ",".join(f"in{n}" for n in range(n_in)) if draw(st.booleans()) else None
+    how = draw(st.sampled_from((None, None, None, *_CSV_CELLS, "ragged", "comma", "header only")))
+    names = []
+    if how in _CSV_CELLS:
+        r, c = draw(st.integers(0, n_out - 1)), draw(st.integers(0, n_in - 1))
+        rows[r][c] = _CSV_CELLS[how]
+        names.append(rf"row {r + 1} of {_CSV_FILE}: cell {c + 1} must be a finite number")
+    elif how == "ragged" and n_out > 1:
+        del rows[draw(st.integers(0, n_out - 1))][1:]
+        names.append(rf"row \d of {_CSV_FILE} has \d cells, expected \d")
+    elif how == "comma":
+        rows = [row + [""] for row in rows]
+        names.append(rf"row 1 of {_CSV_FILE}: cell {n_in + 1} must be a finite number")
+    elif how == "header only":
+        rows = []
+        names.append(f"no numeric rows found in {_CSV_FILE}")
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    lines = ([header] if header else []) + [",".join(row) for row in rows]
+    text = "\ufeff" * draw(st.booleans()) + "".join(line + end for line in lines)
+    argv = ["ba"]
+    value = draw(st.sampled_from((None, None, 10**20, 0, -3)))
+    if value is not None:
+        argv += ["--max-iter", str(value)]
+        if value < 1:
+            names.append("max_iter")
+    return text, None, argv, names
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(_requests(), _ba_requests()))
 @example(({"kind": "gad", "params": {"gamma": 10**400, "p": 1.0}}, None, ["bound"], ["gamma"]))
 @example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"], ["q"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": 0.5}}, None, ["bound"], ["operator"]))
@@ -282,16 +367,25 @@ def _requests(draw):
 @example((GAD, [_QUBIT_BASES[0], [[[1, 0]], [[0, 0], [1, 0]]]], ["bound"], ["basis 1"]))
 @example((GAD, [_QUBIT_BASES[0], [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], ["bound"], ["basis 1"]))
 @example((GAD, None, ["simulate", "--shots", str(10**20), "--seed", "3", "--resamples", "100"], ["shots"]))
+@example(("\ufeff0.9,0.1\n0.1,0.9\n", None, ["ba"], []))
+@example(("0.9,x\n0.1,0.9\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 2 must be a finite number"]))
+@example(("0.5,0.5,\n0.5,0.5,\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 3 must be a finite number"]))
 def test_every_bad_request_fails_with_one_named_error_line(case):
     """Through the CLI, in process: a request exits 0 with JSON on stdout, or
-    exits 1 with one stderr line that names a spoiled parameter, basis or
-    option, never with a traceback."""
+    exits 1 with one stderr line that names a spoiled parameter, basis,
+    option or matrix file cell, never with a traceback. A ba request's first
+    part is its matrix file's text."""
     doc, bases, argv, names = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [*argv, "--channel", write_json(pathlib.Path(tmp), "spec.json", doc)]
+        tmp = pathlib.Path(tmp)
+        if argv[0] == "ba":
+            (tmp / "matrix.csv").write_bytes(doc.encode())
+            argv = [*argv, str(tmp / "matrix.csv")]
+        else:
+            argv = [*argv, "--channel", write_json(tmp, "spec.json", doc)]
         if bases is not None:
-            argv += ["--bases", "custom:" + write_json(pathlib.Path(tmp), "bases.json", bases)]
-        elif doc["kind"] == "vshape_qutrit":
+            argv += ["--bases", "custom:" + write_json(tmp, "bases.json", bases)]
+        elif argv[0] != "ba" and doc["kind"] == "vshape_qutrit":
             argv += ["--bases", "weyl"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -656,6 +656,19 @@ def test_detect_from_transitions_checks_its_input():
 
 
 
+def test_basis_results_own_their_transitions():
+    """Changing the input after detect_from_transitions returns leaves the
+    results alone; a rectangular transition is reported as given."""
+    bsc = np.array([[0.9, 0.2], [0.1, 0.8]])
+    erasure = np.array([[0.7, 0.0], [0.0, 0.7], [0.3, 0.3]])
+    results = [detect_from_transitions([t], ["a"]).per_basis[0] for t in (bsc, erasure)]
+    before = [(r.transition.tolist(), r.optimal_prior.tolist()) for r in results]
+    assert before[1][0] == erasure.tolist()
+    bsc[:] = 0.5
+    erasure[:] = 0.5
+    assert [(r.transition.tolist(), r.optimal_prior.tolist()) for r in results] == before
+
+
 @pytest.mark.parametrize("name, c_det, argmax", [
     # random d = 5 Kraus channels whose Weyl transitions have optimal priors
     # on a face of the simplex; SQUAREM alone took 414 and 305 evaluations,
