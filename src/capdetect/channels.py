@@ -230,6 +230,17 @@ def check_numbers(value, subject: str, nested: bool = True) -> None:
     what = "an array of numbers" if nested else "a number"
     if nested and not isinstance(value, (list, tuple, np.ndarray)):
         raise ValueError(f"{subject} must be {what}, got {value!r}")
+    if nested:
+        # valid cells pass in one pass over a flat object array; any other
+        # input, ragged input that numpy refuses included, is walked cell by
+        # cell so that the error names the first bad cell
+        try:
+            cells = np.array(value, dtype=object).ravel().tolist()
+        except ValueError:
+            cells = None
+        if (cells is not None and set(map(type, cells)) <= {int, float}
+                and all(map(_FLOAT_MAX.__ge__, map(abs, cells)))):  # NaN fails
+            return
     for cell in _cells(value) if nested else (value,):
         if isinstance(cell, bool) or not isinstance(cell, (int, float)):
             raise ValueError(f"{subject} must be {what}, got {cell!r}")

@@ -8,9 +8,11 @@ regenerated files are byte-identical for a fixed configuration.
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import __version__
 from .qcore import CERT_TOL, KrausChannel, MeasurementBasis, is_cptp
 from .channels import ChannelSpec, _matrix_from_cells, check_numbers, gad_params, stretched_affine
-from .infotheory import binary_capacity, blahut_arimoto
+from .infotheory import TRANSITION_TOL, binary_capacity, blahut_arimoto, column_sum_deviations
 from .detect import (
     BASIS_FAMILIES,
     DetectionConfig,
@@ -83,45 +85,124 @@ def _emit(text: str, out):
             f.write(text)
 
 
-def _json_text(o, indent: str = "\n") -> str:
+def _float_text(x) -> str:
+    """A float's JSON text: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+class _FloatTexts(dict):
+    """The JSON texts of one response's floats, by value: each distinct
+    nonzero value is formatted once. A zero is formatted at each use, since
+    0.0 and -0.0 are equal keys with different texts, and NaN equals no key."""
+
+    def __missing__(self, x):
+        if x and x - x == 0.0:  # nonzero and finite
+            text = self[x] = float.__repr__(x)
+            return text
+        return _float_text(x)
+
+
+_CONSTANT_TEXTS = {None: "null", True: "true", False: "false"}.__getitem__
+# the text of a str, int, bool or None, by its exact type
+_SCALAR_TEXTS = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANT_TEXTS,
+                 type(None): _CONSTANT_TEXTS}
+# Fewest floats in a block (a flat list, or a matrix's rows together) that go
+# through the table. Recording a block costs about one format, so a shorter
+# one is formatted directly: on a qubit `bound` response, whose blocks hold 2
+# and 4 floats and repeat no number, the table cost more than it saved.
+_TABLE_BLOCK = 5
+
+
+def _json_text(o) -> str:
     """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys,
     lists, tuples, str, int, float, bool and None; any other type raises
     TypeError, as json.dumps does. Before 3.13, CPython encodes with an
-    indent in pure Python; this writer joins each flat list of finite
-    floats in one call, and those lists are most of a `bound` response."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, float):
-        if math.isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = None
-        if isinstance(o[0], float):
-            try:  # float.__repr__ rejects every non-float
-                items = sep.join(map(float.__repr__, o))
-            except TypeError:
-                pass
-        if items is None or "n" in items:  # "nan" and "inf" are written NaN, Infinity
-            items = sep.join([_json_text(v, inner) for v in o])
-        return "[" + inner + items + indent + "]"
+    indent in pure Python, one generator frame per value. This writer makes
+    at most one call per dict, list or tuple and looks up each scalar's text
+    by its exact type. A flat list of floats, or a matrix of them, is one
+    block of texts joined at C speed, taken from a table of the response's
+    values, so a response costs its containers and its distinct numbers."""
+    floats = _FloatTexts()
+    if type(o) is float:
+        return floats[o]
+    text = _SCALAR_TEXTS.get(type(o))
+    return text(o) if text else _json_value(o, "\n", floats)
+
+
+def _float_texts(values, floats: _FloatTexts):
+    """The JSON texts of a block of floats, or None when it holds another
+    type. A block with a value the table holds is looked up; any other is
+    formatted in one call and, when long enough, recorded."""
+    try:  # float.__float__ and float.__repr__ reject every non-float
+        if len(values) >= _TABLE_BLOCK and not floats.keys().isdisjoint(values):
+            return list(map(floats.__getitem__, map(float.__float__, values)))
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        return None
+    if not all(map(math.isfinite, values)):  # NaN and infinities have their own texts
+        return list(map(_float_text, values))
+    if len(values) >= _TABLE_BLOCK:
+        floats.update(zip(values, texts))
+        floats.pop(0.0, None)
+    return texts
+
+
+def _json_value(o, indent: str, floats: _FloatTexts) -> str:
+    """The JSON text of a value whose exact type is not a scalar's: a dict,
+    list or tuple whose lines start with ``indent``, or an instance of a
+    subclass of str, int or float."""
     if isinstance(o, dict):
         if not o:
             return "{}"
+        inner = indent + "  "
+        get = _SCALAR_TEXTS.get
         parts = []
-        for k, v in o.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            parts.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
-        return "{" + inner + sep.join(parts) + indent + "}"
+        try:
+            for k, v in o.items():
+                t = type(v)
+                if t is float:
+                    text = floats[v]
+                else:
+                    text = get(t)
+                    text = text(v) if text else _json_value(v, inner, floats)
+                parts.append(f"{encode_basestring_ascii(k)}: {text}")
+        except TypeError:
+            for k in o:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}") from None
+            raise
+        return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        items = None
+        t = type(o[0])
+        if t is float:
+            texts = _float_texts(o, floats)
+            if texts is not None:
+                items = sep.join(texts)
+        elif t is list and all(o) and set(map(type, o)) == {list} and len(set(map(len, o))) == 1:
+            texts = _float_texts(list(chain.from_iterable(o)), floats)  # a matrix, row by row
+            if texts is not None:
+                n, row_inner = len(o[0]), inner + "  "
+                row_sep = "," + row_inner
+                items = sep.join([f"[{row_inner}{row_sep.join(texts[i:i + n])}{inner}]"
+                                  for i in range(0, len(texts), n)])
+        if items is None:
+            get = _SCALAR_TEXTS.get
+            items = sep.join([floats[v] if (t := type(v)) is float else text(v) if (text := get(t))
+                              else _json_value(v, inner, floats) for v in o])
+        return f"[{inner}{items}{indent}]"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -237,9 +318,26 @@ def _json_int(text: str):
         return float(text)
 
 
+def _read_text(path: str) -> str:
+    """The text of the file ``path``, read as UTF-8 with an optional
+    byte-order mark; a byte that does not decode fails by the file's name
+    and the byte's place."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start + 1} "
+                         f"(0x{data[exc.start]:02x})") from None
+
+
 def _read_json(path: str):
-    with open(path) as f:
-        return json.load(f, parse_int=_json_int)
+    """The JSON document in the file ``path``; a syntax error fails by the
+    file's name, with the line and column where json finds it."""
+    try:
+        return json.loads(_read_text(path), parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno} of {path}: column {exc.colno}: {exc.msg}") from None
 
 
 def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:
@@ -279,9 +377,10 @@ def _csv_number(cell: str):
 def _read_transition_csv(path: str) -> np.ndarray:
     """The matrix of a ``ba`` CSV file, read as UTF-8 with an optional
     byte-order mark: after at most one header line, which holds no number,
-    rows of finite numbers, all of one length. Blank lines are skipped."""
-    with open(path, encoding="utf-8-sig") as f:
-        rows = [[c.strip() for c in line.split(",")] for line in f if line.strip()]
+    rows of finite numbers, all of one length, that form a column-stochastic
+    matrix. Blank lines are skipped."""
+    lines = io.StringIO(_read_text(path), newline=None)  # \r\n and \r end lines, as in text mode
+    rows = [[c.strip() for c in line.split(",")] for line in lines if line.strip()]
     if rows and all(_csv_number(c) is None for c in rows[0]):
         del rows[0]  # the header
     if not rows:
@@ -294,7 +393,19 @@ def _read_transition_csv(path: str) -> np.ndarray:
                 raise ValueError(f"row {r} of {path}: cell {c} must be a finite number, got {cell!r}")
         if len(row) != len(rows[0]):
             raise ValueError(f"row {r} of {path} has {len(row)} cells, expected {len(rows[0])}")
-    return np.array(matrix)
+    t = np.array(matrix)
+    # the bounds of check_transition_stack, which names no file
+    outside = np.argwhere(~((t >= -TRANSITION_TOL) & (t <= 1.0 + TRANSITION_TOL)))
+    if len(outside):
+        r, c = outside[0]
+        raise ValueError(f"row {r + 1} of {path}: cell {c + 1} must lie in [0, 1], got {rows[r][c]!r}")
+    deviations = column_sum_deviations(t[None])[0]
+    off = np.flatnonzero(~(deviations <= TRANSITION_TOL))
+    if len(off):
+        c = off[0]
+        raise ValueError(f"column {c + 1} of {path} must sum to 1, got {t[:, c].sum():.12g} "
+                         f"(deviation {deviations[c]:.3e})")
+    return t
 
 
 def _parse_grid_overrides(specs) -> dict:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 _TALL_ROWS = 128
 BA_TOL_BITS = 1e-9  # Blahut-Arimoto's default certified gap, in bits,
 BA_MAX_ITER = 100_000  # and its default limit of BA-map evaluations
+TRANSITION_TOL = 1e-9  # how far a transition's entries may leave [0, 1], and its column sums 1
 
 
 def check_prob_vector(p) -> np.ndarray:
@@ -36,6 +37,12 @@ def check_prob_vector(p) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def column_sum_deviations(t: np.ndarray) -> np.ndarray:
+    """|sum of each column - 1| over a stack (g, outputs, inputs): the same
+    sums as t.sum(axis=1), several times faster on wide stacks."""
+    return np.abs(np.einsum("gmn->gn", t) - 1.0)
+
+
 def check_transition_matrix(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
@@ -45,16 +52,16 @@ def check_transition_matrix(t) -> np.ndarray:
 
 def check_transition_stack(t) -> np.ndarray:
     """Validate a stack (g, outputs, inputs) of column-stochastic matrices,
-    entries and column sums within 1e-9, and return it clipped to [0, 1]."""
+    entries and column sums within TRANSITION_TOL, and return it clipped to
+    [0, 1]."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a stack of transition matrices")
     # written so that NaN entries fail the checks
-    if not (t.min() >= -1e-9 and t.max() <= 1.0 + 1e-9):
+    if not (t.min() >= -TRANSITION_TOL and t.max() <= 1.0 + TRANSITION_TOL):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    # the same sums as t.sum(axis=1), several times faster on wide stacks
-    worst = np.max(np.abs(np.einsum("gmn->gn", t) - 1.0))
-    if not worst <= 1e-9:
+    worst = np.max(column_sum_deviations(t))
+    if not worst <= TRANSITION_TOL:
         raise ValueError(f"columns must sum to 1; worst deviation {worst:.3e}")
     return np.clip(t, 0.0, 1.0)
 

@@ -3,7 +3,8 @@ search with local refinement, and the weakly-symmetric closed form),
 random samplers for channels and bases,
 reference copies of the Blahut-Arimoto recursion, of the affine Choi
 construction, of the eig + QR
-eigenbasis and of the row-wise figure tables and CSV writer, the Fourier basis, the V-shape qutrit's transition matrices, the
+eigenbasis, of the row-wise figure tables and CSV writer and of the
+cell-by-cell spec number check, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, a per-basis copy of the bootstrap,
 and small state constructors."""
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, choi_matrix
 from capdetect.qcore import PAULIS, SIGMA_Z
-from capdetect.channels import _CHOI_CUTOFF, gad_params, stretched_affine
+from capdetect.channels import _CHOI_CUTOFF, _FLOAT_MAX, gad_params, stretched_affine
 from capdetect.cli import grid_values
 from capdetect.detect import (
     DetectionConfig,
@@ -511,3 +512,32 @@ def reference_detect_from_counts(counts, shots: int, labels, config: DetectionCo
     lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
     return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
                               shots, seed, labels[best])
+
+
+# The spec number check as it walked every cell: ``channels.check_numbers``
+# must accept the same values and name the same first bad cell.
+
+def _reference_cells(value):
+    """The leaf entries of nested lists, tuples and arrays."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _reference_cells(v)
+    else:
+        yield value
+
+
+def reference_check_numbers(value, subject: str, nested: bool = True) -> None:
+    """Require ``value``, or with ``nested`` each leaf of a list, tuple or
+    array, to be a finite number: no string, boolean or null, which
+    ``np.asarray(..., dtype=float)`` would accept, and no NaN, infinity or
+    integer beyond the float range. The error starts with ``subject``."""
+    what = "an array of numbers" if nested else "a number"
+    if nested and not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{subject} must be {what}, got {value!r}")
+    for cell in _reference_cells(value) if nested else (value,):
+        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            raise ValueError(f"{subject} must be {what}, got {cell!r}")
+        if not abs(cell) <= _FLOAT_MAX:  # NaN fails
+            raise ValueError(f"{subject} must be a finite number, got {cell!r}")

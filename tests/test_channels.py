@@ -2,8 +2,11 @@ import inspect
 import pathlib
 import re
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capdetect import (
     AffineQubitChannel,
@@ -24,9 +27,15 @@ from capdetect import (
     vshape_qutrit_channel,
     weyl_bases,
 )
-from capdetect.channels import _KINDS
+from capdetect.channels import _FLOAT_MAX, _KINDS, check_numbers
 from capdetect.qcore import basis_ket
-from conftest import haar_random_basis, projector, random_cp_affine, reference_affine_to_kraus
+from conftest import (
+    haar_random_basis,
+    projector,
+    random_cp_affine,
+    reference_affine_to_kraus,
+    reference_check_numbers,
+)
 
 
 def test_pauli_family_identity():
@@ -374,3 +383,52 @@ def test_channel_spec_rejects_non_numeric_cells():
     q = np.array([[0.7, 0.1], [0.1, 0.1]])
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2
+
+
+# Spec cells: valid ones pass in one pass over a flat object array, and any
+# other value is walked cell by cell, so the first bad cell keeps its text.
+_GOOD_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64), 2**64)
+_BAD_CELLS = st.sampled_from([True, False, None, "0.1", "", math.nan, math.inf, -math.inf, 10**400,
+                              -(10**400), int(_FLOAT_MAX) + 1, b"1", 1j, {"re": 1}])
+_CELLS = _GOOD_CELLS | _BAD_CELLS
+
+
+@st.composite
+def _cell_arrays(draw):
+    """A rectangular nested list, tuple or array of cells, mostly valid, or
+    one with a row cut short or given another depth."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    cells = draw(st.lists(_GOOD_CELLS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    for i in draw(st.sets(st.integers(0, max(len(cells) - 1, 0)), max_size=2)) if cells else ():
+        cells[i] = draw(_CELLS)
+    value = np.array(cells, dtype=object).reshape(shape).tolist()
+    how = draw(st.sampled_from(["list", "list", "tuple", "array", "ragged", "deeper"]))
+    if how == "tuple":
+        value = tuple(map(tuple, value)) if len(shape) > 1 else tuple(value)
+    elif how == "array" and all(type(c) is float for c in cells):
+        value = np.array(value)
+    elif how in ("ragged", "deeper") and len(shape) > 1 and shape[0] > 1 and shape[1] > 0:
+        value[-1] = value[-1][:-1] if how == "ragged" else [value[-1]]
+    return value
+
+
+_NESTED_CELLS = st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+                             max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_cell_arrays() | _NESTED_CELLS)
+@example([[1.0], [0, 0]])
+@example([[[1, 0], [0]], [[1, 0], [0, 1]]])
+@example([[1, 0], [0, [10**400]]])
+@example([[0.5, int(_FLOAT_MAX) + 1]])
+@example(np.array([[0.5, math.nan]]))
+def test_check_numbers_names_the_cell_the_walk_names(value):
+    """check_numbers accepts a value exactly when the cell-by-cell walk
+    does, and otherwise raises its text, naming the same first bad cell."""
+    def outcome(check):
+        try:
+            check(value, "parameter 'q'")
+        except ValueError as exc:
+            return str(exc)
+    assert outcome(check_numbers) == outcome(reference_check_numbers)

@@ -86,9 +86,8 @@ def test_ba_command(tmp_path, capsys):
 def test_ba_command_rejects_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("0.9,0.5\n0.0,0.5\n")
-    code, _, err = run(capsys, "ba", str(path))
-    assert code == 1
-    assert "columns must sum to 1" in err
+    assert run(capsys, "ba", str(path)) == (
+        1, "", f"capdetect: error: column 1 of {path} must sum to 1, got 0.9 (deviation 1.000e-01)\n")
 
 
 @pytest.mark.parametrize("text, row, cells", [
@@ -310,7 +309,34 @@ def _requests(draw):
             argv += [flag, str(value)]
     if argv[0] == "simulate":
         argv += ["--seed", "3"]
-    return {"kind": kind, "params": params}, bases, argv, names
+    if kind == "vshape_qutrit" and bases is None:
+        argv += ["--bases", "weyl"]
+    doc = {"kind": kind, "params": params}
+    how = draw(st.sampled_from((None,) * 8 + _SPEC_FILES))
+    if how is not None:  # the file is read before anything in it is checked
+        doc, names = _spoiled_file(doc, how, names)
+    return doc, bases, argv, names
+
+
+# what a spec file's bytes are spoiled with: a byte-order mark, which is
+# read, a JSON syntax error, or an encoding other than UTF-8
+_SPEC_FILES = ("bom", "comma", "cut", "latin-1", "utf-16")
+_SPEC_FILE = r"\S*spec\.json"
+
+
+def _spoiled_file(doc, how: str, names: list):
+    """The bytes of a spec file holding ``doc``, spoiled as ``how`` says,
+    and the patterns of the names its error may give, which are ``names``
+    when the file is read."""
+    text = json.dumps(doc)
+    if how == "bom":
+        return b"\xef\xbb\xbf" + text.encode(), names
+    if how == "comma":
+        return (text[:-1] + ",}").encode(), [rf"^capdetect: error: line 1 of {_SPEC_FILE}: column {len(text) + 1}: "]
+    if how == "cut":
+        return text[:-1].encode(), [rf"^capdetect: error: line 1 of {_SPEC_FILE}: column {len(text)}: "]
+    data = text.replace('"kind"', '"kind\u00e9"', 1).encode(how) if how == "latin-1" else text.encode(how)
+    return data, [rf"^capdetect: error: {_SPEC_FILE} is not UTF-8 text: .* at byte \d+ \(0x[0-9a-f]{{2}}\)$"]
 
 
 # what a ba matrix file's cell is spoiled with
@@ -324,15 +350,24 @@ def _ba_requests(draw):
     names an error may give): a column-stochastic matrix of 1-3 rows and 2-3
     columns, with or without a header line and a byte-order mark, valid, or
     with one cell spoiled, a row cut short, a comma ending every row, or
-    only the header left. Two columns keep a number in each row, so a
-    spoiled first row is never a header."""
+    only the header left; or an entry outside [0, 1] or a column that does
+    not sum to 1. Two columns keep a number in each row, so a spoiled first
+    row is never a header."""
     n_out, n_in = draw(st.integers(1, 3)), draw(st.integers(2, 3))
     weights = np.array([[draw(st.integers(1, 9)) for _ in range(n_in)] for _ in range(n_out)], dtype=float)
     rows = [[repr(x) for x in row] for row in (weights / weights.sum(axis=0)).tolist()]
     header = ",".join(f"in{n}" for n in range(n_in)) if draw(st.booleans()) else None
-    how = draw(st.sampled_from((None, None, None, *_CSV_CELLS, "ragged", "comma", "header only")))
+    how = draw(st.sampled_from((None, None, None, *_CSV_CELLS, "ragged", "comma", "header only", "range", "sum")))
     names = []
-    if how in _CSV_CELLS:
+    if how == "range":  # an entry outside [0, 1], which leaves its column's sum off too
+        r, c = draw(st.integers(0, n_out - 1)), draw(st.integers(0, n_in - 1))
+        rows[r][c] = draw(st.sampled_from(("1.5", "-0.25", "1.000001")))
+        names.append(rf"row {r + 1} of {_CSV_FILE}: cell {c + 1} must lie in \[0, 1\], got '{rows[r][c]}'$")
+    elif how == "sum":  # a column that does not sum to 1
+        c = draw(st.integers(0, n_in - 1))
+        rows[0][c] = repr(float(rows[0][c]) / 2)
+        names.append(rf"column {c + 1} of {_CSV_FILE} must sum to 1, got 0\.\d+ \(deviation \d\.\d{{3}}e-\d\d\)$")
+    elif how in _CSV_CELLS:
         r, c = draw(st.integers(0, n_out - 1)), draw(st.integers(0, n_in - 1))
         rows[r][c] = _CSV_CELLS[how]
         names.append(rf"row {r + 1} of {_CSV_FILE}: cell {c + 1} must be a finite number")
@@ -370,23 +405,31 @@ def _ba_requests(draw):
 @example(("\ufeff0.9,0.1\n0.1,0.9\n", None, ["ba"], []))
 @example(("0.9,x\n0.1,0.9\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 2 must be a finite number"]))
 @example(("0.5,0.5,\n0.5,0.5,\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 3 must be a finite number"]))
+@example(("0.9,0.5\n0.0,0.5\n", None, ["ba"], [rf"column 1 of {_CSV_FILE} must sum to 1, got 0.9 "]))
+@example(("1.5,0\n-0.5,1\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 1 must lie in \[0, 1\], got '1.5'"]))
+@example((b'{"kind": "gad", "params": {"gamma": 0.3,}}', None, ["bound"],
+          [rf"line 1 of {_SPEC_FILE}: column 41: Expecting property name"]))
+@example((b'\xef\xbb\xbf{"kind": "gad", "params": {"gamma": 0.3, "p": 1.0}}', None, ["bound"], []))
+@example((b'\xff\xfe{', None, ["bound"], [rf"{_SPEC_FILE} is not UTF-8 text: invalid start byte at byte 1 \(0xff\)"]))
 def test_every_bad_request_fails_with_one_named_error_line(case):
     """Through the CLI, in process: a request exits 0 with JSON on stdout, or
     exits 1 with one stderr line that names a spoiled parameter, basis,
-    option or matrix file cell, never with a traceback. A ba request's first
-    part is its matrix file's text."""
+    option, spec file or matrix file cell, never with a traceback. A ba
+    request's first part is its matrix file's text; a spec given as bytes is
+    written as they are."""
     doc, bases, argv, names = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         if argv[0] == "ba":
             (tmp / "matrix.csv").write_bytes(doc.encode())
             argv = [*argv, str(tmp / "matrix.csv")]
+        elif isinstance(doc, bytes):
+            (tmp / "spec.json").write_bytes(doc)
+            argv = [*argv, "--channel", str(tmp / "spec.json")]
         else:
             argv = [*argv, "--channel", write_json(tmp, "spec.json", doc)]
         if bases is not None:
             argv += ["--bases", "custom:" + write_json(tmp, "bases.json", bases)]
-        elif argv[0] != "ba" and doc["kind"] == "vshape_qutrit":
-            argv += ["--bases", "weyl"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -943,6 +986,53 @@ def test_json_writer_equals_json_dumps(payload):
     [1.0, np.int64(2)], [0.5, {0.5}], {"a": {"b": frozenset()}}, ({"c": [np.array(1.0)]},),
 ])
 def test_json_writer_raises_where_json_dumps_does(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        _emitted(payload)
+
+
+# payloads through the per-response float table: values repeat across flat
+# lists, matrix rows and scalars, long lists are looked up and short ones
+# formatted, with signed zeros, NaN, infinities, np.float64 and tuples
+_ROW = [0.5, 1 / 3, 0.125, 2.5e-17, 0.0]
+_TABLE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 0.125, 2.5e-17, 1e300, -7.0, math.nan, math.inf, -math.inf])
+_TABLE_FLOATS = _TABLE_FLOATS | _TABLE_FLOATS.map(np.float64)
+_TABLE_BLOCKS = st.one_of(
+    st.lists(_TABLE_FLOATS, min_size=1, max_size=9),
+    st.lists(_TABLE_FLOATS, min_size=1, max_size=9).map(tuple),
+    st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_TABLE_FLOATS, min_size=n, max_size=n), max_size=4)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_TABLE_BLOCKS | _TABLE_FLOATS, max_size=6)
+       | st.dictionaries(st.sampled_from(["p", "t", "c"]), _TABLE_BLOCKS | _TABLE_FLOATS, max_size=3))
+def test_json_writer_float_table_equals_json_dumps(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"prior": _ROW, "transition": [_ROW[::-1], _ROW, _ROW[1:] + _ROW[:1]], "rows": (tuple(_ROW), _ROW)},
+    [[0.0, -0.0, 0.5, 0.25, 0.125], [-0.0, 0.0, 0.125, 0.25, 0.5], 0.0, -0.0, [-0.0, 0.0], [[0.0, -0.0]] * 3],
+    [_ROW, [math.nan, 0.5, math.inf, 0.125, -math.inf], [[math.nan, 1 / 3], [math.inf, 0.5]],
+     [[0.5, 1 / 3, 0.125, 2.5e-17, -math.inf]] * 2, math.nan, [math.inf] * 5],
+    [_ROW, [np.float64(0.5), 1 / 3, np.float64(-0.0), 0.125, np.float64(2.5e-17)], [[0.5, np.float64(1 / 3)]] * 3],
+    # ints and flags equal to recorded floats keep their own texts
+    [[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2, 3.0, 4.0, 5.0], [1, 2, 3, 4, 5], [1.0, True, 0.0, False, 1.0], 1, True],
+    [[(0.5, 0.25), (0.125, 0.0625)], [[0.5], [0.25, 0.125]], [[], []], [[0.5, "x"], [0.5, 0.25]]],
+])
+def test_json_writer_float_table_cases(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    [0.5, 0.25, np.int64(1), 0.125, 0.0625],
+    [_ROW, [0.5, 1 / 3, np.int64(1), 0.125, 2.5e-17]],
+    [[0.5, 0.25], [np.int64(1), 0.125]],
+    [_ROW, [_ROW, [0.5, 1 / 3, 0.125, 2.5e-17, np.int64(0)]]],
+])
+def test_json_writer_rejects_an_integer_in_a_float_row(payload):
     with pytest.raises(TypeError):
         json.dumps(payload, indent=2)
     with pytest.raises(TypeError):
