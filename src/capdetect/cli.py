@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .qcore import CERT_TOL, KrausChannel, MeasurementBasis, is_cptp
 from .channels import ChannelSpec, _matrix_from_cells, check_numbers, gad_params, stretched_affine
-from .infotheory import TRANSITION_TOL, binary_capacity, blahut_arimoto, column_sum_deviations
+from .infotheory import binary_capacity, blahut_arimoto, check_transition_matrix
 from .detect import (
     BASIS_FAMILIES,
     DetectionConfig,
@@ -394,17 +395,7 @@ def _read_transition_csv(path: str) -> np.ndarray:
         if len(row) != len(rows[0]):
             raise ValueError(f"row {r} of {path} has {len(row)} cells, expected {len(rows[0])}")
     t = np.array(matrix)
-    # the bounds of check_transition_stack, which names no file
-    outside = np.argwhere(~((t >= -TRANSITION_TOL) & (t <= 1.0 + TRANSITION_TOL)))
-    if len(outside):
-        r, c = outside[0]
-        raise ValueError(f"row {r + 1} of {path}: cell {c + 1} must lie in [0, 1], got {rows[r][c]!r}")
-    deviations = column_sum_deviations(t[None])[0]
-    off = np.flatnonzero(~(deviations <= TRANSITION_TOL))
-    if len(off):
-        c = off[0]
-        raise ValueError(f"column {c + 1} of {path} must sum to 1, got {t[:, c].sum():.12g} "
-                         f"(deviation {deviations[c]:.3e})")
+    check_transition_matrix(t, path)
     return t
 
 
@@ -429,24 +420,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_ba(args) -> int:
-    t = _read_transition_csv(args.matrix)
-    r = blahut_arimoto(t, tol_bits=args.tol, max_iter=args.max_iter)
-    _emit_json(
-        {
-            "capacity_bits": r.capacity_bits,
-            "optimal_prior": list(map(float, r.optimal_prior)),
-            "iterations": r.iterations,
-            "gap_bits": r.gap_bits,
-            "converged": r.converged,
-        },
-        args.out,
-    )
+    r = blahut_arimoto(_read_transition_csv(args.matrix), tol_bits=args.tol, max_iter=args.max_iter)
+    _emit_json({**asdict(r), "optimal_prior": r.optimal_prior.tolist()}, args.out)
     return 0
 
 
 def _cmd_binary(args) -> int:
-    cap, p0 = binary_capacity(args.eps0, args.eps1)
-    _emit_json({"capacity_bits": cap, "optimal_p0": p0}, args.out)
+    _emit_json(binary_capacity(args.eps0, args.eps1)._asdict(), args.out)
     return 0
 
 

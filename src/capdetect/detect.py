@@ -219,13 +219,17 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     """Detection pipeline on already-reconstructed transition matrices of
     one shape, one label each, solved by :func:`solve_stack`: the
     binary-channel closed form for 2x2 matrices, Blahut-Arimoto otherwise.
-    Matrices of different shapes, a label count that differs from the
-    matrix count, and an empty list raise a ValueError that says so."""
+    Matrices that are not two-dimensional or differ in shape, a label
+    count that differs from the matrix count, and an empty list raise a
+    ValueError that says so."""
     transitions = [np.asarray(t, dtype=float) for t in transitions]
     if len(transitions) != len(labels):
         raise ValueError(f"got {len(transitions)} transition matrices and {len(labels)} labels")
     if not transitions:
         raise ValueError("at least one transition matrix is required")
+    for k, t in enumerate(transitions, 1):
+        if t.ndim != 2:
+            raise ValueError(f"transition {k} must be two-dimensional, got shape {t.shape}")
     shapes = sorted({t.shape for t in transitions})
     if len(shapes) > 1:
         raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")

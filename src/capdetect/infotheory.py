@@ -37,32 +37,34 @@ def check_prob_vector(p) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def column_sum_deviations(t: np.ndarray) -> np.ndarray:
-    """|sum of each column - 1| over a stack (g, outputs, inputs): the same
-    sums as t.sum(axis=1), several times faster on wide stacks."""
-    return np.abs(np.einsum("gmn->gn", t) - 1.0)
-
-
-def check_transition_matrix(t) -> np.ndarray:
+def check_transition_matrix(t, name: str = "transition") -> np.ndarray:
+    """One matrix's :func:`check_transition_stack`, whose errors call it ``name``."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
-        raise ValueError("transition matrix must be two-dimensional")
-    return check_transition_stack(t[None])[0]
+        raise ValueError(f"transition matrix must be two-dimensional, got shape {t.shape}")
+    return check_transition_stack(t[None], name)[0]
 
 
-def check_transition_stack(t) -> np.ndarray:
+def check_transition_stack(t, name: str = "transition") -> np.ndarray:
     """Validate a stack (g, outputs, inputs) of column-stochastic matrices,
     entries and column sums within TRANSITION_TOL, and return it clipped to
-    [0, 1]."""
+    [0, 1]. The error names the first fault, by ``name`` (numbered from 1 in
+    a stack of several), row and cell, or ``name`` and column."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a stack of transition matrices")
-    # written so that NaN entries fail the checks
-    if not (t.min() >= -TRANSITION_TOL and t.max() <= 1.0 + TRANSITION_TOL):
-        raise ValueError("transition probabilities must lie in [0, 1]")
-    worst = np.max(column_sum_deviations(t))
-    if not worst <= TRANSITION_TOL:
-        raise ValueError(f"columns must sum to 1; worst deviation {worst:.3e}")
+    # |each column's sum - 1|: the sums of t.sum(axis=1), several times faster
+    # on wide stacks; the checks are written so that NaN entries fail them
+    deviations = np.abs(np.einsum("gmn->gn", t) - 1.0)
+    if not (t.min() >= -TRANSITION_TOL and t.max() <= 1.0 + TRANSITION_TOL and deviations.max() <= TRANSITION_TOL):
+        of = (lambda k: name) if len(t) == 1 else (lambda k: f"{name} {k + 1}")
+        outside = np.argwhere(~((t >= -TRANSITION_TOL) & (t <= 1.0 + TRANSITION_TOL)))
+        if len(outside):
+            k, r, c = outside[0]
+            raise ValueError(f"row {r + 1} of {of(k)}: cell {c + 1} must lie in [0, 1], got {float(t[k, r, c])}")
+        k, c = np.argwhere(~(deviations <= TRANSITION_TOL))[0]
+        raise ValueError(f"column {c + 1} of {of(k)} must sum to 1, got {t[k, :, c].sum():.12g} "
+                         f"(deviation {deviations[k, c]:.3e})")
     return np.clip(t, 0.0, 1.0)
 
 
@@ -157,10 +159,8 @@ def blahut_arimoto(transition, tol_bits: float = BA_TOL_BITS, max_iter: int = BA
     ``max_iter`` evaluations run out first the best-so-far result is
     returned with ``converged=False``.
     """
-    t = np.asarray(transition, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("transition matrix must be two-dimensional")
-    caps, priors, iterations, gaps = blahut_arimoto_batch(t[None], tol_bits, max_iter)
+    t = check_transition_matrix(transition)
+    caps, priors, iterations, gaps = _blahut_arimoto_checked(t[None], tol_bits, max_iter)
     gap = float(gaps[0])
     return BAResult(float(caps[0]), priors[0], int(iterations[0]), gap, gap <= tol_bits)
 
@@ -207,7 +207,11 @@ def blahut_arimoto_batch(transitions, tol_bits: float = BA_TOL_BITS, max_iter: i
     seen minus that lower bound. A matrix stops once its gap reaches
     ``tol_bits``, or after ``max_iter`` rounds.
     """
-    t = check_transition_stack(transitions)
+    return _blahut_arimoto_checked(check_transition_stack(transitions), tol_bits, max_iter)
+
+
+def _blahut_arimoto_checked(t: np.ndarray, tol_bits: float, max_iter: int):
+    """:func:`blahut_arimoto_batch` of a stack that passed its check."""
     check_solver_settings(tol_bits, max_iter)
     g, _, n_in = t.shape
     log_t = np.zeros_like(t)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, solve_stack
-from .infotheory import check_interval
+from .infotheory import check_interval, check_transition_matrix
 
 # a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
 # one request's replicates at about 0.5 GB
@@ -58,18 +58,27 @@ def _counts(t, shots: int, seed: int, basis_index: int, kind: int = 0, size=None
                      for n in range(t.shape[1])], axis=-1)
 
 
+def _check_shots(shots) -> None:
+    """Require 1 <= shots < 2^63, the draws numpy's multinomial takes (NaN fails)."""
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots per input must lie in [1, 2^63), got {shots}")
+
+
+def _sample(t: np.ndarray, shots: int, seed: int, basis_index: int) -> np.ndarray:
+    """Counts of ``shots`` draws from each column of a checked transition,
+    each column divided by its own 1-D sum: t.sum(axis=0) adds in another
+    order from 8 outputs on, which would move the draws."""
+    return _counts(t / [col.sum() for col in t.T], shots, seed, basis_index)
+
+
 def sample_transition(transition, shots_per_input: int, seed: int, *, basis_index: int = 0):
-    """Draw multinomial counts from each column of a transition matrix.
+    """Draw multinomial counts from each column of a column-stochastic matrix.
 
     Returns the counts and the plug-in estimate counts/shots, whose columns
     sum to one by construction.
     """
-    t = np.asarray(transition, dtype=float)
-    if not 1 <= shots_per_input < 2**63:  # numpy's multinomial takes at most 2^63 - 1
-        raise ValueError(f"shots per input must lie in [1, 2^63), got {shots_per_input}")
-    # each column over its own 1-D sum; t.sum(axis=0) adds in another order
-    # from 8 outputs on, and would move the draws
-    counts = _counts(t / [col.sum() for col in t.T], shots_per_input, seed, basis_index)
+    _check_shots(shots_per_input)
+    counts = _sample(check_transition_matrix(transition), shots_per_input, seed, basis_index)
     return counts, counts / float(shots_per_input)
 
 
@@ -96,17 +105,18 @@ def _check_resamples(resamples: int, d: int) -> None:
 
 
 def sample_counts(channel: KrausChannel, bases, shots: int, seed: int) -> np.ndarray:
-    """(k, outputs, inputs) multinomial counts of ``shots`` draws per input of
-    the k bases, from one transition pass; basis i's keys are (seed, 0, i, input)."""
-    return np.stack([sample_transition(t, shots, seed, basis_index=i)[0]
-                     for i, t in enumerate(conditional_probs(channel, bases))])
+    """(k, outputs, inputs) :func:`sample_transition` counts of ``shots`` draws per
+    input of the k bases, from one transition pass; basis i's keys are (seed, 0, i, input)."""
+    _check_shots(shots)
+    return np.stack([_sample(t, shots, seed, i) for i, t in enumerate(conditional_probs(channel, bases))])
 
 
 def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed: int,
                        resamples: int = RESAMPLES) -> EstimatedDetection:
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
-    a negative or non-integer count fails with an error that says which.
+    shots outside [1, 2^63), as for :func:`sample_transition`, and a
+    negative or non-integer count fail with an error that says which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -124,6 +134,7 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
 def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):
     """:func:`detect_from_counts`'s estimate; its warning points at the line
     that called the public function, two frames up."""
+    _check_shots(shots)
     counts = np.asarray(counts)
     _check_resamples(resamples, d := counts.shape[-1])
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
@@ -131,8 +142,8 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
     if fractional.size:
         raise ValueError(f"counts must be integers, got {fractional[0]} "
                          f"({fractional.size} of {values.size} entries)")
-    if shots < 1 or counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
-        raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
+    if counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
+        raise ValueError(f"need one square count table per label, columns summing to shots = {shots}")
     rows = resamples + 1
     per_call = max(1, _GROUP_CELLS // (rows * d * d))
     caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates

@@ -21,9 +21,13 @@ from capdetect import (
     ChannelSpec,
     binary_entropy,
     blahut_arimoto,
+    blahut_arimoto_batch,
+    detect_from_transitions,
     detect_pauli_qubit,
     gad_affine,
+    mutual_information,
     pseudoclassicality,
+    sample_transition,
     stretched_affine,
 )
 from capdetect import cli, protocol_sim
@@ -362,7 +366,7 @@ def _ba_requests(draw):
     if how == "range":  # an entry outside [0, 1], which leaves its column's sum off too
         r, c = draw(st.integers(0, n_out - 1)), draw(st.integers(0, n_in - 1))
         rows[r][c] = draw(st.sampled_from(("1.5", "-0.25", "1.000001")))
-        names.append(rf"row {r + 1} of {_CSV_FILE}: cell {c + 1} must lie in \[0, 1\], got '{rows[r][c]}'$")
+        names.append(rf"row {r + 1} of {_CSV_FILE}: cell {c + 1} must lie in \[0, 1\], got {re.escape(rows[r][c])}$")
     elif how == "sum":  # a column that does not sum to 1
         c = draw(st.integers(0, n_in - 1))
         rows[0][c] = repr(float(rows[0][c]) / 2)
@@ -402,11 +406,22 @@ def _ba_requests(draw):
 @example((GAD, [_QUBIT_BASES[0], [[[1, 0]], [[0, 0], [1, 0]]]], ["bound"], ["basis 1"]))
 @example((GAD, [_QUBIT_BASES[0], [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], ["bound"], ["basis 1"]))
 @example((GAD, None, ["simulate", "--shots", str(10**20), "--seed", "3", "--resamples", "100"], ["shots"]))
+@example((GAD, None, ["simulate", "--shots", "100", "--seed", str(2**64), "--resamples", "100"],
+          [r"^capdetect: error: seed must fit in an unsigned 64-bit integer$"]))
+@example(([1, 2], None, ["bound"], [r"^capdetect: error: channel spec must be a JSON object$"]))
+@example(({"kind": "generalized_pauli", "params": {"dim": 3, "q": [[0.5, 0], [0, 0.5]]}}, None, ["bound"],
+          [r"^capdetect: error: probability table q must be 3x3, got \(2, 2\)$"]))
+@example(({"kind": "extremal", "params": {"alpha": 1.0, "beta": 0.5}}, None, ["bound"],
+          [r"^capdetect: error: need 0 <= alpha <= beta <= pi/2, got \(1\.0, 0\.5\)$"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": []}}, None, ["bound"],
+          [r"^capdetect: error: channel needs at least one Kraus operator$"]))
+@example(({"kind": "vshape_qutrit", "params": {"gamma01": 0.3, "gamma02": 0.6}}, None, ["bound"],
+          [r"^capdetect: error: the pauli basis family is only defined for qubits$"]))
 @example(("\ufeff0.9,0.1\n0.1,0.9\n", None, ["ba"], []))
 @example(("0.9,x\n0.1,0.9\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 2 must be a finite number"]))
 @example(("0.5,0.5,\n0.5,0.5,\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 3 must be a finite number"]))
 @example(("0.9,0.5\n0.0,0.5\n", None, ["ba"], [rf"column 1 of {_CSV_FILE} must sum to 1, got 0.9 "]))
-@example(("1.5,0\n-0.5,1\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 1 must lie in \[0, 1\], got '1.5'"]))
+@example(("1.5,0\n-0.5,1\n", None, ["ba"], [rf"row 1 of {_CSV_FILE}: cell 1 must lie in \[0, 1\], got 1\.5$"]))
 @example((b'{"kind": "gad", "params": {"gamma": 0.3,}}', None, ["bound"],
           [rf"line 1 of {_SPEC_FILE}: column 41: Expecting property name"]))
 @example((b'\xef\xbb\xbf{"kind": "gad", "params": {"gamma": 0.3, "p": 1.0}}', None, ["bound"], []))
@@ -441,6 +456,65 @@ def test_every_bad_request_fails_with_one_named_error_line(case):
     assert (code, out) == (1, ""), out
     assert err.startswith("capdetect: error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert any(re.search(name, err) for name in names), (names, err)
+
+
+@st.composite
+def _bad_transitions(draw):
+    """(a stack of 1-3 column-stochastic matrices of one shape, 2-3 outputs
+    and 2-3 inputs, with one matrix spoiled, its index, and how): an entry
+    outside [0, 1], a NaN entry, or an entry moved so that its column's sum
+    is off by more than 1e-9 while every entry stays inside [0, 1]. Every
+    entry starts inside [1/19, 9/10], so a move of at most 0.03 keeps it there."""
+    count, n_out, n_in = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=count * n_out * n_in,
+                                     max_size=count * n_out * n_in)), dtype=float)
+    stack = weights.reshape(count, n_out, n_in)
+    stack /= stack.sum(axis=1, keepdims=True)
+    k, r, c = draw(st.integers(0, count - 1)), draw(st.integers(0, n_out - 1)), draw(st.integers(0, n_in - 1))
+    how = draw(st.sampled_from(("range", "nan", "sum")))
+    if how == "range":
+        stack[k, r, c] = draw(st.sampled_from((-0.25, -2e-9, 1.5, 1.0 + 2e-9)))
+    elif how == "nan":
+        stack[k, r, c] = np.nan
+    else:
+        stack[k, r, c] += draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(2e-9, 0.03))
+    return stack, k, r, c, how
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_bad_transitions())
+def test_every_function_that_takes_a_transition_names_its_fault(case):
+    """Each function that takes a transition, and a ba file through the CLI,
+    fails with one line naming the spoiled entry's row and cell, or its
+    column, and in a stack of several the matrix number too."""
+    stack, k, r, c, how = case
+
+    def fault(name, ba=False):
+        if how == "sum":
+            return rf"^column {c + 1} of {name} must sum to 1, got \S+ \(deviation \d\.\d{{3}}e-\d\d\)$"
+        if how == "nan" and ba:  # the reader takes finite numbers only
+            return rf"^row {r + 1} of {name}: cell {c + 1} must be a finite number, got 'nan'$"
+        return rf"^row {r + 1} of {name}: cell {c + 1} must lie in \[0, 1\], got {re.escape(str(stack[k, r, c]))}$"
+
+    matrix, in_stack = stack[k], "transition" if len(stack) == 1 else f"transition {k + 1}"
+    labels = [f"b{i}" for i in range(len(stack))]
+    n_in = matrix.shape[1]
+    for call, name in ((lambda: blahut_arimoto(matrix), "transition"),
+                       (lambda: mutual_information(np.full(n_in, 1.0 / n_in), matrix), "transition"),
+                       (lambda: sample_transition(matrix, 10, 1), "transition"),
+                       (lambda: blahut_arimoto_batch(stack), in_stack),
+                       (lambda: detect_from_transitions(list(stack), labels), in_stack)):
+        with pytest.raises(ValueError, match=fault(name)):
+            call()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "t.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["ba", str(path)]) == 1
+    err = err.getvalue()
+    assert err.startswith("capdetect: error: ") and err.count("\n") == 1, err
+    assert re.search(fault(re.escape(str(path)), ba=True), err.removeprefix("capdetect: error: ")), err
 
 
 def test_bound_custom_bases(tmp_path, capsys):
@@ -726,6 +800,8 @@ def test_suppl_stretched_matches_per_row_reports():
      "|s| = 0.72 exceeds sqrt(1-gamma) = 0.707107; not completely positive"),
     ("suppl_stretched", "s=-0.5:0.71:0.01",
      "|s| = 0.71 exceeds sqrt(1-gamma) = 0.707107; not completely positive"),
+    ("fig1", "gamma", "--grid expects name=start:stop:step, got 'gamma'"),
+    ("fig1", "gamma=1:0:0.1", "grid stop 0.0 below start 1.0"),
 ])
 def test_reproduce_names_first_bad_grid_value(capsys, figure, grid, message):
     code, out, err = run(capsys, "reproduce", figure, "--grid", grid)

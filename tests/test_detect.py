@@ -647,8 +647,10 @@ def test_detect_from_transitions_checks_its_input():
     with pytest.raises(ValueError, match=re.escape("share one shape, got shapes [(2, 2), (3, 3)]")):
         detect_from_transitions([bsc, np.eye(3)], ["a", "b"])
     # the 2x2 closed form reads two entries, so the column sums are checked first
-    with pytest.raises(ValueError, match="columns must sum to 1"):
+    with pytest.raises(ValueError, match=r"^column 1 of transition 2 must sum to 1, got 0\.7 "):
         detect_from_transitions([bsc, np.array([[0.5, 0.5], [0.2, 0.2]])], ["a", "b"])
+    with pytest.raises(ValueError, match=re.escape("transition 1 must be two-dimensional, got shape (2,)")):
+        detect_from_transitions([[0.5, 0.5]], ["a"])
     z = np.array([[1.0, 0.5], [0.0, 0.5]])
     result = detect_from_transitions([bsc, z], ["bsc", "z"])
     assert result.c_det_bits == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-12)

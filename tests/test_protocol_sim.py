@@ -443,9 +443,14 @@ def test_detect_from_counts_rejects_malformed_tables():
     cfg = DetectionConfig("pauli")
     detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 100)
     for bad_counts, shots, labels in ((counts, 5, ["a"]), (counts, 6, ["a", "b"]), (counts[:, :1], 5, ["a", "b"]),
-                                      (counts[0], 5, ["a", "b"]), (0 * counts, 0, ["a", "b"])):
+                                      (counts[0], 5, ["a", "b"])):
         with pytest.raises(ValueError, match="count table per label"):
             detect_from_counts(bad_counts, shots, labels, cfg, 1, 100)
+    # shots outside [1, 2^63), as sample_transition takes them; 2^63 is past
+    # int64, where comparing the column sums would overflow
+    for bad_counts, shots in ((0 * counts, 0), (np.full((1, 2, 2), 2**62), 2**63)):
+        with pytest.raises(ValueError, match=rf"^shots per input must lie in \[1, 2\^63\), got {shots}$"):
+            detect_from_counts(bad_counts, shots, ["a", "b"][:len(bad_counts)], cfg, 1, 100)
     with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
         detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 99)
     # each table's columns sum to shots = 2, so only the cells are at fault
