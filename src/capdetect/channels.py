@@ -11,7 +11,7 @@ import inspect
 import numpy as np
 from dataclasses import dataclass, field
 
-from .infotheory import check_interval
+from .infotheory import check_integer, check_interval
 from .qcore import (
     KrausChannel,
     PAULIS,
@@ -319,8 +319,8 @@ class ChannelSpec:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(missing)}")
         for name, value in params.items():
             check_numbers(value, f"parameter '{name}' of kind '{kind}'", name in _ARRAY_PARAMS)
-        if "dim" in params and (not isinstance(params["dim"], int) or params["dim"] < 2):
-            raise ValueError(f"{kind} dim must be an integer >= 2, got {params['dim']!r}")
+        if "dim" in params:
+            check_integer(f"{kind} dim", params["dim"], 2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChannelSpec":

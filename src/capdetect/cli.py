@@ -407,6 +407,8 @@ def _parse_grid_overrides(specs) -> dict:
             start, stop, step = (float(x) for x in rng.split(":"))
         except ValueError:
             raise ValueError(f"--grid expects name=start:stop:step, got '{spec}'")
+        if name in overrides:
+            raise ValueError(f"--grid '{name}' given twice")
         overrides[name] = (start, stop, step)
     return overrides
 

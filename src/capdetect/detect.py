@@ -132,7 +132,9 @@ class DetectionConfig:
         bases = tuple(self.bases)
         if not bases:
             raise ValueError("at least one measurement basis is required")
-        for b in bases:
+        for i, b in enumerate(bases, 1):
+            if not isinstance(b, MeasurementBasis):
+                raise ValueError(f"basis {i} must be a MeasurementBasis, got {type(b).__name__}")
             if b.dim != dim:
                 raise ValueError(f"basis '{b.label}' has dim {b.dim}, channel has dim {dim}")
         return _family(bases, [(b.label, i, range(dim)) for i, b in enumerate(bases)])
@@ -197,15 +199,15 @@ def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
 
 
 def _detect(stack: np.ndarray, views, config: DetectionConfig) -> DetectionResult:
-    """The detection result of a stack (k, outputs, inputs) of transitions,
-    checked and solved once by :func:`solve_stack`: each ``(label, i,
+    """The detection result of a checked stack (k, outputs, inputs) of
+    transitions, solved once by :func:`solve_stack`: each ``(label, i,
     order)`` view (see :func:`weyl_bases`) gets a BasisResult with
     transition i and its prior in the ket order ``order`` (``slice(None)``
     keeps it), in arrays the caller does not hold, and basis i's method,
     convergence, iterations and gap. The argmax is the lowest index among
     exactly equal values, so a Weyl class's first label wins; values that
     differ in the last bit are not ties."""
-    method, caps, priors, iterations, gaps = solve_stack(check_transition_stack(stack), config)
+    method, caps, priors, iterations, gaps = solve_stack(stack, config)
     converged = gaps <= config.ba_tolerance_bits
     per_basis = [BasisResult(label, stack[i][order][:, order], priors[i][order], float(caps[i]), method,
                              bool(converged[i]), int(iterations[i]), float(gaps[i]))
@@ -220,8 +222,9 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     one shape, one label each, solved by :func:`solve_stack`: the
     binary-channel closed form for 2x2 matrices, Blahut-Arimoto otherwise.
     Matrices that are not two-dimensional or differ in shape, a label
-    count that differs from the matrix count, and an empty list raise a
-    ValueError that says so."""
+    count that differs from the matrix count, an empty list and a stack
+    that :func:`check_transition_stack` rejects raise a ValueError that
+    says so."""
     transitions = [np.asarray(t, dtype=float) for t in transitions]
     if len(transitions) != len(labels):
         raise ValueError(f"got {len(transitions)} transition matrices and {len(labels)} labels")
@@ -234,7 +237,7 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     if len(shapes) > 1:
         raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
     views = [(label, i, slice(None)) for i, label in enumerate(labels)]
-    return _detect(np.stack(transitions), views, config or DetectionConfig())
+    return _detect(check_transition_stack(np.stack(transitions)), views, config or DetectionConfig())
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:

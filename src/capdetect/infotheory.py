@@ -53,6 +53,8 @@ def check_transition_stack(t, name: str = "transition") -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a stack of transition matrices")
+    if not t.size:
+        raise ValueError(f"{name} must be non-empty, got shape {t.shape[1:] if len(t) == 1 else t.shape}")
     # |each column's sum - 1|: the sums of t.sum(axis=1), several times faster
     # on wide stacks; the checks are written so that NaN entries fail them
     deviations = np.abs(np.einsum("gmn->gn", t) - 1.0)
@@ -80,6 +82,16 @@ def check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: f
     return v
 
 
+def check_integer(name: str, value, lo: int, bits: int | None = None) -> None:
+    """Require an int or numpy integer, not a bool, that is >= lo and, given
+    ``bits``, below 2^bits; the error names ``name`` and the range."""
+    if type(value) is not int and isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)  # compared exactly, and shown alike on every numpy
+    if type(value) is not int or value < lo or (bits is not None and value >= 1 << bits):
+        span = f">= {lo}" if bits is None else f"in [{lo}, 2^{bits})"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def check_tolerance(name: str, tol) -> None:
     """Require a finite tolerance > 0 (NaN fails)."""
     if not 0.0 < tol < np.inf:
@@ -90,8 +102,7 @@ def check_solver_settings(tol_bits, max_iter) -> None:
     """Require what Blahut-Arimoto needs: a finite tolerance > 0 and an
     integer iteration limit >= 1."""
     check_tolerance("tol_bits", tol_bits)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_integer("max_iter", max_iter, 1)
 
 
 def binary_entropy(x):

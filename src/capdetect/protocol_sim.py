@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, solve_stack
-from .infotheory import check_interval, check_transition_matrix
+from .infotheory import check_integer, check_interval, check_transition_matrix
 
 # a bootstrap peaks near 100 bytes per replicate per d^2 cell, so this caps
 # one request's replicates at about 0.5 GB
@@ -36,13 +36,11 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np
     """Independent keyed stream for one (kind, basis, input) sampling cell:
     this thread's generator re-keyed to counter 0 and an empty buffer, so it
     draws what a fresh Generator(Philox(key)) draws, until its next call."""
-    if seed < 0 or seed >= 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    check_integer("seed", seed, 0, 64)
     # the key packs both indices into 24-bit fields; a wider one would
     # collide with another cell's stream
-    for name, index in (("basis_index", basis_index), ("input_index", input_index)):
-        if not 0 <= index < 2**24:
-            raise ValueError(f"{name} = {index} outside [0, 2^24)")
+    check_integer("basis_index", basis_index, 0, 24)
+    check_integer("input_index", input_index, 0, 24)
     state = {"counter": (0,) * 4, "key": (seed, (kind << 48) | (basis_index << 24) | input_index)}
     if not hasattr(_local, "gen"):
         _local.gen = np.random.Generator(np.random.Philox())
@@ -59,9 +57,8 @@ def _counts(t, shots: int, seed: int, basis_index: int, kind: int = 0, size=None
 
 
 def _check_shots(shots) -> None:
-    """Require 1 <= shots < 2^63, the draws numpy's multinomial takes (NaN fails)."""
-    if not 1 <= shots < 2**63:
-        raise ValueError(f"shots per input must lie in [1, 2^63), got {shots}")
+    """Require an integer 1 <= shots < 2^63, the draws numpy's multinomial takes."""
+    check_integer("shots per input", shots, 1, 63)
 
 
 def _sample(t: np.ndarray, shots: int, seed: int, basis_index: int) -> np.ndarray:
@@ -97,8 +94,7 @@ class EstimatedDetection:
 
 
 def _check_resamples(resamples: int, d: int) -> None:
-    if resamples < 100:
-        raise ValueError("use at least 100 bootstrap resamples")
+    check_integer("resamples", resamples, 100)
     if resamples * d * d > _MAX_BOOTSTRAP_CELLS:
         raise ValueError(f"resamples x d^2 = {resamples} x {d}^2 exceeds the limit of "
                          f"{_MAX_BOOTSTRAP_CELLS:,} bootstrap cells")
@@ -115,8 +111,9 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
                        resamples: int = RESAMPLES) -> EstimatedDetection:
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
-    shots outside [1, 2^63), as for :func:`sample_transition`, and a
-    negative or non-integer count fail with an error that says which.
+    shots that are not an integer in [1, 2^63), as for
+    :func:`sample_transition`, tables of another shape, and a negative or
+    non-integer count fail with an error that says which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -136,14 +133,18 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
     that called the public function, two frames up."""
     _check_shots(shots)
     counts = np.asarray(counts)
-    _check_resamples(resamples, d := counts.shape[-1])
+    d = counts.shape[-1] if counts.ndim == 3 else 0
+    malformed = f"need one square count table per label, columns summing to shots = {shots}"
+    if counts.shape != (len(labels), d, d) or not counts.size:
+        raise ValueError(malformed)
+    _check_resamples(resamples, d)
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
     fractional = values[values != np.floor(values)]
     if fractional.size:
         raise ValueError(f"counts must be integers, got {fractional[0]} "
                          f"({fractional.size} of {values.size} entries)")
-    if counts.shape != (len(labels), d, d) or (counts.sum(axis=1) != shots).any():
-        raise ValueError(f"need one square count table per label, columns summing to shots = {shots}")
+    if (counts.sum(axis=1) != shots).any():
+        raise ValueError(malformed)
     rows = resamples + 1
     per_call = max(1, _GROUP_CELLS // (rows * d * d))
     caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates

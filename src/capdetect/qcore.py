@@ -9,7 +9,7 @@ channel plus a basis into a column-stochastic classical transition matrix.
 import numpy as np
 from dataclasses import dataclass
 
-from .infotheory import check_tolerance
+from .infotheory import check_tolerance, check_transition_stack
 
 # Orthonormality and CPTP certification tolerance; the checks
 # that take a tolerance argument can override it per call.
@@ -51,8 +51,9 @@ class MeasurementBasis:
 
     def __post_init__(self):
         kets = np.array(self.kets, dtype=complex)
-        if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
-            raise ValueError("basis must be a square array of kets (rows)")
+        if kets.ndim != 2 or kets.shape[0] != kets.shape[1] or not kets.size:
+            raise ValueError(f"basis '{self.label}' must be a non-empty square array of kets (rows), "
+                             f"got shape {kets.shape}")
         gram = kets.conj() @ kets.T
         dev = np.max(np.abs(gram - np.eye(kets.shape[0])))
         if not dev <= CERT_TOL:  # NaN fails too
@@ -148,15 +149,17 @@ def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
 
 def conditional_probs(channel: KrausChannel, basis) -> np.ndarray:
     """Transition matrix p(m|n) = <m|E(|n><n|)|m> for basis preparation and
-    measurement. Columns are inputs and sum to one. A sequence of k bases
-    gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
+    measurement. Columns are inputs and sum to one, checked by
+    :func:`check_transition_stack`, so a channel that does not preserve the
+    trace of the basis states fails by row and cell or column. A sequence of
+    k bases gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
     single = isinstance(basis, MeasurementBasis)
     kets = np.stack([b.kets for b in ([basis] if single else basis)])
     if kets.shape[-1] != channel.dim:
         raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {kets.shape[-1]}")
     # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows
     amplitudes = kets.conj() @ np.stack(channel.operators)[:, None] @ kets.transpose(0, 2, 1)
-    t = np.clip((np.abs(amplitudes) ** 2).sum(axis=0), 0.0, 1.0)
+    t = check_transition_stack((np.abs(amplitudes) ** 2).sum(axis=0))
     return t[0] if single else t
 
 

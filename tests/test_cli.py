@@ -304,6 +304,7 @@ def _requests(draw):
     options = [("--max-iter", "max_iter", (None, 10**20), (0, -3))]
     if argv[0] == "simulate":
         options += [("--shots", "shots", (50, 2**63 - 1), (0, -1, 2**63, 10**20)),
+                    ("--seed", "seed", (3,), (-1, 2**64)),
                     ("--resamples", "resamples", (100,), (99, -5, 10**20))]
     for flag, name, good, bad in options:
         value = draw(st.sampled_from(good * 3 + bad))
@@ -311,8 +312,6 @@ def _requests(draw):
             names.append(name)
         if value is not None:
             argv += [flag, str(value)]
-    if argv[0] == "simulate":
-        argv += ["--seed", "3"]
     if kind == "vshape_qutrit" and bases is None:
         argv += ["--bases", "weyl"]
     doc = {"kind": kind, "params": params}
@@ -407,7 +406,7 @@ def _ba_requests(draw):
 @example((GAD, [_QUBIT_BASES[0], [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]], ["bound"], ["basis 1"]))
 @example((GAD, None, ["simulate", "--shots", str(10**20), "--seed", "3", "--resamples", "100"], ["shots"]))
 @example((GAD, None, ["simulate", "--shots", "100", "--seed", str(2**64), "--resamples", "100"],
-          [r"^capdetect: error: seed must fit in an unsigned 64-bit integer$"]))
+          [r"^capdetect: error: seed must be an integer in \[0, 2\^64\), got 18446744073709551616$"]))
 @example(([1, 2], None, ["bound"], [r"^capdetect: error: channel spec must be a JSON object$"]))
 @example(({"kind": "generalized_pauli", "params": {"dim": 3, "q": [[0.5, 0], [0, 0.5]]}}, None, ["bound"],
           [r"^capdetect: error: probability table q must be 3x3, got \(2, 2\)$"]))
@@ -802,9 +801,11 @@ def test_suppl_stretched_matches_per_row_reports():
      "|s| = 0.71 exceeds sqrt(1-gamma) = 0.707107; not completely positive"),
     ("fig1", "gamma", "--grid expects name=start:stop:step, got 'gamma'"),
     ("fig1", "gamma=1:0:0.1", "grid stop 0.0 below start 1.0"),
+    ("fig1", ["gamma=0:1:0.5", "gamma=0:0.5:0.25"], "--grid 'gamma' given twice"),
 ])
 def test_reproduce_names_first_bad_grid_value(capsys, figure, grid, message):
-    code, out, err = run(capsys, "reproduce", figure, "--grid", grid)
+    grids = [grid] if isinstance(grid, str) else grid
+    code, out, err = run(capsys, "reproduce", figure, *[arg for g in grids for arg in ("--grid", g)])
     assert code == 1 and out == ""
     assert err == f"capdetect: error: {message}\n"
 

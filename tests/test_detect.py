@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -192,6 +194,9 @@ def test_detect_weyl_rejects_composite():
     q[0, 0] = 1.0
     with pytest.raises(ValueError, match="needs a prime dimension, got 4"):
         detect_capacity(pauli_family_channel(4, q), WEYL)
+    # explicit bases are checked where they are resolved
+    with pytest.raises(ValueError, match=r"^basis 1 must be a MeasurementBasis, got str$"):
+        DetectionConfig(("x",)).resolve_bases(2)
 
 
 def test_detect_weyl_rejects_non_pauli_channel():
@@ -651,6 +656,8 @@ def test_detect_from_transitions_checks_its_input():
         detect_from_transitions([bsc, np.array([[0.5, 0.5], [0.2, 0.2]])], ["a", "b"])
     with pytest.raises(ValueError, match=re.escape("transition 1 must be two-dimensional, got shape (2,)")):
         detect_from_transitions([[0.5, 0.5]], ["a"])
+    with pytest.raises(ValueError, match=r"^transition must be non-empty, got shape \(2, 0\)$"):
+        detect_from_transitions([np.zeros((2, 0))], ["a"])
     z = np.array([[1.0, 0.5], [0.0, 0.5]])
     result = detect_from_transitions([bsc, z], ["bsc", "z"])
     assert result.c_det_bits == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-12)
@@ -685,3 +692,22 @@ def test_boundary_tail_closes_within_48_evaluations(name, c_det, argmax):
     for r in res.per_basis:
         assert r.method == "BA" and r.converged and r.iterations <= 48, r.label
     assert abs(res.c_det_bits - c_det) <= 1e-9
+
+
+def test_readme_quickstart_prints_what_its_comments_say():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^print\(.*\) +# (.*)$", block, flags=re.M) == [
+        "0.531004 (x basis wins)", "0.321928 = log2(5/4)", "(0.321928, p0 = 0.6)", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    pauli, engine, ba, binary, pseudo = out.getvalue().splitlines()
+    assert round(float(pauli), 6) == 0.531004
+    value, label = engine.split()
+    assert float(value) == pytest.approx(float(pauli), abs=1e-9) and label == "x"
+    assert round(float(ba), 6) == 0.321928
+    fields = re.fullmatch(r"BinaryCapacity\(capacity_bits=(\S+), optimal_p0=(\S+)\)", binary).groups()
+    cap, p0 = map(float, fields)
+    assert round(cap, 6) == 0.321928 and round(p0, 6) == 0.6
+    assert pseudo == "True"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,8 @@ def test_ba_unconverged_flagged():
 def test_ba_rejects_bad_inputs():
     with pytest.raises(ValueError):
         blahut_arimoto(np.array([[0.9, 0.5], [0.0, 0.5]]))  # column sum != 1
+    with pytest.raises(ValueError, match=r"^transition must be non-empty, got shape \(0, 0\)$"):
+        blahut_arimoto(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         blahut_arimoto(bsc(0.1), tol_bits=0.0)
 
@@ -143,6 +147,10 @@ def test_ba_batch_rejects_bad_inputs():
         blahut_arimoto_batch(np.stack([bsc(0.1), np.array([[np.nan, 0.5], [0.5, 0.5]])]))
     with pytest.raises(ValueError, match="stack"):
         blahut_arimoto_batch(bsc(0.1))
+    for empty in ((0, 2, 2), (2, 0, 2)):
+        message = re.escape(f"transition must be non-empty, got shape {empty}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            blahut_arimoto_batch(np.zeros(empty))
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError, match="tol_bits"):
             blahut_arimoto_batch(np.stack([bsc(0.1)]), tol_bits=tol)
@@ -523,12 +531,14 @@ def test_solver_settings_are_checked_in_one_place():
             DetectionConfig("pauli", ba_tolerance_bits=tol)
         with pytest.raises(ValueError, match=r"tol must be finite and > 0, got"):
             is_cptp(pauli_channel(0.1, 0.1, 0.1), tol=tol)
-    for max_iter in (0, -3, 2.5, True, None):
-        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got"):
+    # a numpy integer is shown as the int it holds, alike on every numpy
+    for max_iter, shown in ((0, 0), (-3, -3), (2.5, 2.5), (True, True), (None, None), (np.int64(0), 0)):
+        with pytest.raises(ValueError, match=rf"^max_iter must be an integer >= 1, got {shown}$"):
             blahut_arimoto_batch(stack, max_iter=max_iter)
-        with pytest.raises(ValueError, match=r"max_iter must be an integer >= 1, got"):
+        with pytest.raises(ValueError, match=rf"^max_iter must be an integer >= 1, got {shown}$"):
             DetectionConfig("pauli", max_iterations=max_iter)
     assert blahut_arimoto_batch(stack, max_iter=np.int64(1))[2].tolist() == [1]
+    assert DetectionConfig("pauli", max_iterations=np.int64(5)).max_iterations == 5
 
 
 def test_binary_entropy_skips_its_mask_with_the_same_bits():

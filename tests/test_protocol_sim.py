@@ -19,6 +19,7 @@ from capdetect import (
     detect_from_counts,
     detect_from_samples,
     detect_from_transitions,
+    pauli_bases,
     pauli_channel,
     pauli_family_channel,
     sample_counts,
@@ -69,21 +70,52 @@ def test_sample_concentration_at_many_shots():
 
 
 def test_sample_rejects_zero_shots():
-    # numpy's multinomial takes at most 2^63 - 1 draws
-    for shots in (0, -1, 2**63, 10**20):
-        with pytest.raises(ValueError, match=rf"^shots per input must lie in \[1, 2\^63\), got {shots}$"):
+    # numpy's multinomial takes at most 2^63 - 1 draws, and a shot count is
+    # an integer: 5.5 would draw 5 shots and divide by 5.5
+    for shots in (0, -1, 2**63, 10**20, 5.5, 5.0, True):
+        with pytest.raises(ValueError, match=rf"^shots per input must be an integer in \[1, 2\^63\), got {shots}$"):
             sample_transition(np.eye(2), shots, seed=1)
     assert (sample_transition(np.eye(2), 2**63 - 1, seed=1)[0] == (2**63 - 1) * np.eye(2)).all()
 
 
 def test_sample_rejects_basis_index_outside_key_field():
     # 2^24 would share its Philox key with basis 0's bootstrap stream
-    for index in (2**24, -1):
-        with pytest.raises(ValueError, match=r"basis_index .* outside \[0, 2\^24\)"):
+    for index in (2**24, -1, 1.0):
+        with pytest.raises(ValueError, match=rf"^basis_index must be an integer in \[0, 2\^24\), got {index}$"):
             sample_transition(np.eye(2), 10, seed=1, basis_index=index)
     sample_transition(np.eye(2), 10, seed=1, basis_index=2**24 - 1)
-    with pytest.raises(ValueError, match="input_index"):
+    with pytest.raises(ValueError, match=r"^input_index must be an integer in \[0, 2\^24\), got 16777216$"):
         _stream(1, 0, 2**24)
+
+
+def test_every_seed_door_takes_only_an_integer_seed():
+    # a float or bool seed drew an integer seed's stream: 1.5 and True drew
+    # seed 1's, and the estimate reported the seed it was given
+    ch = pauli_channel(0.1, 0.2, 0.05)
+    cfg = DetectionConfig("pauli")
+    counts = sample_counts(ch, pauli_bases(), 50, 1)
+    doors = (lambda seed: sample_transition(np.eye(2), 10, seed),
+             lambda seed: sample_counts(ch, pauli_bases(), 50, seed),
+             lambda seed: detect_from_counts(counts, 50, ["x", "y", "z"], cfg, seed, 100),
+             lambda seed: detect_from_samples(ch, cfg, 50, seed, 100))
+    for door in doors:
+        for seed in (1.5, True, -1, 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\^64\), got {seed}$"):
+                door(seed)
+        door(np.uint64(2**64 - 1))
+
+
+def test_transitions_are_checked_where_they_are_made():
+    # 1.2 I does not preserve the trace: its column [1.44, 0] was clipped to
+    # [1, 0], and both pipelines reported a noiseless bit
+    grown = KrausChannel((1.2 * np.eye(2),))
+    for make in (lambda: conditional_probs(grown, pauli_bases()),
+                 lambda: detect_capacity(grown),
+                 lambda: detect_from_samples(grown, DetectionConfig("pauli"), 100, 1, 100)):
+        with pytest.raises(ValueError, match=r"^row 1 of transition 1: cell 1 must lie in \[0, 1\], got 1\.4\d*$"):
+            make()
+    with pytest.raises(ValueError, match=r"^column 1 of transition 1 must sum to 1, got 0\.25 "):
+        detect_capacity(KrausChannel((0.5 * np.eye(2),)))
 
 
 def test_entangled_joint_identity_channel():
@@ -212,8 +244,9 @@ def test_weyl_simulation_samples_each_class_once():
 
 def test_resamples_floor():
     ch = pauli_channel(0.1, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        detect_from_samples(ch, DetectionConfig("pauli"), 100, seed=0, resamples=50)
+    for resamples in (50, 99, 100.5, 150.0, True):
+        with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 100, got {resamples}$"):
+            detect_from_samples(ch, DetectionConfig("pauli"), 100, seed=0, resamples=resamples)
 
 
 # the point estimate and its argmax: each basis's plug-in estimate is solved
@@ -442,17 +475,20 @@ def test_detect_from_counts_rejects_malformed_tables():
     counts = np.array([[[3, 1], [2, 4]], [[5, 0], [0, 5]]])
     cfg = DetectionConfig("pauli")
     detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 100)
+    # the shape is checked before the resamples, whose cell cap reads d
     for bad_counts, shots, labels in ((counts, 5, ["a"]), (counts, 6, ["a", "b"]), (counts[:, :1], 5, ["a", "b"]),
-                                      (counts[0], 5, ["a", "b"])):
-        with pytest.raises(ValueError, match="count table per label"):
+                                      (counts[0], 5, ["a", "b"]), (5, 5, ["x"]), (counts[:0], 5, [])):
+        with pytest.raises(ValueError, match=rf"^need one square count table per label, columns summing "
+                                             rf"to shots = {shots}$"):
             detect_from_counts(bad_counts, shots, labels, cfg, 1, 100)
-    # shots outside [1, 2^63), as sample_transition takes them; 2^63 is past
-    # int64, where comparing the column sums would overflow
-    for bad_counts, shots in ((0 * counts, 0), (np.full((1, 2, 2), 2**62), 2**63)):
-        with pytest.raises(ValueError, match=rf"^shots per input must lie in \[1, 2\^63\), got {shots}$"):
+    # shots that are not an integer in [1, 2^63), as sample_transition takes
+    # them; 2^63 is past int64, where comparing the column sums would overflow
+    for bad_counts, shots in ((0 * counts, 0), (np.full((1, 2, 2), 2**62), 2**63), (counts, 5.0), (counts, 5.5)):
+        with pytest.raises(ValueError, match=rf"^shots per input must be an integer in \[1, 2\^63\), got {shots}$"):
             detect_from_counts(bad_counts, shots, ["a", "b"][:len(bad_counts)], cfg, 1, 100)
-    with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
-        detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 99)
+    for resamples in (99, 150.0):
+        with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 100, got {resamples}$"):
+            detect_from_counts(counts, 5, ["a", "b"], cfg, 1, resamples)
     # each table's columns sum to shots = 2, so only the cells are at fault
     for table, message in (([[0.5, 1.5], [1.5, 0.5]], r"^counts must be integers, got 0\.5 \(4 of 4 entries\)$"),
                            ([[-1, 3], [3, -1]], r"^counts = -1\.0 outside \[0, inf\] \(2 of 4 entries\)$"),

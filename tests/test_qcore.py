@@ -264,3 +264,6 @@ def test_measurement_basis_rejects_non_orthonormal():
         MeasurementBasis("bad", np.array([[1, 0], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match=r"^basis 'nan' is not orthonormal: .* = nan$"):
         MeasurementBasis("nan", np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError, match=r"^basis 'computational' must be a non-empty square array of kets "
+                                         r"\(rows\), got shape \(0, 0\)$"):
+        computational_basis(0)
