@@ -109,11 +109,6 @@ _CONSTANT_TEXTS = {None: "null", True: "true", False: "false"}.__getitem__
 # the text of a str, int, bool or None, by its exact type
 _SCALAR_TEXTS = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANT_TEXTS,
                  type(None): _CONSTANT_TEXTS}
-# Fewest floats in a block (a flat list, or a matrix's rows together) that go
-# through the table. Recording a block costs about one format, so a shorter
-# one is formatted directly: on a qubit `bound` response, whose blocks hold 2
-# and 4 floats and repeat no number, the table cost more than it saved.
-_TABLE_BLOCK = 5
 
 
 def _json_text(o) -> str:
@@ -135,18 +130,17 @@ def _json_text(o) -> str:
 def _float_texts(values, floats: _FloatTexts):
     """The JSON texts of a block of floats, or None when it holds another
     type. A block with a value the table holds is looked up; any other is
-    formatted in one call and, when long enough, recorded."""
+    formatted in one call and recorded."""
     try:  # float.__float__ and float.__repr__ reject every non-float
-        if len(values) >= _TABLE_BLOCK and not floats.keys().isdisjoint(values):
+        if not floats.keys().isdisjoint(values):
             return list(map(floats.__getitem__, map(float.__float__, values)))
         texts = list(map(float.__repr__, values))
     except TypeError:
         return None
     if not all(map(math.isfinite, values)):  # NaN and infinities have their own texts
         return list(map(_float_text, values))
-    if len(values) >= _TABLE_BLOCK:
-        floats.update(zip(values, texts))
-        floats.pop(0.0, None)
+    floats.update(zip(values, texts))
+    floats.pop(0.0, None)
     return texts
 
 
@@ -160,20 +154,14 @@ def _json_value(o, indent: str, floats: _FloatTexts) -> str:
         inner = indent + "  "
         get = _SCALAR_TEXTS.get
         parts = []
-        try:
-            for k, v in o.items():
-                t = type(v)
-                if t is float:
-                    text = floats[v]
-                else:
-                    text = get(t)
-                    text = text(v) if text else _json_value(v, inner, floats)
-                parts.append(f"{encode_basestring_ascii(k)}: {text}")
-        except TypeError:
-            for k in o:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}") from None
-            raise
+        for k, v in o.items():
+            t = type(v)
+            if t is float:
+                text = floats[v]
+            else:
+                text = get(t)
+                text = text(v) if text else _json_value(v, inner, floats)
+            parts.append(f"{encode_basestring_ascii(k)}: {text}")
         return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
     if isinstance(o, (list, tuple)):
         if not o:

@@ -1061,6 +1061,7 @@ def test_json_writer_equals_json_dumps(payload):
 @pytest.mark.parametrize("payload", [
     np.int64(3), np.float32(0.5), np.bool_(True), {1, 2}, object(), 1j,
     [1.0, np.int64(2)], [0.5, {0.5}], {"a": {"b": frozenset()}}, ({"c": [np.array(1.0)]},),
+    {(1,): 0.5}, [{"a": 0.5, (1,): [0.5, 0.25]}],
 ])
 def test_json_writer_raises_where_json_dumps_does(payload):
     with pytest.raises(TypeError):
@@ -1070,8 +1071,8 @@ def test_json_writer_raises_where_json_dumps_does(payload):
 
 
 # payloads through the per-response float table: values repeat across flat
-# lists, matrix rows and scalars, long lists are looked up and short ones
-# formatted, with signed zeros, NaN, infinities, np.float64 and tuples
+# lists, matrix rows and scalars, and blocks of every length are looked up or
+# recorded, with signed zeros, NaN, infinities, np.float64 and tuples
 _ROW = [0.5, 1 / 3, 0.125, 2.5e-17, 0.0]
 _TABLE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 0.125, 2.5e-17, 1e300, -7.0, math.nan, math.inf, -math.inf])
 _TABLE_FLOATS = _TABLE_FLOATS | _TABLE_FLOATS.map(np.float64)
@@ -1098,6 +1099,8 @@ def test_json_writer_float_table_equals_json_dumps(payload):
     # ints and flags equal to recorded floats keep their own texts
     [[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2, 3.0, 4.0, 5.0], [1, 2, 3, 4, 5], [1.0, True, 0.0, False, 1.0], 1, True],
     [[(0.5, 0.25), (0.125, 0.0625)], [[0.5], [0.25, 0.125]], [[], []], [[0.5, "x"], [0.5, 0.25]]],
+    # short blocks are recorded too: a 3-float prior repeated, a lone value, a 2x2 matrix
+    [[0.5, 1 / 3, -0.0], [0.5, 1 / 3, -0.0], [1 / 3], [[0.0, 1 / 3], [0.5, -0.0]], [0.25], 0.25, [-0.0]],
 ])
 def test_json_writer_float_table_cases(payload):
     assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
