@@ -30,6 +30,7 @@ from .infotheory import (
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
+    check_integer,
     check_interval,
     check_solver_settings,
     check_transition_stack,
@@ -38,15 +39,9 @@ from .infotheory import (
 PAULI_AXES = ("x", "y", "z")
 
 
-def _family(bases: list, views: list) -> tuple:
-    """``(bases, views)`` as tuples, each view's ket order a read-only index
-    array, so that a family shared between calls cannot be changed."""
-    frozen = []
-    for label, i, order in views:
-        order = np.array(order, dtype=np.intp)
-        order.setflags(write=False)
-        frozen.append((label, i, order))
-    return tuple(bases), tuple(frozen)
+def _identity_views(labels) -> tuple:
+    """The identity view ``(label, i, slice(None))`` of each label, in order."""
+    return tuple((label, i, slice(None)) for i, label in enumerate(labels))
 
 
 @functools.cache
@@ -55,8 +50,7 @@ def _pauli_family(d: int) -> tuple:
     # matmul sets up BLAS buffers that the figure commands never need
     if d != 2:
         raise ValueError("the pauli basis family is only defined for qubits")
-    return _family([MeasurementBasis(ax, kets) for ax, kets in zip(PAULI_AXES, PAULI_KETS)],
-                   [(ax, i, range(2)) for i, ax in enumerate(PAULI_AXES)])
+    return tuple(map(MeasurementBasis, PAULI_AXES, PAULI_KETS)), _identity_views(PAULI_AXES)
 
 
 def pauli_bases() -> list:
@@ -71,19 +65,27 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
 
-@functools.cache
 def weyl_bases(d: int) -> tuple:
     """The d + 1 distinct eigenbases of the nontrivial generalized Pauli
     unitaries U_ls in prime dimension d, and each U_ls's place among them.
 
     Returns the tuples ``(bases, views)``. ``views`` holds ``(label, i,
     order)`` for every (l, s) != (0, 0) in row-major order, where
-    ``bases[i].kets[order]`` is U_ls's eigenbasis and ``order`` is a
-    read-only index array; each basis carries the label of its class's first
-    U_ls, so its own ``order`` is the identity. Each prime d's family is
-    built and checked once per process and shared by every later call; a
+    ``bases[i].kets[order]`` is U_ls's eigenbasis. U_ls and its powers
+    share one eigenbasis in different eigenvalue orders, so ``order`` is a
+    read-only index array; every other family views its bases through the
+    identity ``slice(None)``. Each basis carries the label of its class's
+    first U_ls, so its own ``order`` is the identity array. d is an int or
+    numpy integer, not a float or bool; each prime d's family is built and
+    checked once per process and shared by every later call, and a
     composite d raises on every call, since the cache keeps no exception.
     """
+    check_integer("dimension", d, 0)
+    return _weyl_family(int(d))
+
+
+@functools.cache
+def _weyl_family(d: int) -> tuple:
     if not _is_prime(d):
         raise ValueError(f"the weyl basis family needs a prime dimension, got {d}")
     bases, views, first = [], [], {}
@@ -97,8 +99,10 @@ def weyl_bases(d: int) -> tuple:
                 first[c] = len(bases), {k: pos for pos, k in enumerate(order)}
                 bases.append(MeasurementBasis(label, weyl_class_kets(d, c)[order]))
             i, rank = first[c]
-            views.append((label, i, [rank[k] for k in order]))
-    return _family(bases, views)
+            order = np.array([rank[k] for k in order], dtype=np.intp)
+            order.setflags(write=False)
+            views.append((label, i, order))
+    return tuple(bases), tuple(views)
 
 
 # The named basis families: each maps a channel dimension to its ``(bases,
@@ -120,16 +124,21 @@ class DetectionConfig:
 
     def resolve_bases(self, dim: int) -> tuple:
         """The distinct bases to measure, and the reported labels as
-        ``(label, basis index, ket order)`` views of them (see
-        :func:`weyl_bases`); outside the weyl family each basis is its own
-        view. Returns tuples. The named families are built once per
-        process and shared; explicit bases are checked on every call."""
+        ``(label, basis index, ket order)`` views of them. Returns tuples.
+        Outside the weyl family each basis is its own view, through the
+        identity order ``slice(None)``; only weyl views hold read-only index
+        arrays (see :func:`weyl_bases`). The named families are built once
+        per process and shared; explicit bases are checked on every call."""
         if isinstance(self.bases, str):
             if self.bases not in BASIS_FAMILIES:
                 raise ValueError(f"unknown basis family '{self.bases}'; choose from "
                                  f"{', '.join(BASIS_FAMILIES)}")
             return BASIS_FAMILIES[self.bases](dim)
-        bases = tuple(self.bases)
+        try:
+            bases = tuple(self.bases)
+        except TypeError:
+            raise ValueError("bases must be a basis family name or a sequence of MeasurementBasis, "
+                             f"got {type(self.bases).__name__}") from None
         if not bases:
             raise ValueError("at least one measurement basis is required")
         for i, b in enumerate(bases, 1):
@@ -137,7 +146,7 @@ class DetectionConfig:
                 raise ValueError(f"basis {i} must be a MeasurementBasis, got {type(b).__name__}")
             if b.dim != dim:
                 raise ValueError(f"basis '{b.label}' has dim {b.dim}, channel has dim {dim}")
-        return _family(bases, [(b.label, i, range(dim)) for i, b in enumerate(bases)])
+        return bases, _identity_views(b.label for b in bases)
 
 
 @dataclass
@@ -201,12 +210,13 @@ def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
 def _detect(stack: np.ndarray, views, config: DetectionConfig) -> DetectionResult:
     """The detection result of a checked stack (k, outputs, inputs) of
     transitions, solved once by :func:`solve_stack`: each ``(label, i,
-    order)`` view (see :func:`weyl_bases`) gets a BasisResult with
-    transition i and its prior in the ket order ``order`` (``slice(None)``
-    keeps it), in arrays the caller does not hold, and basis i's method,
-    convergence, iterations and gap. The argmax is the lowest index among
-    exactly equal values, so a Weyl class's first label wins; values that
-    differ in the last bit are not ties."""
+    order)`` view gets a BasisResult with transition i and its prior in the
+    ket order ``order``, and basis i's method, convergence, iterations and
+    gap. ``order`` is the identity ``slice(None)`` in every view but a weyl
+    one (see :func:`weyl_bases`). Each request makes its own stack and
+    priors, so no result shares an array with the caller. The argmax is the
+    lowest index among exactly equal values, so a Weyl class's first label
+    wins; values that differ in the last bit are not ties."""
     method, caps, priors, iterations, gaps = solve_stack(stack, config)
     converged = gaps <= config.ba_tolerance_bits
     per_basis = [BasisResult(label, stack[i][order][:, order], priors[i][order], float(caps[i]), method,
@@ -236,8 +246,8 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     shapes = sorted({t.shape for t in transitions})
     if len(shapes) > 1:
         raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
-    views = [(label, i, slice(None)) for i, label in enumerate(labels)]
-    return _detect(check_transition_stack(np.stack(transitions)), views, config or DetectionConfig())
+    return _detect(check_transition_stack(np.stack(transitions)), _identity_views(labels),
+                   config or DetectionConfig())
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:

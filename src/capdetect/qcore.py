@@ -9,7 +9,7 @@ channel plus a basis into a column-stochastic classical transition matrix.
 import numpy as np
 from dataclasses import dataclass
 
-from .infotheory import check_tolerance, check_transition_stack
+from .infotheory import check_integer, check_tolerance, check_transition_stack
 
 # Orthonormality and CPTP certification tolerance; the checks
 # that take a tolerance argument can override it per call.
@@ -213,4 +213,5 @@ def weyl_class_kets(d: int, c: int) -> np.ndarray:
 
 
 def computational_basis(d: int, label: str = "computational") -> MeasurementBasis:
+    check_integer("dimension", d, 0)
     return MeasurementBasis(label, np.eye(d, dtype=complex))

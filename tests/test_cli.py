@@ -1168,12 +1168,13 @@ def test_basis_family_caches_leak_nothing():
     assert all(np.array_equal(b.kets, k) for b, k in zip(again, kets))
     assert all(v[:2] == s[:2] and np.array_equal(v[2], s[2]) for v, s in zip(again_views, snapshot))
 
-    for family in ("pauli", "weyl"):
-        d = 2 if family == "pauli" else 5
+    # a Pauli view's order is slice(None), which takes no item assignment;
+    # a Weyl view's order is a read-only index array
+    for family, d, error in (("pauli", 2, TypeError), ("weyl", 5, ValueError)):
         resolved = DetectionConfig(family).resolve_bases(d)
         with pytest.raises((TypeError, AttributeError)):
             resolved[0].append(None)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             resolved[1][0][2][0] = 1
         assert DetectionConfig(family).resolve_bases(d) is resolved
 

@@ -39,6 +39,7 @@ from capdetect import (
     von_mises_expected_capacity,
     vshape_detected,
     vshape_qutrit_channel,
+    weyl_bases,
     weyl_operator,
 )
 from capdetect.cli import grid_values
@@ -197,6 +198,21 @@ def test_detect_weyl_rejects_composite():
     # explicit bases are checked where they are resolved
     with pytest.raises(ValueError, match=r"^basis 1 must be a MeasurementBasis, got str$"):
         DetectionConfig(("x",)).resolve_bases(2)
+    for bases, kind in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=r"^bases must be a basis family name or a sequence of "
+                                             rf"MeasurementBasis, got {kind}$"):
+            DetectionConfig(bases).resolve_bases(2)
+    # a dimension follows the integer rule; an integer keeps its builder's text
+    for build, d in ((weyl_bases, 3.0), (weyl_bases, True), (computational_basis, 2.5),
+                     (computational_basis, True)):
+        with pytest.raises(ValueError, match=rf"^dimension must be an integer >= 0, got {d!r}$"):
+            build(d)
+    with pytest.raises(ValueError, match=r"^the weyl basis family needs a prime dimension, got 4$"):
+        weyl_bases(np.int64(4))
+    with pytest.raises(ValueError, match=r"^basis 'computational' must be a non-empty square array"):
+        computational_basis(0)
+    assert weyl_bases(np.int64(3)) is weyl_bases(3)
+    assert np.array_equal(computational_basis(np.int64(2)).kets, np.eye(2))
 
 
 def test_detect_weyl_rejects_non_pauli_channel():
@@ -667,7 +683,10 @@ def test_detect_from_transitions_checks_its_input():
 
 def test_basis_results_own_their_transitions():
     """Changing the input after detect_from_transitions returns leaves the
-    results alone; a rectangular transition is reported as given."""
+    results alone; a rectangular transition is reported as given. Under
+    Pauli and custom bases, whose views keep the solved order, changing one
+    detect_capacity result leaves a second request's result and the shared
+    Pauli kets alone."""
     bsc = np.array([[0.9, 0.2], [0.1, 0.8]])
     erasure = np.array([[0.7, 0.0], [0.0, 0.7], [0.3, 0.3]])
     results = [detect_from_transitions([t], ["a"]).per_basis[0] for t in (bsc, erasure)]
@@ -676,6 +695,18 @@ def test_basis_results_own_their_transitions():
     bsc[:] = 0.5
     erasure[:] = 0.5
     assert [(r.transition.tolist(), r.optimal_prior.tolist()) for r in results] == before
+
+    channel = affine_to_kraus(gad_affine(0.36, 1.0))
+    kets = [b.kets.copy() for b in pauli_bases()]
+    for config in (DetectionConfig("pauli"), DetectionConfig([computational_basis(2), fourier_basis(2)])):
+        first, second = (detect_capacity(channel, config) for _ in range(2))
+        before = [(r.transition.tolist(), r.optimal_prior.tolist()) for r in second.per_basis]
+        for r in first.per_basis:
+            r.transition[:] = 0.5
+            r.optimal_prior[:] = 0.5
+        assert [(r.transition.tolist(), r.optimal_prior.tolist()) for r in second.per_basis] == before
+        assert detect_capacity(channel, config).as_dict() == second.as_dict()
+    assert all(np.array_equal(b.kets, k) for b, k in zip(pauli_bases(), kets))
 
 
 @pytest.mark.parametrize("name, c_det, argmax", [
