@@ -75,6 +75,10 @@ def check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: f
     [lo - slack, hi + slack]. The error names the first entry outside (NaN
     included) and, for arrays, how many entries are outside."""
     v = np.asarray(values, dtype=float)
+    # one pass each for the extremes; the entries are located only when one
+    # is outside, and the comparisons are written so that NaN fails them
+    if v.size and v.min() >= lo - slack and v.max() <= hi + slack:
+        return v
     bad = ~((v >= lo - slack) & (v <= hi + slack))
     if bad.any():
         count = f" ({int(bad.sum())} of {v.size} entries)" if v.ndim else ""
@@ -375,23 +379,31 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     p0 = 0.5; the line itself carries no information, and C is at most
     about 1e-12/(e ln 2) = 5.3e-13 bits inside the cut (the Z channel attains
     it), so the value reported there is a lower bound within that much.
+    The flip, swap and cut masks are applied only where some entry needs
+    them; the unmasked forms give the same floats.
     """
     e0 = check_interval("eps0", eps0)
     e1 = check_interval("eps1", eps1)
     flip = e0 + e1 > 1.0
-    e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
+    if flip.any():
+        e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1
     e0, e1 = np.minimum(e0, e1), np.maximum(e0, e1)
     span = 1.0 - e0 - e1
     live = span >= 1e-12
-    span = np.where(live, span, 1.0)
+    dead = not live.all()
+    if dead:
+        span = np.where(live, span, 1.0)
     h0 = _h(e0)
     h1 = _h(e1)
     z1 = 1.0 + np.exp2((h0 - h1) / span)
     p0 = np.clip((1.0 - e1 * z1) / (span * z1), 0.0, 1.0)
-    cap = _h(p0 * (1.0 - e0) + (1.0 - p0) * e1) - p0 * h0 - (1.0 - p0) * h1
-    cap = np.where(live, np.maximum(cap, 0.0), 0.0)
-    p0 = np.where(live, np.where(swapped, 1.0 - p0, p0), 0.5)
+    q0 = 1.0 - p0
+    cap = np.maximum(_h(p0 * (1.0 - e0) + q0 * e1) - p0 * h0 - q0 * h1, 0.0)
+    if swapped.any():
+        p0 = np.where(swapped, q0, p0)
+    if dead:
+        cap, p0 = np.where(live, cap, 0.0), np.where(live, p0, 0.5)
     if cap.ndim == 0:
         return BinaryCapacity(float(cap), float(p0))
     return BinaryCapacity(cap, p0)

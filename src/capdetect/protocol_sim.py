@@ -3,14 +3,18 @@
 Shot sampling uses counter-based (Philox) streams keyed by
 (seed, kind, basis index, input index), so per-cell sampling is
 reproducible and independent of execution order. Confidence intervals come
-from a column-wise percentile bootstrap of the counts.
+from a column-wise percentile bootstrap of the counts: the 2.5th and 97.5th
+percentiles of the replicates' best values, from one sort with numpy's
+``linear`` interpolation (Hyndman & Fan's method 7), bit for bit what
+``np.percentile`` gives.
 """
 
+import math
 import threading
 import warnings
 
 import numpy as np
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .qcore import KrausChannel, conditional_probs
 from .detect import DetectionConfig, solve_stack
@@ -90,7 +94,7 @@ class EstimatedDetection:
     argmax_basis: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # asdict's field order; every field is a number or a string
 
 
 def _check_resamples(resamples: int, d: int) -> None:
@@ -122,9 +126,12 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     one of its own, and either way every value is the same. The point
     estimate is the best basis's value (the lowest index among exact ties);
     the 95% percentile interval of the replicates' best values, widened to
-    contain it, is the confidence interval. One RuntimeWarning, at the
-    caller's line, reports every unconverged solve, and
-    ``resamples * d * d`` may not exceed ``_MAX_BOOTSTRAP_CELLS``."""
+    contain it, is the confidence interval. Its ends are the 2.5th and
+    97.5th percentiles, interpolated between two order statistics as
+    ``np.percentile``'s ``linear`` method does, to the bit (see
+    :func:`_percentile_interval`). One RuntimeWarning, at the caller's line,
+    reports every unconverged solve, and ``resamples * d * d`` may not
+    exceed ``_MAX_BOOTSTRAP_CELLS``."""
     return _estimate(counts, shots, labels, config, seed, resamples)
 
 
@@ -149,11 +156,16 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
     per_call = max(1, _GROUP_CELLS // (rows * d * d))
     caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates
     for first in range(0, len(counts), per_call):
-        stack = []
-        for i in range(first, min(first + per_call, len(counts))):
-            boot = _counts(counts[i] / float(shots), shots, seed, i, kind=1, size=resamples)
-            stack += [counts[i][None], boot]
-        _, cap, _, _, g = solve_stack(np.concatenate(stack) / float(shots), config)
+        group = range(first, min(first + per_call, len(counts)))
+        # each basis's counts, then its replicates, drawn as _counts draws them
+        stack = np.empty((len(group), rows, d, d))
+        for j, i in enumerate(group):
+            stack[j, 0] = counts[i]
+            t = counts[i] / float(shots)
+            for n in range(d):
+                stack[j, 1:, :, n] = _stream(seed, i, n, 1).multinomial(shots, t[:, n], resamples)
+        stack /= float(shots)
+        _, cap, _, _, g = solve_stack(stack.reshape(-1, d, d), config)
         caps.append(cap.reshape(-1, rows))
         gaps.append(g.reshape(-1, rows))
     caps, gaps = np.concatenate(caps), np.concatenate(gaps)
@@ -172,9 +184,30 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
         warnings.warn("\n".join(notes), RuntimeWarning, stacklevel=3)
     best = int(np.argmax(caps[:, 0]))  # the lowest index among exact ties
     point = float(caps[best, 0])
-    lo, hi = np.percentile(caps[:, 1:].max(axis=0), [2.5, 97.5])
-    return EstimatedDetection(point, min(float(lo), point), max(float(hi), point), resamples,
-                              shots, seed, labels[best])
+    lo, hi = _percentile_interval(caps[:, 1:].max(axis=0))
+    return EstimatedDetection(point, min(lo, point), max(hi, point), resamples, shots, seed, labels[best])
+
+
+def _percentile_interval(values: np.ndarray) -> tuple:
+    """The 2.5th and 97.5th percentiles of a 1-D float array of n >= 2
+    entries, as floats, bit for bit what ``np.percentile(values, [2.5,
+    97.5])`` gives (Hyndman & Fan's method 7, numpy's ``linear``), from one
+    sort: at x = (n - 1) q, g = x - floor(x), between the order statistics a
+    and b at floor(x) and floor(x) + 1, ``b - (b - a)(1 - g)`` if g >= 0.5,
+    else ``a + (b - a)g``. Both are NaN, the sorted array's last entry, if
+    it holds a NaN. Where +0.0 and -0.0 tie, the sort may order them
+    otherwise than numpy's partition does, so a zero end may differ in
+    sign; replicate capacities are never -0.0."""
+    v = np.sort(values)
+    if np.isnan(v[-1]):
+        return float(v[-1]), float(v[-1])
+    ends = []
+    for q in (2.5, 97.5):
+        x = (len(v) - 1) * (q / 100)
+        i = math.floor(x)
+        g, a, b = x - i, float(v[i]), float(v[i + 1])
+        ends.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return tuple(ends)
 
 
 def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_per_input: int, seed: int,

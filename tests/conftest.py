@@ -4,7 +4,8 @@ random samplers for channels and bases,
 reference copies of the Blahut-Arimoto recursion, of the affine Choi
 construction, of the eig + QR
 eigenbasis, of the row-wise figure tables and CSV writer and of the
-cell-by-cell spec number check, the Fourier basis, the V-shape qutrit's transition matrices, the
+cell-by-cell spec number check, of the range check and the binary-channel
+closed form with every mask applied, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, a per-basis copy of the bootstrap,
 and small state constructors."""
 
@@ -27,7 +28,7 @@ from capdetect.detect import (
     von_mises_expected_capacity,
     vshape_detected,
 )
-from capdetect.infotheory import check_interval, check_solver_settings, check_transition_stack
+from capdetect.infotheory import _h, check_interval, check_solver_settings, check_transition_stack
 from capdetect.protocol_sim import EstimatedDetection, _check_resamples, _counts
 
 
@@ -541,3 +542,43 @@ def reference_check_numbers(value, subject: str, nested: bool = True) -> None:
             raise ValueError(f"{subject} must be {what}, got {cell!r}")
         if not abs(cell) <= _FLOAT_MAX:  # NaN fails
             raise ValueError(f"{subject} must be a finite number, got {cell!r}")
+
+
+# infotheory.check_interval and binary_capacity as they were before the
+# range check took one pass for each extreme and the closed form skipped the
+# masks no entry needs: both must give the same bits and the same errors.
+
+def reference_check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: float = 0.0):
+    """``values`` as a float array, after checking that every entry lies in
+    [lo - slack, hi + slack]. The error names the first entry outside (NaN
+    included) and, for arrays, how many entries are outside."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= lo - slack) & (v <= hi + slack))
+    if bad.any():
+        count = f" ({int(bad.sum())} of {v.size} entries)" if v.ndim else ""
+        raise ValueError(f"{name} = {v[bad][0]} outside [{lo:g}, {hi:g}]{count}")
+    return v
+
+
+def reference_binary_capacity(eps0, eps1):
+    """Capacity and optimal p0 of the binary asymmetric channel, every
+    mask applied to every entry."""
+    e0 = reference_check_interval("eps0", eps0)
+    e1 = reference_check_interval("eps1", eps1)
+    flip = e0 + e1 > 1.0
+    e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
+    swapped = e0 > e1
+    e0, e1 = np.minimum(e0, e1), np.maximum(e0, e1)
+    span = 1.0 - e0 - e1
+    live = span >= 1e-12
+    span = np.where(live, span, 1.0)
+    h0 = _h(e0)
+    h1 = _h(e1)
+    z1 = 1.0 + np.exp2((h0 - h1) / span)
+    p0 = np.clip((1.0 - e1 * z1) / (span * z1), 0.0, 1.0)
+    cap = _h(p0 * (1.0 - e0) + (1.0 - p0) * e1) - p0 * h0 - (1.0 - p0) * h1
+    cap = np.where(live, np.maximum(cap, 0.0), 0.0)
+    p0 = np.where(live, np.where(swapped, 1.0 - p0, p0), 0.5)
+    if cap.ndim == 0:
+        return float(cap), float(p0)
+    return cap, p0

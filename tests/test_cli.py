@@ -749,6 +749,32 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     assert 0.0 <= doc["ci_low_bits"] <= doc["point_estimate_bits"] <= doc["ci_high_bits"] <= 1.0
 
 
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 14 ms to import, and np.percentile pulls it in
+    # through np.unique; no command may load it beyond what importing numpy
+    # loads (numpy before 2.0 imports it with numpy itself)
+    script = (
+        "import sys, numpy; from capdetect.cli import main; "
+        "before = 'numpy.ma' in sys.modules; loaded = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split('|')) == 0\n"
+        "    loaded.append('numpy.ma' in sys.modules)\n"
+        "print(before, *loaded)"
+    )
+    src = os.path.dirname(os.path.dirname(capdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spec = write_json(tmp_path, "gad.json", GAD)
+    out = tmp_path / "out"
+    argvs = [["simulate", "--channel", spec, "--shots", "500", "--seed", "3", "--resamples", "100", "--out", out],
+             ["bound", "--channel", spec, "--out", out],
+             ["reproduce", "fig1", "--grid", "gamma=0:1:0.5", "--out", out]]
+    proc = subprocess.run([sys.executable, "-c", script, *("|".join(map(str, a)) for a in argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, *loaded = proc.stdout.split()
+    assert loaded == [before] * 3
+
+
 # sha256 of the default-grid tables (csv, json); each csv digest is that of
 # the gunzipped table in perfbench/reference/. The json pins every value to
 # the last bit, so a change to holevo_gad_p1's search or to fig2's closed

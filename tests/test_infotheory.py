@@ -12,11 +12,13 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
 )
-from capdetect.infotheory import _TALL_ROWS, _ba_map, _h, _row_reduce
+from capdetect.infotheory import _TALL_ROWS, _ba_map, _h, _row_reduce, check_interval
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
     reference_ba_batch,
+    reference_binary_capacity,
+    reference_check_interval,
     simplex_grid_search_capacity,
     weakly_symmetric_capacity,
 )
@@ -556,3 +558,54 @@ def test_binary_entropy_skips_its_mask_with_the_same_bits():
     # elementwise, as the masked formula computes each entry
     for v in inner[:50]:
         assert _h(np.array([v, 0.0]))[0] == -v * np.log2(v) - (1.0 - v) * np.log2(1.0 - v)
+
+
+def _same_bits(got, ref) -> bool:
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_binary_capacity_skips_its_masks_with_the_same_bits():
+    # the closed form applies its flip, swap and cut masks only where an
+    # entry needs them; every float, signed zeros included, must be what the
+    # fully masked form gives
+    rng = np.random.default_rng(28)
+    a, b = rng.uniform(0.0, 0.5, (2, 300))
+    cases = [(a, b), (np.minimum(a, b), np.maximum(a, b)),  # swaps, then none
+             (1.0 - a, 1.0 - b), (1.0 - np.minimum(a, b), 1.0 - np.maximum(a, b)),  # flips
+             (a, 1.0 - a - rng.uniform(0.0, 2e-12, 300)),  # spans around the 1e-12 cut
+             (np.array([0.0, 1.0, 0.0, 1.0, -0.0, 0.3]), np.array([0.0, 1.0, 1.0, 0.0, 0.2, -0.0])),
+             (a[:3], b[:3])]
+    for shots in (500, 10**4):  # count-quantized replicate stacks of 3,003 entries
+        e0, e1, e2 = rng.binomial(shots, [[0.02], [0.3], [0.5]], (3, 3003)) / shots
+        cases += [(e0, e1), (e0, e2), (e2, e2), (1.0 - e0, 1.0 - e1)]
+    for x, y in cases:
+        for e0, e1 in ((x, y), (y, x), (x, y[:1]), (x[:1], y)):
+            cap, p0 = binary_capacity(e0, e1)
+            ref_cap, ref_p0 = reference_binary_capacity(e0, e1)
+            assert _same_bits(cap, ref_cap) and _same_bits(p0, ref_p0)
+    for e0, e1 in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.3, 0.7 - 1e-13), (0.9, 0.4), (0.4, 0.1), (-0.0, 0.5)):
+        got, ref = binary_capacity(e0, e1), reference_binary_capacity(e0, e1)
+        assert [type(v) for v in got] == [float, float]
+        assert _same_bits(got, ref)
+
+
+def test_interval_check_takes_the_extremes_with_the_same_result():
+    # check_interval accepts through one pass per extreme and locates the
+    # bad entries only when one fails; each input must give the locating
+    # check's array or its error text
+    nan, inf = np.nan, np.inf
+    inputs = [[], np.zeros((0, 3)), 0.5, -0.0, nan, inf, -inf, 1.0 + 5e-10, 1.0 + 2e-9, -5e-10, -2e-9,
+              [0.2, 0.7, 1.0], [0.2, nan, 0.3], [nan, nan], [0.2, inf], [-inf, 0.5], [[0.1, 1.0 + 5e-10]],
+              [[0.1, 1.0 + 2e-9], [-2e-9, -5e-10]], [1.0 + 2e-9, nan, -1.0], np.arange(12.0).reshape(3, 4)]
+    for values in inputs:
+        for lo, hi, slack in ((0.0, 1.0, 0.0), (0.0, 1.0, 1e-9), (0.0, inf, 0.0), (-inf, inf, 0.0)):
+            try:
+                ref = reference_check_interval("x", values, lo, hi, slack)
+            except ValueError as err:
+                with pytest.raises(ValueError) as caught:
+                    check_interval("x", values, lo, hi, slack)
+                assert str(caught.value) == str(err)
+            else:
+                got = check_interval("x", values, lo, hi, slack)
+                assert got.dtype == ref.dtype and _same_bits(got, ref)

@@ -28,7 +28,7 @@ from capdetect import (
     weyl_operator,
 )
 from capdetect import detect, protocol_sim
-from capdetect.protocol_sim import _stream
+from capdetect.protocol_sim import _percentile_interval, _stream
 from conftest import (
     entangled_joint_distribution,
     fourier_basis,
@@ -361,6 +361,28 @@ def test_grouped_bootstrap_equals_the_per_basis_one(monkeypatch):
             assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
             assert shapes == [(min(per_call, len(bases) - first) * rows, ch.dim, ch.dim)
                               for first in range(0, len(bases), per_call)]
+
+
+def test_percentile_interval_equals_numpy_bit_for_bit():
+    # the bootstrap interval's two order statistics, interpolated with
+    # numpy's linear-method arithmetic; what np.percentile gives, every bit
+    rng = np.random.default_rng(28)
+    for n in (100, 101, 200, 999, 1000):
+        with_nan = rng.random(n)
+        with_nan[rng.integers(n)] = np.nan
+        for values in (rng.random(n), rng.integers(0, 4, n) / 3.0, rng.integers(0, 25, n) * 0.07,
+                       np.full(n, 0.37), np.zeros(n), np.full(n, -0.0), np.full(n, 1.0), with_nan,
+                       np.sort(rng.random(n))[::-1], 10.0 ** rng.uniform(-300, 300, n)):
+            got = _percentile_interval(values)
+            assert [type(v) for v in got] == [float, float]
+            ref = np.percentile(values, [2.5, 97.5])
+            assert np.array(got).view(np.int64).tolist() == ref.view(np.int64).tolist(), (n, values[:5])
+    # among equal order statistics the sort may order +0.0 and -0.0 otherwise
+    # than numpy's partition does, so only the sign of a zero can differ;
+    # replicate capacities are never -0.0 (binary_capacity clips to +0.0,
+    # Blahut-Arimoto's bounds are logarithms)
+    zeros = rng.choice([0.0, -0.0, 0.5], 1000)
+    assert _percentile_interval(zeros) == tuple(np.percentile(zeros, [2.5, 97.5]))
 
 
 def test_unconverged_warning_points_at_the_caller():
