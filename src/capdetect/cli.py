@@ -57,26 +57,6 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
     return v
 
 
-def _csv_cells(column: np.ndarray, end: str) -> np.ndarray:
-    """The cells of one CSV column, each ending in ``end``. Each distinct
-    float bit pattern (so -0.0 and 0.0 stay apart) or label is formatted
-    once; None is an empty cell and a flag is true or false."""
-    if column.dtype == object:  # floats and None
-        missing = np.equal(column, None)
-        cells = _csv_cells(np.where(missing, 0.0, column).astype(float), end)
-        cells[missing] = end
-        return cells
-    if column.dtype == bool:
-        column = np.where(column, "true", "false")
-    if column.dtype == float:
-        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        text = ["%.12g%s" % (x, end) for x in keys.view(float).tolist()]
-    else:
-        keys, inverse = np.unique(column, return_inverse=True)
-        text = [label + end for label in keys.tolist()]
-    return np.array(text, dtype=object)[inverse]
-
-
 def _emit(text: str, out):
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
     if out is None:
@@ -199,21 +179,94 @@ def _emit_json(payload: dict, out):
     _emit(_json_text(payload) + "\n", out)
 
 
-def _rows(columns) -> list:
-    """The table's rows, as tuples of Python float, str, bool and None."""
-    return list(zip(*[c.tolist() for c in columns]))
+def _distinct(values: np.ndarray, stable: bool):
+    """``np.unique(values, return_inverse=True)``, with the inverse flat on
+    every numpy version, sorting stably when ``stable``: a stable sort takes
+    a column of a few labels in long runs, where quicksort is slow."""
+    flat = values.ravel()
+    order = flat.argsort(kind="stable" if stable else "quicksort")
+    ordered = flat[order]
+    first = np.empty(flat.size, dtype=bool)  # where a new value starts
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    codes = np.empty(flat.size, dtype=np.intp)
+    codes[order] = np.cumsum(first) - 1
+    return ordered[first], codes
+
+
+def _cell_texts(column: np.ndarray, end: str, json_cells: bool):
+    """The distinct cell texts of one column, each followed by ``end``, and
+    each cell's code, its index into them, flat. A float is told apart by
+    its bit pattern, so -0.0 and 0.0 stay apart, and a column's distinct
+    floats are formatted in one ``%`` call; None is an empty CSV cell or
+    null, and a flag is true or false."""
+    if column.dtype == object:  # floats and None
+        missing = np.equal(column, None).ravel()
+        texts, codes = _cell_texts(np.where(missing, 0.0, column.ravel()).astype(float), end, json_cells)
+        codes[missing] = len(texts)
+        return texts + [("null" if json_cells else "") + end], codes
+    if column.dtype == bool:
+        return ["false" + end, "true" + end], column.astype(np.intp).ravel()
+    size = column.dtype.itemsize
+    if size in (4, 8):  # floats and 1- or 2-character labels: by bit pattern, as integers sort fastest
+        keys, codes = _distinct(column.view(f"u{size}"), column.dtype != float)
+        keys = keys.view(column.dtype)
+    else:
+        keys, codes = _distinct(column, True)
+    if column.dtype == float:
+        values = tuple(keys.tolist())
+        texts = ((("%r" if json_cells else "%.12g") + end + "\0") * len(values) % values).split("\0")
+        texts.pop()
+        if json_cells:  # NaN and the infinities have their own JSON texts
+            for i in np.flatnonzero(~np.isfinite(keys)).tolist():
+                texts[i] = _float_text(values[i]) + end
+        return texts, codes
+    label = encode_basestring_ascii if json_cells else str
+    return [label(k) + end for k in keys.tolist()], codes
+
+
+# each table format's text after a cell, after a row's last cell, and after
+# the table's last cell
+_TABLE_ENDS = {
+    "csv": (",", "\n", "\n"),
+    "json": (",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]\n}\n"),
+}
 
 
 def _write_table(names, columns, out, fmt: str, figure: str):
-    if fmt == "json":
-        _emit_json({"figure": figure, "columns": list(names), "rows": _rows(columns)}, out)
-    elif fmt == "csv":
-        cells = np.empty((len(columns[0]), len(columns)), dtype=object)
-        for j, column in enumerate(columns):
-            cells[:, j] = _csv_cells(column, "\n" if j == len(columns) - 1 else ",")
-        _emit(",".join(names) + "\n" + "".join(cells.ravel().tolist()), out)
-    else:
+    """Write a table of equally shaped columns as CSV, or as the text of
+    ``json.dumps({"figure": figure, "columns": names, "rows": rows},
+    indent=2)``. Each column is its distinct cell texts and a code per cell;
+    an axis along which a column is broadcast is read once, so a grid column
+    costs its axis. The codes of all columns fill one (rows, columns)
+    array, and the table is one gather of texts and one join."""
+    if fmt not in _TABLE_ENDS:
         raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
+    cell_end, row_end, table_end = _TABLE_ENDS[fmt]
+    texts = []
+    codes = np.empty((*columns[0].shape, len(columns)), dtype=np.intp)
+    for j, column in enumerate(columns):
+        # the column with each axis it is broadcast along (stride 0) cut to one point
+        base = column[tuple(slice(None) if step else slice(0, 1) for step in column.strides)]
+        ends = row_end if j == len(columns) - 1 else cell_end
+        column_texts, column_codes = _cell_texts(base, ends, fmt == "json")
+        np.add(column_codes.reshape(base.shape), len(texts), out=codes[..., j])
+        texts += column_texts
+    texts = np.array(texts, dtype=object)
+    cells = texts[codes.ravel()]
+    del codes, texts  # before the list of cells is made
+    cells = cells.tolist()
+    if fmt == "json":
+        columns_text = _json_value(list(names), "\n  ", _FloatTexts())
+        head = (f'{{\n  "figure": {encode_basestring_ascii(figure)},\n  "columns": {columns_text},'
+                f'\n  "rows": [\n    [\n      ')
+    else:
+        head = ",".join(names) + "\n"
+    cells[0] = head + cells[0]
+    cells[-1] = cells[-1][:-len(row_end)] + table_end
+    text = "".join(cells)
+    del cells  # and the texts, before the text is encoded
+    _emit(text, out)
 
 
 def _fig1(grids):
@@ -228,17 +281,15 @@ def _fig2(grids):
     g02 = grid_values(*grids["gamma02"])
     i1, i2 = vshape_detected(g01[:, None], g02)
     b2 = i2 > i1
-    a, b = np.meshgrid(g01, g02, indexing="ij")
-    columns = (a, b, np.where(b2, i2, i1), np.where(b2, "B2", "B1"))
-    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), [c.ravel() for c in columns]
+    columns = (*np.broadcast_arrays(g01[:, None], g02), np.where(b2, i2, i1), np.where(b2, "B2", "B1"))
+    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), columns
 
 
 def _fig3(grids):
     thetas = grid_values(*grids["theta"])
     phis = grid_values(*grids["phi"])
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    caps = dephasing_detected(0.9, th, ph)
-    return ("theta", "phi", "c_det_bits"), [c.ravel() for c in (th, ph, caps)]
+    caps = dephasing_detected(0.9, thetas[:, None], phis)
+    return ("theta", "phi", "c_det_bits"), (*np.broadcast_arrays(thetas[:, None], phis), caps)
 
 
 def _fig4(grids):
@@ -271,7 +322,8 @@ FIGURES = tuple(_FIGURE_TABLES)
 
 def _figure_table(which: str, grid_overrides=None):
     """One figure's column names and columns, on its default grids with
-    ``grid_overrides`` in place."""
+    ``grid_overrides`` in place. The columns have one shape; a table over two
+    grids has its grid columns as broadcast views of the two axes."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
     builder, defaults = _FIGURE_TABLES[which]
@@ -291,10 +343,10 @@ def _figure_table(which: str, grid_overrides=None):
 
 def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):
     """Regenerate one figure's data table, write it to ``out`` (stdout when
-    None) and return its column names and columns."""
+    None) and return its column names and its columns, each flat."""
     names, columns = _figure_table(which, grid_overrides)
     _write_table(names, columns, out, fmt, which)
-    return names, columns
+    return names, [c.ravel() for c in columns]
 
 
 def _json_int(text: str):

@@ -372,11 +372,13 @@ def holevo_gad_p1(gamma):
     g = gam.ravel()[:, None]
     rows = np.arange(g.size)
     frac = np.linspace(0.0, 1.0, _GAD_GRID_POINTS)
+    kept = 1.0 - g
+    coupling = 4.0 * g * kept
     lo, width, top = np.zeros(g.size), 1.0, np.full(g.size, -np.inf)
     for _ in range(_GAD_GRID_ROUNDS):
         t = lo[:, None] + width * frac
-        s = (1.0 + np.sqrt(np.clip(1.0 - 4.0 * g * (1.0 - g) * t * t, 0.0, 1.0))) / 2.0
-        vals = _h(t * (1.0 - g)) - _h(s)  # t (1 - g) and s lie in [0, 1]: no range check
+        s = (1.0 + np.sqrt(np.clip(1.0 - coupling * t * t, 0.0, 1.0))) / 2.0
+        vals = _h(t * kept) - _h(s)  # t (1 - g) and s lie in [0, 1]: no range check
         i = np.argmax(vals, axis=1)
         top = np.maximum(top, vals[rows, i])
         lo = t[rows, np.clip(i - 1, 0, _GAD_GRID_POINTS - 3)]
@@ -422,6 +424,11 @@ def rotated_pauli_detected(px: float, py: float, pz: float, phi):
 
 # an odd count, as composite Simpson needs
 _VON_MISES_POINTS = 2001
+# From K ~ 1.5e8 on, every quadrature weight but phi = 0's underflows to 0,
+# so the average is the point mass there; a larger K is taken as this one,
+# for which K (cos phi - 1) >= -2e300 neither overflows nor, at phi = 0,
+# meets inf x 0
+_VON_MISES_MAX_K = 1e300
 
 
 def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
@@ -431,7 +438,9 @@ def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
 
     Composite-Simpson quadrature on a shared grid of ``_VON_MISES_POINTS``
     phases; normalizing on the same grid removes the Bessel-function
-    normalization constant, and the step h/3 cancels in the ratio."""
+    normalization constant, and the step h/3 cancels in the ratio. As K
+    grows the average tends to the point mass at phi = 0, which it equals
+    for every K from about 1.5e8 up to inf."""
     k = check_interval("concentration", k_phi, 0.0, np.inf)
     phi = np.linspace(-np.pi, np.pi, _VON_MISES_POINTS)
     simpson = np.ones(_VON_MISES_POINTS)
@@ -441,7 +450,7 @@ def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
     cos_m1 = np.cos(phi) - 1.0
     out = np.empty(k.size)
     # one dot per K: a matrix-vector product over all K rounds differently
-    for i, kk in enumerate(k.flat):
+    for i, kk in enumerate(np.minimum(k, _VON_MISES_MAX_K).flat):
         weights = np.exp(kk * cos_m1) * simpson  # scaled to avoid overflow
         out[i] = values @ weights / weights.sum()
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)

@@ -406,6 +406,11 @@ def _csv_column(values) -> tuple:
     return "%s", [_fmt(v) for v in values]
 
 
+def table_rows(columns) -> list:
+    """A table's rows, as tuples of Python float, str, bool and None."""
+    return list(zip(*[c.tolist() for c in columns]))
+
+
 def reference_csv_text(columns, rows) -> str:
     """The CSV text of a table given as column names and row tuples."""
     formats, cells = zip(*map(_csv_column, zip(*rows)))

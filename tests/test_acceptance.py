@@ -33,7 +33,6 @@ from capdetect import (
     vshape_qutrit_channel,
     detect_from_samples,
 )
-from capdetect import cli
 from capdetect.cli import main, reproduce_figure
 from conftest import (
     entangled_joint_distribution,
@@ -44,6 +43,7 @@ from conftest import (
     random_cptp_channel,
     random_transition,
     simplex_grid_search_capacity,
+    table_rows,
 )
 
 LN2 = np.log(2.0)
@@ -96,7 +96,7 @@ def test_criterion_02_ba_matches_closed_form_and_grid_search():
 
 def test_criterion_03_fig1_reproduction(tmp_path):
     t0 = time.perf_counter()
-    rows = cli._rows(reproduce_figure("fig1", out=str(tmp_path / "fig1.csv"))[1])
+    rows = table_rows(reproduce_figure("fig1", out=str(tmp_path / "fig1.csv"))[1])
     assert len(rows) == 101
     worst = 0.0
     for g, c_det, c1 in rows:
@@ -194,7 +194,7 @@ def test_criterion_07_qutrit_analytics_and_fig2(tmp_path):
             worst_ba = max(worst_ba, abs(shortcut - ba))
     assert worst_q < 1e-12
     assert worst_ba < 1e-6
-    rows = cli._rows(reproduce_figure("fig2", out=str(tmp_path / "fig2.csv"))[1])
+    rows = table_rows(reproduce_figure("fig2", out=str(tmp_path / "fig2.csv"))[1])
     labels = {r[3] for r in rows}
     assert labels == {"B1", "B2"}, "argmax region boundary missing"
     runtime = time.perf_counter() - t0

@@ -33,7 +33,7 @@ from capdetect import (
 from capdetect import cli, protocol_sim
 from capdetect.channels import _ARRAY_PARAMS, _KINDS, _PARAMS
 from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
-from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text
+from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text, table_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -596,7 +596,7 @@ def test_simulate_refuses_an_oversized_bootstrap(tmp_path, capsys, monkeypatch):
 def test_reproduce_fig1_rows(tmp_path):
     out = tmp_path / "fig1.csv"
     cols, columns = reproduce_figure("fig1", out=str(out), grid_overrides={"gamma": (0.0, 1.0, 0.1)})
-    rows = cli._rows(columns)
+    rows = table_rows(columns)
     assert cols == ("gamma", "c_det_bits", "c1_bits")
     assert rows[0] == pytest.approx((0.0, 1.0, 1.0), abs=1e-9)
     for g, c_det, c1 in rows:
@@ -622,7 +622,7 @@ def test_reproduce_fig2_region_boundary(tmp_path):
         out=str(out),
         grid_overrides={"gamma01": (0.0, 1.0, 0.1), "gamma02": (0.0, 1.0, 0.1)},
     )
-    labels = {r[3] for r in cli._rows(columns)}
+    labels = {r[3] for r in table_rows(columns)}
     assert labels == {"B1", "B2"}
 
 
@@ -631,7 +631,7 @@ def test_reproduce_fig2_matches_engine():
     from conftest import fourier_basis
 
     _, columns = reproduce_figure("fig2", grid_overrides={"gamma01": (0.3, 0.3, 1.0), "gamma02": (0.8, 0.8, 1.0)})
-    (g1, g2, c, label), = cli._rows(columns)
+    (g1, g2, c, label), = table_rows(columns)
     cfg = DetectionConfig([computational_basis(3, "B1"), fourier_basis(3, "B2")], 1e-10)
     ref = detect_capacity(vshape_qutrit_channel(0.3, 0.8), cfg)
     assert c == pytest.approx(ref.c_det_bits, abs=1e-8)
@@ -643,20 +643,20 @@ def test_reproduce_fig3_worst_case_present(tmp_path):
         "fig3",
         grid_overrides={"theta": (0.0, np.pi / 2, np.pi / 20), "phi": (0.0, 2 * np.pi, np.pi / 10)},
     )
-    caps = np.array([r[2] for r in cli._rows(columns)])
+    caps = np.array([r[2] for r in table_rows(columns)])
     assert caps.max() == pytest.approx(1.0, abs=1e-9)  # theta = 0 row is noise-free
     assert caps.min() >= 1 - binary_entropy(0.6) - 1e-9
 
 
 def test_reproduce_fig4_endpoint(tmp_path):
-    rows = cli._rows(reproduce_figure("fig4", grid_overrides={"k": (0.0, 1.0, 0.5)})[1])
+    rows = table_rows(reproduce_figure("fig4", grid_overrides={"k": (0.0, 1.0, 0.5)})[1])
     assert rows[0][1] == pytest.approx(0.3031, abs=5e-3)
     vals = [r[1] for r in rows]
     assert vals == sorted(vals)
 
 
 def test_reproduce_suppl_stretched_flag(tmp_path):
-    rows = cli._rows(reproduce_figure("suppl_stretched", grid_overrides={"s": (0.0, 0.7, 0.002)})[1])
+    rows = table_rows(reproduce_figure("suppl_stretched", grid_overrides={"s": (0.0, 0.7, 0.002)})[1])
     flips = [
         (lo[0], hi[0])
         for lo, hi in zip(rows, rows[1:])
@@ -808,7 +808,7 @@ def test_default_figures_are_byte_stable(tmp_path, monkeypatch, figure):
 
 
 def test_suppl_stretched_matches_per_row_reports():
-    rows = cli._rows(reproduce_figure("suppl_stretched", out=os.devnull)[1])
+    rows = table_rows(reproduce_figure("suppl_stretched", out=os.devnull)[1])
     assert {r[3] for r in rows} == {True, False}
     for s, c_det, c1, flag in rows:
         ch = stretched_affine(0.5, s)
@@ -970,13 +970,13 @@ def test_table_limit_counts_rows(monkeypatch, tmp_path):
         reproduce_figure("fig1", grid_overrides={"gamma": (0.0, 1.0, 0.09)})
 
 
-# the CSV writer: one column at a time, each distinct value formatted once,
-# and the bytes of the row-wise writer it replaced
+# the table writer: one column at a time, each distinct value formatted once,
+# and the bytes of the row-wise CSV writer it replaced and of json.dumps
 
-def _csv_text(names, columns) -> str:
+def _table_text(names, columns, fmt: str) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._write_table(names, columns, None, "csv", "table")
+        cli._write_table(names, columns, None, fmt, "table")
     return buf.getvalue()
 
 
@@ -1016,7 +1016,18 @@ def _tables(draw):
 @example(_table(([False, True, True], bool), (["B1", "B1", ""], str)))
 def test_csv_writer_equals_the_row_writer(table):
     names, columns, rows = table
-    assert _csv_text(names, columns) == reference_csv_text(names, rows)
+    assert _table_text(names, columns, "csv") == reference_csv_text(names, rows)
+    payload = {"figure": "table", "columns": list(names), "rows": rows}
+    assert _table_text(names, columns, "json") == json.dumps(payload, indent=2) + "\n"
+    # a grid: the first column along one axis, the others along the other,
+    # the last of two or more stored in full
+    grid = list(np.broadcast_arrays(columns[0][:, None], *(c[None, :] for c in columns[1:])))
+    if len(grid) > 1:
+        grid[-1] = grid[-1].copy()
+    flat = [c.ravel() for c in grid]
+    assert _table_text(names, grid, "csv") == _table_text(names, flat, "csv") == \
+        reference_csv_text(names, table_rows(flat))
+    assert _table_text(names, grid, "json") == _table_text(names, flat, "json")
 
 
 _SMALL_GRIDS = {
@@ -1033,7 +1044,7 @@ def test_reproduce_rows_equal_the_row_builders(capsys, figure):
     grids = _SMALL_GRIDS[figure]
     names, rows = REFERENCE_FIGURE_BUILDERS[figure]({**cli._FIGURE_TABLES[figure][1], **grids})
     got_names, got_columns = reproduce_figure(figure, out=os.devnull, grid_overrides=grids)
-    got_rows = cli._rows(got_columns)
+    got_rows = table_rows(got_columns)
     # repr tells float from bool and -0.0 from 0.0, and shows tuple and list
     assert (got_names, repr(got_rows)) == (names, repr(rows))
     argv = ["reproduce", figure] + [f"--grid={k}={a!r}:{b!r}:{c!r}" for k, (a, b, c) in grids.items()]

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,18 @@ def test_von_mises_limits_and_monotonicity():
     vals = [von_mises_expected_capacity(0.15, 0.05, 0.1, k) for k in (0, 0.5, 1, 2, 5, 10, 100, 1000)]
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[-1] == pytest.approx(0.3901596952835996, abs=1e-3)
+
+
+def test_von_mises_takes_any_concentration_up_to_inf_to_the_point_mass():
+    # the limit K -> inf is the channel at phi = 0, with no warning on the way
+    point_mass = rotated_pauli_detected(0.15, 0.05, 0.1, 0.0)
+    assert point_mass == 0.3901596952835995
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1e300, 1e308, np.inf):
+            assert von_mises_expected_capacity(0.15, 0.05, 0.1, k) == point_mass, k
+        ks = np.array([0.0, 1e300, 1e308, np.inf])
+        assert von_mises_expected_capacity(0.15, 0.05, 0.1, ks)[1:].tolist() == [point_mass] * 3
 
 
 def test_von_mises_matches_scipy_simpson():
