@@ -101,10 +101,7 @@ def _json_text(o) -> str:
     block of texts joined at C speed, taken from a table of the response's
     values, so a response costs its containers and its distinct numbers."""
     floats = _FloatTexts()
-    if type(o) is float:
-        return floats[o]
-    text = _SCALAR_TEXTS.get(type(o))
-    return text(o) if text else _json_value(o, "\n", floats)
+    return _json_value(o, "\n", floats, {**_SCALAR_TEXTS, float: floats.__getitem__})
 
 
 def _float_texts(values, floats: _FloatTexts):
@@ -124,23 +121,24 @@ def _float_texts(values, floats: _FloatTexts):
     return texts
 
 
-def _json_value(o, indent: str, floats: _FloatTexts) -> str:
-    """The JSON text of a value whose exact type is not a scalar's: a dict,
-    list or tuple whose lines start with ``indent``, or an instance of a
-    subclass of str, int or float."""
+def _json_value(o, indent: str, floats: _FloatTexts, scalars: dict) -> str:
+    """The JSON text of a value, the lines of a dict, list or tuple starting
+    with ``indent``. ``scalars`` maps each scalar type, float included, to its
+    text function; it is looked up by exact type for the value and for each
+    dict value and list item, so only containers and instances of
+    subclasses of str, int or float recurse."""
+    get = scalars.get
+    text = get(type(o))
+    if text:
+        return text(o)
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = indent + "  "
-        get = _SCALAR_TEXTS.get
         parts = []
         for k, v in o.items():
-            t = type(v)
-            if t is float:
-                text = floats[v]
-            else:
-                text = get(t)
-                text = text(v) if text else _json_value(v, inner, floats)
+            text = get(type(v))
+            text = text(v) if text else _json_value(v, inner, floats, scalars)
             parts.append(f"{encode_basestring_ascii(k)}: {text}")
         return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
     if isinstance(o, (list, tuple)):
@@ -162,9 +160,8 @@ def _json_value(o, indent: str, floats: _FloatTexts) -> str:
                 items = sep.join([f"[{row_inner}{row_sep.join(texts[i:i + n])}{inner}]"
                                   for i in range(0, len(texts), n)])
         if items is None:
-            get = _SCALAR_TEXTS.get
-            items = sep.join([floats[v] if (t := type(v)) is float else text(v) if (text := get(t))
-                              else _json_value(v, inner, floats) for v in o])
+            items = sep.join([text(v) if (text := get(type(v))) else _json_value(v, inner, floats, scalars)
+                              for v in o])
         return f"[{inner}{items}{indent}]"
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -257,7 +254,7 @@ def _write_table(names, columns, out, fmt: str, figure: str):
     del codes, texts  # before the list of cells is made
     cells = cells.tolist()
     if fmt == "json":
-        columns_text = _json_value(list(names), "\n  ", _FloatTexts())
+        columns_text = _json_value(list(names), "\n  ", _FloatTexts(), _SCALAR_TEXTS)
         head = (f'{{\n  "figure": {encode_basestring_ascii(figure)},\n  "columns": {columns_text},'
                 f'\n  "rows": [\n    [\n      ')
     else:

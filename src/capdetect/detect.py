@@ -387,39 +387,36 @@ def holevo_gad_p1(gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def _symmetric_axes_detected(flips: list):
-    """Detected capacity under Pauli measurements when each axis sees a
-    binary symmetric channel with the flip probability ``flips[axis]``: 1 -
-    the least of the three flip entropies, elementwise, and a float when the
-    flips are scalars."""
-    out = 1.0 - np.min(binary_entropy(np.stack(flips)), axis=0)
+def _symmetric_axes_detected(fx, fy, fz):
+    """Detected capacity under Pauli measurements when the x, y and z axes
+    see binary symmetric channels with the flip probabilities fx, fy and fz:
+    1 - the least of the three flip entropies, elementwise over the flips
+    broadcast together, each entropy taken at its own flip's shape, and a
+    float when the flips are scalars."""
+    out = 1.0 - np.minimum(np.minimum(binary_entropy(fx), binary_entropy(fy)), binary_entropy(fz))
     return float(out) if out.ndim == 0 else out
 
 
 def dephasing_detected(p: float, theta: float, phi: float):
     """Detected capacity under Pauli measurements of dephasing with
-    probability p along the Bloch axis (theta, phi)."""
+    probability p along the Bloch axis (theta, phi): elementwise over theta
+    and phi broadcast together, the z flip at theta's shape, and a float
+    for scalars."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st2 = np.sin(theta) ** 2
     ct2 = np.cos(theta) ** 2
-    return _symmetric_axes_detected([
-        p * (ct2 + st2 * np.sin(phi) ** 2),
-        p * (ct2 + st2 * np.cos(phi) ** 2),
-        p * st2 * np.ones_like(phi),
-    ])
+    return _symmetric_axes_detected(p * (ct2 + st2 * np.sin(phi) ** 2),
+                                    p * (ct2 + st2 * np.cos(phi) ** 2), p * st2)
 
 
 def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     """Detected capacity under Pauli measurements of a Pauli channel
-    followed by a z rotation of phi."""
+    followed by a z rotation of phi: elementwise over phi, whose z flip
+    px + py is one scalar, and a float for a scalar phi."""
     phi = np.asarray(phi, dtype=float)
     c = np.cos(phi)
-    return _symmetric_axes_detected([
-        (1.0 - c) / 2.0 + (py + pz) * c,
-        (1.0 - c) / 2.0 + (px + pz) * c,
-        (px + py) * np.ones_like(phi),
-    ])
+    return _symmetric_axes_detected((1.0 - c) / 2.0 + (py + pz) * c, (1.0 - c) / 2.0 + (px + pz) * c, px + py)
 
 
 # an odd count, as composite Simpson needs
@@ -472,7 +469,8 @@ def _decay_arm(gamma):
 def vshape_detected(gamma01, gamma02):
     """Detected capacities (I(B1), I(B2)) of the V-configuration qutrit decay
     channel in the computational basis B1 and the Fourier basis B2, both in
-    closed form; elementwise over broadcast arrays, and floats for scalars.
+    closed form; elementwise over the two gammas broadcast together, each
+    decay arm at its own gamma's shape, and floats for scalars.
 
     B1's transition Q1 sends input 0 to output 0 and input n = 1, 2 to
     output 0 with probability gamma_0n, else to output n: a Z channel with
@@ -484,8 +482,8 @@ def vshape_detected(gamma01, gamma02):
     symmetric with off-diagonal weight gamma_tilde, so I(B2) =
     log2 3 - H(1 - 2 gamma_tilde, gamma_tilde, gamma_tilde).
     """
-    g01, g02 = np.broadcast_arrays(check_interval("gamma01", gamma01),
-                                   check_interval("gamma02", gamma02))
+    g01 = check_interval("gamma01", gamma01)
+    g02 = check_interval("gamma02", gamma02)
     i1 = np.log2(1.0 + _decay_arm(g01) + _decay_arm(g02))
     gt = _vshape_gamma_tilde(g01, g02)
     diag = 1.0 - 2.0 * gt

@@ -53,23 +53,19 @@ def _stream(seed: int, basis_index: int, input_index: int, kind: int = 0) -> "np
     return _local.gen
 
 
-def _counts(t, shots: int, seed: int, basis_index: int, kind: int = 0, size=None) -> np.ndarray:
-    """Multinomial counts of ``shots`` draws from each column of ``t``, one
-    keyed stream per input: (outputs, inputs), or (size, outputs, inputs)."""
-    return np.stack([_stream(seed, basis_index, n, kind).multinomial(shots, t[:, n], size)
-                     for n in range(t.shape[1])], axis=-1)
-
-
 def _check_shots(shots) -> None:
     """Require an integer 1 <= shots < 2^63, the draws numpy's multinomial takes."""
     check_integer("shots per input", shots, 1, 63)
 
 
 def _sample(t: np.ndarray, shots: int, seed: int, basis_index: int) -> np.ndarray:
-    """Counts of ``shots`` draws from each column of a checked transition,
+    """Multinomial counts of ``shots`` draws from each column of a checked
+    transition, one keyed stream (seed, 0, basis_index, input) per input,
     each column divided by its own 1-D sum: t.sum(axis=0) adds in another
     order from 8 outputs on, which would move the draws."""
-    return _counts(t / [col.sum() for col in t.T], shots, seed, basis_index)
+    t = t / [col.sum() for col in t.T]
+    return np.stack([_stream(seed, basis_index, n).multinomial(shots, t[:, n]) for n in range(t.shape[1])],
+                    axis=-1)
 
 
 def sample_transition(transition, shots_per_input: int, seed: int, *, basis_index: int = 0):
@@ -157,7 +153,7 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
     caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates
     for first in range(0, len(counts), per_call):
         group = range(first, min(first + per_call, len(counts)))
-        # each basis's counts, then its replicates, drawn as _counts draws them
+        # each basis's counts, then its replicates, one keyed stream per input
         stack = np.empty((len(group), rows, d, d))
         for j, i in enumerate(group):
             stack[j, 0] = counts[i]

@@ -29,7 +29,7 @@ from capdetect.detect import (
     vshape_detected,
 )
 from capdetect.infotheory import _h, check_interval, check_solver_settings, check_transition_stack
-from capdetect.protocol_sim import EstimatedDetection, _check_resamples, _counts
+from capdetect.protocol_sim import EstimatedDetection, _check_resamples, _stream
 
 
 def _compositions(total: int, parts: int):
@@ -495,7 +495,8 @@ def reference_detect_from_counts(counts, shots: int, labels, config: DetectionCo
         raise ValueError(f"need one square count table per label, columns summing to shots = {shots} >= 1")
     caps, gaps = [], []  # per basis: the point estimate, then the replicates
     for i, c in enumerate(counts):
-        boot = _counts(c / float(shots), shots, seed, i, kind=1, size=resamples)
+        t = c / float(shots)
+        boot = np.stack([_stream(seed, i, n, 1).multinomial(shots, t[:, n], resamples) for n in range(d)], axis=-1)
         _, cap, _, _, g = solve_stack(np.concatenate([c[None], boot]) / float(shots), config)
         caps.append(cap)
         gaps.append(g)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import hashlib
 import io
 import itertools
@@ -587,7 +588,7 @@ def test_simulate_refuses_an_oversized_bootstrap(tmp_path, capsys, monkeypatch):
     spec = write_json(tmp_path, "gad.json", GAD)
     args = ["simulate", "--channel", spec, "--shots", "50", "--seed", "1"]
     assert run(capsys, *args, "--resamples", "100")[0] == 0
-    monkeypatch.setattr(protocol_sim, "_counts", None)  # refused before any sampling
+    monkeypatch.setattr(protocol_sim, "_sample", None)  # refused before any sampling
     code, out, err = run(capsys, *args, "--resamples", "101")
     assert (code, out) == (1, "")
     assert "resamples x d^2 = 101 x 2^2 exceeds the limit of 400 bootstrap cells" in err
@@ -1107,6 +1108,15 @@ def test_json_writer_raises_where_json_dumps_does(payload):
         _emitted(payload)
 
 
+class _Label(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 # payloads through the per-response float table: values repeat across flat
 # lists, matrix rows and scalars, and blocks of every length are looked up or
 # recorded, with signed zeros, NaN, infinities, np.float64 and tuples
@@ -1138,6 +1148,13 @@ def test_json_writer_float_table_equals_json_dumps(payload):
     [[(0.5, 0.25), (0.125, 0.0625)], [[0.5], [0.25, 0.125]], [[], []], [[0.5, "x"], [0.5, 0.25]]],
     # short blocks are recorded too: a 3-float prior repeated, a lone value, a 2x2 matrix
     [[0.5, 1 / 3, -0.0], [0.5, 1 / 3, -0.0], [1 / 3], [[0.0, 1 / 3], [0.5, -0.0]], [0.25], 0.25, [-0.0]],
+    # subclasses of str, int and float take the type-checked tail: as the
+    # value, a dict value, a list item and an entry of a float block
+    _Label("x\u00e9"), _Level.HIGH, np.float64(0.5), np.float64(-math.inf),
+    {"label": _Label("B1"), "level": _Level.LOW, "bits": np.float64(1 / 3), "p": 0.5},
+    [_Label("B1"), _Level.LOW, np.float64(-0.0), 0.5, [_Level.HIGH, 0.25]],
+    [[1.0, 0.5, 0.25], [1.0, _Level.LOW, 0.25], [0.5, _Label("x"), 0.25], [0.5, np.float64(0.25), 0.125],
+     [[0.5, 1.0], [1.0, _Level.LOW]], [[np.float64(0.5), 0.25], [0.125, np.float64(math.nan)]]],
 ])
 def test_json_writer_float_table_cases(payload):
     assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"

@@ -562,6 +562,44 @@ def test_vshape_detected_fourier_matches_weakly_symmetric_and_scalars():
         assert i2[k] == pytest.approx(weakly_symmetric_capacity(q2[k]), abs=1e-14)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_closed_forms_on_axes_equal_their_scalar_calls_bit_for_bit():
+    # each term is computed at the shape of the inputs it varies over, so a
+    # grid over two axes, or an array against a scalar, must give each cell
+    # the float of its own scalar call, whichever entropy branch it takes
+    theta = np.concatenate([grid_values(0.0, np.pi / 2, np.pi / 16), [np.arccos(1 / np.sqrt(3))]])
+    phi = grid_values(0.0, 2 * np.pi, np.pi / 10)
+    for p in (0.0, 0.37, 0.9, 1.0):
+        grid = dephasing_detected(p, theta[:, None], phi)
+        assert grid.shape == (theta.size, phi.size)
+        assert np.array_equal(_bits(grid), _bits([[dephasing_detected(p, t, f) for f in phi] for t in theta]))
+        assert isinstance(dephasing_detected(p, theta[3], phi[2]), float)
+    for px, py, pz in ((0.15, 0.05, 0.1), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.25, 0.25, 0.25)):
+        values = rotated_pauli_detected(px, py, pz, phi - np.pi)
+        assert values.shape == phi.shape
+        scalars = [rotated_pauli_detected(px, py, pz, f - np.pi) for f in phi]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(_bits(values), _bits(scalars))
+    g01 = np.concatenate([VSHAPE_EDGES, grid_values(0.05, 0.95, 0.15)])
+    g02 = np.concatenate([grid_values(0.0, 1.0, 0.125), VSHAPE_EDGES[1:-1]])
+    want = [[vshape_detected(a, b) for b in g02] for a in g01]
+    assert all(type(v) is float for row in want for pair in row for v in pair)
+    for k, got in enumerate(vshape_detected(g01[:, None], g02)):
+        assert got.shape == (g01.size, g02.size)
+        assert np.array_equal(_bits(got), _bits([[pair[k] for pair in row] for row in want]))
+    for i, a in enumerate(g01):
+        for k, got in enumerate(vshape_detected(a, g02)):
+            assert got.shape == g02.shape
+            assert np.array_equal(_bits(got), _bits([pair[k] for pair in want[i]]))
+    for j, b in enumerate(g02):
+        for k, got in enumerate(vshape_detected(g01, b)):
+            assert got.shape == g01.shape
+            assert np.array_equal(_bits(got), _bits([row[j][k] for row in want]))
+
+
 def test_vshape_detected_rejects_gammas_outside_unit_interval():
     for bad in (-0.1, 1.1, np.nan):
         for args in ((np.array([0.1, 0.2, 0.3]), np.array([0.2, bad, 0.4])), (bad, 0.5)):
