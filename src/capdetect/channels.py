@@ -87,14 +87,18 @@ def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
-    """Qubit Pauli channel; the identity weight is 1 - px - py - pz."""
+def check_pauli_weights(px: float, py: float, pz: float) -> float:
+    """1 - px - py - pz, at least 0, after checking that it, px, py and pz are >= 0 within 1e-12."""
     for name, value in (("px", px), ("py", py), ("pz", pz)):
         check_interval(name, value, 0.0, np.inf, 1e-12)
-    p0 = float(check_interval("simplex weight 1 - px - py - pz", 1.0 - px - py - pz, 0.0, np.inf, 1e-12))
+    return max(float(check_interval("simplex weight 1 - px - py - pz", 1.0 - px - py - pz, 0.0, np.inf, 1e-12)), 0.0)
+
+
+def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
+    """Qubit Pauli channel; the identity weight is 1 - px - py - pz."""
     # table indices (l, s): identity (0,0), sigma_x (0,1), sigma_z (1,0),
     # and (1,1) which equals sigma_y up to phase
-    return pauli_family_channel(2, np.array([[max(p0, 0.0), px], [pz, py]]))
+    return pauli_family_channel(2, np.array([[check_pauli_weights(px, py, pz), px], [pz, py]]))
 
 
 def gad_params(gamma, p) -> tuple:

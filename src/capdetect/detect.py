@@ -21,7 +21,7 @@ from .qcore import (
     weyl_class,
     weyl_class_kets,
 )
-from .channels import AffineQubitChannel
+from .channels import AffineQubitChannel, _check_unit_interval, check_pauli_weights
 from .infotheory import (
     BA_MAX_ITER,
     BA_TOL_BITS,
@@ -401,7 +401,8 @@ def dephasing_detected(p: float, theta: float, phi: float):
     """Detected capacity under Pauli measurements of dephasing with
     probability p along the Bloch axis (theta, phi): elementwise over theta
     and phi broadcast together, the z flip at theta's shape, and a float
-    for scalars."""
+    for scalars; p must lie in [0, 1]."""
+    p = _check_unit_interval("p", p)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st2 = np.sin(theta) ** 2
@@ -414,6 +415,7 @@ def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     """Detected capacity under Pauli measurements of a Pauli channel
     followed by a z rotation of phi: elementwise over phi, whose z flip
     px + py is one scalar, and a float for a scalar phi."""
+    check_pauli_weights(px, py, pz)
     phi = np.asarray(phi, dtype=float)
     c = np.cos(phi)
     return _symmetric_axes_detected((1.0 - c) / 2.0 + (py + pz) * c, (1.0 - c) / 2.0 + (px + pz) * c, px + py)
@@ -487,11 +489,8 @@ def vshape_detected(gamma01, gamma02):
     i1 = np.log2(1.0 + _decay_arm(g01) + _decay_arm(g02))
     gt = _vshape_gamma_tilde(g01, g02)
     diag = 1.0 - 2.0 * gt
-    ent = np.zeros_like(gt)
-    m = gt > 0.0
-    ent[m] -= 2.0 * gt[m] * np.log2(gt[m])
-    m = diag > 0.0
-    ent[m] -= diag[m] * np.log2(diag[m])
+    ent = (-2.0 * gt * np.log2(gt, out=np.zeros_like(gt), where=gt > 0.0)
+           - diag * np.log2(diag, out=np.zeros_like(diag), where=diag > 0.0))
     i2 = np.log2(3.0) - ent
     if i1.ndim == 0:
         return float(i1), float(i2)

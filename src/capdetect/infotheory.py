@@ -197,20 +197,21 @@ def blahut_arimoto_batch(transitions, tol_bits: float = BA_TOL_BITS, max_iter: i
     is still infeasible the cycle starts from p2 (which alpha = -1 gives).
     Step lengths, backtracking and fallback are per matrix, so a batched
     call equals the one-matrix calls. A round skips a mask where no entry
-    needs it (log2 q when every q > 0, |r|/|v| when every |v| > 0, the
-    backtracking when every step is feasible); the masked forms give the
-    same floats on those rounds, so results do not depend on the path. On a
-    stack of at least ``_TALL_ROWS`` still-open matrices with fewer than 8
-    inputs, the round's sums, maxima and ``any`` across inputs run column by
-    column, with the same bits: numpy adds fewer than 8 terms in index
-    order, and max and any are exact.
+    needs it (log2 q when every q > 0, the backtracking when every step is
+    feasible); the masked forms give the same floats on those rounds, so
+    results do not depend on the path. On a stack of at least
+    ``_TALL_ROWS`` still-open matrices with fewer than 8 inputs, the round's
+    sums, maxima and ``any`` across inputs run column by column, with the
+    same bits: numpy adds fewer than 8 terms in index order, and max and any
+    are exact.
 
     A matrix still open after 24 evaluations, and every 8 after that, also
     gets a candidate prior: 3 Newton steps for max I(p, T) on the face of
     inputs whose weight in the best prior exceeds 1e-3 of its largest
-    entry, on the KKT system of H_nk = sum_m T_mn T_mk / q_m with a 1e-12
-    trace(H) ridge, right side ln2 D_n and sum_n p_n = 1, each step the
-    full Newton step or 0.9 of the way to the face's boundary, if shorter.
+    entry, or that reach an output none of those reaches, on the KKT
+    system of H_nk = sum_m T_mn T_mk / q_m with a 1e-12 trace(H) ridge,
+    right side ln2 D_n and sum_n p_n = 1, each step the full Newton step or
+    0.9 of the way to the face's boundary, if shorter.
     Its bracket may only raise the lower end (with F(candidate) as the best
     prior) and lower the upper end, so a wrong face costs only time. An
     input with mass on an output where q = 0 has D = +inf, or the upper end
@@ -297,9 +298,11 @@ def _ba_map(t, kl_const, p):
 
 def _face_newton(t, kl_const, best):
     """The face-Newton candidate of each row of ``best`` (see
-    :func:`blahut_arimoto_batch`); inputs off the face keep weight 0."""
+    :func:`blahut_arimoto_batch`), on a face that also takes every input
+    reaching an output no face input reaches; inputs off it keep weight 0."""
     g, _, n = t.shape
     face = best > 1e-3 * best.max(axis=1, keepdims=True)
+    face |= ((t > 0.0) & ~((t > 0.0) & face[:, None, :]).any(axis=2, keepdims=True)).any(axis=1)
     p = np.where(face, best, 0.0)
     p /= p.sum(axis=1, keepdims=True)
     kkt, rhs = np.zeros((g, n + 1, n + 1)), np.zeros((g, n + 1))
@@ -327,10 +330,7 @@ def _squarem_step(p0, p1, p2):
     v = p2 - 2.0 * p1 + p0
     nr = np.sqrt(_row_reduce(np.add, r * r))  # np.linalg.norm(r, axis=1)
     nv = np.sqrt(_row_reduce(np.add, v * v))
-    if nv.min() > 0.0:
-        ratio = nr / nv
-    else:
-        ratio = np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
+    ratio = np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
     alpha = -np.maximum(ratio, 1.0)[:, None]  # min(-|r|/|v|, -1)
     step = p0 - 2.0 * alpha * r + alpha * alpha * v
     if step.min() >= 0.0:
@@ -379,14 +379,11 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     p0 = 0.5; the line itself carries no information, and C is at most
     about 1e-12/(e ln 2) = 5.3e-13 bits inside the cut (the Z channel attains
     it), so the value reported there is a lower bound within that much.
-    The flip, swap and cut masks are applied only where some entry needs
-    them; the unmasked forms give the same floats.
     """
     e0 = check_interval("eps0", eps0)
     e1 = check_interval("eps1", eps1)
     flip = e0 + e1 > 1.0
-    if flip.any():
-        e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
+    e0, e1 = np.where(flip, 1.0 - e0, e0), np.where(flip, 1.0 - e1, e1)
     swapped = e0 > e1
     e0, e1 = np.minimum(e0, e1), np.maximum(e0, e1)
     span = 1.0 - e0 - e1
@@ -400,8 +397,7 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     p0 = np.clip((1.0 - e1 * z1) / (span * z1), 0.0, 1.0)
     q0 = 1.0 - p0
     cap = np.maximum(_h(p0 * (1.0 - e0) + q0 * e1) - p0 * h0 - q0 * h1, 0.0)
-    if swapped.any():
-        p0 = np.where(swapped, q0, p0)
+    p0 = np.where(swapped, q0, p0)
     if dead:
         cap, p0 = np.where(live, cap, 0.0), np.where(live, p0, 0.5)
     if cap.ndim == 0:

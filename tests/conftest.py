@@ -150,6 +150,28 @@ def random_transition(rng: np.random.Generator, n_out: int, n_in: int) -> np.nda
     return rng.dirichlet(np.ones(n_out), size=n_in).T
 
 
+def sole_reacher_matrices(count: int = 4000, seed: int = 1) -> list:
+    """Seeded transition matrices whose last input is the only one to reach
+    some output. Each has n = 3 to 6 inputs and n + 1 outputs: n - 1 columns
+    are Dirichlet(alpha) over the first n outputs, with one alpha drawn from
+    [0.05, 0.2) per matrix, and the last column is a Dirichlet(1) mixture of
+    them, scaled by 1 - d for d drawn from [0.02, 0.3), with its remaining d
+    on output n + 1. The last input's optimal weight is > 0 but can be tiny."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        columns = rng.dirichlet(np.full(n, rng.uniform(0.05, 0.2)), size=n - 1)
+        mixture = rng.dirichlet(np.ones(n - 1)) @ columns
+        keep = 1.0 - rng.uniform(0.02, 0.3)
+        t = np.zeros((n + 1, n))
+        t[:n, :n - 1] = columns.T
+        t[:n, n - 1] = keep * mixture
+        t[n, n - 1] = 1.0 - keep
+        out.append(t)
+    return out
+
+
 def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_000, taken=None):
     """The recursion of ``blahut_arimoto_batch`` written plainly, with no
     fast paths: np.where bracket updates, a masked log2 and the +inf rule
@@ -228,13 +250,17 @@ def _reference_ba_map(t, kl_const, p):
 
 def _reference_face_newton(t, kl_const, best):
     """Three Newton steps for max I(p, T) over the inputs whose weight in
-    ``best`` exceeds 1e-3 of its largest entry (the face), one matrix at a
+    ``best`` exceeds 1e-3 of its largest entry, together with every input
+    that reaches an output none of those reaches (the face), one matrix at a
     time: solve [[H + ridge, 1], [1^T, 0]] [step, nu] = [ln2 D, 0] on the
     face, with H_nk = sum_m T_mn T_mk / q_m and ridge = 1e-12 trace(H), keep
     the inputs off the face at 0, and take the full step or 0.9 of the way
     to the face's boundary, whichever is shorter."""
     n = t.shape[1]
     face = best > 1e-3 * best.max()
+    # every output that no face input reaches brings in the inputs that do
+    for m in np.flatnonzero(~(t[:, face] > 0.0).any(axis=1)):
+        face |= t[m] > 0.0
     p = np.where(face, best, 0.0)
     p = p / p.sum()
     for _ in range(3):

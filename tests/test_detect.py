@@ -487,6 +487,24 @@ def test_von_mises_rejects_bad_args():
             von_mises_expected_capacity(0.15, 0.05, 0.1, bad)
 
 
+def test_pauli_closed_forms_reject_what_no_channel_has():
+    # each fails as the channel builder of its family does, naming the
+    # parameter; the first two returned 0.5310044064107189 without a check
+    simplex = r"^simplex weight 1 - px - py - pz = -0\.30000000000000004 outside \[0, inf\]$"
+    cases = (
+        (lambda: rotated_pauli_detected(0.5, 0.4, 0.4, 0.3), lambda: pauli_channel(0.5, 0.4, 0.4), simplex),
+        (lambda: von_mises_expected_capacity(0.5, 0.4, 0.4, 1.0), lambda: pauli_channel(0.5, 0.4, 0.4), simplex),
+        (lambda: rotated_pauli_detected(-0.1, 0.05, 0.1, 0.3), lambda: pauli_channel(-0.1, 0.05, 0.1),
+         r"^px = -0\.1 outside \[0, inf\]$"),
+        (lambda: dephasing_detected(1.5, 0.3, 0.2), lambda: dephasing_axis_channel(1.5, 0.3, 0.2),
+         r"^p = 1\.5 outside \[0, 1\]$"),
+    )
+    for closed_form, builder, message in cases:
+        for call in (closed_form, builder):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_qutrit_transitions_endpoints():
     q1, q2, gt = qutrit_vshape_transitions(0.0, 0.0)
     assert np.allclose(q1, np.eye(3)) and np.allclose(q2, np.eye(3)) and gt == 0.0

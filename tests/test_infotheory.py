@@ -12,7 +12,7 @@ from capdetect import (
     mutual_information,
     shannon_entropy,
 )
-from capdetect.infotheory import _TALL_ROWS, _ba_map, _h, _row_reduce, check_interval
+from capdetect.infotheory import BA_TOL_BITS, _TALL_ROWS, _ba_map, _h, _row_reduce, check_interval
 from conftest import (
     qutrit_vshape_transitions,
     random_transition,
@@ -20,6 +20,7 @@ from conftest import (
     reference_binary_capacity,
     reference_check_interval,
     simplex_grid_search_capacity,
+    sole_reacher_matrices,
     weakly_symmetric_capacity,
 )
 
@@ -243,6 +244,21 @@ def test_ba_equals_reference_recursion_bit_for_bit():
     assert staggered
     assert taken  # some face-Newton candidate raised a lower bound
     assert tall  # some rounds reduce column by column
+
+
+def test_ba_certifies_every_sole_reacher_matrix():
+    # an input that alone reaches an output joins every face-Newton face, so
+    # its tiny optimal weight no longer leaves the matrix in SQUAREM's tail;
+    # without the rule, matrix 3289 (5 x 4) ran to 100,000 evaluations
+    # unconverged and four more took over 1,000. The slowest now takes
+    # 1,063 evaluations (numpy 2.4); the bound leaves room for other numpy
+    matrices = sole_reacher_matrices()
+    iterations = np.zeros(len(matrices), dtype=int)
+    for n in range(3, 7):
+        index = [i for i, t in enumerate(matrices) if t.shape[1] == n]
+        _, _, iterations[index], gaps = blahut_arimoto_batch(np.stack([matrices[i] for i in index]))
+        assert (gaps <= BA_TOL_BITS).all()
+    assert iterations.max() <= 1_500 and iterations[3289] < 100
 
 
 def test_row_reduce_equals_numpy_bit_for_bit():
