@@ -36,7 +36,8 @@ def _check_unit_interval(name: str, value: float) -> float:
 class AffineQubitChannel:
     """Canonical qubit channel (l1, l2, l3, t3): diagonal Bloch scaling with
     a shift along z. Construction rejects parameters violating the complete
-    positivity constraints (l1 +- l2)^2 <= (1 +- l3)^2 - t3^2."""
+    positivity constraints (l1 +- l2)^2 <= (1 +- l3)^2 - t3^2, and stores
+    each parameter as a Python float."""
 
     lambda1: float
     lambda2: float
@@ -45,7 +46,7 @@ class AffineQubitChannel:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "t3"):
-            check_interval(name, getattr(self, name), -1.0, 1.0, 1e-12)
+            object.__setattr__(self, name, float(check_interval(name, getattr(self, name), -1.0, 1.0, 1e-12)))
         for sign, margin in zip("+-", self.cp_margins()):
             if not margin >= -1e-12:
                 raise ValueError(f"not completely positive: (l1{sign}l2)^2 <= (1{sign}l3)^2 - t3^2 "
@@ -55,7 +56,7 @@ class AffineQubitChannel:
         """Slack in the two complete-positivity inequalities (negative = violated)."""
         mp = (1 + self.lambda3) ** 2 - self.t3**2 - (self.lambda1 + self.lambda2) ** 2
         mm = (1 - self.lambda3) ** 2 - self.t3**2 - (self.lambda1 - self.lambda2) ** 2
-        return float(mp), float(mm)
+        return mp, mm
 
     @property
     def lambdas(self) -> np.ndarray:

@@ -26,7 +26,9 @@ from .infotheory import (
     BA_MAX_ITER,
     BA_TOL_BITS,
     BinaryCapacity,
+    _float_or_array,
     _h,
+    _log2_or_zero,
     binary_capacity,
     binary_entropy,
     blahut_arimoto_batch,
@@ -301,10 +303,11 @@ def t_threshold(t_norm: float, r: float) -> float:
 
     The defining expression is 0/0 on the line t_norm = r; inside a window
     of 1e-6 around it the analytic limit
-    r^2 - t_norm*r + (ln 2 / 2) (1 - H(1/2 + r)) is used instead.
+    r^2 - t_norm*r + (ln 2 / 2) (1 - H(1/2 + r)) is used instead. Returns
+    a Python float.
     """
-    check_interval("t_norm", t_norm)
-    check_interval("r", r)
+    t_norm = float(check_interval("t_norm", t_norm))
+    r = float(check_interval("r", r))
     if t_norm + r > 1.0 + 1e-12:
         raise ValueError(
             f"t_norm + r = {t_norm + r} exceeds 1; no completely positive "
@@ -317,7 +320,7 @@ def t_threshold(t_norm: float, r: float) -> float:
     bracket = binary_entropy((1.0 + t_norm + r) / 2.0) - binary_entropy(x)
     if x <= 0.0 or x >= 1.0:
         return base  # H' diverges and the bracket vanishes
-    hprime = np.log2((1.0 - x) / x)
+    hprime = float(np.log2((1.0 - x) / x))
     return base + (t_norm - r) * bracket / hprime
 
 
@@ -358,7 +361,7 @@ def holevo_gad_p1(gamma):
     """One-shot capacity of the amplitude damping channel (zero-temperature
     limit), by maximizing H[t(1-gamma)] - H[(1 + sqrt(1-4 gamma (1-gamma) t^2))/2]
     over the ensemble parameter t in [0, 1]; elementwise over an array of
-    gammas, and a float for a scalar gamma.
+    gammas. Scalar inputs give Python floats.
 
     The objective is unimodal in t, so its maximum lies within one cell of
     the best point of any grid. Each of R = 17 rounds evaluates a grid of
@@ -383,25 +386,23 @@ def holevo_gad_p1(gamma):
         top = np.maximum(top, vals[rows, i])
         lo = t[rows, np.clip(i - 1, 0, _GAD_GRID_POINTS - 3)]
         width *= 2.0 / (_GAD_GRID_POINTS - 1)
-    out = top.reshape(gam.shape)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(top.reshape(gam.shape))
 
 
 def _symmetric_axes_detected(fx, fy, fz):
     """Detected capacity under Pauli measurements when the x, y and z axes
     see binary symmetric channels with the flip probabilities fx, fy and fz:
     1 - the least of the three flip entropies, elementwise over the flips
-    broadcast together, each entropy taken at its own flip's shape, and a
-    float when the flips are scalars."""
-    out = 1.0 - np.minimum(np.minimum(binary_entropy(fx), binary_entropy(fy)), binary_entropy(fz))
-    return float(out) if out.ndim == 0 else out
+    broadcast together, each entropy taken at its own flip's shape. Scalar
+    inputs give Python floats."""
+    return _float_or_array(1.0 - np.minimum(np.minimum(binary_entropy(fx), binary_entropy(fy)), binary_entropy(fz)))
 
 
 def dephasing_detected(p: float, theta: float, phi: float):
     """Detected capacity under Pauli measurements of dephasing with
     probability p along the Bloch axis (theta, phi): elementwise over theta
-    and phi broadcast together, the z flip at theta's shape, and a float
-    for scalars; p must lie in [0, 1]."""
+    and phi broadcast together, the z flip at theta's shape; p must lie in
+    [0, 1]. Scalar inputs give Python floats."""
     p = _check_unit_interval("p", p)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -414,7 +415,7 @@ def dephasing_detected(p: float, theta: float, phi: float):
 def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     """Detected capacity under Pauli measurements of a Pauli channel
     followed by a z rotation of phi: elementwise over phi, whose z flip
-    px + py is one scalar, and a float for a scalar phi."""
+    px + py is one scalar. Scalar inputs give Python floats."""
     check_pauli_weights(px, py, pz)
     phi = np.asarray(phi, dtype=float)
     c = np.cos(phi)
@@ -433,7 +434,7 @@ _VON_MISES_MAX_K = 1e300
 def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
     """Expected detected capacity of a z-rotated Pauli channel when the
     rotation phase is distributed as exp(K cos phi) on [-pi, pi]; elementwise
-    over an array of concentrations K, and a float for a scalar K.
+    over an array of concentrations K. Scalar inputs give Python floats.
 
     Composite-Simpson quadrature on a shared grid of ``_VON_MISES_POINTS``
     phases; normalizing on the same grid removes the Bessel-function
@@ -452,7 +453,7 @@ def von_mises_expected_capacity(px: float, py: float, pz: float, k_phi):
     for i, kk in enumerate(np.minimum(k, _VON_MISES_MAX_K).flat):
         weights = np.exp(kk * cos_m1) * simpson  # scaled to avoid overflow
         out[i] = values @ weights / weights.sum()
-    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
+    return _float_or_array(out.reshape(k.shape))
 
 
 def _vshape_gamma_tilde(g01, g02):
@@ -472,7 +473,7 @@ def vshape_detected(gamma01, gamma02):
     """Detected capacities (I(B1), I(B2)) of the V-configuration qutrit decay
     channel in the computational basis B1 and the Fourier basis B2, both in
     closed form; elementwise over the two gammas broadcast together, each
-    decay arm at its own gamma's shape, and floats for scalars.
+    decay arm at its own gamma's shape. Scalar inputs give Python floats.
 
     B1's transition Q1 sends input 0 to output 0 and input n = 1, 2 to
     output 0 with probability gamma_0n, else to output n: a Z channel with
@@ -489,9 +490,5 @@ def vshape_detected(gamma01, gamma02):
     i1 = np.log2(1.0 + _decay_arm(g01) + _decay_arm(g02))
     gt = _vshape_gamma_tilde(g01, g02)
     diag = 1.0 - 2.0 * gt
-    ent = (-2.0 * gt * np.log2(gt, out=np.zeros_like(gt), where=gt > 0.0)
-           - diag * np.log2(diag, out=np.zeros_like(diag), where=diag > 0.0))
-    i2 = np.log2(3.0) - ent
-    if i1.ndim == 0:
-        return float(i1), float(i2)
-    return i1, i2
+    i2 = np.log2(3.0) - (-2.0 * gt * _log2_or_zero(gt) - diag * _log2_or_zero(diag))
+    return _float_or_array(i1), _float_or_array(i2)

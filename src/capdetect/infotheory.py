@@ -109,13 +109,21 @@ def check_solver_settings(tol_bits, max_iter) -> None:
     check_integer("max_iter", max_iter, 1)
 
 
+def _log2_or_zero(x: np.ndarray) -> np.ndarray:
+    """log2 x elementwise, with log2 0 taken as 0, so that 0 log 0 = 0."""
+    return np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _float_or_array(a):
+    """The float a 0-d result holds, else the array."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def binary_entropy(x):
-    """H(x) = -x log2 x - (1-x) log2(1-x), elementwise, with 0 log 0 = 0."""
+    """H(x) = -x log2 x - (1-x) log2(1-x), elementwise, with 0 log 0 = 0.
+    Scalar inputs give Python floats."""
     x = check_interval("binary entropy argument", x, slack=1e-9)
-    out = _h(np.clip(x, 0.0, 1.0))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _float_or_array(_h(np.clip(x, 0.0, 1.0)))
 
 
 def _h(x: np.ndarray) -> np.ndarray:
@@ -143,12 +151,7 @@ def mutual_information(prior, transition) -> float:
     t = check_transition_matrix(transition)
     if t.shape[1] != p.size:
         raise ValueError(f"prior has {p.size} entries but transition has {t.shape[1]} inputs")
-    q = t @ p
-    logt = np.zeros_like(t)
-    np.log2(t, out=logt, where=t > 0.0)
-    logq = np.zeros_like(q)
-    np.log2(q, out=logq, where=q > 0.0)
-    per_input = (t * (logt - logq[:, None])).sum(axis=0)
+    per_input = (t * (_log2_or_zero(t) - _log2_or_zero(t @ p)[:, None])).sum(axis=0)
     return max(float(p @ per_input), 0.0)
 
 
@@ -230,9 +233,7 @@ def _blahut_arimoto_checked(t: np.ndarray, tol_bits: float, max_iter: int):
     """:func:`blahut_arimoto_batch` of a stack that passed its check."""
     check_solver_settings(tol_bits, max_iter)
     g, _, n_in = t.shape
-    log_t = np.zeros_like(t)
-    np.log2(t, out=log_t, where=t > 0.0)
-    kl_const = (t * log_t).sum(axis=1)  # sum_m t log2 t, (g, n_in)
+    kl_const = (t * _log2_or_zero(t)).sum(axis=1)  # sum_m t log2 t, (g, n_in)
 
     priors = np.full((g, n_in), 1.0 / n_in)
     capacities = np.zeros(g)
@@ -282,15 +283,11 @@ def _ba_map(t, kl_const, p):
     """The BA map at the priors p (rows) and its bracket: F(p),
     log2(sum_n p_n c_n) and max_n log2 c_n, with the +inf rule for q = 0."""
     q = np.einsum("gmn,gn->gm", t, p)
-    if q.min() > 0.0:
-        kl = kl_const - np.einsum("gmn,gm->gn", t, np.log2(q))  # log2 c_n = D(p(.|n) || q)
-        upper = _row_reduce(np.maximum, kl)
-    else:
-        logq = np.zeros_like(q)
-        np.log2(q, out=logq, where=q > 0.0)
-        kl = kl_const - np.einsum("gmn,gm->gn", t, logq)
-        unreached = np.einsum("gmn,gm->gn", t, q == 0.0) > 0.0  # D = +inf
-        upper = _row_reduce(np.maximum, np.where(unreached, np.inf, kl))
+    reached = q.min() > 0.0
+    # log2 c_n = D(p(.|n) || q); the upper end takes +inf for an input with mass where q = 0
+    kl = kl_const - np.einsum("gmn,gm->gn", t, np.log2(q) if reached else _log2_or_zero(q))
+    upper = _row_reduce(np.maximum, kl if reached else
+                        np.where(np.einsum("gmn,gm->gn", t, q == 0.0) > 0.0, np.inf, kl))
     weighted = p * np.exp2(kl)
     total = _row_reduce(np.add, weighted)
     return weighted / total[:, None], np.log2(total), upper
@@ -311,11 +308,10 @@ def _face_newton(t, kl_const, best):
     for _ in range(3):
         q = np.einsum("gmn,gn->gm", t, p)
         inv_q = np.divide(1.0, q, out=np.zeros_like(q), where=q > 0.0)
-        logq = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
         h = np.einsum("gmn,gm,gmk->gnk", t, inv_q, t)
         ridge = 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None]
         kkt[:, :n, :n] = np.where(on_face, h + ridge * eye, eye)
-        rhs[:, :n] = np.where(face, np.log(2.0) * (kl_const - np.einsum("gmn,gm->gn", t, logq)), 0.0)
+        rhs[:, :n] = np.where(face, np.log(2.0) * (kl_const - np.einsum("gmn,gm->gn", t, _log2_or_zero(q))), 0.0)
         step = np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
         # the full step, or 0.9 of the largest that keeps p >= 0 if shorter
         room = np.divide(p, -step, out=np.full_like(p, np.inf), where=step < 0.0).min(axis=1)
@@ -367,7 +363,8 @@ class BinaryCapacity(NamedTuple):
 def binary_capacity(eps0, eps1) -> BinaryCapacity:
     """Capacity and optimal prior of the binary asymmetric channel with
     error probabilities eps0 (input 0 received as 1) and eps1 (input 1
-    received as 0), elementwise over arrays; scalar inputs give floats.
+    received as 0), elementwise over arrays. Scalar inputs give Python
+    floats.
 
     Labels are first canonicalized (flip outputs if eps0 + eps1 > 1, swap
     inputs if eps0 > eps1); the returned prior refers to the original
@@ -400,6 +397,4 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     p0 = np.where(swapped, q0, p0)
     if dead:
         cap, p0 = np.where(live, cap, 0.0), np.where(live, p0, 0.5)
-    if cap.ndim == 0:
-        return BinaryCapacity(float(cap), float(p0))
-    return BinaryCapacity(cap, p0)
+    return BinaryCapacity(_float_or_array(cap), _float_or_array(p0))

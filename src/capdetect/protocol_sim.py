@@ -128,12 +128,6 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     :func:`_percentile_interval`). One RuntimeWarning, at the caller's line,
     reports every unconverged solve, and ``resamples * d * d`` may not
     exceed ``_MAX_BOOTSTRAP_CELLS``."""
-    return _estimate(counts, shots, labels, config, seed, resamples)
-
-
-def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):
-    """:func:`detect_from_counts`'s estimate; its warning points at the line
-    that called the public function, two frames up."""
     _check_shots(shots)
     counts = np.asarray(counts)
     d = counts.shape[-1] if counts.ndim == 3 else 0
@@ -148,6 +142,14 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
                          f"({fractional.size} of {values.size} entries)")
     if (counts.sum(axis=1) != shots).any():
         raise ValueError(malformed)
+    return _estimate(counts, shots, labels, config, seed, resamples)
+
+
+def _estimate(counts: np.ndarray, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):
+    """The estimate of :func:`detect_from_counts` from a (k, d, d) array of
+    counts that meets its checks; its warning points at the line that called
+    the public function, two frames up."""
+    d = counts.shape[-1]
     rows = resamples + 1
     per_call = max(1, _GROUP_CELLS // (rows * d * d))
     caps, gaps = [], []  # per call: (bases, rows), the point estimate, then the replicates
@@ -166,7 +168,7 @@ def _estimate(counts, shots: int, labels, config: DetectionConfig, seed: int, re
         gaps.append(g.reshape(-1, rows))
     caps, gaps = np.concatenate(caps), np.concatenate(gaps)
     tol = config.ba_tolerance_bits
-    wide = gaps > tol
+    wide = ~(gaps <= tol)  # a NaN gap is not converged
     notes = []
     if wide[:, 0].any():
         unconverged = ", ".join(label for label, w in zip(labels, wide[:, 0]) if w)

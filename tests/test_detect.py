@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -44,6 +45,7 @@ from capdetect import (
     weyl_operator,
 )
 from capdetect.cli import grid_values
+from capdetect.detect import _symmetric_axes_detected
 from conftest import (
     fourier_basis,
     haar_random_basis,
@@ -811,3 +813,42 @@ def test_readme_quickstart_prints_what_its_comments_say():
     cap, p0 = map(float, fields)
     assert round(cap, 6) == 0.321928 and round(p0, 6) == 0.6
     assert pseudo == "True"
+
+
+def _affine_scalars(ch):
+    """An affine channel's four fields and ``unital``, then its
+    pseudoclassicality report's fields, after writing the report as JSON."""
+    report = dataclasses.asdict(pseudoclassicality(ch))
+    json.dumps(report)
+    return (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3, ch.unital, *report.values())
+
+
+# each case maps a scalar type to the scalars that the call returns; the
+# affine cases use the builders of the gad, stretched, extremal and
+# affine_qubit spec kinds
+SCALAR_RESULTS = {
+    "binary_entropy": lambda s: (binary_entropy(s(0.3)),),
+    "binary_capacity": lambda s: binary_capacity(s(0.1), s(0.3)),
+    "holevo_gad_p1": lambda s: (holevo_gad_p1(s(0.3)),),
+    "symmetric_axes": lambda s: (_symmetric_axes_detected(s(0.1), s(0.2), s(0.3)),),
+    "dephasing": lambda s: (dephasing_detected(s(0.3), s(0.4), s(0.5)),),
+    "rotated_pauli": lambda s: (rotated_pauli_detected(s(0.1), s(0.05), s(0.1), s(0.3)),),
+    "von_mises": lambda s: (von_mises_expected_capacity(s(0.15), s(0.05), s(0.1), s(2.0)),),
+    "vshape": lambda s: vshape_detected(s(0.3), s(0.6)),
+    "t_threshold": lambda s: (t_threshold(s(0.3), s(0.5)),),
+    "t_threshold_seam": lambda s: (t_threshold(s(0.5), s(0.5)),),
+    "t_threshold_edge": lambda s: (t_threshold(s(0.0), s(1.0)),),  # x = 0: no H' term
+    "gad": lambda s: _affine_scalars(gad_affine(s(0.36), s(1.0))),
+    "stretched": lambda s: _affine_scalars(stretched_affine(s(0.5), s(0.3))),
+    "extremal": lambda s: _affine_scalars(extremal_affine(s(0.4), s(1.1))),
+    "affine_qubit": lambda s: _affine_scalars(AffineQubitChannel(s(0.6), s(0.5), s(0.2), s(0.1))),
+}
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64, np.asarray], ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("case", SCALAR_RESULTS)
+def test_scalar_inputs_give_python_floats_and_bools(case, scalar):
+    # no numpy scalar escapes: every value is exactly a float or a bool;
+    # c1_bits is None where no certificate holds
+    values = [v for v in SCALAR_RESULTS[case](scalar) if v is not None]
+    assert values and [type(v) for v in values] == [bool if type(v) is bool else float for v in values]

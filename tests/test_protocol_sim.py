@@ -397,6 +397,31 @@ def test_unconverged_warning_points_at_the_caller():
         assert [w.filename for w in caught] == [__file__]
 
 
+def test_a_nan_gap_is_not_converged(monkeypatch):
+    # simulate and bound test convergence alike, as gap <= tol, so a NaN gap
+    # in basis y's point estimate is reported, not counted as converged
+    def nan_gap(solve_stack, row):
+        def patched(stack, config):
+            method, caps, priors, iterations, gaps = solve_stack(stack, config)
+            gaps = gaps.copy()
+            gaps[row] = np.nan
+            return method, caps, priors, iterations, gaps
+        return patched
+
+    ch, cfg = pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli")
+    bases, _ = cfg.resolve_bases(2)
+    counts = sample_counts(ch, bases, 500, 4)
+    # the three bases' point estimates and replicates share one call, 101 rows each
+    monkeypatch.setattr(protocol_sim, "solve_stack", nan_gap(protocol_sim.solve_stack, 101))
+    with pytest.warns(RuntimeWarning) as caught:
+        detect_from_counts(counts, 500, [b.label for b in bases], cfg, 4, 100)
+    assert [str(w.message) for w in caught] == [
+        "point estimate: y did not converge to 1e-09 bits; worst gap nan bits"]
+    monkeypatch.setattr(detect, "solve_stack", nan_gap(detect.solve_stack, 1))
+    res = detect_capacity(ch, cfg)
+    assert [r.converged for r in res.per_basis] == [True, False, True] and not res.converged
+
+
 def test_rekeyed_stream_draws_what_a_fresh_generator_draws():
     # _stream re-keys one generator per thread; every cell must still draw
     # what its own Generator(Philox(key)) draws, whatever the last cell left
