@@ -293,7 +293,6 @@ def detect_pauli_qubit(ch: AffineQubitChannel) -> DetectionResult:
 
 
 _LN2 = math.log(2.0)
-_SEAM_WINDOW = 1e-6
 
 
 def t_threshold(t_norm: float, r: float) -> float:
@@ -301,10 +300,12 @@ def t_threshold(t_norm: float, r: float) -> float:
     shifted qubit channel, as a function of the shift norm and the scaling r
     along the shift axis.
 
-    The defining expression is 0/0 on the line t_norm = r; inside a window
-    of 1e-6 around it the analytic limit
-    r^2 - t_norm*r + (ln 2 / 2) (1 - H(1/2 + r)) is used instead. Returns
-    a Python float.
+    With u = t_norm - r and x = (1 + u)/2, the defining quotient
+    r^2 - t_norm r + u [H(1/2 + (t_norm + r)/2) - H(x)] / H'(x), 0/0 at u = 0,
+    is rewritten by H'(x) = -2 atanh(u) / ln 2 as
+    r^2 - t_norm r - (ln 2 / 2) (u / atanh u) [H(1/2 + (t_norm + r)/2) - H(x)],
+    whose factor u / atanh u takes its limits, 1 at u = 0 and 0 at |u| = 1.
+    So the function is exact, to rounding, on its whole domain. Returns a Python float.
     """
     t_norm = float(check_interval("t_norm", t_norm))
     r = float(check_interval("r", r))
@@ -313,15 +314,10 @@ def t_threshold(t_norm: float, r: float) -> float:
             f"t_norm + r = {t_norm + r} exceeds 1; no completely positive "
             "qubit channel has this geometry"
         )
-    base = r * r - t_norm * r
-    if abs(t_norm - r) < _SEAM_WINDOW:
-        return base + 0.5 * _LN2 * (1.0 - binary_entropy(min(0.5 + r, 1.0)))
-    x = (1.0 + t_norm - r) / 2.0
-    bracket = binary_entropy((1.0 + t_norm + r) / 2.0) - binary_entropy(x)
-    if x <= 0.0 or x >= 1.0:
-        return base  # H' diverges and the bracket vanishes
-    hprime = float(np.log2((1.0 - x) / x))
-    return base + (t_norm - r) * bracket / hprime
+    u = t_norm - r
+    ratio = 1.0 if u == 0.0 else 0.0 if abs(u) == 1.0 else u / math.atanh(u)
+    bracket = binary_entropy(0.5 + (t_norm + r) / 2.0) - binary_entropy(0.5 + u / 2.0)
+    return r * r - t_norm * r - 0.5 * _LN2 * ratio * bracket
 
 
 @dataclass

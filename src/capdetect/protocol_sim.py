@@ -112,8 +112,8 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
     shots that are not an integer in [1, 2^63), as for
-    :func:`sample_transition`, tables of another shape, and a negative or
-    non-integer count fail with an error that says which.
+    :func:`sample_transition`, tables of another shape or dtype (bools,
+    strings) and negative or non-integer counts fail, each saying which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -134,6 +134,8 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     malformed = f"need one square count table per label, columns summing to shots = {shots}"
     if counts.shape != (len(labels), d, d) or not counts.size:
         raise ValueError(malformed)
+    if counts.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers are no counts
+        raise ValueError(f"counts must be integers or floats, got dtype {counts.dtype}")
     _check_resamples(resamples, d)
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
     fractional = values[values != np.floor(values)]

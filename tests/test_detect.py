@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import decimal
 import io
 import json
 import pathlib
@@ -295,6 +296,52 @@ def test_t_threshold_domain():
         t_threshold(0.5, 1.1)
     with pytest.raises(ValueError, match="exceeds 1"):
         t_threshold(0.7, 0.5)
+
+
+def _decimal_threshold(t_norm: float, r: float) -> float:
+    """T(t_norm, r) at 60 digits from the paper's defining quotient, in
+    stdlib decimal, sharing no code with capdetect: r^2 - t r + u [H(1/2 +
+    (t + r)/2) - H(x)] / H'(x) at x = (1 + u)/2, u = t - r; at u = 0 its
+    limit r^2 - t r + (ln 2 / 2)(1 - H(1/2 + r)); at x = 0 or 1, where H'
+    diverges and the bracket vanishes, r^2 - t r."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t, r = decimal.Decimal(t_norm), decimal.Decimal(r)
+        one, ln2 = decimal.Decimal(1), decimal.Decimal(2).ln()
+
+        def entropy(x):
+            return -sum((p * p.ln() for p in (x, one - x) if p > 0), decimal.Decimal(0)) / ln2
+
+        u, base = t - r, r * r - t * r
+        x = (one + u) / 2
+        if u == 0:
+            return float(base + ln2 / 2 * (one - entropy(one / 2 + r)))
+        if x in (0, 1):
+            return float(base)
+        hprime = ((one - x) / x).ln() / ln2
+        return float(base + u * (entropy((one + t + r) / 2) - entropy(x)) / hprime)
+
+
+def test_t_threshold_equals_a_60_digit_reference():
+    # each u on both sides of the line t = r, where the defining quotient
+    # is 0/0; 9.9e-7 and 1.01e-6 straddle the width of a guard window
+    points = {(1.0, 0.0), (0.0, 1.0)}
+    for r in np.arange(11) * 0.05:
+        for u in (0.0, 1e-15, 1e-12, 1e-9, 1e-7, 9.9e-7, 1.01e-6, 1e-4, 0.1):
+            points |= {(t, float(r)) for t in (r - u, r + u) if t >= 0.0 and t + r <= 1.0}
+    worst = max(abs(t_threshold(t, r) - _decimal_threshold(t, r)) for t, r in points)
+    assert worst <= 2e-15
+
+
+def test_pseudoclassicality_certifies_no_channel_past_the_exact_threshold():
+    # 9e-7 off the line t = r, lambda^2 = 0.24731612225797509 lies 4.1e-7
+    # above the exact T = 0.24731571110906259: a threshold that errs by
+    # 6.6e-7 there, as a guard window's limit value did, certifies it
+    ch = AffineQubitChannel(0.4973088801318302, 0.4973088801318302, 0.45, 0.45 - 9e-7)
+    rep = pseudoclassicality(ch)
+    assert rep.threshold_T == pytest.approx(_decimal_threshold(0.45 - 9e-7, 0.45), abs=2e-15)
+    assert rep.lambda_m_sq > rep.threshold_T
+    assert rep.pseudoclassical is False and rep.c1_bits is None
 
 
 def test_pseudoclassical_unital_pauli():

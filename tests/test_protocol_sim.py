@@ -542,3 +542,19 @@ def test_detect_from_counts_rejects_malformed_tables():
                            ([[np.nan, 2], [2, 0]], r"^counts = nan outside \[0, inf\] \(1 of 4 entries\)$")):
         with pytest.raises(ValueError, match=message):
             detect_from_counts(np.array([table]), 2, ["z"], cfg, 1, 100)
+
+
+def test_detect_from_counts_rejects_cells_that_are_no_numbers():
+    # each table has the right shape and its columns would sum to shots:
+    # string cells reached numpy's add.reduce, which raised TypeError, and
+    # three boolean identity tables at shots = 1 read 1.0 bits
+    cfg = DetectionConfig("pauli")
+    for tables, shots, dtype in (([[["1", "0"], ["0", "1"]]], 1, "<U1"),
+                                 ([[[True, False], [False, True]]] * 3, 1, "bool"),
+                                 ([[[2, None], [0, 2]]], 2, "object"),
+                                 ([[[2j, 0], [0, 2]]], 2, "complex128")):
+        with pytest.raises(ValueError, match=rf"^counts must be integers or floats, got dtype {dtype}$"):
+            detect_from_counts(tables, shots, ["x", "y", "z"][:len(tables)], cfg, 1, 100)
+    # integer and float tables of whole counts still pass, to the same value
+    ints = np.array([[[3, 1], [2, 4]]])
+    assert detect_from_counts(ints, 5, ["z"], cfg, 1, 100) == detect_from_counts(ints * 1.0, 5, ["z"], cfg, 1, 100)
