@@ -80,12 +80,8 @@ def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     check_interval("q", q, 0.0, np.inf, 1e-12)
     if not abs(q.sum() - 1.0) <= 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {q.sum()}")
-    ops = []
-    for l in range(dim):
-        for s in range(dim):
-            if q[l, s] > 0.0:
-                ops.append(np.sqrt(q[l, s]) * weyl_operator(dim, l, s))
-    return KrausChannel(tuple(ops))
+    l, s = np.nonzero(q > 0.0)
+    return KrausChannel(np.sqrt(q[l, s])[:, None, None] * weyl_operator(dim, l, s))
 
 
 def check_pauli_weights(px: float, py: float, pz: float) -> float:
@@ -146,7 +142,7 @@ def vshape_qutrit_channel(gamma01: float, gamma02: float) -> KrausChannel:
         ops.append(np.sqrt(gamma01) * np.outer(basis_ket(3, 0), basis_ket(3, 1).conj()))
     if gamma02 > 0.0:
         ops.append(np.sqrt(gamma02) * np.outer(basis_ket(3, 0), basis_ket(3, 2).conj()))
-    return KrausChannel(tuple(ops))
+    return KrausChannel(ops)
 
 
 def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
@@ -161,7 +157,7 @@ def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
         ops.append(np.sqrt(1.0 - p) * np.eye(2, dtype=complex))
     if p > 0.0:
         ops.append(np.sqrt(p) * sigma_n)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(ops)
 
 
 def rotated_pauli_channel(px: float, py: float, pz: float, phi: float) -> KrausChannel:
@@ -169,7 +165,7 @@ def rotated_pauli_channel(px: float, py: float, pz: float, phi: float) -> KrausC
     check_interval("phi", phi, -np.pi, np.pi, 1e-12)
     rot = np.cos(phi / 2) * np.eye(2, dtype=complex) + 1j * np.sin(phi / 2) * SIGMA_Z
     base = pauli_channel(px, py, pz)
-    return KrausChannel(tuple(rot @ a for a in base.operators))
+    return KrausChannel(rot @ base.operators)
 
 
 def kraus_to_affine(channel: KrausChannel) -> tuple:
@@ -205,11 +201,8 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
     evals, evecs = np.linalg.eigh(choi)
     if evals.min() < -1e-10:
         raise ValueError(f"Choi matrix not positive semidefinite (min eigenvalue {evals.min():.3e})")
-    ops = []
-    for mu, v in zip(evals, evecs.T):
-        if mu > _CHOI_CUTOFF:
-            ops.append(np.sqrt(2.0 * mu) * v.reshape(2, 2))
-    return KrausChannel(tuple(ops))
+    kept = evals > _CHOI_CUTOFF
+    return KrausChannel(np.sqrt(2.0 * evals[kept])[:, None, None] * evecs.T[kept].reshape(-1, 2, 2))
 
 
 _ARRAY_PARAMS = ("q", "operators")

@@ -105,20 +105,12 @@ def _json_text(o) -> str:
 
 
 def _float_texts(values, floats: _FloatTexts):
-    """The JSON texts of a block of floats, or None when it holds another
-    type. A block with a value the table holds is looked up; any other is
-    formatted in one call and recorded."""
-    try:  # float.__float__ and float.__repr__ reject every non-float
-        if not floats.keys().isdisjoint(values):
-            return list(map(floats.__getitem__, map(float.__float__, values)))
-        texts = list(map(float.__repr__, values))
+    """The JSON texts of a block of floats, read from the response's table,
+    or None when the block holds another type."""
+    try:  # float.__float__ rejects every non-float
+        return list(map(floats.__getitem__, map(float.__float__, values)))
     except TypeError:
         return None
-    if not all(map(math.isfinite, values)):  # NaN and infinities have their own texts
-        return list(map(_float_text, values))
-    floats.update(zip(values, texts))
-    floats.pop(0.0, None)
-    return texts
 
 
 def _json_value(o, indent: str, floats: _FloatTexts, scalars: dict) -> str:

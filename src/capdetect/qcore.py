@@ -1,7 +1,7 @@
 """Dense complex linear algebra and quantum primitives.
 
-A channel is a list of Kraus operators, a measurement is an orthonormal
-basis of kets. Everything here is a pure function of small dense numpy
+A channel is a read-only (r, d, d) stack of Kraus operators, a measurement
+is an orthonormal basis of kets. Everything here is a pure function of small dense numpy
 arrays; the main export is :func:`conditional_probs`, which turns a
 channel plus a basis into a column-stochastic classical transition matrix.
 """
@@ -71,29 +71,32 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Quantum channel as a list of d x d Kraus operators.
+    """Quantum channel as r Kraus operators of size d x d, given as any
+    sequence of matrices and stored as one read-only complex (r, d, d) array.
 
     Construction only checks shapes; use :func:`is_cptp` to certify trace
     preservation and complete positivity (the zoo constructors in
     :mod:`capdetect.channels` always produce CPTP channels).
     """
 
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.array(a, dtype=complex) for a in self.operators)
-        if not ops:
+        unequal = "Kraus operators must all be square with equal dimension"
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError:  # operators of different shapes
+            raise ValueError(unequal) from None
+        if ops.shape[:1] == (0,):
             raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for a in ops:
-            if a.ndim != 2 or a.shape != (d, d):
-                raise ValueError("Kraus operators must all be square with equal dimension")
-            a.setflags(write=False)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(unequal)
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -103,10 +106,8 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: channel dim {channel.dim}, state shape {rho.shape}"
         )
-    out = np.zeros_like(rho)
-    for a in channel.operators:
-        out += a @ rho @ dagger(a)
-    return out
+    ops = channel.operators
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -117,6 +118,8 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """
     d = channel.dim
     c = np.zeros((d * d, d * d), dtype=complex)
+    # one operator at a time: a broadcast outer product would hold r d^4
+    # entries, and a matrix product would round the sum differently
     for a in channel.operators:
         # (A ⊗ I)|phi+> has amplitudes A[i, k]/sqrt(d) at index i*d + k
         v = a.reshape(-1) / np.sqrt(d)
@@ -138,11 +141,8 @@ def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
     """Certify trace preservation (sum A^dag A = I) and complete positivity
     (Choi eigenvalues >= -tol), reporting the worst deviations."""
     check_tolerance("tol", tol)
-    d = channel.dim
-    acc = np.zeros((d, d), dtype=complex)
-    for a in channel.operators:
-        acc += dagger(a) @ a
-    tp_err = float(np.max(np.abs(acc - np.eye(d))))
+    ops = channel.operators
+    tp_err = float(np.max(np.abs((ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0) - np.eye(channel.dim))))
     min_eig = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
     return CPTPDiagnostics(tp_err <= tol and min_eig >= -tol, tp_err, min_eig)
 
@@ -158,18 +158,21 @@ def conditional_probs(channel: KrausChannel, basis) -> np.ndarray:
     if kets.shape[-1] != channel.dim:
         raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {kets.shape[-1]}")
     # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows
-    amplitudes = kets.conj() @ np.stack(channel.operators)[:, None] @ kets.transpose(0, 2, 1)
+    amplitudes = kets.conj() @ channel.operators[:, None] @ kets.transpose(0, 2, 1)
     t = check_transition_stack((np.abs(amplitudes) ** 2).sum(axis=0))
     return t[0] if single else t
 
 
-def weyl_operator(d: int, l: int, s: int) -> np.ndarray:
-    """Generalized Pauli unitary U_ls = sum_k w^(kl) |k><(k+s) mod d|."""
-    if not (0 <= l < d and 0 <= s < d):
+def weyl_operator(d: int, l, s) -> np.ndarray:
+    """Generalized Pauli unitary U_ls = sum_k w^(kl) |k><(k+s) mod d|; index
+    arrays l and s of one shape give the stack of their U_ls."""
+    l, s = np.asarray(l), np.asarray(s)
+    if np.any((l < 0) | (l >= d) | (s < 0) | (s >= d)):
         raise ValueError(f"indices (l={l}, s={s}) out of range for dimension {d}")
-    u = np.zeros((d, d), dtype=complex)
+    u = np.zeros((*l.shape, d, d), dtype=complex)
     k = np.arange(d)
-    u[k, (k + s) % d] = np.exp(2j * np.pi * k * l / d)
+    np.put_along_axis(u, ((k + s[..., None]) % d)[..., None],
+                      np.exp(2j * np.pi * k * l[..., None] / d)[..., None], axis=-1)
     return u
 
 

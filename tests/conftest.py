@@ -5,7 +5,9 @@ reference copies of the Blahut-Arimoto recursion, of the affine Choi
 construction, of the eig + QR
 eigenbasis, of the row-wise figure tables and CSV writer and of the
 cell-by-cell spec number check, of the range check and the binary-channel
-closed form with every mask applied, the Fourier basis, the V-shape qutrit's transition matrices, the
+closed form with every mask applied, of the tuple-and-loop Kraus forms of
+the transitions, the CPTP diagnostics and the channel action, a valid
+spec of every channel kind, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, a per-basis copy of the bootstrap,
 and small state constructors."""
 
@@ -354,6 +356,52 @@ def random_cptp_channel(d: int, kraus_rank: int, rng: "np.random.Generator") -> 
     q, _ = np.linalg.qr(g)
     ops = [q[i * d : (i + 1) * d, :] for i in range(kraus_rank)]
     return KrausChannel(tuple(ops))
+
+
+# a valid spec of every kind, with every parameter given
+VALID_PARAMS = {
+    "pauli": {"px": 0.1, "py": 0.05, "pz": 0.1},
+    "generalized_pauli": {"dim": 2, "q": [[0.7, 0.1], [0.1, 0.1]]},
+    "gad": {"gamma": 0.36, "p": 1.0},
+    "stretched": {"gamma": 0.5, "s": 0.3},
+    "extremal": {"alpha": 0.4, "beta": 1.1},
+    "dephasing_axis": {"p": 0.3, "theta": 0.5, "phi": 1.0},
+    "rotated_pauli": {"px": 0.1, "py": 0.05, "pz": 0.1, "phi": 0.3},
+    "vshape_qutrit": {"gamma01": 0.3, "gamma02": 0.6},
+    "affine_qubit": {"lambda1": 0.5, "lambda2": 0.5, "lambda3": 0.5, "t3": 0.1},
+    "kraus": {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]},
+}
+
+
+# The tuple-and-loop forms that walked a channel's Kraus operators one at a
+# time, before the channel stored them as one (r, d, d) stack.
+def reference_conditional_probs(channel: KrausChannel, bases) -> np.ndarray:
+    """The (k, d, d) transitions of a sequence of bases, from a fresh
+    np.stack of the operator tuple."""
+    kets = np.stack([b.kets for b in bases])
+    amplitudes = kets.conj() @ np.stack(tuple(channel.operators))[:, None] @ kets.transpose(0, 2, 1)
+    return check_transition_stack((np.abs(amplitudes) ** 2).sum(axis=0))
+
+
+def reference_is_cptp(channel: KrausChannel) -> tuple:
+    """(max |sum A^dag A - I|, min Choi eigenvalue), both sums taken one
+    operator at a time from zero."""
+    d = channel.dim
+    acc = np.zeros((d, d), dtype=complex)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for a in tuple(channel.operators):
+        acc += a.conj().T @ a
+        v = a.reshape(-1) / np.sqrt(d)
+        choi += np.outer(v, v.conj())
+    return float(np.max(np.abs(acc - np.eye(d)))), float(np.linalg.eigvalsh(choi).min())
+
+
+def reference_apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k A_k rho A_k^dag, summed one operator at a time from zero."""
+    out = np.zeros_like(rho)
+    for a in tuple(channel.operators):
+        out += a @ rho @ a.conj().T
+    return out
 
 
 def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random") -> MeasurementBasis:

@@ -28,7 +28,7 @@ from capdetect import (
     weyl_bases,
 )
 from capdetect.channels import _FLOAT_MAX, _KINDS, check_numbers
-from capdetect.qcore import basis_ket
+from capdetect.qcore import SIGMA_Z, basis_ket
 from conftest import (
     haar_random_basis,
     projector,
@@ -146,6 +146,29 @@ def test_rotated_pauli_z_statistics_unchanged():
         t = conditional_probs(rotated_pauli_channel(0.15, 0.05, 0.1, phi), z)
         assert np.allclose(t, ref, atol=1e-12)
         assert t[1, 0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_stacked_builders_keep_the_bits_of_their_operator_loops():
+    # pauli_family_channel and rotated_pauli_channel against the
+    # operator-by-operator forms they replaced, to the bit
+    rng = np.random.default_rng(36)
+    for d in (2, 3, 5):
+        q = rng.dirichlet(np.ones(d * d)).reshape(d, d)
+        q[q < 0.5 / d**2] = 0.0
+        q /= q.sum()
+        loop = []
+        for l in range(d):
+            for s in range(d):
+                if q[l, s] > 0.0:
+                    u, k = np.zeros((d, d), dtype=complex), np.arange(d)
+                    u[k, (k + s) % d] = np.exp(2j * np.pi * k * l / d)
+                    loop.append(np.sqrt(q[l, s]) * u)
+        assert np.array_equal(pauli_family_channel(d, q).operators.view(np.int64), np.array(loop).view(np.int64))
+    for phi in (-np.pi, -1.1, 0.0, 0.4, np.pi):
+        rot = np.cos(phi / 2) * np.eye(2, dtype=complex) + 1j * np.sin(phi / 2) * SIGMA_Z
+        loop = [rot @ a for a in pauli_channel(0.15, 0.05, 0.1).operators]
+        got = rotated_pauli_channel(0.15, 0.05, 0.1, phi).operators
+        assert np.array_equal(got.view(np.int64), np.array(loop).view(np.int64))
 
 
 def test_affine_to_kraus_identity():

@@ -34,7 +34,7 @@ from capdetect import (
 from capdetect import cli, protocol_sim
 from capdetect.channels import _ARRAY_PARAMS, _KINDS, _PARAMS
 from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
-from conftest import REFERENCE_FIGURE_BUILDERS, reference_csv_text, table_rows
+from conftest import REFERENCE_FIGURE_BUILDERS, VALID_PARAMS, reference_csv_text, table_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -201,21 +201,6 @@ def test_bound_rejects_non_numeric_custom_basis_cells(tmp_path, capsys, cell, sh
     code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
     assert code == 1 and out == ""
     assert err == f"capdetect: error: basis 1 must be an array of numbers, got {shown}\n"
-
-
-# a valid spec of every kind, with every parameter given
-VALID_PARAMS = {
-    "pauli": {"px": 0.1, "py": 0.05, "pz": 0.1},
-    "generalized_pauli": {"dim": 2, "q": [[0.7, 0.1], [0.1, 0.1]]},
-    "gad": {"gamma": 0.36, "p": 1.0},
-    "stretched": {"gamma": 0.5, "s": 0.3},
-    "extremal": {"alpha": 0.4, "beta": 1.1},
-    "dephasing_axis": {"p": 0.3, "theta": 0.5, "phi": 1.0},
-    "rotated_pauli": {"px": 0.1, "py": 0.05, "pz": 0.1, "phi": 0.3},
-    "vshape_qutrit": {"gamma01": 0.3, "gamma02": 0.6},
-    "affine_qubit": {"lambda1": 0.5, "lambda2": 0.5, "lambda3": 0.5, "t3": 0.1},
-    "kraus": {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]},
-}
 
 
 def test_non_finite_numbers_fail_at_ingestion_by_name(tmp_path, capsys):
@@ -568,6 +553,16 @@ def test_check_cp_valid_and_invalid(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["cptp"] is False
     assert doc["trace_preservation_error"] > 0.4
+
+
+def test_check_cp_pins_the_d5_member(capsys):
+    # both diagnostics to the bit, on a rank-4 d = 5 channel
+    path = pathlib.Path(__file__).resolve().parent / "data" / "kraus_d5_member24.json"
+    code, out, _ = run(capsys, "check-cp", "--channel", str(path))
+    doc = json.loads(out)
+    assert code == 0 and json.dumps(doc, indent=2) + "\n" == out
+    assert doc["trace_preservation_error"] == 4.440892177700906e-16
+    assert doc["min_choi_eigenvalue"] == -1.2427483330875032e-16
 
 
 def test_simulate_deterministic(tmp_path, capsys):

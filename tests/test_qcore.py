@@ -17,7 +17,7 @@ from capdetect import (
     weyl_bases,
     weyl_operator,
 )
-from capdetect.channels import affine_to_kraus, gad_affine
+from capdetect.channels import _KINDS, ChannelSpec, affine_to_kraus, gad_affine, pauli_family_channel
 from capdetect.qcore import (
     PAULI_KETS,
     PAULIS,
@@ -25,13 +25,17 @@ from capdetect.qcore import (
     dagger,
 )
 from conftest import (
+    VALID_PARAMS,
     fourier_basis,
     haar_random_basis,
     maximally_entangled,
     projector,
     qutrit_vshape_transitions,
     random_cptp_channel,
+    reference_apply_channel,
+    reference_conditional_probs,
     reference_eigenbasis,
+    reference_is_cptp,
     weyl_label_kets,
 )
 
@@ -175,6 +179,44 @@ def test_stacked_transitions_equal_each_basis_bit_for_bit():
         conditional_probs(vshape_qutrit_channel(0.3, 0.6), pauli_bases())
 
 
+def test_operator_stack_keeps_the_bits_of_the_tuple_and_loop_forms():
+    # transitions and both CPTP diagnostics to the bit, and the channel's
+    # action as values (a zero's sign may differ), on random channels of
+    # rank 1-4 and a channel of every spec kind
+    rng = np.random.default_rng(36)
+    channels = [random_cptp_channel(d, r, rng) for d in (2, 3, 5) for r in range(1, 5)]
+    channels += [ChannelSpec(kind, params).build() for kind, params in VALID_PARAMS.items()]
+    channels += [pauli_family_channel(d, rng.dirichlet(np.ones(d * d)).reshape(d, d)) for d in (3, 5)]
+    assert VALID_PARAMS.keys() == _KINDS.keys()
+    for ch in channels:
+        d = ch.dim
+        bases = [*weyl_bases(d)[0], haar_random_basis(d, rng)]
+        assert np.array_equal(conditional_probs(ch, bases).view(np.int64),
+                              reference_conditional_probs(ch, bases).view(np.int64))
+        diag = is_cptp(ch)
+        got = np.array([diag.trace_preservation_error, diag.min_choi_eigenvalue])
+        assert np.array_equal(got.view(np.int64), np.array(reference_is_cptp(ch)).view(np.int64))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ dagger(g) / np.trace(g @ dagger(g))
+        assert np.array_equal(apply_channel(ch, rho), reference_apply_channel(ch, rho))
+
+
+def test_kraus_channel_is_one_read_only_stack():
+    source = np.eye(2)
+    ch = KrausChannel([source, SIGMA_X])
+    source[0, 0] = 5.0  # construction copies
+    assert ch.operators.shape == (2, 2, 2) and ch.operators.dtype == complex
+    assert np.array_equal(ch.operators, [np.eye(2), SIGMA_X])
+    with pytest.raises(ValueError, match="read-only"):
+        ch.operators[0, 0, 0] = 0.0
+    unequal = "^Kraus operators must all be square with equal dimension$"
+    for ops, message in (((np.eye(2), np.eye(3)), unequal), ((np.eye(2), np.ones((2, 3))), unequal),
+                         ((np.ones((2, 3)),), unequal), ((), "^channel needs at least one Kraus operator$"),
+                         ([], "^channel needs at least one Kraus operator$")):
+        with pytest.raises(ValueError, match=message):
+            KrausChannel(ops)
+
+
 def test_weyl_pauli_identifications():
     assert np.allclose(weyl_operator(2, 0, 1), SIGMA_X)
     assert np.allclose(weyl_operator(2, 1, 0), SIGMA_Z)
@@ -184,15 +226,19 @@ def test_weyl_pauli_identifications():
 
 def test_weyl_unitarity():
     for d in range(2, 6):
+        stack = weyl_operator(d, *np.divmod(np.arange(d * d), d))  # index arrays give the stack
         for l in range(d):
             for s in range(d):
                 u = weyl_operator(d, l, s)
                 assert np.max(np.abs(u @ dagger(u) - np.eye(d))) < 1e-12
+                assert np.array_equal(stack[l * d + s].view(np.int64), u.view(np.int64))
 
 
 def test_weyl_index_range():
     with pytest.raises(ValueError):
         weyl_operator(3, 3, 0)
+    with pytest.raises(ValueError):
+        weyl_operator(3, [0, 1], [0, -1])
 
 
 WEYL_DIMS = (2, 3, 5, 7)
