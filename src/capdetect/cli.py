@@ -470,8 +470,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_cp(args) -> int:
-    channel = _load_channel(args.channel, require_cptp=False)
-    diag = is_cptp(channel, tol=args.tol)
+    diag = is_cptp(_load_channel(args.channel, require_cptp=False), tol=args.tol)
     _emit_json(
         {
             "cptp": diag.valid,

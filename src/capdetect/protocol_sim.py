@@ -129,9 +129,12 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     reports every unconverged solve, and ``resamples * d * d`` may not
     exceed ``_MAX_BOOTSTRAP_CELLS``."""
     _check_shots(shots)
-    counts = np.asarray(counts)
-    d = counts.shape[-1] if counts.ndim == 3 else 0
     malformed = f"need one square count table per label, columns summing to shots = {shots}"
+    try:
+        counts = np.asarray(counts)
+    except ValueError:  # ragged tables
+        raise ValueError(malformed) from None
+    d = counts.shape[-1] if counts.ndim == 3 else 0
     if counts.shape != (len(labels), d, d) or not counts.size:
         raise ValueError(malformed)
     if counts.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers are no counts

@@ -74,9 +74,9 @@ class KrausChannel:
     """Quantum channel as r Kraus operators of size d x d, given as any
     sequence of matrices and stored as one read-only complex (r, d, d) array.
 
-    Construction only checks shapes; use :func:`is_cptp` to certify trace
-    preservation and complete positivity (the zoo constructors in
-    :mod:`capdetect.channels` always produce CPTP channels).
+    Any Kraus set is completely positive, so construction checks only shapes;
+    :func:`trace_preservation_error` measures what is left to certify (the
+    zoo constructors in :mod:`capdetect.channels` always preserve the trace).
     """
 
     operators: np.ndarray
@@ -137,13 +137,19 @@ class CPTPDiagnostics:
         return self.valid
 
 
-def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
-    """Certify trace preservation (sum A^dag A = I) and complete positivity
-    (Choi eigenvalues >= -tol), reporting the worst deviations."""
-    check_tolerance("tol", tol)
+def trace_preservation_error(channel: KrausChannel) -> float:
+    """max |sum A^dag A - I|; inf or NaN, with no warning, where a product overflows."""
     ops = channel.operators
-    tp_err = float(np.max(np.abs((ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0) - np.eye(channel.dim))))
-    min_eig = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs((ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0) - np.eye(channel.dim))))
+
+
+def is_cptp(channel: KrausChannel, tol: float = CERT_TOL) -> CPTPDiagnostics:
+    """Certify trace preservation and complete positivity (Choi eigenvalues >= -tol), reporting
+    the worst deviations; with a non-finite trace-preservation error the eigenvalue is NaN, unsolved."""
+    check_tolerance("tol", tol)
+    tp_err = trace_preservation_error(channel)
+    min_eig = float(np.linalg.eigvalsh(choi_matrix(channel)).min()) if np.isfinite(tp_err) else np.nan
     return CPTPDiagnostics(tp_err <= tol and min_eig >= -tol, tp_err, min_eig)
 
 

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, choi_matrix
+from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, apply_channel, choi_matrix
 from capdetect.qcore import PAULIS, SIGMA_Z
 from capdetect.channels import _CHOI_CUTOFF, _FLOAT_MAX, gad_params, stretched_affine
 from capdetect.cli import grid_values
@@ -402,6 +402,18 @@ def reference_apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarra
     for a in tuple(channel.operators):
         out += a @ rho @ a.conj().T
     return out
+
+
+def reference_kraus_to_affine(channel: KrausChannel) -> tuple:
+    """(Lambda, t) of a qubit channel, one Pauli pair at a time: the loop
+    that ``channels.kraus_to_affine`` replaced, which it must equal bit for bit."""
+    lam = np.empty((3, 3))
+    for j, sj in enumerate(PAULIS):
+        image = apply_channel(channel, sj)
+        for i, si in enumerate(PAULIS):
+            lam[i, j] = np.trace(si @ image).real / 2.0
+    image_id = apply_channel(channel, np.eye(2, dtype=complex))
+    return lam, np.array([np.trace(s @ image_id).real / 2.0 for s in PAULIS])
 
 
 def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random") -> MeasurementBasis:

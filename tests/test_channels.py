@@ -1,4 +1,5 @@
 import inspect
+import json
 import pathlib
 import re
 
@@ -27,14 +28,18 @@ from capdetect import (
     vshape_qutrit_channel,
     weyl_bases,
 )
+from capdetect import qcore
 from capdetect.channels import _FLOAT_MAX, _KINDS, check_numbers
 from capdetect.qcore import SIGMA_Z, basis_ket
 from conftest import (
+    VALID_PARAMS,
     haar_random_basis,
     projector,
     random_cp_affine,
+    random_cptp_channel,
     reference_affine_to_kraus,
     reference_check_numbers,
+    reference_kraus_to_affine,
 )
 
 
@@ -169,6 +174,32 @@ def test_stacked_builders_keep_the_bits_of_their_operator_loops():
         loop = [rot @ a for a in pauli_channel(0.15, 0.05, 0.1).operators]
         got = rotated_pauli_channel(0.15, 0.05, 0.1, phi).operators
         assert np.array_equal(got.view(np.int64), np.array(loop).view(np.int64))
+
+
+def test_kraus_to_affine_keeps_the_bits_of_its_pauli_loop():
+    rng = np.random.default_rng(38)
+    channels = [random_cptp_channel(2, r, rng) for r in range(1, 5) for _ in range(3)]
+    channels += [pauli_channel(0.15, 0.05, 0.1), dephasing_axis_channel(0.3, 0.5, 1.0),
+                 affine_to_kraus(gad_affine(0.36, 1.0)), affine_to_kraus(extremal_affine(0.4, 1.1))]
+    for ch in channels:
+        for got, want in zip(kraus_to_affine(ch), reference_kraus_to_affine(ch)):
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kraus_build_forms_no_choi_matrix(monkeypatch):
+    # a Kraus set is completely positive by construction, so build checks
+    # trace preservation alone: no Choi matrix and no eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kraus build formed the Choi spectrum")
+
+    monkeypatch.setattr(qcore, "choi_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    member = json.loads((pathlib.Path(__file__).resolve().parent / "data" / "kraus_d5_member24.json").read_text())
+    assert ChannelSpec.from_dict(member).build().dim == 5
+    assert ChannelSpec("kraus", VALID_PARAMS["kraus"]).build().dim == 2
+    half = [[[1 / np.sqrt(2), 0], [0, 0], [0, 0], [1 / np.sqrt(2), 0]]]
+    with pytest.raises(ValueError, match=r"^Kraus set is not CPTP: trace-preservation error 5\.000e-01$"):
+        ChannelSpec("kraus", {"dim": 2, "operators": half}).build()
 
 
 def test_affine_to_kraus_identity():

@@ -565,6 +565,22 @@ def test_check_cp_pins_the_d5_member(capsys):
     assert doc["min_choi_eigenvalue"] == -1.2427483330875032e-16
 
 
+def test_overflowing_kraus_cells_name_trace_preservation(tmp_path, capsys):
+    # A^dag A overflows: bound and simulate fail on trace preservation in one
+    # line, with no warning, and check-cp reports it with no Choi spectrum
+    spec = write_json(tmp_path, "big.json", {"kind": "kraus", "params": {
+        "dim": 2, "operators": [[[1e200, 0], [0, 0], [0, 0], [1e200, 0]]]}})
+    for extra in ((), ("--shots", "100", "--seed", "1")):
+        code, out, err = run(capsys, "simulate" if extra else "bound", "--channel", spec, *extra)
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"capdetect: error: Kraus set is not CPTP: trace-preservation error (inf|nan)\n", err)
+    code, out, err = run(capsys, "check-cp", "--channel", spec)
+    doc = json.loads(out)
+    assert code == 1 and err == "" and json.dumps(doc, indent=2) + "\n" == out
+    assert doc["cptp"] is False and not math.isfinite(doc["trace_preservation_error"])
+    assert math.isnan(doc["min_choi_eigenvalue"])
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     spec = write_json(tmp_path, "pauli.json", {"kind": "pauli", "params": {"px": 0.15, "py": 0.05, "pz": 0.1}})
     out1 = tmp_path / "a.json"

@@ -518,6 +518,13 @@ def test_detect_from_samples_is_detect_from_counts_on_sample_counts():
             ch, cfg, shots, seed, resamples=100)
 
 
+def test_detect_from_counts_rejects_ragged_tables():
+    # numpy refuses ragged lists with its own message; the error names the rule
+    for ragged, labels in (([[[1, 0], [0]]], ["a"]), ([[[1, 0], [0, 1]], [[1, 0]]], ["a", "b"])):
+        with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing to shots = 1$"):
+            detect_from_counts(ragged, 1, labels, DetectionConfig("pauli"), 1, 100)
+
+
 def test_detect_from_counts_rejects_malformed_tables():
     counts = np.array([[[3, 1], [2, 4]], [[5, 0], [0, 5]]])
     cfg = DetectionConfig("pauli")

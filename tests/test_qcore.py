@@ -17,12 +17,15 @@ from capdetect import (
     weyl_bases,
     weyl_operator,
 )
+from capdetect import qcore
 from capdetect.channels import _KINDS, ChannelSpec, affine_to_kraus, gad_affine, pauli_family_channel
 from capdetect.qcore import (
+    CERT_TOL,
     PAULI_KETS,
     PAULIS,
     basis_ket,
     dagger,
+    trace_preservation_error,
 )
 from conftest import (
     VALID_PARAMS,
@@ -98,6 +101,47 @@ def test_is_cptp_rejects_trace_decreasing():
     diag = is_cptp(KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),)))
     assert not diag
     assert diag.trace_preservation_error > 0.4
+
+
+def test_trace_preservation_alone_decides_is_cptp():
+    # any Kraus set is completely positive (Choi 1975), so the Choi spectrum
+    # never decides the verdict: on seeded random sets of ranks 1, 2, d and
+    # d^2, as drawn and with weights spread over 8 decades, each scaled on
+    # and off trace preservation, is_cptp says what the trace check says,
+    # and the worst Choi eigenvalue is rounding of the Choi trace, scale^2
+    rng = np.random.default_rng(38)
+    verdicts, worst = [], 0.0
+    for d in range(2, 13):
+        for r in sorted({1, 2, d, d * d}):
+            drawn = random_cptp_channel(d, r, rng).operators
+            spread = np.sqrt(np.logspace(0, -8, r))[rng.permutation(r), None, None] * drawn
+            evals, evecs = np.linalg.eigh((spread.conj().transpose(0, 2, 1) @ spread).sum(axis=0))
+            spread = spread @ (evecs / np.sqrt(evals)) @ evecs.conj().T  # sum A^dag A = I again
+            for ops in (drawn, spread):
+                for scale in (0.5, 1.0, 1 + 1e-9, 3.0, 1e3):
+                    ch = KrausChannel(scale * ops)
+                    diag = is_cptp(ch)
+                    assert diag.trace_preservation_error == trace_preservation_error(ch)
+                    assert diag.valid == (trace_preservation_error(ch) <= CERT_TOL)
+                    verdicts.append((scale, diag.valid))
+                    worst = min(worst, diag.min_choi_eigenvalue / scale**2)
+    assert len(verdicts) == 430
+    assert all(valid == (scale == 1.0) for scale, valid in verdicts)
+    assert -1e-14 < worst <= 0.0
+
+
+def test_is_cptp_names_overflowing_products(monkeypatch):
+    # products past the float range give a non-finite trace-preservation
+    # error, with no warning, and is_cptp fails before any Choi matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_cptp formed the Choi matrix")
+
+    monkeypatch.setattr(qcore, "choi_matrix", refuse)
+    ch = KrausChannel([1e200 * np.eye(2)])
+    assert not np.isfinite(trace_preservation_error(ch))
+    diag = is_cptp(ch)
+    assert not diag.valid and not np.isfinite(diag.trace_preservation_error)
+    assert np.isnan(diag.min_choi_eigenvalue)
 
 
 def test_is_cptp_accepts_pauli_simplex():
