@@ -79,7 +79,7 @@ def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     q = _float_array(q, "probability table q")
     if q.shape != (dim, dim):
         raise ValueError(f"probability table q must be {dim}x{dim}, got {q.shape}")
-    check_interval("q", q, 0.0, np.inf, 1e-12)
+    check_interval("q", q, 0.0, 1.0, 1e-12)  # each entry is a probability, so the sum cannot overflow
     if not abs(q.sum() - 1.0) <= 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {q.sum()}")
     l, s = np.nonzero(q > 0.0)

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -73,99 +72,8 @@ def _float_text(x) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-class _FloatTexts(dict):
-    """The JSON texts of one response's floats, by value: each distinct
-    nonzero value is formatted once. A zero is formatted at each use, since
-    0.0 and -0.0 are equal keys with different texts, and NaN equals no key."""
-
-    def __missing__(self, x):
-        if x and x - x == 0.0:  # nonzero and finite
-            text = self[x] = float.__repr__(x)
-            return text
-        return _float_text(x)
-
-
-_CONSTANT_TEXTS = {None: "null", True: "true", False: "false"}.__getitem__
-# the text of a str, int, bool or None, by its exact type
-_SCALAR_TEXTS = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANT_TEXTS,
-                 type(None): _CONSTANT_TEXTS}
-
-
-def _json_text(o) -> str:
-    """``json.dumps(o, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, float, bool and None; any other type raises
-    TypeError, as json.dumps does. Before 3.13, CPython encodes with an
-    indent in pure Python, one generator frame per value. This writer makes
-    at most one call per dict, list or tuple and looks up each scalar's text
-    by its exact type. A flat list of floats, or a matrix of them, is one
-    block of texts joined at C speed, taken from a table of the response's
-    values, so a response costs its containers and its distinct numbers."""
-    floats = _FloatTexts()
-    return _json_value(o, "\n", floats, {**_SCALAR_TEXTS, float: floats.__getitem__})
-
-
-def _float_texts(values, floats: _FloatTexts):
-    """The JSON texts of a block of floats, read from the response's table,
-    or None when the block holds another type."""
-    try:  # float.__float__ rejects every non-float
-        return list(map(floats.__getitem__, map(float.__float__, values)))
-    except TypeError:
-        return None
-
-
-def _json_value(o, indent: str, floats: _FloatTexts, scalars: dict) -> str:
-    """The JSON text of a value, the lines of a dict, list or tuple starting
-    with ``indent``. ``scalars`` maps each scalar type, float included, to its
-    text function; it is looked up by exact type for the value and for each
-    dict value and list item, so only containers and instances of
-    subclasses of str, int or float recurse."""
-    get = scalars.get
-    text = get(type(o))
-    if text:
-        return text(o)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        parts = []
-        for k, v in o.items():
-            text = get(type(v))
-            text = text(v) if text else _json_value(v, inner, floats, scalars)
-            parts.append(f"{encode_basestring_ascii(k)}: {text}")
-        return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        sep = "," + inner
-        items = None
-        t = type(o[0])
-        if t is float:
-            texts = _float_texts(o, floats)
-            if texts is not None:
-                items = sep.join(texts)
-        elif t is list and all(o) and set(map(type, o)) == {list} and len(set(map(len, o))) == 1:
-            texts = _float_texts(list(chain.from_iterable(o)), floats)  # a matrix, row by row
-            if texts is not None:
-                n, row_inner = len(o[0]), inner + "  "
-                row_sep = "," + row_inner
-                items = sep.join([f"[{row_inner}{row_sep.join(texts[i:i + n])}{inner}]"
-                                  for i in range(0, len(texts), n)])
-        if items is None:
-            items = sep.join([text(v) if (text := get(type(v))) else _json_value(v, inner, floats, scalars)
-                              for v in o])
-        return f"[{inner}{items}{indent}]"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _emit_json(payload: dict, out):
-    _emit(_json_text(payload) + "\n", out)
+    _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _distinct(values: np.ndarray, stable: bool):
@@ -246,7 +154,7 @@ def _write_table(names, columns, out, fmt: str, figure: str):
     del codes, texts  # before the list of cells is made
     cells = cells.tolist()
     if fmt == "json":
-        columns_text = _json_value(list(names), "\n  ", _FloatTexts(), _SCALAR_TEXTS)
+        columns_text = json.dumps(list(names), indent=2).replace("\n", "\n  ")
         head = (f'{{\n  "figure": {encode_basestring_ascii(figure)},\n  "columns": {columns_text},'
                 f'\n  "rows": [\n    [\n      ')
     else:

@@ -41,24 +41,19 @@ from .infotheory import (
 PAULI_AXES = ("x", "y", "z")
 
 
-def _identity_views(labels) -> tuple:
-    """The identity view ``(label, i, slice(None))`` of each label, in order."""
-    return tuple((label, i, slice(None)) for i, label in enumerate(labels))
-
-
 @functools.cache
 def _pauli_family(d: int) -> tuple:
     # built on first use, not at import: the orthonormality check's first
     # matmul sets up BLAS buffers that the figure commands never need
     if d != 2:
         raise ValueError("the pauli basis family is only defined for qubits")
-    return tuple(map(MeasurementBasis, PAULI_AXES, PAULI_KETS)), _identity_views(PAULI_AXES)
+    return tuple(map(MeasurementBasis, PAULI_AXES, PAULI_KETS))
 
 
 def pauli_bases() -> list:
     """Eigenbases of the three Pauli operators, labeled x, y, z: a new list
     over bases built once per process."""
-    return list(_pauli_family(2)[0])
+    return list(_pauli_family(2))
 
 
 def _is_prime(n: int) -> bool:
@@ -69,18 +64,16 @@ def _is_prime(n: int) -> bool:
 
 def weyl_bases(d: int) -> tuple:
     """The d + 1 distinct eigenbases of the nontrivial generalized Pauli
-    unitaries U_ls in prime dimension d, and each U_ls's place among them.
+    unitaries U_ls in prime dimension d, as a tuple.
 
-    Returns the tuples ``(bases, views)``. ``views`` holds ``(label, i,
-    order)`` for every (l, s) != (0, 0) in row-major order, where
-    ``bases[i].kets[order]`` is U_ls's eigenbasis. U_ls and its powers
-    share one eigenbasis in different eigenvalue orders, so ``order`` is a
-    read-only index array; every other family views its bases through the
-    identity ``slice(None)``. Each basis carries the label of its class's
-    first U_ls, so its own ``order`` is the identity array. d is an int or
-    numpy integer, not a float or bool; each prime d's family is built and
-    checked once per process and shared by every later call, and a
-    composite d raises on every call, since the cache keeps no exception.
+    U_ls and its powers share one eigenbasis in different eigenvalue
+    orders (see :func:`qcore.weyl_class`), so the d² - 1 unitaries have
+    d + 1 eigenbases. Each is labeled by its class's first U_ls in
+    row-major (l, s) order, with its kets in that U_ls's eigenvalue order:
+    weyl(0,1), weyl(1,0), then weyl(1,s) for s = 1, ..., d - 1. d is an
+    int or numpy integer, not a float or bool; each prime d's family is
+    built and checked once per process and shared by every later call, and
+    a composite d raises on every call, since the cache keeps no exception.
     """
     check_integer("dimension", d, 0)
     return _weyl_family(int(d))
@@ -90,25 +83,16 @@ def weyl_bases(d: int) -> tuple:
 def _weyl_family(d: int) -> tuple:
     if not _is_prime(d):
         raise ValueError(f"the weyl basis family needs a prime dimension, got {d}")
-    bases, views, first = [], [], {}
-    for l in range(d):
-        for s in range(d):
-            if (l, s) == (0, 0):
-                continue
-            label = f"weyl({l},{s})"
-            c, order = weyl_class(d, l, s)
-            if c not in first:
-                first[c] = len(bases), {k: pos for pos, k in enumerate(order)}
-                bases.append(MeasurementBasis(label, weyl_class_kets(d, c)[order]))
-            i, rank = first[c]
-            order = np.array([rank[k] for k in order], dtype=np.intp)
-            order.setflags(write=False)
-            views.append((label, i, order))
-    return tuple(bases), tuple(views)
+    bases = []
+    # U_01 heads class 1, U_10 class 0 and U_1s class 1 + s^-1 mod d
+    for l, s in [(0, 1), *((1, s) for s in range(d))]:
+        c, order = weyl_class(d, l, s)
+        bases.append(MeasurementBasis(f"weyl({l},{s})", weyl_class_kets(d, c)[order]))
+    return tuple(bases)
 
 
-# The named basis families: each maps a channel dimension to its ``(bases,
-# views)``, built once per process (see :func:`weyl_bases`).
+# The named basis families: each maps a channel dimension to its tuple of
+# bases, built once per process (see :func:`weyl_bases`).
 BASIS_FAMILIES = {"pauli": _pauli_family, "weyl": weyl_bases}
 
 
@@ -125,12 +109,9 @@ class DetectionConfig:
         check_solver_settings(self.ba_tolerance_bits, self.max_iterations)
 
     def resolve_bases(self, dim: int) -> tuple:
-        """The distinct bases to measure, and the reported labels as
-        ``(label, basis index, ket order)`` views of them. Returns tuples.
-        Outside the weyl family each basis is its own view, through the
-        identity order ``slice(None)``; only weyl views hold read-only index
-        arrays (see :func:`weyl_bases`). The named families are built once
-        per process and shared; explicit bases are checked on every call."""
+        """The distinct bases to measure, as a tuple. The named families are
+        built once per process and shared; explicit bases are checked on
+        every call."""
         if isinstance(self.bases, str):
             if self.bases not in BASIS_FAMILIES:
                 raise ValueError(f"unknown basis family '{self.bases}'; choose from "
@@ -148,7 +129,7 @@ class DetectionConfig:
                 raise ValueError(f"basis {i} must be a MeasurementBasis, got {type(b).__name__}")
             if b.dim != dim:
                 raise ValueError(f"basis '{b.label}' has dim {b.dim}, channel has dim {dim}")
-        return bases, _identity_views(b.label for b in bases)
+        return bases
 
 
 @dataclass
@@ -209,21 +190,19 @@ def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
     return "BA", *blahut_arimoto_batch(stack, config.ba_tolerance_bits, config.max_iterations)
 
 
-def _detect(stack: np.ndarray, views, config: DetectionConfig) -> DetectionResult:
+def _detect(stack: np.ndarray, labels, config: DetectionConfig) -> DetectionResult:
     """The detection result of a checked stack (k, outputs, inputs) of
-    transitions, solved once by :func:`solve_stack`: each ``(label, i,
-    order)`` view gets a BasisResult with transition i and its prior in the
-    ket order ``order``, and basis i's method, convergence, iterations and
-    gap. ``order`` is the identity ``slice(None)`` in every view but a weyl
-    one (see :func:`weyl_bases`). Each request makes its own stack and
-    priors, so no result shares an array with the caller. The argmax is the
-    lowest index among exactly equal values, so a Weyl class's first label
-    wins; values that differ in the last bit are not ties."""
+    transitions, solved once by :func:`solve_stack`: transition i gets a
+    BasisResult with the i-th label, its prior, method, convergence,
+    iterations and gap. Each request makes its own stack and priors, so no
+    result shares an array with the caller. The argmax is the lowest index
+    among exactly equal values; values that differ in the last bit are not
+    ties."""
     method, caps, priors, iterations, gaps = solve_stack(stack, config)
     converged = gaps <= config.ba_tolerance_bits
-    per_basis = [BasisResult(label, stack[i][order][:, order], priors[i][order], float(caps[i]), method,
+    per_basis = [BasisResult(label, stack[i], priors[i], float(caps[i]), method,
                              bool(converged[i]), int(iterations[i]), float(gaps[i]))
-                 for label, i, order in views]
+                 for i, label in enumerate(labels)]
     best = int(np.argmax([r.mutual_information_bits for r in per_basis]))
     return DetectionResult(per_basis, per_basis[best].mutual_information_bits, per_basis[best].label, best,
                            converged=all(r.converged for r in per_basis))
@@ -248,19 +227,17 @@ def detect_from_transitions(transitions, labels, config: DetectionConfig | None 
     shapes = sorted({t.shape for t in transitions})
     if len(shapes) > 1:
         raise ValueError(f"transition matrices must share one shape, got shapes {shapes}")
-    return _detect(check_transition_stack(np.stack(transitions)), _identity_views(labels),
-                   config or DetectionConfig())
+    return _detect(check_transition_stack(np.stack(transitions)), labels, config or DetectionConfig())
 
 
 def detect_capacity(channel: KrausChannel, config: DetectionConfig | None = None) -> DetectionResult:
     """Detected capacity of a channel over a set of measured bases.
 
-    The distinct bases are reconstructed in one stacked pass and solved
-    once each; every reported label gets its basis's transition and prior
-    in its own ket order, and its basis's method, iterations and gap."""
+    The bases are reconstructed in one stacked pass and solved in one
+    :func:`solve_stack` call, each reported once under its own label."""
     config = config or DetectionConfig()
-    bases, views = config.resolve_bases(channel.dim)
-    return _detect(conditional_probs(channel, bases), views, config)
+    bases = config.resolve_bases(channel.dim)
+    return _detect(conditional_probs(channel, bases), [b.label for b in bases], config)
 
 
 def _axis_epsilons(l1, l2, l3, t3):

@@ -218,6 +218,6 @@ def detect_from_samples(channel: KrausChannel, config: DetectionConfig, shots_pe
     """:func:`detect_from_counts` on the :func:`sample_counts` of each distinct
     basis (the weyl family's d + 1 classes, under their first labels)."""
     _check_resamples(resamples, channel.dim)
-    bases, _ = config.resolve_bases(channel.dim)
+    bases = config.resolve_bases(channel.dim)
     counts = sample_counts(channel, bases, shots_per_input, seed)
     return _estimate(counts, shots_per_input, [b.label for b in bases], config, seed, resamples)

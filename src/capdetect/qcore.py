@@ -54,8 +54,8 @@ class MeasurementBasis:
         if kets.ndim != 2 or kets.shape[0] != kets.shape[1] or not kets.size:
             raise ValueError(f"basis '{self.label}' must be a non-empty square array of kets (rows), "
                              f"got shape {kets.shape}")
-        gram = kets.conj() @ kets.T
-        dev = np.max(np.abs(gram - np.eye(kets.shape[0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, and fails below
+            dev = np.max(np.abs(kets.conj() @ kets.T - np.eye(kets.shape[0])))
         if not dev <= CERT_TOL:  # NaN fails too
             raise ValueError(
                 f"basis '{self.label}' is not orthonormal: "

@@ -319,13 +319,17 @@ def reference_eigenbasis(m: np.ndarray) -> np.ndarray:
 
 
 def weyl_label_kets(d: int) -> dict:
-    """Every nontrivial U_ls's eigenbasis as the weyl family reports it:
-    {(l, s): kets}."""
-    from capdetect import weyl_bases
+    """Every nontrivial U_ls's eigenbasis, its class's kets in U_ls's
+    eigenvalue order, from the closed forms of qcore alone: {(l, s): kets}."""
+    from capdetect.qcore import weyl_class, weyl_class_kets
 
-    bases, views = weyl_bases(d)
-    return {tuple(int(x) for x in label[5:-1].split(",")): bases[i].kets[order]
-            for label, i, order in views}
+    kets = {}
+    for l in range(d):
+        for s in range(d):
+            if (l, s) != (0, 0):
+                c, order = weyl_class(d, l, s)
+                kets[l, s] = weyl_class_kets(d, c)[order]
+    return kets
 
 
 def projector(ket: np.ndarray) -> np.ndarray:

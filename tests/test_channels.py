@@ -59,22 +59,32 @@ def test_pauli_family_d2_affine_map():
 
 def test_pauli_family_d3_uniform_is_uniform_in_weyl_bases():
     ch = pauli_family_channel(3, np.full((3, 3), 1 / 9))
-    for b in weyl_bases(3)[0]:
+    for b in weyl_bases(3):
         assert np.allclose(conditional_probs(ch, b), np.full((3, 3), 1 / 3), atol=1e-10)
 
 
 def test_pauli_family_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_family_channel(2, np.full((2, 2), 0.3))
-    with pytest.raises(ValueError, match=r"^q = nan outside \[0, inf\] \(1 of 4 entries\)$"):
+    with pytest.raises(ValueError, match=r"^q = nan outside \[0, 1\] \(1 of 4 entries\)$"):
         pauli_family_channel(2, [[np.nan, 0.5], [0.25, 0.25]])
-    with pytest.raises(ValueError, match=r"^q = -0\.25 outside \[0, inf\] \(1 of 4 entries\)$"):
+    with pytest.raises(ValueError, match=r"^q = -0\.25 outside \[0, 1\] \(1 of 4 entries\)$"):
         pauli_family_channel(2, [[-0.25, 0.75], [0.25, 0.25]])
     simplex = r"^simplex weight 1 - px - py - pz = -0\.19999999999999996 outside \[0, inf\]$"
     with pytest.raises(ValueError, match=simplex):
         pauli_channel(0.6, 0.6, 0.0)
     with pytest.raises(ValueError, match=r"^px = nan outside \[0, inf\]$"):
         pauli_channel(np.nan, 0.1, 0.1)
+
+
+def test_pauli_family_q_entries_are_probabilities():
+    # each entry is checked against [0, 1], so the sum cannot overflow
+    with pytest.raises(ValueError, match=r"^q = 1e\+308 outside \[0, 1\] \(2 of 4 entries\)$"):
+        pauli_family_channel(2, [[1e308, 1e308], [0, 0]])
+    with pytest.raises(ValueError, match=r"^q = 1\.5 outside \[0, 1\] \(2 of 4 entries\)$"):
+        pauli_family_channel(2, [[1.5, -0.5], [0, 0]])
+    ch = pauli_family_channel(2, [[1 + 1e-13, 0], [0, -1e-13]])
+    assert len(ch.operators) == 1
 
 
 def test_gad_affine_values():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import io
@@ -201,6 +202,20 @@ def test_bound_rejects_non_numeric_custom_basis_cells(tmp_path, capsys, cell, sh
     code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
     assert code == 1 and out == ""
     assert err == f"capdetect: error: basis 1 must be an array of numbers, got {shown}\n"
+
+
+def test_overflowing_cells_fail_in_one_line(tmp_path, capsys):
+    # a custom basis whose Gram product overflows, and a q table whose sum
+    # would: each fails on its own rule, with no numpy warning
+    spec = write_json(tmp_path, "gad.json", GAD)
+    bpath = write_json(tmp_path, "bases.json", [[[1e200, 0], [0, 0], [0, 0], [1e200, 0]]])
+    code, out, err = run(capsys, "bound", "--channel", spec, "--bases", f"custom:{bpath}")
+    assert (code, out, err) == (1, "", "capdetect: error: basis 'custom0' is not orthonormal: "
+                                       "max |<m|n> - delta_mn| = inf\n")
+    spec = write_json(tmp_path, "q.json", {"kind": "generalized_pauli",
+                                           "params": {"dim": 2, "q": [[1e308, 1e308], [0, 0]]}})
+    code, out, err = run(capsys, "bound", "--channel", spec)
+    assert (code, out, err) == (1, "", "capdetect: error: q = 1e+308 outside [0, 1] (2 of 4 entries)\n")
 
 
 def test_non_finite_numbers_fail_at_ingestion_by_name(tmp_path, capsys):
@@ -733,7 +748,7 @@ def test_runs_without_scipy(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
     assert len(fig4.read_text().splitlines()) == 4
-    assert len(json.loads(bound.read_text())["per_basis"]) == 8
+    assert len(json.loads(bound.read_text())["per_basis"]) == 4
 
 
 def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
@@ -883,7 +898,7 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
     out_path = tmp_path / "weyl.json"
     code, out, _ = run(capsys, "bound", "--channel", qutrit, "--bases", "weyl", "--out", str(out_path))
     assert code == 0 and out == ""
-    assert len(json.loads(out_path.read_text())["per_basis"]) == 8
+    assert len(json.loads(out_path.read_text())["per_basis"]) == 4
     code, out, _ = run(capsys, "bound", "--channel", qubit)
     assert code == 0
     assert [r["label"] for r in json.loads(out)["per_basis"]] == ["x", "y", "z"]
@@ -1068,43 +1083,22 @@ def test_reproduce_rows_equal_the_row_builders(capsys, figure):
 # the JSON writer: every --out and stdout JSON is json.dumps(payload, indent=2)
 
 def _emitted(payload) -> str:
+    """The text ``_emit_json`` writes to stdout, after checking that it
+    writes the same text to a file, and writes no file when it raises."""
     buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        try:
+            cli._emit_json(payload, out)
+        except TypeError:
+            assert not os.path.exists(out)
+            raise
+        with open(out, newline="") as f:
+            written = f.read()
     with contextlib.redirect_stdout(buf):
         cli._emit_json(payload, None)
-    return buf.getvalue()
-
-
-_JSON_KEYS = st.text(alphabet=st.characters(max_codepoint=0x2FFFF, exclude_categories=("Cs",)),
-                     max_size=6) | st.sampled_from(["", "é", "\n\t\"\\", "\x00\x1f", "\U0001F600"])
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(2**200), max_value=2**200),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
-                     math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]),
-    _JSON_KEYS,
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(_JSON_KEYS, inner, max_size=5),
-        # flat float lists take the writer's one-join path, NaN and inf included
-        st.lists(st.floats() | st.floats().map(np.float64), max_size=8),
-        st.lists(st.floats(), max_size=8).map(tuple),
-    ),
-    max_leaves=40,
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_json_writer_equals_json_dumps(payload):
-    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+    assert buf.getvalue() == written
+    return written
 
 
 @pytest.mark.parametrize("payload", [
@@ -1128,24 +1122,9 @@ class _Level(enum.IntEnum):
     HIGH = 2
 
 
-# payloads through the per-response float table: values repeat across flat
-# lists, matrix rows and scalars, and blocks of every length are looked up or
-# recorded, with signed zeros, NaN, infinities, np.float64 and tuples
+# payloads whose values repeat across flat lists, matrix rows and scalars,
+# with signed zeros, NaN, infinities, np.float64, tuples and subclasses
 _ROW = [0.5, 1 / 3, 0.125, 2.5e-17, 0.0]
-_TABLE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 0.125, 2.5e-17, 1e300, -7.0, math.nan, math.inf, -math.inf])
-_TABLE_FLOATS = _TABLE_FLOATS | _TABLE_FLOATS.map(np.float64)
-_TABLE_BLOCKS = st.one_of(
-    st.lists(_TABLE_FLOATS, min_size=1, max_size=9),
-    st.lists(_TABLE_FLOATS, min_size=1, max_size=9).map(tuple),
-    st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_TABLE_FLOATS, min_size=n, max_size=n), max_size=4)),
-)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(_TABLE_BLOCKS | _TABLE_FLOATS, max_size=6)
-       | st.dictionaries(st.sampled_from(["p", "t", "c"]), _TABLE_BLOCKS | _TABLE_FLOATS, max_size=3))
-def test_json_writer_float_table_equals_json_dumps(payload):
-    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("payload", [
@@ -1154,13 +1133,12 @@ def test_json_writer_float_table_equals_json_dumps(payload):
     [_ROW, [math.nan, 0.5, math.inf, 0.125, -math.inf], [[math.nan, 1 / 3], [math.inf, 0.5]],
      [[0.5, 1 / 3, 0.125, 2.5e-17, -math.inf]] * 2, math.nan, [math.inf] * 5],
     [_ROW, [np.float64(0.5), 1 / 3, np.float64(-0.0), 0.125, np.float64(2.5e-17)], [[0.5, np.float64(1 / 3)]] * 3],
-    # ints and flags equal to recorded floats keep their own texts
+    # ints and flags equal to floats keep their own texts
     [[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2, 3.0, 4.0, 5.0], [1, 2, 3, 4, 5], [1.0, True, 0.0, False, 1.0], 1, True],
     [[(0.5, 0.25), (0.125, 0.0625)], [[0.5], [0.25, 0.125]], [[], []], [[0.5, "x"], [0.5, 0.25]]],
-    # short blocks are recorded too: a 3-float prior repeated, a lone value, a 2x2 matrix
     [[0.5, 1 / 3, -0.0], [0.5, 1 / 3, -0.0], [1 / 3], [[0.0, 1 / 3], [0.5, -0.0]], [0.25], 0.25, [-0.0]],
-    # subclasses of str, int and float take the type-checked tail: as the
-    # value, a dict value, a list item and an entry of a float block
+    # subclasses of str, int and float: as the value, a dict value, a list
+    # item and an entry of a list of floats
     _Label("x\u00e9"), _Level.HIGH, np.float64(0.5), np.float64(-math.inf),
     {"label": _Label("B1"), "level": _Level.LOW, "bits": np.float64(1 / 3), "p": 0.5},
     [_Label("B1"), _Level.LOW, np.float64(-0.0), 0.5, [_Level.HIGH, 0.25]],
@@ -1184,27 +1162,6 @@ def test_json_writer_rejects_an_integer_in_a_float_row(payload):
         _emitted(payload)
 
 
-def test_bound_mix_payloads_are_json_dumps_bytes(tmp_path, monkeypatch):
-    # every seed-1 request of the benchmark's bound_mix workload, replayed
-    # in process: each --out file holds json.dumps(payload, indent=2)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    seen = []
-    emit = cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda payload, out: (seen.append((payload, out)), emit(payload, out)))
-    requests = workloads.request_list("bound_mix", 1)
-    for k, request in enumerate(requests):
-        argv, _ = workloads.argv_for(request, tmp_path, f"r{k}")
-        assert main(argv) == 0
-    assert len(seen) == len(requests) == 101
-    for payload, out in seen:
-        with open(out) as f:
-            assert f.read() == json.dumps(payload, indent=2) + "\n"
-
-
 # basis families are built once per process; nothing a caller does to them
 # reaches the next request
 
@@ -1217,31 +1174,19 @@ def test_basis_family_caches_leak_nothing():
     got[0] = None
     assert [b.label for b in pauli_bases()] == labels == ["x", "y", "z"]
 
-    bases, views = weyl_bases(5)
-    snapshot = [(label, i, order.copy()) for label, i, order in views]
-    kets = [b.kets.copy() for b in bases]
-    with pytest.raises(TypeError):
-        bases[0] = None
-    with pytest.raises(TypeError):
-        views[0] = None
-    with pytest.raises(ValueError):
-        views[3][2][0] = 4
-    with pytest.raises(ValueError):
-        bases[1].kets[0, 0] = 1.0
-    again, again_views = weyl_bases(5)
-    assert len(again) == 6 and len(again_views) == 24
-    assert all(np.array_equal(b.kets, k) for b, k in zip(again, kets))
-    assert all(v[:2] == s[:2] and np.array_equal(v[2], s[2]) for v, s in zip(again_views, snapshot))
-
-    # a Pauli view's order is slice(None), which takes no item assignment;
-    # a Weyl view's order is a read-only index array
-    for family, d, error in (("pauli", 2, TypeError), ("weyl", 5, ValueError)):
+    # a resolved family is a shared tuple of frozen bases with read-only kets
+    kets = [b.kets.copy() for b in weyl_bases(5)]
+    for family, d in (("pauli", 2), ("weyl", 5)):
         resolved = DetectionConfig(family).resolve_bases(d)
-        with pytest.raises((TypeError, AttributeError)):
-            resolved[0].append(None)
-        with pytest.raises(error):
-            resolved[1][0][2][0] = 1
+        with pytest.raises(TypeError):
+            resolved[0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            resolved[0].label = "changed"
+        with pytest.raises(ValueError):
+            resolved[1].kets[0, 0] = 1
         assert DetectionConfig(family).resolve_bases(d) is resolved
+    assert [b.label for b in weyl_bases(5)] == ["weyl(0,1)", *(f"weyl(1,{s})" for s in range(5))]
+    assert all(np.array_equal(b.kets, k) for b, k in zip(weyl_bases(5), kets))
 
     for _ in range(2):
         with pytest.raises(ValueError, match="prime dimension, got 4"):
@@ -1262,7 +1207,7 @@ def test_weyl_request_after_another_dimension_matches_a_fresh_process(tmp_path, 
     proc = subprocess.run([sys.executable, "-m", "capdetect.cli", "bound", "--channel", w3,
                            "--bases", "weyl"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert warm == proc.stdout and len(json.loads(warm)["per_basis"]) == 8
+    assert warm == proc.stdout and len(json.loads(warm)["per_basis"]) == 4
 
 
 def test_custom_bases_are_read_on_every_request(tmp_path, capsys):

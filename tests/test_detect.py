@@ -45,6 +45,7 @@ from capdetect import (
     weyl_bases,
     weyl_operator,
 )
+from capdetect.qcore import conditional_probs, weyl_class
 from capdetect.cli import grid_values
 from capdetect.detect import _symmetric_axes_detected
 from conftest import (
@@ -55,6 +56,7 @@ from conftest import (
     random_cptp_channel,
     reference_eigenbasis,
     weakly_symmetric_capacity,
+    weyl_label_kets,
 )
 
 LN2 = np.log(2.0)
@@ -80,7 +82,7 @@ def test_detect_identity_qutrit_weyl():
     ch = KrausChannel((np.eye(3, dtype=complex),))
     res = detect_capacity(ch, DetectionConfig("weyl"))
     assert res.c_det_bits == pytest.approx(np.log2(3), abs=1e-9)
-    assert len(res.per_basis) == 8
+    assert len(res.per_basis) == 4
 
 
 def test_detect_pauli_channel_value_and_argmax():
@@ -243,8 +245,8 @@ def test_detect_weyl_matches_engine():
 
 
 def test_detect_weyl_matches_reference_bases():
-    # every label solved on its own eig-reference basis gives the values
-    # that one solve per Weyl class reports under that label
+    # each reported basis gives the values of its label solved on its own
+    # eig-reference basis
     rng = np.random.default_rng(31)
     for d in (3, 5):
         for rank in (1, 2, 3):
@@ -253,23 +255,63 @@ def test_detect_weyl_matches_reference_bases():
                          for l in range(d) for s in range(d) if (l, s) != (0, 0)]
             ref = detect_capacity(ch, DetectionConfig(ref_bases))
             res = detect_capacity(ch, WEYL)
-            assert [r.label for r in res.per_basis] == [r.label for r in ref.per_basis]
-            for a, b in zip(res.per_basis, ref.per_basis):
-                assert np.max(np.abs(a.transition - b.transition)) <= 1e-12
+            by_label = {r.label: r for r in ref.per_basis}
+            assert len(res.per_basis) == d + 1
+            for a in res.per_basis:
+                assert np.max(np.abs(a.transition - by_label[a.label].transition)) <= 1e-12
             assert abs(res.c_det_bits - ref.c_det_bits) <= 1e-12
 
 
 def test_weyl_argmax_is_first_label_of_winning_class():
-    # U_ls and its powers U_(kl, ks) share one basis, so their values tie exactly
+    # U_ls and its powers U_(kl, ks) share one basis, reported once under
+    # the class member that comes first in row-major (l, s) order
     d = 5
     res = detect_capacity(random_cptp_channel(d, 3, np.random.default_rng(8)), WEYL)
-    value = {r.label: r.mutual_information_bits for r in res.per_basis}
-    l, s = (int(x) for x in res.argmax_basis[5:-1].split(","))
-    members = [f"weyl({k * l % d},{k * s % d})" for k in range(1, d)]
-    assert len({value[m] for m in members}) == 1
     labels = [r.label for r in res.per_basis]
-    assert res.argmax_index == min(labels.index(m) for m in members)
-    assert sum(v == res.c_det_bits for v in value.values()) == len(members)
+    assert labels == ["weyl(0,1)", *(f"weyl(1,{s})" for s in range(d))]
+    assert len({weyl_class(d, *_weyl_label(label))[0] for label in labels}) == d + 1
+    for label in labels:
+        l, s = _weyl_label(label)
+        assert (l, s) == min((k * l % d, k * s % d) for k in range(1, d))
+    values = [r.mutual_information_bits for r in res.per_basis]
+    assert res.argmax_index == values.index(max(values)) and res.argmax_basis == labels[res.argmax_index]
+
+
+def _weyl_label(label: str) -> tuple:
+    return tuple(int(x) for x in label[5:-1].split(","))
+
+
+_D5_MEMBER24 = ChannelSpec.from_dict(json.loads((DATA / "kraus_d5_member24.json").read_text())).build()
+
+
+@pytest.mark.parametrize("d, channel", [
+    *((d, random_cptp_channel(d, rank, np.random.default_rng(10 * d + rank))) for d in (3, 5, 7) for rank in (1, 3)),
+    (5, _D5_MEMBER24),
+    (3, vshape_qutrit_channel(0.3, 0.6)),
+])
+def test_weyl_bound_loses_no_label(d, channel):
+    """Each of the d^2 - 1 labels is its class's reported basis with the kets
+    in its own order: its own transition, from qcore's closed-form kets, is
+    the class's reported transition permuted by the label's order, and all
+    d^2 - 1 solved alone give the reported bound and winning class.
+    Reordered kets round a matmul and a Blahut-Arimoto solve differently,
+    by a few ulp, so neither is bit for bit."""
+    res = detect_capacity(channel, WEYL)
+    reported = {}
+    for r in res.per_basis:
+        c, order = weyl_class(d, *_weyl_label(r.label))
+        reported[c] = r.transition, np.argsort(order)  # each ket's row in the report
+    labels, transitions = [], []
+    for (l, s), kets in weyl_label_kets(d).items():
+        c, order = weyl_class(d, l, s)
+        transition, row = reported[c]
+        own = conditional_probs(channel, MeasurementBasis(f"weyl({l},{s})", kets))
+        assert np.max(np.abs(own - transition[row[order]][:, row[order]])) <= 1e-15
+        labels.append(f"weyl({l},{s})")
+        transitions.append(own)
+    every = detect_from_transitions(transitions, labels, WEYL)
+    assert abs(every.c_det_bits - res.c_det_bits) <= 1e-12
+    assert weyl_class(d, *_weyl_label(every.argmax_basis))[0] == weyl_class(d, *_weyl_label(res.argmax_basis))[0]
 
 
 def test_t_threshold_anchor():
@@ -752,18 +794,13 @@ def test_basis_results_keep_each_solve_iterations_and_gap():
         ch = random_cptp_channel(d, 3, rng)
         config = DetectionConfig("pauli" if d == 2 else "weyl", 1e-10, max_iter)
         res = detect_capacity(ch, config)
-        _, views = config.resolve_bases(d)
-        solves = {}
-        for r, (label, i, _) in zip(res.per_basis, views):
-            assert r.label == label
+        assert [r.label for r in res.per_basis] == [b.label for b in config.resolve_bases(d)]
+        for r in res.per_basis:
             if r.method == "BA":
                 assert 1 <= r.iterations <= max_iter and r.converged == (r.gap_bits <= 1e-10)
             else:
                 assert (r.iterations, r.gap_bits, r.converged) == (0, 0.0, True)
-            # every label of a Weyl class reports its class's one solve
-            solve = (r.mutual_information_bits, r.method, r.iterations, r.gap_bits)
-            assert solves.setdefault(i, solve) == solve
-        assert len(solves) == (3 if d == 2 else d + 1)
+        assert len(res.per_basis) == (3 if d == 2 else d + 1)
         assert res.converged == all(r.converged for r in res.per_basis)
         if max_iter < 10:
             assert any(r.method == "BA" and not r.converged for r in res.per_basis)
@@ -802,9 +839,8 @@ def test_detect_from_transitions_checks_its_input():
 def test_basis_results_own_their_transitions():
     """Changing the input after detect_from_transitions returns leaves the
     results alone; a rectangular transition is reported as given. Under
-    Pauli and custom bases, whose views keep the solved order, changing one
-    detect_capacity result leaves a second request's result and the shared
-    Pauli kets alone."""
+    Pauli and custom bases, changing one detect_capacity result leaves a
+    second request's result and the shared Pauli kets alone."""
     bsc = np.array([[0.9, 0.2], [0.1, 0.8]])
     erasure = np.array([[0.7, 0.0], [0.0, 0.7], [0.3, 0.3]])
     results = [detect_from_transitions([t], ["a"]).per_basis[0] for t in (bsc, erasure)]
@@ -837,7 +873,7 @@ def test_basis_results_own_their_transitions():
 def test_boundary_tail_closes_within_48_evaluations(name, c_det, argmax):
     spec = ChannelSpec.from_dict(json.loads((DATA / f"{name}.json").read_text()))
     res = detect_capacity(spec.build(), DetectionConfig("weyl"))
-    assert len(res.per_basis) == 24 and res.converged and res.argmax_basis == argmax
+    assert len(res.per_basis) == 6 and res.converged and res.argmax_basis == argmax
     for r in res.per_basis:
         assert r.method == "BA" and r.converged and r.iterations <= 48, r.label
     assert abs(res.c_det_bits - c_det) <= 1e-9

@@ -271,7 +271,7 @@ def _plug_in_cases():
 def test_point_estimate_equals_detection_on_the_sampled_estimates():
     weakly_symmetric = 0
     for k, (ch, cfg, shots) in enumerate(_plug_in_cases()):
-        bases, _ = cfg.resolve_bases(ch.dim)
+        bases = cfg.resolve_bases(ch.dim)
         estimates = [sample_transition(conditional_probs(ch, b), shots, k, basis_index=i)[1]
                      for i, b in enumerate(bases)]
         ref = detect_from_transitions(estimates, [b.label for b in bases], cfg)
@@ -346,7 +346,7 @@ def test_grouped_bootstrap_equals_the_per_basis_one(monkeypatch):
              (random_cptp_channel(4, 2, rng), DetectionConfig([haar_random_basis(4, rng, f"custom{i}")
                                                                 for i in range(2)]), 800, 100)]
     for seed, (ch, cfg, shots, resamples) in enumerate(cases):
-        bases, _ = cfg.resolve_bases(ch.dim)
+        bases = cfg.resolve_bases(ch.dim)
         counts, labels = sample_counts(ch, bases, shots, seed), [b.label for b in bases]
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
@@ -387,7 +387,7 @@ def test_percentile_interval_equals_numpy_bit_for_bit():
 
 def test_unconverged_warning_points_at_the_caller():
     ch, cfg = vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl", max_iterations=2)
-    bases, _ = cfg.resolve_bases(3)
+    bases = cfg.resolve_bases(3)
     counts = sample_counts(ch, bases, 500, 4)
     with pytest.warns(RuntimeWarning) as through_samples:
         detect_from_samples(ch, cfg, 500, seed=4, resamples=100)
@@ -409,7 +409,7 @@ def test_a_nan_gap_is_not_converged(monkeypatch):
         return patched
 
     ch, cfg = pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli")
-    bases, _ = cfg.resolve_bases(2)
+    bases = cfg.resolve_bases(2)
     counts = sample_counts(ch, bases, 500, 4)
     # the three bases' point estimates and replicates share one call, 101 rows each
     monkeypatch.setattr(protocol_sim, "solve_stack", nan_gap(protocol_sim.solve_stack, 101))
@@ -506,7 +506,7 @@ def test_detect_from_samples_is_detect_from_counts_on_sample_counts():
     for ch, cfg, shots, seed in ((pauli_channel(0.1, 0.2, 0.05), DetectionConfig("pauli"), 500, 2**64 - 3),
                                  (vshape_qutrit_channel(0.3, 0.6), DetectionConfig("weyl"), 10**5, 8),
                                  (ChannelSpec.from_dict(spec).build(), DetectionConfig("weyl"), 1000, 11)):
-        bases, _ = cfg.resolve_bases(ch.dim)
+        bases = cfg.resolve_bases(ch.dim)
         counts = sample_counts(ch, bases, shots, seed)
         assert counts.shape == (len(bases), ch.dim, ch.dim) and counts.dtype.kind == "i"
         assert (counts.sum(axis=1) == shots).all()

@@ -206,7 +206,7 @@ def test_stacked_transitions_equal_each_basis_bit_for_bit():
     # bits of the one-basis formula: Pauli, Weyl and Haar-random bases
     rng = np.random.default_rng(18)
     for d in (2, 3, 5, 7):
-        families = [list(weyl_bases(d)[0]), [haar_random_basis(d, rng, f"custom{k}") for k in range(3)]]
+        families = [list(weyl_bases(d)), [haar_random_basis(d, rng, f"custom{k}") for k in range(3)]]
         if d == 2:
             families.append(pauli_bases())
         for _ in range(12):
@@ -234,7 +234,7 @@ def test_operator_stack_keeps_the_bits_of_the_tuple_and_loop_forms():
     assert VALID_PARAMS.keys() == _KINDS.keys()
     for ch in channels:
         d = ch.dim
-        bases = [*weyl_bases(d)[0], haar_random_basis(d, rng)]
+        bases = [*weyl_bases(d), haar_random_basis(d, rng)]
         assert np.array_equal(conditional_probs(ch, bases).view(np.int64),
                               reference_conditional_probs(ch, bases).view(np.int64))
         diag = is_cptp(ch)
