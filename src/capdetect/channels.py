@@ -7,6 +7,7 @@ convert between the two pictures.
 """
 
 import inspect
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -38,8 +39,9 @@ def _check_unit_interval(name: str, value: float) -> float:
 class AffineQubitChannel:
     """Canonical qubit channel (l1, l2, l3, t3): diagonal Bloch scaling with
     a shift along z. Construction rejects parameters violating the complete
-    positivity constraints (l1 +- l2)^2 <= (1 +- l3)^2 - t3^2, and stores
-    each parameter as a Python float."""
+    positivity constraints (l1 +- l2)^2 <= (1 +- l3)^2 - t3^2 by more than
+    :meth:`cp_margins` allows, and stores each parameter as a Python float
+    in [-1, 1], each within 1e-12 of the value given."""
 
     lambda1: float
     lambda2: float
@@ -48,17 +50,22 @@ class AffineQubitChannel:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "t3"):
-            object.__setattr__(self, name, float(check_interval(name, getattr(self, name), -1.0, 1.0, 1e-12)))
+            value = float(check_interval(name, getattr(self, name), -1.0, 1.0, 1e-12))
+            object.__setattr__(self, name, min(max(value, -1.0), 1.0))
         for sign, margin in zip("+-", self.cp_margins()):
             if not margin >= -1e-12:
                 raise ValueError(f"not completely positive: (l1{sign}l2)^2 <= (1{sign}l3)^2 - t3^2 "
                                  f"violated by {-margin:.3e}")
 
     def cp_margins(self) -> tuple:
-        """Slack in the two complete-positivity inequalities (negative = violated)."""
-        mp = (1 + self.lambda3) ** 2 - self.t3**2 - (self.lambda1 + self.lambda2) ** 2
-        mm = (1 - self.lambda3) ** 2 - self.t3**2 - (self.lambda1 - self.lambda2) ** 2
-        return mp, mm
+        """Slack in the two complete-positivity inequalities, in the closed
+        form sqrt(t3^2 + (l1 +- l2)^2) <= 1 +- l3 of the Choi matrix's two
+        2x2 blocks (negative = violated): each is 4 times its block's least
+        eigenvalue, so a margin >= -1e-12 keeps every Choi eigenvalue above
+        -2.5e-13 (up to rounding), and |t3| + |l3| <= 1 + 1e-12, as
+        :func:`detect.t_threshold` requires."""
+        l1, l2, l3, t3 = self.lambda1, self.lambda2, self.lambda3, self.t3
+        return 1.0 - (math.hypot(t3, l1 + l2) - l3), 1.0 - (math.hypot(t3, l1 - l2) + l3)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -195,9 +202,7 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
     # added to zeros, as the sum over (k, l) was, so no entry is -0.0
     choi[[0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] += 0.5 * np.array(
         [up + z, up - z, down - z, down + z, plus, plus, minus, minus])
-    evals, evecs = np.linalg.eigh(choi)
-    if evals.min() < -1e-10:
-        raise ValueError(f"Choi matrix not positive semidefinite (min eigenvalue {evals.min():.3e})")
+    evals, evecs = np.linalg.eigh(choi)  # >= -2.5e-13, up to rounding, by the constructor's check
     kept = evals > _CHOI_CUTOFF
     return KrausChannel(np.sqrt(2.0 * evals[kept])[:, None, None] * evecs.T[kept].reshape(-1, 2, 2))
 

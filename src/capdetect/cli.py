@@ -28,7 +28,7 @@ from .detect import (
     holevo_gad_p1,
     dephasing_detected,
     pauli_axis_capacity,
-    t_threshold,
+    pseudoclassical_certificate,
     von_mises_expected_capacity,
     vshape_detected,
 )
@@ -166,47 +166,35 @@ def _write_table(names, columns, out, fmt: str, figure: str):
     _emit(text, out)
 
 
-def _fig1(grids):
-    gammas = grid_values(*grids["gamma"])
+def _fig1(gammas):
     c1 = holevo_gad_p1(gammas)  # rejects gammas outside [0, 1]
     c_det = pauli_axis_capacity(*gad_params(gammas, 1.0)).capacity_bits.max(axis=-1)
-    return ("gamma", "c_det_bits", "c1_bits"), (gammas, c_det, c1)
+    return ("gamma", "c_det_bits", "c1_bits"), (c_det, c1)
 
 
-def _fig2(grids):
-    g01 = grid_values(*grids["gamma01"])
-    g02 = grid_values(*grids["gamma02"])
-    i1, i2 = vshape_detected(g01[:, None], g02)
+def _fig2(g01, g02):
+    i1, i2 = vshape_detected(g01, g02)
     b2 = i2 > i1
-    columns = (*np.broadcast_arrays(g01[:, None], g02), np.where(b2, i2, i1), np.where(b2, "B2", "B1"))
-    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), columns
+    return ("gamma01", "gamma02", "c_det_bits", "argmax_basis"), (np.where(b2, i2, i1), np.where(b2, "B2", "B1"))
 
 
-def _fig3(grids):
-    thetas = grid_values(*grids["theta"])
-    phis = grid_values(*grids["phi"])
-    caps = dephasing_detected(0.9, thetas[:, None], phis)
-    return ("theta", "phi", "c_det_bits"), (*np.broadcast_arrays(thetas[:, None], phis), caps)
+def _fig3(thetas, phis):
+    return ("theta", "phi", "c_det_bits"), (dephasing_detected(0.9, thetas, phis),)
 
 
-def _fig4(grids):
-    ks = grid_values(*grids["k"])
-    return ("k_phi", "avg_c_det_bits"), (ks, von_mises_expected_capacity(0.15, 0.05, 0.1, ks))
+def _fig4(ks):
+    return ("k_phi", "avg_c_det_bits"), (von_mises_expected_capacity(0.15, 0.05, 0.1, ks),)
 
 
-def _suppl_stretched(grids):
-    s = grid_values(*grids["s"])
+def _suppl_stretched(s):
     # complete positivity bounds |s|, so the widest channel checks the grid
     widest = stretched_affine(0.5, float(s[np.argmax(np.abs(s))]))
-    l3, t3 = widest.lambda3, widest.t3
-    caps = pauli_axis_capacity(s, s, l3, t3).capacity_bits
-    # max(l1^2, l2^2) = s^2 against T(|t3|, |l3|), one threshold for the grid
-    pseudo = s * s <= t_threshold(abs(t3), abs(l3))
-    c1 = np.where(pseudo, caps[:, 2], None)
-    return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), (s, caps.max(axis=-1), c1, pseudo)
+    _, _, pseudo, c1, caps = pseudoclassical_certificate(s, s, widest.lambda3, widest.t3)
+    return ("s", "c_det_bits", "c1_bits", "pseudoclassical"), (caps.max(axis=-1), c1, pseudo)
 
 
-# each figure's table builder and default grids
+# each figure's table builder and default grids, in the order of the
+# builder's axes
 _FIGURE_TABLES = {
     "fig1": (_fig1, {"gamma": (0.0, 1.0, 0.01)}),
     "fig2": (_fig2, {"gamma01": (0.0, 1.0, 0.01), "gamma02": (0.0, 1.0, 0.01)}),
@@ -219,8 +207,9 @@ FIGURES = tuple(_FIGURE_TABLES)
 
 def _figure_table(which: str, grid_overrides=None):
     """One figure's column names and columns, on its default grids with
-    ``grid_overrides`` in place. The columns have one shape; a table over two
-    grids has its grid columns as broadcast views of the two axes."""
+    ``grid_overrides`` in place. The builder takes each grid as one open
+    ``np.ix_`` axis and returns all column names and only its value columns;
+    the grid columns are broadcast views of the axes, read once each."""
     if which not in FIGURES:
         raise ValueError(f"unknown figure '{which}'; choose from {FIGURES}")
     builder, defaults = _FIGURE_TABLES[which]
@@ -235,7 +224,9 @@ def _figure_table(which: str, grid_overrides=None):
     if math.prod(points.values()) > _MAX_TABLE_ROWS:
         shown = " x ".join(f"'{name}' ({n:.0f} points)" for name, n in points.items())
         raise ValueError(f"grid {shown} exceeds the limit of {_MAX_TABLE_ROWS:,} rows per table")
-    return builder(grids)
+    axes = np.ix_(*(grid_values(*spec) for spec in grids.values()))
+    names, values = builder(*axes)
+    return names, (*np.broadcast_arrays(*axes), *values)
 
 
 def reproduce_figure(which: str, out=None, grid_overrides=None, fmt: str = "csv"):

@@ -245,10 +245,9 @@ def _axis_epsilons(l1, l2, l3, t3):
     encodings of canonical qubit channels, each of shape (..., 3):
     eps0 = (1 - |l_i| - |t_i|)/2 and eps1 = eps0 + |t_i|, with the shift
     along z only."""
-    l1, l2, l3, t3 = np.broadcast_arrays(l1, l2, l3, t3)
-    lam = np.abs(np.stack([l1, l2, l3], axis=-1))
+    lam = np.empty((*np.broadcast(l1, l2, l3, t3).shape, 3))
     t = np.zeros_like(lam)
-    t[..., 2] = np.abs(t3)
+    lam[..., 0], lam[..., 1], lam[..., 2], t[..., 2] = np.abs(l1), np.abs(l2), np.abs(l3), np.abs(t3)
     e0 = np.maximum(0.5 * (1.0 - lam - t), 0.0)
     return e0, np.minimum(e0 + t, 1.0)
 
@@ -308,22 +307,26 @@ class PseudoclassicalityReport:
     c1_bits: float | None = None
 
 
-def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
-    """Pseudoclassicality certificate for a canonical qubit channel.
+def pseudoclassical_certificate(l1, l2, l3: float, t3: float) -> tuple:
+    """Pseudoclassicality of canonical qubit channels (l1, l2, l3, t3),
+    elementwise over l1 and l2 for one (l3, t3): a channel qualifies when it
+    is unital or max(l1^2, l2^2) <= T(|t3|, |l3|), and its certified
+    one-shot capacity c1 is then the best Pauli-axis encoding's if unital,
+    else the shift axis's. Returns (max(l1^2, l2^2), T, flags, c1 with None
+    where a channel does not qualify, Pauli-axis capacities (..., 3))."""
+    lam_m_sq = np.maximum(l1 * l1, l2 * l2)
+    threshold = t_threshold(abs(t3), abs(l3))
+    caps = pauli_axis_capacity(l1, l2, l3, t3).capacity_bits
+    pseudo = (t3 == 0.0) | (lam_m_sq <= threshold)
+    c1 = np.where(pseudo, caps.max(axis=-1) if t3 == 0.0 else caps[..., 2], None)
+    return lam_m_sq, threshold, pseudo, c1, caps
 
-    Unital channels always qualify, with the best Pauli-axis encoding as the
-    certified one-shot capacity. A shifted channel qualifies exactly when
-    max(l1^2, l2^2) <= T(|t3|, |l3|); the certified one-shot capacity is then
-    the binary closed form of the shift-axis encoding.
-    """
-    lam_m_sq = max(ch.lambda1**2, ch.lambda2**2)
-    threshold = t_threshold(abs(ch.t3), abs(ch.lambda3))
-    caps = pauli_axis_capacity(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3).capacity_bits
-    pseudo = ch.unital or lam_m_sq <= threshold
-    c1 = None
-    if pseudo:
-        c1 = float(caps.max() if ch.unital else caps[2])
-    return PseudoclassicalityReport(lam_m_sq, threshold, pseudo, c1)
+
+def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
+    """Pseudoclassicality certificate for a canonical qubit channel, by
+    :func:`pseudoclassical_certificate`'s rule."""
+    lam_m_sq, threshold, pseudo, c1, _ = pseudoclassical_certificate(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
+    return PseudoclassicalityReport(float(lam_m_sq), threshold, bool(pseudo), c1[()])
 
 
 _GAD_GRID_POINTS = 9

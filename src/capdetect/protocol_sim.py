@@ -113,7 +113,8 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
     shots that are not an integer in [1, 2^63), as for
     :func:`sample_transition`, tables of another shape or dtype (bools,
-    strings) and negative or non-integer counts fail, each saying which.
+    strings), a bool cell among numbers, and negative or non-integer counts
+    fail, each saying which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -130,8 +131,9 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     exceed ``_MAX_BOOTSTRAP_CELLS``."""
     _check_shots(shots)
     malformed = f"need one square count table per label, columns summing to shots = {shots}"
+    tables = counts
     try:
-        counts = np.asarray(counts)
+        counts = np.asarray(tables)
     except ValueError:  # ragged tables
         raise ValueError(malformed) from None
     d = counts.shape[-1] if counts.ndim == 3 else 0
@@ -139,6 +141,10 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
         raise ValueError(malformed)
     if counts.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers are no counts
         raise ValueError(f"counts must be integers or floats, got dtype {counts.dtype}")
+    if not isinstance(tables, np.ndarray):  # numpy reads a bool among numbers as a number
+        for cell in np.array(tables, dtype=object).flat:
+            if isinstance(cell, (bool, np.bool_)):
+                raise ValueError(f"counts must be integers or floats, got the bool cell {bool(cell)}")
     _check_resamples(resamples, d)
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
     fractional = values[values != np.floor(values)]

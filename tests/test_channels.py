@@ -17,12 +17,14 @@ from capdetect import (
     computational_basis,
     conditional_probs,
     dephasing_axis_channel,
+    detect_capacity,
     extremal_affine,
     gad_affine,
     is_cptp,
     kraus_to_affine,
     pauli_channel,
     pauli_family_channel,
+    pseudoclassicality,
     rotated_pauli_channel,
     stretched_affine,
     vshape_qutrit_channel,
@@ -30,7 +32,7 @@ from capdetect import (
 )
 from capdetect import qcore
 from capdetect.channels import _FLOAT_MAX, _KINDS, check_numbers
-from capdetect.qcore import SIGMA_Z, basis_ket
+from capdetect.qcore import PAULIS, SIGMA_Z, basis_ket
 from conftest import (
     VALID_PARAMS,
     haar_random_basis,
@@ -116,6 +118,69 @@ def test_stretched_rejects_overstretching():
 def test_affine_constructor_rejects_cp_violation():
     with pytest.raises(ValueError, match=r"\(1\+l3\)\^2"):
         AffineQubitChannel(1.0, 1.0, 0.9, 0.0)
+
+
+def _written_out_choi_min(l1, l2, l3, t3) -> float:
+    """Least eigenvalue of sum_kl E(|k><l|) ⊗ |k><l| / 2, each E(|k><l|)
+    applied through the Bloch form (l1, l2, l3, t3) term by term."""
+    choi = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            e_kl = np.zeros((2, 2), dtype=complex)
+            e_kl[k, l] = 1.0
+            image = np.trace(e_kl) * (np.eye(2) + t3 * SIGMA_Z) / 2
+            for li, si in zip((l1, l2, l3), PAULIS):
+                image = image + li * np.trace(si @ e_kl) * si / 2
+            choi += 0.5 * np.kron(image, e_kl)
+    return float(np.linalg.eigvalsh(choi).min())
+
+
+def _near_pole_cases(rng):
+    """(l1, l2, l3, t3) near l3 = +-1, the pole's own block on both sides of
+    its boundary sqrt(t3^2 + (l1 -+ l2)^2) = 1 -+ l3: l3 up to 9e-13 past the
+    pole, radii from 1e-6 inside to 1e-6 outside, along the shift, the
+    transverse axis and random directions."""
+    for sign in (1.0, -1.0):
+        for gap in (-9e-13, -1e-13, 0.0, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+            l3 = sign * (1.0 - gap)
+            room = max(gap, 0.0)
+            for off in (-1e-6, -1e-12, -3e-13, 0.0, 1e-13, 2e-13, 3e-13, 6e-13, 1e-12, 2e-12, 1e-9, 1e-6):
+                for angle in (0.0, np.pi / 2, *rng.uniform(0.0, 2 * np.pi, 2)):
+                    r = max(room * (1.0 + off) + off, 0.0)
+                    t3, near = r * np.cos(angle), r * np.sin(angle)
+                    far = rng.uniform(-1.0, 1.0)  # l1 +- l2 of the other block, far inside
+                    if sign > 0:  # the minus block is the pole's
+                        yield (far + near) / 2, (far - near) / 2, l3, t3
+                    else:
+                        yield (near + far) / 2, (near - far) / 2, l3, t3
+
+
+def test_cp_region_is_the_choi_blocks_closed_form_near_the_poles():
+    # the constructor accepted (0, 0, 0.999999, 1.4e-6), whose quadratic
+    # margin is -9.6e-13, although its Choi matrix has the eigenvalue -1e-7
+    with pytest.raises(ValueError, match=r"^not completely positive: \(l1-l2\)\^2 <= \(1-l3\)\^2 - t3\^2 "
+                                         r"violated by 4\.000e-07$"):
+        AffineQubitChannel(0, 0, 0.999999, 1.4e-6)
+    accepted = rejected = 0
+    for params in _near_pole_cases(np.random.default_rng(40)):
+        clamped = [min(max(float(p), -1.0), 1.0) for p in params]
+        least = _written_out_choi_min(*clamped)
+        ch = _cp_or_none(*params)
+        if ch is None:
+            rejected += 1
+            assert least < -2.5e-13 + 1e-15, params
+            continue
+        accepted += 1
+        assert [ch.lambda1, ch.lambda2, ch.lambda3, ch.t3] == clamped
+        assert least >= -2.5e-13 - 1e-15, params  # so affine_to_kraus needs no guard of its own
+        kraus = affine_to_kraus(ch)
+        assert is_cptp(kraus).trace_preservation_error <= 1e-10, params
+        report = pseudoclassicality(ch)
+        assert report.pseudoclassical in (True, False)
+        spec = {"lambda1": params[0], "lambda2": params[1], "lambda3": params[2], "t3": params[3]}
+        c_det = detect_capacity(ChannelSpec("affine_qubit", spec).build()).c_det_bits
+        assert 0.0 <= c_det <= 1.0 + 1e-12, params
+    assert accepted >= 600 and rejected >= 250
 
 
 def test_vshape_endpoints():

@@ -396,8 +396,21 @@ def _ba_requests(draw):
     return text, None, argv, names
 
 
+# near the pole l3 = 1: the quadratic CP margin of the first, -9.6e-13,
+# passed construction, and bound and check-cp then failed on a Choi matrix
+# the spec never gave; the second lies inside
+_NEAR_POLE = {"kind": "affine_qubit", "params": {"lambda1": 0, "lambda2": 0, "lambda3": 0.999999, "t3": 1.4e-6}}
+_INSIDE_POLE = {"kind": "affine_qubit", "params": {**_NEAR_POLE["params"], "t3": 1e-6}}
+_NEAR_POLE_ERROR = (r"^capdetect: error: not completely positive: \(l1-l2\)\^2 <= \(1-l3\)\^2 - t3\^2 "
+                    r"violated by 4\.000e-07$")
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.one_of(_requests(), _ba_requests()))
+@example((_NEAR_POLE, None, ["bound"], [_NEAR_POLE_ERROR]))
+@example((_NEAR_POLE, None, ["check-cp"], [_NEAR_POLE_ERROR]))
+@example((_INSIDE_POLE, None, ["bound"], []))
+@example((_INSIDE_POLE, None, ["check-cp"], []))
 @example(({"kind": "gad", "params": {"gamma": 10**400, "p": 1.0}}, None, ["bound"], ["gamma"]))
 @example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"], ["q"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": 0.5}}, None, ["bound"], ["operator"]))
@@ -832,6 +845,29 @@ def test_default_figures_are_byte_stable(tmp_path, monkeypatch, figure):
         assert main(["reproduce", figure, "--format", fmt, "--out", str(tmp_path / "cli")]) == 0
         assert (tmp_path / "cli").read_bytes() == out.read_bytes(), fmt
     assert [args[0] for args in calls] == [figure, figure]
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_builders_return_value_columns_and_the_table_broadcasts_the_grids(monkeypatch, figure):
+    # a builder is its closed form on open axes; the table makes the grid
+    # columns, each broadcast (stride 0) along every other grid's axis
+    builder, grids = cli._FIGURE_TABLES[figure]
+    axes = np.ix_(*(grid_values(*spec) for spec in grids.values()))
+    shape = np.broadcast_shapes(*(a.shape for a in axes))
+    names, values = builder(*axes)
+    assert len(names) == len(grids) + len(values)
+    assert [np.shape(v) for v in values] == [shape] * len(values)
+    written = []
+    monkeypatch.setattr(cli, "_write_table", lambda names, columns, *args: written.append((names, columns)))
+    reproduce_figure(figure, out=os.devnull)
+    [(written_names, columns)] = written
+    assert written_names == names and len(columns) == len(names)
+    for k, axis in enumerate(axes):
+        assert columns[k].shape == shape
+        assert [step == 0 for step in columns[k].strides] == [j != k for j in range(len(axes))]
+        assert np.array_equal(columns[k], np.broadcast_to(axis, shape))
+    for got, value in zip(columns[len(axes):], values):
+        assert np.array_equal(got, value)
 
 
 def test_suppl_stretched_matches_per_row_reports():

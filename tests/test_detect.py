@@ -47,7 +47,7 @@ from capdetect import (
 )
 from capdetect.qcore import conditional_probs, weyl_class
 from capdetect.cli import grid_values
-from capdetect.detect import _symmetric_axes_detected
+from capdetect.detect import _symmetric_axes_detected, pseudoclassical_certificate
 from conftest import (
     fourier_basis,
     haar_random_basis,
@@ -409,6 +409,27 @@ def test_pseudoclassical_stretched_threshold():
         rep = pseudoclassicality(stretched_affine(0.5, s))
         assert not rep.pseudoclassical
         assert rep.c1_bits is None
+
+
+def test_pseudoclassical_certificate_is_each_channels_report():
+    # one (l3, t3) and an array of (l1, l2), shifted and unital, on both
+    # sides of the threshold: each element is its channel's report, to the
+    # bit, with lambda_m_sq the correctly rounded max(l1^2, l2^2)
+    rng = np.random.default_rng(40)
+    scale = np.linspace(0.0, 1.0, 41)
+    flags = set()
+    for ch in [random_cp_affine(rng) for _ in range(30)] + [stretched_affine(0.5, 0.7)]:
+        for t3 in (ch.t3, 0.0):
+            l1, l2 = scale * ch.lambda1, scale * ch.lambda2
+            lam_m_sq, threshold, pseudo, c1, caps = pseudoclassical_certificate(l1, l2, ch.lambda3, t3)
+            assert caps.shape == (41, 3) and pseudo.dtype == bool and c1.dtype == object
+            for i in range(41):
+                rep = pseudoclassicality(AffineQubitChannel(l1[i], l2[i], ch.lambda3, t3))
+                assert (float(lam_m_sq[i]), threshold, bool(pseudo[i]), c1[i]) == (
+                    rep.lambda_m_sq, rep.threshold_T, rep.pseudoclassical, rep.c1_bits)
+                assert rep.lambda_m_sq == max(l1[i] * l1[i], l2[i] * l2[i])
+                flags.add((t3 == 0.0, rep.pseudoclassical))
+    assert flags == {(True, True), (False, True), (False, False)}
 
 
 def test_gad_never_pseudoclassical():

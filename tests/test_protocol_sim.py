@@ -565,3 +565,14 @@ def test_detect_from_counts_rejects_cells_that_are_no_numbers():
     # integer and float tables of whole counts still pass, to the same value
     ints = np.array([[[3, 1], [2, 4]]])
     assert detect_from_counts(ints, 5, ["z"], cfg, 1, 100) == detect_from_counts(ints * 1.0, 5, ["z"], cfg, 1, 100)
+
+
+def test_detect_from_counts_rejects_a_bool_cell_among_numbers():
+    # numpy casts [True, 1] to int64, so a bool cell among integers read as 1
+    cfg = DetectionConfig("pauli")
+    for tables in ([[[True, 1], [4, 4]]], [[[4, 1], [1.0, np.True_]]],
+                   [np.array([[4, 0], [1, 5]]), [[5, 1], [0, False]]]):
+        with pytest.raises(ValueError, match=r"^counts must be integers or floats, got the bool cell (True|False)$"):
+            detect_from_counts(tables, 5, ["x", "y"][:len(tables)], cfg, 1, 100)
+    # the same table with the number 1 in place of True passes
+    assert detect_from_counts([[[1, 1], [4, 4]]], 5, ["z"], cfg, 1, 100).point_estimate_bits >= 0.0
