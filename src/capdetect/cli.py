@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -65,13 +64,6 @@ def _emit(text: str, out):
             f.write(text)
 
 
-def _float_text(x) -> str:
-    """A float's JSON text: its repr, or NaN, Infinity or -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 def _emit_json(payload: dict, out):
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
@@ -94,9 +86,10 @@ def _distinct(values: np.ndarray, stable: bool):
 def _cell_texts(column: np.ndarray, end: str, json_cells: bool):
     """The distinct cell texts of one column, each followed by ``end``, and
     each cell's code, its index into them, flat. A float is told apart by
-    its bit pattern, so -0.0 and 0.0 stay apart, and a column's distinct
-    floats are formatted in one ``%`` call; None is an empty CSV cell or
-    null, and a flag is true or false."""
+    its bit pattern, so -0.0 and 0.0 stay apart. A column's distinct values
+    are formatted in one call: ``json.dumps`` for JSON, ``%`` for CSV
+    floats; None is an empty CSV cell or null, and a flag is true or
+    false."""
     if column.dtype == object:  # floats and None
         missing = np.equal(column, None).ravel()
         texts, codes = _cell_texts(np.where(missing, 0.0, column.ravel()).astype(float), end, json_cells)
@@ -110,16 +103,14 @@ def _cell_texts(column: np.ndarray, end: str, json_cells: bool):
         keys = keys.view(column.dtype)
     else:
         keys, codes = _distinct(column, True)
+    if json_cells:
+        return (json.dumps(keys.tolist(), separators=(end + "\0", ":"))[1:-1] + end).split("\0"), codes
     if column.dtype == float:
         values = tuple(keys.tolist())
-        texts = ((("%r" if json_cells else "%.12g") + end + "\0") * len(values) % values).split("\0")
+        texts = (("%.12g" + end + "\0") * len(values) % values).split("\0")
         texts.pop()
-        if json_cells:  # NaN and the infinities have their own JSON texts
-            for i in np.flatnonzero(~np.isfinite(keys)).tolist():
-                texts[i] = _float_text(values[i]) + end
         return texts, codes
-    label = encode_basestring_ascii if json_cells else str
-    return [label(k) + end for k in keys.tolist()], codes
+    return [str(k) + end for k in keys.tolist()], codes
 
 
 # each table format's text after a cell, after a row's last cell, and after
@@ -155,7 +146,7 @@ def _write_table(names, columns, out, fmt: str, figure: str):
     cells = cells.tolist()
     if fmt == "json":
         columns_text = json.dumps(list(names), indent=2).replace("\n", "\n  ")
-        head = (f'{{\n  "figure": {encode_basestring_ascii(figure)},\n  "columns": {columns_text},'
+        head = (f'{{\n  "figure": {json.dumps(figure)},\n  "columns": {columns_text},'
                 f'\n  "rows": [\n    [\n      ')
     else:
         head = ",".join(names) + "\n"

@@ -382,10 +382,12 @@ def dephasing_detected(p: float, theta: float, phi: float):
     p = _check_unit_interval("p", p)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    st2 = np.sin(theta) ** 2
-    ct2 = np.cos(theta) ** 2
-    return _symmetric_axes_detected(p * (ct2 + st2 * np.sin(phi) ** 2),
-                                    p * (ct2 + st2 * np.cos(phi) ** 2), p * st2)
+    # squares by products: a float64 scalar's ** 2 is libm pow, which can
+    # differ in the last bit from an array's ** 2 (np.square)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    st2 = st * st
+    ct2 = ct * ct
+    return _symmetric_axes_detected(p * (ct2 + st2 * (sp * sp)), p * (ct2 + st2 * (cp * cp)), p * st2)
 
 
 def rotated_pauli_detected(px: float, py: float, pz: float, phi):

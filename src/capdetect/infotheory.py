@@ -75,10 +75,7 @@ def check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: f
     [lo - slack, hi + slack]. The error names the first entry outside (NaN
     included) and, for arrays, how many entries are outside."""
     v = np.asarray(values, dtype=float)
-    # one pass each for the extremes; the entries are located only when one
-    # is outside, and the comparisons are written so that NaN fails them
-    if v.size and v.min() >= lo - slack and v.max() <= hi + slack:
-        return v
+    # the comparisons are written so that NaN fails them
     bad = ~((v >= lo - slack) & (v <= hi + slack))
     if bad.any():
         count = f" ({int(bad.sum())} of {v.size} entries)" if v.ndim else ""
@@ -385,9 +382,7 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     e0, e1 = np.minimum(e0, e1), np.maximum(e0, e1)
     span = 1.0 - e0 - e1
     live = span >= 1e-12
-    dead = not live.all()
-    if dead:
-        span = np.where(live, span, 1.0)
+    span = np.where(live, span, 1.0)
     h0 = _h(e0)
     h1 = _h(e1)
     z1 = 1.0 + np.exp2((h0 - h1) / span)
@@ -395,6 +390,5 @@ def binary_capacity(eps0, eps1) -> BinaryCapacity:
     q0 = 1.0 - p0
     cap = np.maximum(_h(p0 * (1.0 - e0) + q0 * e1) - p0 * h0 - q0 * h1, 0.0)
     p0 = np.where(swapped, q0, p0)
-    if dead:
-        cap, p0 = np.where(live, cap, 0.0), np.where(live, p0, 0.5)
+    cap, p0 = np.where(live, cap, 0.0), np.where(live, p0, 0.5)
     return BinaryCapacity(_float_or_array(cap), _float_or_array(p0))

@@ -640,9 +640,9 @@ def reference_check_numbers(value, subject: str, nested: bool = True) -> None:
             raise ValueError(f"{subject} must be a finite number, got {cell!r}")
 
 
-# infotheory.check_interval and binary_capacity as they were before the
-# range check took one pass for each extreme and the closed form skipped the
-# masks no entry needs: both must give the same bits and the same errors.
+# infotheory.check_interval and binary_capacity as one masked pass each, with
+# every mask applied to every entry, kept apart from the library so that a
+# fast path added to either must give the same bits and the same errors.
 
 def reference_check_interval(name: str, values, lo: float = 0.0, hi: float = 1.0, slack: float = 0.0):
     """``values`` as a float array, after checking that every entry lies in

@@ -730,6 +730,39 @@ def test_closed_forms_on_axes_equal_their_scalar_calls_bit_for_bit():
             assert np.array_equal(_bits(got), _bits([row[j][k] for row in want]))
 
 
+def test_closed_forms_give_a_point_as_scalars_its_bits_in_an_array():
+    # a float64 scalar's ** 2 is libm pow and an array's is np.square, which
+    # differ in the last bit on about 1 in 1,000 draws; so the dephasing
+    # points are every draw whose sine or cosine squares differently by pow
+    # than by a product, plus the first 300
+    rng = np.random.default_rng(3)
+    theta, phi = rng.uniform(0.0, np.pi, 20_000), rng.uniform(0.0, 2 * np.pi, 20_000)
+
+    def squares_apart(x):
+        return np.array([v ** 2 for v in x.tolist()]) != x * x
+
+    odd = squares_apart(np.sin(theta)) | squares_apart(np.cos(theta))
+    odd |= squares_apart(np.sin(phi)) | squares_apart(np.cos(phi))
+    odd[:300] = True
+    u = rng.uniform(0.0, 1.0, (4, 200))
+    cases = {
+        "dephasing_detected": (lambda t, f: dephasing_detected(0.9, t, f), (theta[odd], phi[odd])),
+        "rotated_pauli_detected": (lambda f: rotated_pauli_detected(0.15, 0.05, 0.1, f), (2 * np.pi * u[0] - np.pi,)),
+        "vshape_detected": (vshape_detected, (u[0], u[1])),
+        "holevo_gad_p1": (holevo_gad_p1, (u[0, :20],)),
+        "von_mises_expected_capacity": (lambda k: von_mises_expected_capacity(0.15, 0.05, 0.1, k), (20 * u[1, :20],)),
+        "pauli_axis_capacity": (pauli_axis_capacity, (2 * u[0] - 1, 2 * u[1] - 1, 2 * u[2] - 1, u[3] - 0.5)),
+        "binary_capacity": (binary_capacity, (u[0], u[1])),
+        "binary_entropy": (binary_entropy, (u[2],)),
+    }
+    for name, (f, args) in cases.items():
+        whole = f(*args)
+        each = np.asarray([f(*point) for point in zip(*(a.tolist() for a in args))], dtype=float)
+        if isinstance(whole, tuple):  # a pair of result arrays against one pair per point
+            each = np.moveaxis(each, 0, 1)
+        assert np.array_equal(_bits(whole), _bits(each)), name
+
+
 def test_vshape_detected_rejects_gammas_outside_unit_interval():
     for bad in (-0.1, 1.1, np.nan):
         for args in ((np.array([0.1, 0.2, 0.3]), np.array([0.2, bad, 0.4])), (bad, 0.5)):

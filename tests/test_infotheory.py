@@ -581,10 +581,10 @@ def _same_bits(got, ref) -> bool:
     return got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-def test_binary_capacity_skips_its_masks_with_the_same_bits():
-    # the closed form applies its flip, swap and cut masks only where an
-    # entry needs them; every float, signed zeros included, must be what the
-    # fully masked form gives
+def test_binary_capacity_matches_the_reference_bit_for_bit():
+    # every float, signed zeros included, must be what the reference's
+    # fully masked form gives, on flips, swaps, spans around the 1e-12 cut
+    # and count-quantized stacks
     rng = np.random.default_rng(28)
     a, b = rng.uniform(0.0, 0.5, (2, 300))
     cases = [(a, b), (np.minimum(a, b), np.maximum(a, b)),  # swaps, then none
@@ -606,10 +606,9 @@ def test_binary_capacity_skips_its_masks_with_the_same_bits():
         assert _same_bits(got, ref)
 
 
-def test_interval_check_takes_the_extremes_with_the_same_result():
-    # check_interval accepts through one pass per extreme and locates the
-    # bad entries only when one fails; each input must give the locating
-    # check's array or its error text
+def test_interval_check_matches_the_reference():
+    # each input, empty, NaN, infinite and within or past the slack, must
+    # give the reference check's array or its error text
     nan, inf = np.nan, np.inf
     inputs = [[], np.zeros((0, 3)), 0.5, -0.0, nan, inf, -inf, 1.0 + 5e-10, 1.0 + 2e-9, -5e-10, -2e-9,
               [0.2, 0.7, 1.0], [0.2, nan, 0.3], [nan, nan], [0.2, inf], [-inf, 0.5], [[0.1, 1.0 + 5e-10]],
