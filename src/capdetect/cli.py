@@ -38,6 +38,14 @@ from .protocol_sim import RESAMPLES, detect_from_samples
 # costliest table (fig1) peaks near 0.7 GB.
 _MAX_TABLE_ROWS = 1_000_000
 
+# Most rows the table writer gathers, joins and writes at a time, so that no
+# whole-table code array, cell list or text is built; at a million rows this
+# about halves the peak of a JSON table. A process writing the five default
+# tables peaked lowest at this size on a 2-vCPU Linux VM: 31.5 MB, against
+# 31.6 MB at 256 rows, 31.9 MB at 4,096 and 32.5 MB at 16,384, one block per
+# table.
+_BLOCK_ROWS = 1024
+
 
 def _grid_points(start: float, stop: float, step: float) -> float:
     """Point count of the inclusive grid start:stop:step; inf when it overflows."""
@@ -55,17 +63,18 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
     return v
 
 
-def _emit(text: str, out):
-    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+def _emit(pieces, out):
+    """Write the text ``pieces``, in turn, to the file ``out``, or to stdout
+    when ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", newline="") as f:
-            f.write(text)
+            f.writelines(pieces)
 
 
 def _emit_json(payload: dict, out):
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit((json.dumps(payload, indent=2), "\n"), out)
 
 
 def _distinct(values: np.ndarray, stable: bool):
@@ -126,35 +135,49 @@ def _write_table(names, columns, out, fmt: str, figure: str):
     ``json.dumps({"figure": figure, "columns": names, "rows": rows},
     indent=2)``. Each column is its distinct cell texts and a code per cell;
     an axis along which a column is broadcast is read once, so a grid column
-    costs its axis. The codes of all columns fill one (rows, columns)
-    array, and the table is one gather of texts and one join."""
+    costs its axis. The table is written in blocks of rows (see
+    ``_BLOCK_ROWS``), each one gather of texts and one join."""
     if fmt not in _TABLE_ENDS:
         raise ValueError(f"unknown format '{fmt}' (choose csv or json)")
     cell_end, row_end, table_end = _TABLE_ENDS[fmt]
     texts = []
-    codes = np.empty((*columns[0].shape, len(columns)), dtype=np.intp)
+    codes = []  # each column's offset into texts and its codes, at the shape of its base
     for j, column in enumerate(columns):
         # the column with each axis it is broadcast along (stride 0) cut to one point
         base = column[tuple(slice(None) if step else slice(0, 1) for step in column.strides)]
         ends = row_end if j == len(columns) - 1 else cell_end
         column_texts, column_codes = _cell_texts(base, ends, fmt == "json")
-        np.add(column_codes.reshape(base.shape), len(texts), out=codes[..., j])
+        codes.append((len(texts), column_codes.reshape(base.shape)))
         texts += column_texts
     texts = np.array(texts, dtype=object)
-    cells = texts[codes.ravel()]
-    del codes, texts  # before the list of cells is made
-    cells = cells.tolist()
     if fmt == "json":
         columns_text = json.dumps(list(names), indent=2).replace("\n", "\n  ")
         head = (f'{{\n  "figure": {json.dumps(figure)},\n  "columns": {columns_text},'
                 f'\n  "rows": [\n    [\n      ')
     else:
         head = ",".join(names) + "\n"
-    cells[0] = head + cells[0]
-    cells[-1] = cells[-1][:-len(row_end)] + table_end
-    text = "".join(cells)
-    del cells  # and the texts, before the text is encoded
-    _emit(text, out)
+    _emit(_table_pieces(head, texts, codes, columns[0].shape, row_end, table_end), out)
+
+
+def _table_pieces(head, texts, codes, shape, row_end: str, table_end: str):
+    """The head, then the text of each block of leading-axis slices of at
+    most ``_BLOCK_ROWS`` rows (one slice when a slice alone is longer), the
+    last ending with ``table_end`` in place of ``row_end``."""
+    yield head
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    block = np.empty((step, *shape[1:], len(codes)), dtype=np.intp)
+    for start in range(0, shape[0], step):
+        rows = block[:shape[0] - start]
+        for j, (offset, column_codes) in enumerate(codes):
+            if len(column_codes) > 1:  # not broadcast along the leading axis
+                column_codes = column_codes[start:start + step]
+            np.add(column_codes, offset, out=rows[..., j])
+        cells = texts[rows.ravel()].tolist()
+        if start + step >= shape[0]:
+            cells[-1] = cells[-1][:-len(row_end)] + table_end
+        text = "".join(cells)
+        del cells  # before the text is encoded
+        yield text
 
 
 def _fig1(gammas):
@@ -213,7 +236,9 @@ def _figure_table(which: str, grid_overrides=None):
         grids[name] = spec
     points = {name: _grid_points(*spec) for name, spec in grids.items()}
     if math.prod(points.values()) > _MAX_TABLE_ROWS:
-        shown = " x ".join(f"'{name}' ({n:.0f} points)" for name, n in points.items())
+        # from 1e16 on a count is shown to 6 digits, as 1e+300, not in its hundreds of digits
+        shown = " x ".join(f"'{name}' ({n:.0f} points)" if n < 1e16 else f"'{name}' ({n:g} points)"
+                           for name, n in points.items())
         raise ValueError(f"grid {shown} exceeds the limit of {_MAX_TABLE_ROWS:,} rows per table")
     axes = np.ix_(*(grid_values(*spec) for spec in grids.values()))
     names, values = builder(*axes)

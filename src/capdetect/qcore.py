@@ -158,9 +158,12 @@ def conditional_probs(channel: KrausChannel, basis) -> np.ndarray:
     measurement. Columns are inputs and sum to one, checked by
     :func:`check_transition_stack`, so a channel that does not preserve the
     trace of the basis states fails by row and cell or column. A sequence of
-    k bases gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
+    k >= 1 bases gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
     single = isinstance(basis, MeasurementBasis)
-    kets = np.stack([b.kets for b in ([basis] if single else basis)])
+    kets = [b.kets for b in ([basis] if single else basis)]
+    if not kets:
+        raise ValueError("at least one measurement basis is required")
+    kets = np.stack(kets)
     if kets.shape[-1] != channel.dim:
         raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {kets.shape[-1]}")
     # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -891,6 +892,7 @@ def test_suppl_stretched_matches_per_row_reports():
     ("fig1", "gamma", "--grid expects name=start:stop:step, got 'gamma'"),
     ("fig1", "gamma=1:0:0.1", "grid stop 0.0 below start 1.0"),
     ("fig1", ["gamma=0:1:0.5", "gamma=0:0.5:0.25"], "--grid 'gamma' given twice"),
+    ("fig1", "gamma=0:1:1e-300", "grid 'gamma' (1e+300 points) exceeds the limit of 1,000,000 rows per table"),
 ])
 def test_reproduce_names_first_bad_grid_value(capsys, figure, grid, message):
     grids = [grid] if isinstance(grid, str) else grid
@@ -1034,13 +1036,30 @@ def test_table_limit_counts_rows(monkeypatch, tmp_path):
 
 
 # the table writer: one column at a time, each distinct value formatted once,
-# and the bytes of the row-wise CSV writer it replaced and of json.dumps
+# written in blocks of rows, and the bytes of the row-wise CSV writer it
+# replaced and of json.dumps
+
+def _block_texts(write) -> set:
+    """The texts ``write(out)`` writes to stdout (``out`` None) and to a
+    file, with the writer's own block size and with blocks of 1, 2, 3 and 7
+    rows; one text when they all agree."""
+    texts = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        for rows in (cli._BLOCK_ROWS, 1, 2, 3, 7):
+            with unittest.mock.patch.object(cli, "_BLOCK_ROWS", rows):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    write(None)
+                write(path)
+            with open(path, newline="") as f:
+                texts |= {buf.getvalue(), f.read()}
+    return texts
+
 
 def _table_text(names, columns, fmt: str) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._write_table(names, columns, None, fmt, "table")
-    return buf.getvalue()
+    [text] = _block_texts(lambda out: cli._write_table(names, columns, out, fmt, "table"))
+    return text
 
 
 def _table(*columns):
@@ -1093,6 +1112,26 @@ def test_csv_writer_equals_the_row_writer(table):
     assert _table_text(names, grid, "json") == _table_text(names, flat, "json")
 
 
+# tables of every length from one row to two blocks of 7 and one row more,
+# and grids whose leading-axis slices of 2 and 3 rows fill a block, or leave
+# one slice over or one short, or whose slice of 8 rows is longer than a block
+@pytest.mark.parametrize("shape", [(n,) for n in range(1, 16)] +
+                         [(m, k) for k in (2, 3, 8) for m in range(1, 8)])
+def test_table_blocks_keep_every_byte(shape):
+    axes = np.ix_(*(np.arange(n) / (j + 3) for j, n in enumerate(shape)))
+    value = sum(axes) + 0.125
+    index = np.arange(value.size).reshape(shape)
+    labels = np.where(index % 3 == 0, "B2", "B1")
+    maybe = np.where(index % 4 == 1, None, -value).astype(object)
+    columns = (*np.broadcast_arrays(*axes), value, labels, maybe, index % 2 == 0)
+    names = tuple(f"c{j}" for j in range(len(columns)))
+    rows = table_rows([c.ravel() for c in columns])
+    for fmt, reference in (("csv", reference_csv_text(names, rows)),
+                           ("json", json.dumps({"figure": "table", "columns": list(names), "rows": rows},
+                                               indent=2) + "\n")):
+        assert _table_text(names, columns, fmt) == reference
+
+
 _SMALL_GRIDS = {
     "fig1": {"gamma": (0.0, 1.0, 0.125)},
     "fig2": {"gamma01": (0.0, 1.0, 0.25), "gamma02": (0.0, 1.0, 0.2)},
@@ -1111,9 +1150,11 @@ def test_reproduce_rows_equal_the_row_builders(capsys, figure):
     # repr tells float from bool and -0.0 from 0.0, and shows tuple and list
     assert (got_names, repr(got_rows)) == (names, repr(rows))
     argv = ["reproduce", figure] + [f"--grid={k}={a!r}:{b!r}:{c!r}" for k, (a, b, c) in grids.items()]
-    assert run(capsys, *argv) == (0, reference_csv_text(names, rows), "")
     payload = {"figure": figure, "columns": list(names), "rows": rows}
-    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n", "")
+    for fmt, reference in (("csv", reference_csv_text(names, rows)), ("json", json.dumps(payload, indent=2) + "\n")):
+        command = [*argv, "--format", fmt]
+        assert _block_texts(lambda out: main(command if out is None else [*command, "--out", out])) == {reference}
+    assert capsys.readouterr() == ("", "")
 
 
 # the JSON writer: every --out and stdout JSON is json.dumps(payload, indent=2)

@@ -223,6 +223,20 @@ def test_stacked_transitions_equal_each_basis_bit_for_bit():
         conditional_probs(vshape_qutrit_channel(0.3, 0.6), pauli_bases())
 
 
+def test_conditional_probs_rejects_an_empty_basis_list():
+    # as DetectionConfig does, and so sampling with no bases, not with numpy's
+    # "need at least one array to stack"
+    from capdetect import DetectionConfig
+    from capdetect.protocol_sim import sample_counts
+
+    ch = pauli_channel(0.15, 0.05, 0.1)
+    message = "^at least one measurement basis is required$"
+    for call in (lambda: conditional_probs(ch, []), lambda: conditional_probs(ch, iter(())),
+                  lambda: sample_counts(ch, (), 100, 1), lambda: DetectionConfig([]).resolve_bases(2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_operator_stack_keeps_the_bits_of_the_tuple_and_loop_forms():
     # transitions and both CPTP diagnostics to the bit, and the channel's
     # action as values (a zero's sign may differ), on random channels of
