@@ -67,18 +67,6 @@ class AffineQubitChannel:
         l1, l2, l3, t3 = self.lambda1, self.lambda2, self.lambda3, self.t3
         return 1.0 - (math.hypot(t3, l1 + l2) - l3), 1.0 - (math.hypot(t3, l1 - l2) + l3)
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2, self.lambda3])
-
-    @property
-    def shift(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.t3])
-
-    @property
-    def unital(self) -> bool:
-        return self.t3 == 0.0
-
 
 def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability
@@ -125,11 +113,12 @@ def gad_affine(gamma: float, p: float) -> AffineQubitChannel:
 def stretched_affine(gamma: float, s: float) -> AffineQubitChannel:
     """Stretched damping channel: (s, s, 1-gamma, gamma) with |s| <= sqrt(1-gamma)."""
     gamma = _check_unit_interval("gamma", gamma)
-    if not abs(s) <= np.sqrt(1.0 - gamma) + 1e-12:
+    try:  # the constructor's closed-form check decides; for this family it is s^2 <= 1 - gamma
+        return AffineQubitChannel(s, s, 1.0 - gamma, gamma)
+    except ValueError:
         raise ValueError(
             f"|s| = {abs(s)} exceeds sqrt(1-gamma) = {np.sqrt(1 - gamma):.6f}; not completely positive"
-        )
-    return AffineQubitChannel(float(s), float(s), 1.0 - gamma, gamma)
+        ) from None
 
 
 def extremal_affine(alpha: float, beta: float) -> AffineQubitChannel:

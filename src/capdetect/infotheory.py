@@ -196,10 +196,9 @@ def blahut_arimoto_batch(transitions, tol_bits: float = BA_TOL_BITS, max_iter: i
     negative entry, alpha is moved halfway to -1, at most 5 times, and if it
     is still infeasible the cycle starts from p2 (which alpha = -1 gives).
     Step lengths, backtracking and fallback are per matrix, so a batched
-    call equals the one-matrix calls. A round skips a mask where no entry
-    needs it (log2 q when every q > 0, the backtracking when every step is
-    feasible); the masked forms give the same floats on those rounds, so
-    results do not depend on the path. On a stack of at least
+    call equals the one-matrix calls. A round skips the log2 q mask when
+    every q > 0, where the masked form gives the same floats, so results do
+    not depend on the path. On a stack of at least
     ``_TALL_ROWS`` still-open matrices with fewer than 8 inputs, the round's
     sums, maxima and ``any`` across inputs run column by column, with the
     same bits: numpy adds fewer than 8 terms in index order, and max and any
@@ -326,8 +325,6 @@ def _squarem_step(p0, p1, p2):
     ratio = np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0.0)
     alpha = -np.maximum(ratio, 1.0)[:, None]  # min(-|r|/|v|, -1)
     step = p0 - 2.0 * alpha * r + alpha * alpha * v
-    if step.min() >= 0.0:
-        return step / _row_reduce(np.add, step)[:, None]
     for _ in range(5):
         bad = _row_reduce(np.logical_or, step < 0.0)[:, None]
         if not bad.any():

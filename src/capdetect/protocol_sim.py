@@ -141,10 +141,9 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
         raise ValueError(malformed)
     if counts.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers are no counts
         raise ValueError(f"counts must be integers or floats, got dtype {counts.dtype}")
-    if not isinstance(tables, np.ndarray):  # numpy reads a bool among numbers as a number
-        for cell in np.array(tables, dtype=object).flat:
-            if isinstance(cell, (bool, np.bool_)):
-                raise ValueError(f"counts must be integers or floats, got the bool cell {bool(cell)}")
+    for cell in np.array(tables, dtype=object).flat:  # numpy reads a bool among numbers as a number
+        if isinstance(cell, (bool, np.bool_)):
+            raise ValueError(f"counts must be integers or floats, got the bool cell {bool(cell)}")
     _check_resamples(resamples, d)
     values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
     fractional = values[values != np.floor(values)]

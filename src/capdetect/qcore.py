@@ -27,10 +27,6 @@ PAULI_KETS = (
 )
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def basis_ket(d: int, k: int) -> np.ndarray:
     """Computational basis vector |k> in dimension d."""
     v = np.zeros(d, dtype=complex)

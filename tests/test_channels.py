@@ -113,6 +113,15 @@ def test_extremal_alpha_zero_is_unital():
 def test_stretched_rejects_overstretching():
     with pytest.raises(ValueError, match="sqrt"):
         stretched_affine(0.5, 0.8)
+    # the constructor's closed form decides the edge |s| = sqrt(1 - gamma)
+    for gamma in (0.0, 0.5, 0.99):
+        edge = math.sqrt(1.0 - gamma)
+        for s in (edge - 1e-9, -(edge - 1e-9)):
+            assert stretched_affine(gamma, s).lambda1 == s
+        for s in (edge + 1e-9, -(edge + 1e-9)):
+            message = f"|s| = {abs(s)} exceeds sqrt(1-gamma) = {edge:.6f}; not completely positive"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                stretched_affine(gamma, s)
 
 
 def test_affine_constructor_rejects_cp_violation():
@@ -360,9 +369,9 @@ def test_affine_round_trip():
     for _ in range(200):
         ch = random_cp_affine(rng)
         lam, t = kraus_to_affine(affine_to_kraus(ch))
-        assert np.allclose(np.diag(lam), ch.lambdas, atol=1e-9)
+        assert np.allclose(np.diag(lam), [ch.lambda1, ch.lambda2, ch.lambda3], atol=1e-9)
         assert np.allclose(lam - np.diag(np.diag(lam)), 0.0, atol=1e-9)
-        assert np.allclose(t, ch.shift, atol=1e-9)
+        assert np.allclose(t, [0.0, 0.0, ch.t3], atol=1e-9)
 
 
 def test_cp_inequality_matches_choi_psd():

@@ -953,11 +953,11 @@ def test_readme_quickstart_prints_what_its_comments_say():
 
 
 def _affine_scalars(ch):
-    """An affine channel's four fields and ``unital``, then its
+    """An affine channel's four fields and whether it is unital, then its
     pseudoclassicality report's fields, after writing the report as JSON."""
     report = dataclasses.asdict(pseudoclassicality(ch))
     json.dumps(report)
-    return (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3, ch.unital, *report.values())
+    return (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3, ch.t3 == 0.0, *report.values())
 
 
 # each case maps a scalar type to the scalars that the call returns; the

@@ -24,7 +24,6 @@ from capdetect.qcore import (
     PAULI_KETS,
     PAULIS,
     basis_ket,
-    dagger,
     trace_preservation_error,
 )
 from conftest import (
@@ -74,11 +73,11 @@ def test_apply_channel_preserves_trace_and_hermiticity():
         for _ in range(30):
             ch = random_cptp_channel(d, int(rng.integers(1, d * d + 1)), rng)
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = g @ dagger(g)
+            rho = g @ g.conj().T
             rho /= np.trace(rho)
             out = apply_channel(ch, rho)
             assert abs(np.trace(out) - 1.0) < 1e-10
-            assert np.max(np.abs(out - dagger(out))) < 1e-10
+            assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
 
 def test_choi_identity_is_entangled_projector():
@@ -255,7 +254,7 @@ def test_operator_stack_keeps_the_bits_of_the_tuple_and_loop_forms():
         got = np.array([diag.trace_preservation_error, diag.min_choi_eigenvalue])
         assert np.array_equal(got.view(np.int64), np.array(reference_is_cptp(ch)).view(np.int64))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = g @ dagger(g) / np.trace(g @ dagger(g))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T)
         assert np.array_equal(apply_channel(ch, rho), reference_apply_channel(ch, rho))
 
 
@@ -288,7 +287,7 @@ def test_weyl_unitarity():
         for l in range(d):
             for s in range(d):
                 u = weyl_operator(d, l, s)
-                assert np.max(np.abs(u @ dagger(u) - np.eye(d))) < 1e-12
+                assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-12
                 assert np.array_equal(stack[l * d + s].view(np.int64), u.view(np.int64))
 
 
