@@ -70,7 +70,8 @@ class AffineQubitChannel:
 
 def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
     """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability
-    table over the generalized Pauli unitaries."""
+    table over the generalized Pauli unitaries; dim is an integer >= 2."""
+    check_integer("dim", dim, 2)
     q = _float_array(q, "probability table q")
     if q.shape != (dim, dim):
         raise ValueError(f"probability table q must be {dim}x{dim}, got {q.shape}")
@@ -213,9 +214,11 @@ def _cells(value):
 
 def check_numbers(value, subject: str, nested: bool = True) -> None:
     """Require ``value``, or with ``nested`` each leaf of a list, tuple or
-    array, to be a finite number: no string, boolean or null, which
-    ``np.asarray(..., dtype=float)`` would accept, and no NaN, infinity or
-    integer beyond the float range. The error starts with ``subject``."""
+    array, to be a finite number: a Python or numpy integer or float, so no
+    string, boolean (``np.bool_`` included), null or ``np.timedelta64`` (whose
+    ``item()`` can be an int), which ``np.asarray(..., dtype=float)`` would
+    accept, and no NaN, infinity or integer beyond the float range. The
+    error starts with ``subject``."""
     what = "an array of numbers" if nested else "a number"
     if nested and not isinstance(value, (list, tuple, np.ndarray)):
         raise ValueError(f"{subject} must be {what}, got {value!r}")
@@ -231,7 +234,9 @@ def check_numbers(value, subject: str, nested: bool = True) -> None:
                 and all(map(_FLOAT_MAX.__ge__, map(abs, cells)))):  # NaN fails
             return
     for cell in _cells(value) if nested else (value,):
-        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        if isinstance(cell, (np.bool_, np.number)) and not isinstance(cell, np.timedelta64):
+            cell = cell.item()  # Python's value, named alike on every numpy; a np.longdouble stays one
+        if isinstance(cell, bool) or not isinstance(cell, (int, float, np.floating)):
             raise ValueError(f"{subject} must be {what}, got {cell!r}")
         if not abs(cell) <= _FLOAT_MAX:  # NaN fails
             raise ValueError(f"{subject} must be a finite number, got {cell!r}")

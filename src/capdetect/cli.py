@@ -403,10 +403,10 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _add_common(p, channel=False, bases=False, sampling=False):
+def _add_common(p, channel=False, sampling=False):
+    """The options of a solving command; with ``channel``, the channel spec and its measured bases."""
     if channel:
         p.add_argument("--channel", required=True, help="path to a channel spec JSON file")
-    if bases:
         families = " | ".join([*BASIS_FAMILIES, "custom:<path>"])
         p.add_argument("--bases", default=DetectionConfig.bases, help=families)
     p.add_argument("--tol", type=float, default=DetectionConfig.ba_tolerance_bits,
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="detected capacity of a channel over a basis family")
-    _add_common(p, channel=True, bases=True)
+    _add_common(p, channel=True)
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("ba", help="Blahut-Arimoto capacity of a raw transition matrix CSV")
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_binary)
 
     p = sub.add_parser("simulate", help="finite-shot estimate with bootstrap confidence interval")
-    _add_common(p, channel=True, bases=True, sampling=True)
+    _add_common(p, channel=True, sampling=True)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("check-cp", help="certify trace preservation and complete positivity")

@@ -17,6 +17,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .qcore import KrausChannel, conditional_probs
+from .channels import check_numbers
 from .detect import DetectionConfig, solve_stack
 from .infotheory import check_integer, check_interval, check_transition_matrix
 
@@ -111,10 +112,10 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
                        resamples: int = RESAMPLES) -> EstimatedDetection:
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
-    shots that are not an integer in [1, 2^63), as for
-    :func:`sample_transition`, tables of another shape or dtype (bools,
-    strings), a bool cell among numbers, and negative or non-integer counts
-    fail, each saying which.
+    shots that are not an integer in [1, 2^63), as for :func:`sample_transition`,
+    tables of another shape, cells :func:`channels.check_numbers` rejects
+    (bools, strings, NaN), tables numpy cannot read as floats (objects, times,
+    records), and negative or non-integer counts fail, each saying which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -131,28 +132,25 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     exceed ``_MAX_BOOTSTRAP_CELLS``."""
     _check_shots(shots)
     malformed = f"need one square count table per label, columns summing to shots = {shots}"
-    tables = counts
     try:
-        counts = np.asarray(tables)
-    except ValueError:  # ragged tables
+        tables = np.asarray(counts)
+    except ValueError:  # ragged tables, and lists nested past numpy's dimensions
         raise ValueError(malformed) from None
-    d = counts.shape[-1] if counts.ndim == 3 else 0
-    if counts.shape != (len(labels), d, d) or not counts.size:
+    d = tables.shape[-1] if tables.ndim == 3 else 0
+    if tables.shape != (len(labels), d, d) or not tables.size:
         raise ValueError(malformed)
-    if counts.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers are no counts
-        raise ValueError(f"counts must be integers or floats, got dtype {counts.dtype}")
-    for cell in np.array(tables, dtype=object).flat:  # numpy reads a bool among numbers as a number
-        if isinstance(cell, (bool, np.bool_)):
-            raise ValueError(f"counts must be integers or floats, got the bool cell {bool(cell)}")
+    check_numbers(counts, "counts")  # the cells as given: numpy reads a bool among numbers as a number
+    if not np.can_cast(tables.dtype, float):  # numbers that numpy holds as objects, or times and records
+        raise ValueError(f"counts must be integers or floats, got dtype {tables.dtype}")
     _check_resamples(resamples, d)
-    values = check_interval("counts", counts, 0.0, np.inf)  # NaN and negatives fail
+    values = check_interval("counts", tables, 0.0, np.inf)  # negatives fail
     fractional = values[values != np.floor(values)]
     if fractional.size:
         raise ValueError(f"counts must be integers, got {fractional[0]} "
                          f"({fractional.size} of {values.size} entries)")
-    if (counts.sum(axis=1) != shots).any():
+    if (tables.sum(axis=1) != shots).any():
         raise ValueError(malformed)
-    return _estimate(counts, shots, labels, config, seed, resamples)
+    return _estimate(tables, shots, labels, config, seed, resamples)
 
 
 def _estimate(counts: np.ndarray, shots: int, labels, config: DetectionConfig, seed: int, resamples: int):

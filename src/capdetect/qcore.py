@@ -154,14 +154,18 @@ def conditional_probs(channel: KrausChannel, basis) -> np.ndarray:
     measurement. Columns are inputs and sum to one, checked by
     :func:`check_transition_stack`, so a channel that does not preserve the
     trace of the basis states fails by row and cell or column. A sequence of
-    k >= 1 bases gives their (k, d, d) stack from one matmul, bit for bit each basis's own."""
+    k >= 1 bases gives their (k, d, d) stack from one matmul, bit for bit each basis's own; an
+    empty list, an element that is no MeasurementBasis and a basis of another dim fail by name."""
     single = isinstance(basis, MeasurementBasis)
-    kets = [b.kets for b in ([basis] if single else basis)]
-    if not kets:
+    bases = [basis] if single else list(basis)
+    if not bases:
         raise ValueError("at least one measurement basis is required")
-    kets = np.stack(kets)
-    if kets.shape[-1] != channel.dim:
-        raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {kets.shape[-1]}")
+    for i, b in enumerate(bases, 1):
+        if not isinstance(b, MeasurementBasis):
+            raise ValueError(f"basis {i} must be a MeasurementBasis, got {type(b).__name__}")
+        if b.dim != channel.dim:
+            raise ValueError(f"dimension mismatch: channel dim {channel.dim}, basis dim {b.dim} (basis '{b.label}')")
+    kets = np.stack([b.kets for b in bases])
     # entry (m, n) of K* A_k K^T is <m|A_k|n> for kets K stored as rows
     amplitudes = kets.conj() @ channel.operators[:, None] @ kets.transpose(0, 2, 1)
     t = check_transition_stack((np.abs(amplitudes) ** 2).sum(axis=0))

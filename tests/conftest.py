@@ -627,14 +627,17 @@ def _reference_cells(value):
 
 def reference_check_numbers(value, subject: str, nested: bool = True) -> None:
     """Require ``value``, or with ``nested`` each leaf of a list, tuple or
-    array, to be a finite number: no string, boolean or null, which
-    ``np.asarray(..., dtype=float)`` would accept, and no NaN, infinity or
-    integer beyond the float range. The error starts with ``subject``."""
+    array, to be a finite number, Python's or numpy's: no string, boolean or
+    null, which ``np.asarray(..., dtype=float)`` would accept, and no NaN,
+    infinity or integer beyond the float range. The error starts with
+    ``subject``."""
     what = "an array of numbers" if nested else "a number"
     if nested and not isinstance(value, (list, tuple, np.ndarray)):
         raise ValueError(f"{subject} must be {what}, got {value!r}")
     for cell in _reference_cells(value) if nested else (value,):
-        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        if isinstance(cell, (np.bool_, np.number)) and not isinstance(cell, np.timedelta64):
+            cell = cell.item()  # numpy's integers and floats are numbers, its bools are not
+        if isinstance(cell, bool) or not isinstance(cell, (int, float, np.floating)):
             raise ValueError(f"{subject} must be {what}, got {cell!r}")
         if not abs(cell) <= _FLOAT_MAX:  # NaN fails
             raise ValueError(f"{subject} must be a finite number, got {cell!r}")

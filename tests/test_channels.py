@@ -65,6 +65,16 @@ def test_pauli_family_d3_uniform_is_uniform_in_weyl_bases():
         assert np.allclose(conditional_probs(ch, b), np.full((3, 3), 1 / 3), atol=1e-10)
 
 
+def test_pauli_family_dim_follows_the_integer_rule():
+    # as ChannelSpec checks dim; 2.0 passed the shape test, since
+    # (2, 2) == (2.0, 2.0), and failed in weyl_operator with numpy's TypeError
+    q = np.eye(2) / 2
+    for dim in (2.0, True, 1):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer >= 2, got {dim!r}$"):
+            pauli_family_channel(dim, q if dim != 1 else [[1.0]])
+    assert np.array_equal(pauli_family_channel(np.int64(2), q).operators, pauli_family_channel(2, q).operators)
+
+
 def test_pauli_family_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_family_channel(2, np.full((2, 2), 0.3))
@@ -521,13 +531,41 @@ def test_channel_spec_rejects_non_numeric_cells():
     q = np.array([[0.7, 0.1], [0.1, 0.1]])
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2
+    # so are numpy's integer and float scalars, as check_integer takes them,
+    # which build the channel their Python values give
+    assert ChannelSpec("generalized_pauli", {"dim": np.int64(2), "q": [[1, 0], [0, 0]]}).build().dim == 2
+    gad = ChannelSpec("gad", {"gamma": np.float32(0.3), "p": np.float64(1.0)}).build()
+    same = ChannelSpec("gad", {"gamma": float(np.float32(0.3)), "p": 1.0}).build()
+    assert np.array_equal(gad.operators, same.operators)
+    q = [[np.int64(1), np.int64(0)], [np.uint8(0), np.int32(0)]]
+    assert np.array_equal(ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().operators,
+                          pauli_family_channel(2, [[1.0, 0.0], [0.0, 0.0]]).operators)
+    # a numpy bool is still no number; it and a numpy NaN are named as
+    # Python's values, alike on every numpy
+    with pytest.raises(ValueError, match=r"^parameter 'px' of kind 'pauli' must be a number, got True$"):
+        ChannelSpec("pauli", {"px": np.True_, "py": 0.1, "pz": 0.1})
+    with pytest.raises(ValueError, match=r"^parameter 'q' of kind 'generalized_pauli' must be an array of numbers, "
+                                         r"got False$"):
+        ChannelSpec("generalized_pauli", {"dim": 2, "q": [[1, np.False_], [0, 0]]})
+    with pytest.raises(ValueError, match=r"^parameter 'gamma' of kind 'gad' must be a finite number, got nan$"):
+        ChannelSpec("gad", {"gamma": np.float32("nan"), "p": 1.0})
+    # numpy's times are no numbers, though a nanosecond one's item() is an int
+    for when in (np.datetime64(1, "ns"), np.timedelta64(1, "ns")):
+        with pytest.raises(ValueError, match=r"^parameter 'gamma' of kind 'gad' must be a number, got "):
+            ChannelSpec("gad", {"gamma": when, "p": 1.0})
 
 
 # Spec cells: valid ones pass in one pass over a flat object array, and any
 # other value is walked cell by cell, so the first bad cell keeps its text.
-_GOOD_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64), 2**64)
+# numpy's integer and float scalars are numbers; its bools and durations are not.
+_GOOD_CELLS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64), 2**64)
+               | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
+               | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+               | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32))
 _BAD_CELLS = st.sampled_from([True, False, None, "0.1", "", math.nan, math.inf, -math.inf, 10**400,
-                              -(10**400), int(_FLOAT_MAX) + 1, b"1", 1j, {"re": 1}])
+                              -(10**400), int(_FLOAT_MAX) + 1, b"1", 1j, {"re": 1}, np.True_, np.False_,
+                              np.float64(math.nan), np.float32(math.inf), np.timedelta64(1, "s"),
+                              np.datetime64(1, "ns"), np.complex128(1j)])
 _CELLS = _GOOD_CELLS | _BAD_CELLS
 
 

@@ -201,9 +201,10 @@ def test_detect_weyl_rejects_composite():
     q[0, 0] = 1.0
     with pytest.raises(ValueError, match="needs a prime dimension, got 4"):
         detect_capacity(pauli_family_channel(4, q), WEYL)
-    # explicit bases are checked where they are resolved
+    # explicit bases are checked where they are measured; resolving one only lists it
     with pytest.raises(ValueError, match=r"^basis 1 must be a MeasurementBasis, got str$"):
-        DetectionConfig(("x",)).resolve_bases(2)
+        detect_capacity(pauli_channel(0.1, 0.2, 0.05), DetectionConfig(("x",)))
+    assert DetectionConfig(("x",)).resolve_bases(2) == ("x",)
     for bases, kind in ((5, "int"), (None, "NoneType")):
         with pytest.raises(ValueError, match=r"^bases must be a basis family name or a sequence of "
                                              rf"MeasurementBasis, got {kind}$"):

@@ -519,8 +519,15 @@ def test_detect_from_samples_is_detect_from_counts_on_sample_counts():
 
 
 def test_detect_from_counts_rejects_ragged_tables():
-    # numpy refuses ragged lists with its own message; the error names the rule
-    for ragged, labels in (([[[1, 0], [0]]], ["a"]), ([[[1, 0], [0, 1]], [[1, 0]]], ["a", "b"])):
+    # numpy refuses ragged lists with its own message; the error names the
+    # rule, as it does for lists nested past numpy's dimensions or into
+    # themselves, which the cell walk would recurse into without end
+    deep, loop = [1], []
+    for _ in range(2000):
+        deep = [deep]
+    loop.append(loop)
+    for ragged, labels in (([[[1, 0], [0]]], ["a"]), ([[[1, 0], [0, 1]], [[1, 0]]], ["a", "b"]),
+                           (deep, ["a"]), (loop, ["a"])):
         with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing to shots = 1$"):
             detect_from_counts(ragged, 1, labels, DetectionConfig("pauli"), 1, 100)
 
@@ -546,7 +553,7 @@ def test_detect_from_counts_rejects_malformed_tables():
     # each table's columns sum to shots = 2, so only the cells are at fault
     for table, message in (([[0.5, 1.5], [1.5, 0.5]], r"^counts must be integers, got 0\.5 \(4 of 4 entries\)$"),
                            ([[-1, 3], [3, -1]], r"^counts = -1\.0 outside \[0, inf\] \(2 of 4 entries\)$"),
-                           ([[np.nan, 2], [2, 0]], r"^counts = nan outside \[0, inf\] \(1 of 4 entries\)$")):
+                           ([[np.nan, 2], [2, 0]], r"^counts must be a finite number, got nan$")):
         with pytest.raises(ValueError, match=message):
             detect_from_counts(np.array([table]), 2, ["z"], cfg, 1, 100)
 
@@ -554,25 +561,47 @@ def test_detect_from_counts_rejects_malformed_tables():
 def test_detect_from_counts_rejects_cells_that_are_no_numbers():
     # each table has the right shape and its columns would sum to shots:
     # string cells reached numpy's add.reduce, which raised TypeError, and
-    # three boolean identity tables at shots = 1 read 1.0 bits
+    # three boolean identity tables at shots = 1 read 1.0 bits. The cells
+    # take the spec number rule, channels.check_numbers, and its texts
     cfg = DetectionConfig("pauli")
-    for tables, shots, dtype in (([[["1", "0"], ["0", "1"]]], 1, "<U1"),
-                                 ([[[True, False], [False, True]]] * 3, 1, "bool"),
-                                 ([[[2, None], [0, 2]]], 2, "object"),
-                                 ([[[2j, 0], [0, 2]]], 2, "complex128")):
-        with pytest.raises(ValueError, match=rf"^counts must be integers or floats, got dtype {dtype}$"):
+    for tables, shots, cell in (([[["1", "0"], ["0", "1"]]], 1, "'1'"),
+                                ([[[True, False], [False, True]]] * 3, 1, "True"),
+                                (np.eye(2, dtype=bool)[None], 1, "True"),
+                                ([[[2, None], [0, 2]]], 2, "None"),
+                                ([[[2j, 0], [0, 2]]], 2, "2j"),
+                                # a duration is a numpy integer, but no count; numpy 2 writes np., 1.x numpy.
+                                ([[[2, np.timedelta64(0)], [0, 2]]], 2, r"(np|numpy)\.timedelta64\(0\)")):
+        with pytest.raises(ValueError, match=rf"^counts must be an array of numbers, got {cell}$"):
             detect_from_counts(tables, shots, ["x", "y", "z"][:len(tables)], cfg, 1, 100)
-    # integer and float tables of whole counts still pass, to the same value
+    # numbers numpy holds as objects, and times and records, whose cells
+    # read as ints, are no table of counts: numpy's sums and draws took them
+    # as TypeError or OverflowError
+    records = np.zeros((1, 2, 2), dtype=[("n", int)])
+    records["n"] = [[[2, 0], [0, 2]]]
+    for tables, dtype in ((np.array([[[2, 0], [0, 2]]], dtype=object), "object"),
+                          ([[[2, 0], [2**70, 2]]], "object"),
+                          (np.array([[[2, 0], [0, 2]]], dtype="m8"), "timedelta64"),
+                          ([np.array([[2, 0], [0, 2]], dtype="M8[ns]")], re.escape("datetime64[ns]")),
+                          (records, re.escape("[('n', '<i8')]"))):
+        with pytest.raises(ValueError, match=rf"^counts must be integers or floats, got dtype {dtype}$"):
+            detect_from_counts(tables, 2, ["z"], cfg, 1, 100)
+    # integer and float tables of whole counts still pass, to the same value,
+    # as do numpy integers and floats among Python numbers
     ints = np.array([[[3, 1], [2, 4]]])
     assert detect_from_counts(ints, 5, ["z"], cfg, 1, 100) == detect_from_counts(ints * 1.0, 5, ["z"], cfg, 1, 100)
+    for tables in ([[[np.int64(c) for c in row] for row in ints[0]]],
+                   [[[np.int64(3), 1], [np.float64(2), np.uint8(4)]]]):
+        assert detect_from_counts(tables, 5, ["z"], cfg, 1, 100) == detect_from_counts(ints, 5, ["z"], cfg, 1, 100)
 
 
 def test_detect_from_counts_rejects_a_bool_cell_among_numbers():
-    # numpy casts [True, 1] to int64, so a bool cell among integers read as 1
+    # numpy casts [True, 1] to int64, so a bool cell among integers read as 1;
+    # a numpy bool is named as Python's bool, alike on every numpy
     cfg = DetectionConfig("pauli")
-    for tables in ([[[True, 1], [4, 4]]], [[[4, 1], [1.0, np.True_]]],
-                   [np.array([[4, 0], [1, 5]]), [[5, 1], [0, False]]]):
-        with pytest.raises(ValueError, match=r"^counts must be integers or floats, got the bool cell (True|False)$"):
+    for tables, cell in (([[[True, 1], [4, 4]]], "True"), ([[[4, 1], [1.0, np.True_]]], "True"),
+                         ([[[np.int64(4), 1], [np.int64(1), np.True_]]], "True"),
+                         ([np.array([[4, 0], [1, 5]]), [[5, 1], [0, False]]], "False")):
+        with pytest.raises(ValueError, match=rf"^counts must be an array of numbers, got {cell}$"):
             detect_from_counts(tables, 5, ["x", "y"][:len(tables)], cfg, 1, 100)
     # the same table with the number 1 in place of True passes
     assert detect_from_counts([[[1, 1], [4, 4]]], 5, ["z"], cfg, 1, 100).point_estimate_bits >= 0.0

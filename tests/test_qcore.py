@@ -223,17 +223,28 @@ def test_stacked_transitions_equal_each_basis_bit_for_bit():
 
 
 def test_conditional_probs_rejects_an_empty_basis_list():
-    # as DetectionConfig does, and so sampling with no bases, not with numpy's
-    # "need at least one array to stack"
-    from capdetect import DetectionConfig
+    # the one check of a basis list, so sampling and detection with no bases
+    # fail by it, not with numpy's "need at least one array to stack"
+    from capdetect import DetectionConfig, detect_capacity
     from capdetect.protocol_sim import sample_counts
 
     ch = pauli_channel(0.15, 0.05, 0.1)
     message = "^at least one measurement basis is required$"
     for call in (lambda: conditional_probs(ch, []), lambda: conditional_probs(ch, iter(())),
-                  lambda: sample_counts(ch, (), 100, 1), lambda: DetectionConfig([]).resolve_bases(2)):
+                  lambda: sample_counts(ch, (), 100, 1), lambda: detect_capacity(ch, DetectionConfig([]))):
         with pytest.raises(ValueError, match=message):
             call()
+    # so does every other list conditional_probs cannot measure, not with
+    # numpy's "all input arrays must have the same shape" or an AttributeError
+    qutrit = computational_basis(3, "c3")
+    for bases, message in ((["x"], r"^basis 1 must be a MeasurementBasis, got str$"),
+                           ([pauli_bases()[0], None], r"^basis 2 must be a MeasurementBasis, got NoneType$"),
+                           ([pauli_bases()[2], qutrit],
+                            r"^dimension mismatch: channel dim 2, basis dim 3 \(basis 'c3'\)$"),
+                           (qutrit, r"^dimension mismatch: channel dim 2, basis dim 3 \(basis 'c3'\)$")):
+        for call in (lambda: conditional_probs(ch, bases), lambda: sample_counts(ch, bases, 100, 1)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_operator_stack_keeps_the_bits_of_the_tuple_and_loop_forms():
