@@ -77,42 +77,24 @@ def _emit_json(payload: dict, out):
     _emit((json.dumps(payload, indent=2), "\n"), out)
 
 
-def _distinct(values: np.ndarray, stable: bool):
-    """``np.unique(values, return_inverse=True)``, with the inverse flat on
-    every numpy version, sorting stably when ``stable``: a stable sort takes
-    a column of a few labels in long runs, where quicksort is slow."""
-    flat = values.ravel()
-    order = flat.argsort(kind="stable" if stable else "quicksort")
-    ordered = flat[order]
-    first = np.empty(flat.size, dtype=bool)  # where a new value starts
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    codes = np.empty(flat.size, dtype=np.intp)
-    codes[order] = np.cumsum(first) - 1
-    return ordered[first], codes
-
-
 def _cell_texts(column: np.ndarray, end: str, json_cells: bool):
     """The distinct cell texts of one column, each followed by ``end``, and
-    each cell's code, its index into them, flat. A float is told apart by
-    its bit pattern, so -0.0 and 0.0 stay apart. A column's distinct values
-    are formatted in one call: ``json.dumps`` for JSON, ``%`` for CSV
-    floats; None is an empty CSV cell or null, and a flag is true or
-    false."""
+    each cell's code, its index into them, flat: ``np.unique`` of the flat
+    column, stable (``return_index``) on labels, which come in long runs. A
+    float is told apart by its bit pattern, so -0.0 and 0.0 stay apart. A
+    column's distinct values are formatted in one call: ``json.dumps`` for
+    JSON and flags, ``%`` for CSV floats; None is an empty CSV cell or null."""
     if column.dtype == object:  # floats and None
         missing = np.equal(column, None).ravel()
         texts, codes = _cell_texts(np.where(missing, 0.0, column.ravel()).astype(float), end, json_cells)
         codes[missing] = len(texts)
         return texts + [("null" if json_cells else "") + end], codes
-    if column.dtype == bool:
-        return ["false" + end, "true" + end], column.astype(np.intp).ravel()
     size = column.dtype.itemsize
-    if size in (4, 8):  # floats and 1- or 2-character labels: by bit pattern, as integers sort fastest
-        keys, codes = _distinct(column.view(f"u{size}"), column.dtype != float)
-        keys = keys.view(column.dtype)
-    else:
-        keys, codes = _distinct(column, True)
-    if json_cells:
+    # floats and 1- or 2-character labels by bit pattern, as integers sort fastest
+    found = np.unique((column.view(f"u{size}") if size in (4, 8) else column).ravel(),
+                      return_index=column.dtype != float, return_inverse=True)
+    keys, codes = found[0].view(column.dtype), found[-1]
+    if json_cells or column.dtype == bool:
         return (json.dumps(keys.tolist(), separators=(end + "\0", ":"))[1:-1] + end).split("\0"), codes
     if column.dtype == float:
         values = tuple(keys.tolist())

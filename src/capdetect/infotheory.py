@@ -220,7 +220,9 @@ def blahut_arimoto_batch(transitions, tol_bits: float = BA_TOL_BITS, max_iter: i
     bound seen with the BA-map prior that attains it, the loop rounds made
     (a candidate's evaluation is not counted), and the smallest upper bound
     seen minus that lower bound. A matrix stops once its gap reaches
-    ``tol_bits``, or after ``max_iter`` rounds.
+    ``tol_bits``, or after ``max_iter`` rounds. Then a lower bound that
+    rounding put below 0 is raised to 0, and an upper bound below the lower
+    bound to it, so no capacity or gap is negative.
     """
     return _blahut_arimoto_checked(check_transition_stack(transitions), tol_bits, max_iter)
 
@@ -272,7 +274,8 @@ def _blahut_arimoto_checked(t: np.ndarray, tol_bits: float, max_iter: int):
                 p0 = p0[keep]
             if active.size == 0:
                 break
-    return capacities, priors, iterations, uppers - capacities
+    capacities = np.maximum(capacities, 0.0)  # not (0.0, capacities), which keeps a -0.0
+    return capacities, priors, iterations, np.maximum(uppers, capacities) - capacities
 
 
 def _ba_map(t, kl_const, p):

@@ -9,16 +9,18 @@ closed form with every mask applied, of the tuple-and-loop Kraus forms of
 the transitions, the CPTP diagnostics and the channel action, a valid
 spec of every channel kind, the Fourier basis, the V-shape qutrit's transition matrices, the
 two-sided protocol's joint distribution, a per-basis copy of the bootstrap,
-and small state constructors."""
+small state constructors, and the qudit depolarizing and Werner-Holevo
+channels with their capacities in closed form."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
 
 from capdetect import AffineQubitChannel, KrausChannel, MeasurementBasis, apply_channel, choi_matrix
 from capdetect.qcore import PAULIS, SIGMA_Z
-from capdetect.channels import _CHOI_CUTOFF, _FLOAT_MAX, gad_params, stretched_affine
+from capdetect.channels import _CHOI_CUTOFF, _FLOAT_MAX, gad_params, pauli_family_channel, stretched_affine
 from capdetect.cli import grid_values
 from capdetect.detect import (
     DetectionConfig,
@@ -233,7 +235,9 @@ def reference_ba_batch(transitions, tol_bits: float = 1e-9, max_iter: int = 100_
                 p0 = p0[keep]
             if active.size == 0:
                 break
-    return capacities, priors, iterations, uppers - capacities
+    # the ends clamped as the solver clamps them: no capacity below 0, no negative gap
+    capacities = np.maximum(capacities, 0.0)
+    return capacities, priors, iterations, np.maximum(uppers, capacities) - capacities
 
 
 def _reference_ba_map(t, kl_const, p):
@@ -425,6 +429,46 @@ def haar_random_basis(d: int, rng: "np.random.Generator", label: str = "random")
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return MeasurementBasis(label, q.T)
+
+
+def depolarizing_channel(d: int, p: float) -> KrausChannel:
+    """E(rho) = (1 - p) rho + p I/d, as the generalized Pauli channel with
+    q = (1 - p) delta_00 + p/d^2."""
+    q = np.full((d, d), p / d**2)
+    q[0, 0] += 1.0 - p
+    return pauli_family_channel(d, q)
+
+
+def king_capacity(d: int, p: float) -> float:
+    """The depolarizing channel's classical capacity, log2 d - H(1 - p + p/d,
+    p/d, ..., p/d) (King, IEEE Trans. Inf. Theory 49, 221, 2003)."""
+    probs = [1.0 - p + p / d] + [p / d] * (d - 1)
+    return math.log2(d) + sum(x * math.log2(x) for x in probs if x > 0.0)
+
+
+def werner_holevo_channel(d: int, symmetric: bool) -> KrausChannel:
+    """E(rho) = (I + rho^T)/(d + 1) when ``symmetric``, else (I - rho^T)/(d - 1)
+    (Werner & Holevo, J. Math. Phys. 43, 4353, 2002): Kraus operators
+    (|i><j| +- |j><i|)/sqrt(d +- 1) for i < j, and sqrt(2/(d + 1)) |i><i|
+    for the symmetric channel."""
+    sign = 1.0 if symmetric else -1.0
+    ops = []
+    for i, j in itertools.combinations(range(d), 2):
+        k = np.zeros((d, d), dtype=complex)
+        k[i, j], k[j, i] = 1.0, sign
+        ops.append(k / math.sqrt(d + sign))
+    if symmetric:
+        ops += [math.sqrt(2.0 / (d + 1)) * np.diag(row) for row in np.eye(d, dtype=complex)]
+    return KrausChannel(np.array(ops))
+
+
+def werner_holevo_c1(d: int, symmetric: bool) -> float:
+    """The Werner-Holevo channel's one-shot Holevo capacity, log2 d - S_min:
+    every pure input's output has eigenvalues 2/(d + 1) once and 1/(d + 1)
+    d - 1 times (symmetric), or 1/(d - 1) d - 1 times and 0 (antisymmetric)."""
+    if symmetric:
+        return math.log2(d) - math.log2(d + 1) + 2.0 / (d + 1)
+    return math.log2(d / (d - 1))
 
 
 def qutrit_vshape_transitions(gamma01, gamma02):

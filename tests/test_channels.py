@@ -278,6 +278,8 @@ def test_kraus_to_affine_keeps_the_bits_of_its_pauli_loop():
     for ch in channels:
         for got, want in zip(kraus_to_affine(ch), reference_kraus_to_affine(ch)):
             assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError, match=r"^affine Bloch form needs a qubit channel, got dim 3$"):
+        kraus_to_affine(random_cptp_channel(3, 2, rng))
 
 
 def test_kraus_build_forms_no_choi_matrix(monkeypatch):
@@ -531,6 +533,11 @@ def test_channel_spec_rejects_non_numeric_cells():
     q = np.array([[0.7, 0.1], [0.1, 0.1]])
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2
+    # numpy refuses a ragged table as one array; walked cell by cell its
+    # cells are numbers, so the spec is made and only the build fails
+    ragged = ChannelSpec("generalized_pauli", {"dim": 2, "q": [np.zeros((2, 2)), np.zeros(2)]})
+    with pytest.raises(ValueError, match=r"^probability table q is not a rectangular array of numbers$"):
+        ragged.build()
     # so are numpy's integer and float scalars, as check_integer takes them,
     # which build the channel their Python values give
     assert ChannelSpec("generalized_pauli", {"dim": np.int64(2), "q": [[1, 0], [0, 0]]}).build().dim == 2

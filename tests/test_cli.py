@@ -186,6 +186,17 @@ def test_bound_rejects_non_numeric_parameter_and_composite_weyl(tmp_path, capsys
     assert err == "capdetect: error: the weyl basis family needs a prime dimension, got 4\n"
 
 
+def test_bound_prints_no_capacity_below_zero(tmp_path, capsys):
+    # all 14 Weyl bases of the uniform d = 13 generalized Pauli channel read
+    # -3.2e-16 bits, and so did c_det_bits
+    spec = write_json(tmp_path, "u13.json", {"kind": "generalized_pauli",
+                                             "params": {"dim": 13, "q": np.full((13, 13), 1 / 169).tolist()}})
+    code, out, _ = run(capsys, "bound", "--channel", spec, "--bases", "weyl")
+    doc = json.loads(out)
+    assert code == 0 and '\n  "c_det_bits": 0.0,\n' in out
+    assert [b["mutual_information_bits"] for b in doc["per_basis"]] == [0.0] * 14
+
+
 @pytest.mark.parametrize("dim", [2.0, 2.5])
 def test_bound_rejects_non_integer_generalized_pauli_dim(tmp_path, capsys, dim):
     spec = write_json(tmp_path, "gp.json", {"kind": "generalized_pauli",
@@ -714,9 +725,16 @@ def test_reproduce_suppl_stretched_flag(tmp_path):
     assert all(r[2] is None for r in outside)
 
 
-def test_reproduce_rejects_unknown_grid():
+def test_reproduce_rejects_unknown_grid(tmp_path):
     with pytest.raises(ValueError, match="no grid"):
         reproduce_figure("fig1", grid_overrides={"delta": (0, 1, 0.1)})
+    # and an unknown figure or format, which the command line's choices stop first
+    out = tmp_path / "fig1.xml"
+    with pytest.raises(ValueError, match=r"^unknown format 'xml' \(choose csv or json\)$"):
+        reproduce_figure("fig1", out=str(out), fmt="xml")
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"^unknown figure 'fig9'; choose from \('fig1', "):
+        reproduce_figure("fig9")
 
 
 def test_csv_number_format(tmp_path):

@@ -49,13 +49,17 @@ from capdetect.qcore import conditional_probs, weyl_class
 from capdetect.cli import grid_values
 from capdetect.detect import _symmetric_axes_detected, pseudoclassical_certificate
 from conftest import (
+    depolarizing_channel,
     fourier_basis,
     haar_random_basis,
+    king_capacity,
     qutrit_vshape_transitions,
     random_cp_affine,
     random_cptp_channel,
     reference_eigenbasis,
     weakly_symmetric_capacity,
+    werner_holevo_c1,
+    werner_holevo_channel,
     weyl_label_kets,
 )
 
@@ -205,6 +209,8 @@ def test_detect_weyl_rejects_composite():
     with pytest.raises(ValueError, match=r"^basis 1 must be a MeasurementBasis, got str$"):
         detect_capacity(pauli_channel(0.1, 0.2, 0.05), DetectionConfig(("x",)))
     assert DetectionConfig(("x",)).resolve_bases(2) == ("x",)
+    with pytest.raises(ValueError, match=r"^unknown basis family 'mub'; choose from pauli, weyl$"):
+        DetectionConfig("mub").resolve_bases(2)
     for bases, kind in ((5, "int"), (None, "NoneType")):
         with pytest.raises(ValueError, match=r"^bases must be a basis family name or a sequence of "
                                              rf"MeasurementBasis, got {kind}$"):
@@ -214,12 +220,50 @@ def test_detect_weyl_rejects_composite():
                      (computational_basis, True)):
         with pytest.raises(ValueError, match=rf"^dimension must be an integer >= 0, got {d!r}$"):
             build(d)
-    with pytest.raises(ValueError, match=r"^the weyl basis family needs a prime dimension, got 4$"):
-        weyl_bases(np.int64(4))
+    for d in (np.int64(4), 1, 0):
+        with pytest.raises(ValueError, match=rf"^the weyl basis family needs a prime dimension, got {d}$"):
+            weyl_bases(d)
     with pytest.raises(ValueError, match=r"^basis 'computational' must be a non-empty square array"):
         computational_basis(0)
     assert weyl_bases(np.int64(3)) is weyl_bases(3)
     assert np.array_equal(computational_basis(np.int64(2)).kets, np.eye(2))
+
+
+def test_detection_reports_no_capacity_below_zero():
+    # the uniform generalized Pauli channel carries nothing; at d = 7, 7 of
+    # its 8 Weyl bases read below 0, down to -6.4e-16 bits
+    r = detect_capacity(pauli_family_channel(7, np.full((7, 7), 1.0 / 49)), WEYL)
+    values = [b.mutual_information_bits for b in r.per_basis]
+    assert values == [0.0] * 8 and not np.signbit(values).any()
+    assert (r.c_det_bits, r.argmax_index) == (0.0, 0)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_depolarizing_detection_equals_kings_capacity(d):
+    # every orthonormal basis sees the transition (1 - p) I + (p/d) J, so
+    # each basis detects the channel's capacity
+    rng = np.random.default_rng(7)
+    haar = DetectionConfig([haar_random_basis(d, rng, f"custom{k}") for k in range(3)])
+    for p in (0.05, 0.3, 0.9):
+        capacity = king_capacity(d, p)
+        for config in (WEYL, haar):
+            r = detect_capacity(depolarizing_channel(d, p), config)
+            assert abs(r.c_det_bits - capacity) <= 1e-12
+            assert all(abs(b.mutual_information_bits - capacity) <= 1e-12 for b in r.per_basis)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["antisymmetric", "symmetric"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_werner_holevo_detection_reaches_c1_in_weyl_bases(d, symmetric):
+    # the computational and X bases are closed under complex conjugation and
+    # reach C1; a Haar basis detects no more than C1, and no basis below 0
+    channel, c1 = werner_holevo_channel(d, symmetric), werner_holevo_c1(d, symmetric)
+    rng = np.random.default_rng(7)
+    weyl = detect_capacity(channel, WEYL)
+    haar = detect_capacity(channel, DetectionConfig([haar_random_basis(d, rng, f"custom{k}") for k in range(5)]))
+    assert abs(weyl.c_det_bits - c1) <= 1e-12
+    assert all(b.mutual_information_bits <= c1 + 1e-12 for b in haar.per_basis)
+    assert all(b.mutual_information_bits >= 0.0 for r in (weyl, haar) for b in r.per_basis)
 
 
 def test_detect_weyl_rejects_non_pauli_channel():

@@ -138,6 +138,27 @@ def test_ba_rejects_bad_inputs():
         blahut_arimoto(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         blahut_arimoto(bsc(0.1), tol_bits=0.0)
+    with pytest.raises(ValueError, match=r"^transition matrix must be two-dimensional, got shape \(2,\)$"):
+        blahut_arimoto([0.5, 0.5])
+
+
+def test_ba_reports_no_capacity_below_zero():
+    # a channel whose columns are equal carries nothing, yet log2(sum_n p_n c_n)
+    # rounded to -1.6e-16 bits on the uniform 6 x 6 matrix and -3.2e-16 on the 7 x 7
+    for n in (6, 7):
+        r = blahut_arimoto(np.full((n, n), 1.0 / n))
+        assert (r.capacity_bits, r.gap_bits, r.iterations, r.converged) == (0.0, 0.0, 1, True)
+        assert not np.signbit(r.capacity_bits)
+    # and below 0 on 500 of these 2,000 random matrices with equal columns
+    rng = np.random.default_rng(0)
+    by_shape = {}
+    for _ in range(2000):
+        m, n = rng.integers(2, 9, size=2)
+        by_shape.setdefault((m, n), []).append(np.repeat(rng.dirichlet(np.ones(m))[:, None], n, axis=1))
+    for stack in by_shape.values():
+        caps, _, iterations, gaps = blahut_arimoto_batch(np.stack(stack))
+        assert (caps >= 0.0).all() and not np.signbit(caps).any()
+        assert (gaps >= 0.0).all() and (iterations == 1).all()
 
 
 def test_ba_batch_rejects_bad_inputs():

@@ -30,9 +30,11 @@ from capdetect import (
 from capdetect import detect, protocol_sim
 from capdetect.protocol_sim import _percentile_interval, _stream
 from conftest import (
+    depolarizing_channel,
     entangled_joint_distribution,
     fourier_basis,
     haar_random_basis,
+    king_capacity,
     qutrit_vshape_transitions,
     random_cptp_channel,
     reference_detect_from_counts,
@@ -281,6 +283,15 @@ def test_point_estimate_equals_detection_on_the_sampled_estimates():
         weakly_symmetric += sum(t.shape != (2, 2) and weakly_symmetric_capacity(t) is not None
                                 for t in estimates)
     assert weakly_symmetric >= 10
+
+
+def test_simulate_converges_to_kings_capacity():
+    # the d = 3 depolarizing channel's point estimate overshoots King's C by
+    # +0.030, +0.0056 and +0.0018 bits at 1e3, 1e5 and 1e6 shots
+    capacity = king_capacity(3, 0.3)
+    errors = [abs(detect_from_samples(depolarizing_channel(3, 0.3), DetectionConfig("weyl"), shots, 1, 200)
+                  .point_estimate_bits - capacity) for shots in (10**3, 10**5, 10**6)]
+    assert errors[0] > errors[1] > errors[2] and errors[2] < 0.002
 
 
 def test_simulate_keys_its_streams_by_seed_kind_basis_and_input(monkeypatch):
