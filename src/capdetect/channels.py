@@ -144,11 +144,17 @@ def vshape_qutrit_channel(gamma01: float, gamma02: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
+def check_dephasing_axis(theta, phi) -> tuple:
+    """theta and phi as float arrays, after checking that the Bloch axis
+    (theta, phi) has 0 <= theta <= pi/2 and 0 <= phi <= 2 pi, each within
+    1e-12 above."""
+    return check_interval("theta", theta, 0.0, np.pi / 2 + 1e-12), check_interval("phi", phi, 0.0, 2 * np.pi + 1e-12)
+
+
 def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
     """Dephasing with probability p along the Bloch axis (theta, phi)."""
     p = _check_unit_interval("p", p)
-    check_interval("theta", theta, 0.0, np.pi / 2 + 1e-12)
-    check_interval("phi", phi, 0.0, 2 * np.pi + 1e-12)
+    check_dephasing_axis(theta, phi)
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     sigma_n = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     ops = []
@@ -159,9 +165,14 @@ def dephasing_axis_channel(p: float, theta: float, phi: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
+def check_z_rotation(phi):
+    """phi as a float array, after checking -pi <= phi <= pi within 1e-12."""
+    return check_interval("phi", phi, -np.pi, np.pi, 1e-12)
+
+
 def rotated_pauli_channel(px: float, py: float, pz: float, phi: float) -> KrausChannel:
     """Pauli channel followed by a rotation of phi around the z axis."""
-    check_interval("phi", phi, -np.pi, np.pi, 1e-12)
+    check_z_rotation(phi)
     rot = np.cos(phi / 2) * np.eye(2, dtype=complex) + 1j * np.sin(phi / 2) * SIGMA_Z
     base = pauli_channel(px, py, pz)
     return KrausChannel(rot @ base.operators)
@@ -233,13 +244,16 @@ def check_numbers(value, subject: str, nested: bool = True) -> None:
         if (cells is not None and set(map(type, cells)) <= {int, float}
                 and all(map(_FLOAT_MAX.__ge__, map(abs, cells)))):  # NaN fails
             return
-    for cell in _cells(value) if nested else (value,):
-        if isinstance(cell, (np.bool_, np.number)) and not isinstance(cell, np.timedelta64):
-            cell = cell.item()  # Python's value, named alike on every numpy; a np.longdouble stays one
-        if isinstance(cell, bool) or not isinstance(cell, (int, float, np.floating)):
-            raise ValueError(f"{subject} must be {what}, got {cell!r}")
-        if not abs(cell) <= _FLOAT_MAX:  # NaN fails
-            raise ValueError(f"{subject} must be a finite number, got {cell!r}")
+    try:
+        for cell in _cells(value) if nested else (value,):
+            if isinstance(cell, (np.bool_, np.number)) and not isinstance(cell, np.timedelta64):
+                cell = cell.item()  # Python's value, named alike on every numpy; a np.longdouble stays one
+            if isinstance(cell, bool) or not isinstance(cell, (int, float, np.floating)):
+                raise ValueError(f"{subject} must be {what}, got {cell!r}")
+            if not abs(cell) <= _FLOAT_MAX:  # NaN fails
+                raise ValueError(f"{subject} must be a finite number, got {cell!r}")
+    except RecursionError:  # lists nested past the recursion limit, or into themselves
+        raise ValueError(f"{subject} is nested too deeply") from None
 
 
 def _float_array(cells, what: str) -> np.ndarray:

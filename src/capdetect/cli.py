@@ -260,11 +260,14 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON document in the file ``path``; a syntax error fails by the
-    file's name, with the line and column where json finds it."""
+    file's name, with the line and column where json finds it, and so does
+    nesting past the parser's recursion limit."""
     try:
         return json.loads(_read_text(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {exc.lineno} of {path}: column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
 def _load_channel(path: str, require_cptp: bool = True) -> KrausChannel:

@@ -21,7 +21,13 @@ from .qcore import (
     weyl_class,
     weyl_class_kets,
 )
-from .channels import AffineQubitChannel, _check_unit_interval, check_pauli_weights
+from .channels import (
+    AffineQubitChannel,
+    _check_unit_interval,
+    check_dephasing_axis,
+    check_pauli_weights,
+    check_z_rotation,
+)
 from .infotheory import (
     BA_MAX_ITER,
     BA_TOL_BITS,
@@ -369,11 +375,11 @@ def _symmetric_axes_detected(fx, fy, fz):
 def dephasing_detected(p: float, theta: float, phi: float):
     """Detected capacity under Pauli measurements of dephasing with
     probability p along the Bloch axis (theta, phi): elementwise over theta
-    and phi broadcast together, the z flip at theta's shape; p must lie in
-    [0, 1]. Scalar inputs give Python floats."""
+    and phi broadcast together, the z flip at theta's shape; p, theta and
+    phi must lie where :func:`channels.dephasing_axis_channel` takes them.
+    Scalar inputs give Python floats."""
     p = _check_unit_interval("p", p)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = check_dephasing_axis(theta, phi)
     # squares by products: a float64 scalar's ** 2 is libm pow, which can
     # differ in the last bit from an array's ** 2 (np.square)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
@@ -385,9 +391,11 @@ def dephasing_detected(p: float, theta: float, phi: float):
 def rotated_pauli_detected(px: float, py: float, pz: float, phi):
     """Detected capacity under Pauli measurements of a Pauli channel
     followed by a z rotation of phi: elementwise over phi, whose z flip
-    px + py is one scalar. Scalar inputs give Python floats."""
+    px + py is one scalar; the weights and phi must lie where
+    :func:`channels.rotated_pauli_channel` takes them. Scalar inputs give
+    Python floats."""
     check_pauli_weights(px, py, pz)
-    phi = np.asarray(phi, dtype=float)
+    phi = check_z_rotation(phi)
     c = np.cos(phi)
     return _symmetric_axes_detected((1.0 - c) / 2.0 + (py + pz) * c, (1.0 - c) / 2.0 + (px + pz) * c, px + py)
 

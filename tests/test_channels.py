@@ -538,6 +538,15 @@ def test_channel_spec_rejects_non_numeric_cells():
     ragged = ChannelSpec("generalized_pauli", {"dim": 2, "q": [np.zeros((2, 2)), np.zeros(2)]})
     with pytest.raises(ValueError, match=r"^probability table q is not a rectangular array of numbers$"):
         ragged.build()
+    # lists nested past the recursion limit, or into themselves, which the
+    # cell walk recursed into until a RecursionError
+    deep, loop = [0.5], []
+    for _ in range(5000):
+        deep = [deep]
+    loop.append(loop)
+    for q in (deep, loop):
+        with pytest.raises(ValueError, match=r"^parameter 'q' of kind 'generalized_pauli' is nested too deeply$"):
+            ChannelSpec.from_dict({"kind": "generalized_pauli", "params": {"dim": 2, "q": q}})
     # so are numpy's integer and float scalars, as check_integer takes them,
     # which build the channel their Python values give
     assert ChannelSpec("generalized_pauli", {"dim": np.int64(2), "q": [[1, 0], [0, 0]]}).build().dim == 2

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import enum
+import gzip
 import hashlib
 import io
 import itertools
@@ -36,9 +37,12 @@ from capdetect import (
 from capdetect import cli, protocol_sim
 from capdetect.channels import _ARRAY_PARAMS, _KINDS, _PARAMS
 from capdetect.cli import FIGURES, grid_values, main, reproduce_figure
-from conftest import REFERENCE_FIGURE_BUILDERS, VALID_PARAMS, reference_csv_text, table_rows
+from conftest import REFERENCE_FIGURE_BUILDERS, VALID_PARAMS, reference_csv_text, sole_reacher_matrices, table_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# a fresh process's environment, with this checkout's capdetect first on its path
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(capdetect.__file__)), os.environ.get("PYTHONPATH", "")]))
 
 
 def run(capsys, *argv):
@@ -148,6 +152,42 @@ def test_integers_past_the_digit_limit_fail_by_name(tmp_path, capsys):
     bpath.write_text(f"[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [{huge}, 0]]]]")
     argv = ["bound", "--channel", write_json(tmp_path, "gad.json", GAD), "--bases", f"custom:{bpath}"]
     assert run(capsys, *argv) == (1, "", "capdetect: error: basis 1 must be a finite number, got inf\n")
+
+
+def test_version_is_the_one_pyproject_gives(capsys):
+    # written twice, in pyproject.toml and in the package
+    [version] = re.findall(r'(?m)^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text())
+    assert capdetect.__version__ == version
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (f"capdetect {version}\n", "")
+
+
+@pytest.mark.parametrize("depth", [*range(984, 991), 5000])
+def test_json_nested_past_the_parser_fails_by_the_file(tmp_path, capsys, depth):
+    """A spec or custom basis file of lists nested past the JSON parser's
+    recursion limit fails in one line that names the file: in a fresh
+    process a spec 990 lists deep printed a RecursionError traceback. A
+    parser that counts its own C recursion (Python 3.12 on) may read a
+    depth, and the file then fails on its cells, also in one line."""
+    nested = "[" * depth + "]" * depth
+    try:
+        json.loads(nested)  # here, fewer frames deep than the CLI reads it
+        read = True
+    except RecursionError:
+        read = False
+    spec, bases = tmp_path / "spec.json", tmp_path / "bases.json"
+    spec.write_text(f'{{"kind": "generalized_pauli", "params": {{"dim": 2, "q": {nested}}}}}')
+    bases.write_text(nested)
+    gad = write_json(tmp_path, "gad.json", GAD)
+    for path, argv in ((spec, ["bound", "--channel", str(spec)]),
+                       (bases, ["bound", "--channel", gad, "--bases", f"custom:{bases}"])):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.count("\n") == 1, err[-300:]
+        if not (read and re.fullmatch(r"capdetect: error: (parameter 'q' of kind 'generalized_pauli'|probability "
+                                      r"table q|basis 0) is n[^\n]*\n", err)):
+            assert err == f"capdetect: error: {path} is nested too deeply to read as JSON\n"
 
 
 def test_bound_command_and_round_trip(tmp_path, capsys):
@@ -415,6 +455,8 @@ _NEAR_POLE = {"kind": "affine_qubit", "params": {"lambda1": 0, "lambda2": 0, "la
 _INSIDE_POLE = {"kind": "affine_qubit", "params": {**_NEAR_POLE["params"], "t3": 1e-6}}
 _NEAR_POLE_ERROR = (r"^capdetect: error: not completely positive: \(l1-l2\)\^2 <= \(1-l3\)\^2 - t3\^2 "
                     r"violated by 4\.000e-07$")
+# a bad cell in nested and flat operators, named by the cell walk
+_OPERATORS_ERROR = r"^capdetect: error: parameter 'operators' of kind 'kraus' must be an array of numbers, got "
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -423,8 +465,21 @@ _NEAR_POLE_ERROR = (r"^capdetect: error: not completely positive: \(l1-l2\)\^2 <
 @example((_NEAR_POLE, None, ["check-cp"], [_NEAR_POLE_ERROR]))
 @example((_INSIDE_POLE, None, ["bound"], []))
 @example((_INSIDE_POLE, None, ["check-cp"], []))
-@example(({"kind": "gad", "params": {"gamma": 10**400, "p": 1.0}}, None, ["bound"], ["gamma"]))
-@example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"], ["q"]))
+@example(({"kind": "gad", "params": {"gamma": 10**400, "p": 1.0}}, None, ["bound"],
+          [r"^capdetect: error: parameter 'gamma' of kind 'gad' must be a finite number, got 10{400}$"]))
+@example((b'{"kind": "gad", "params": {"gamma": 1' + b"0" * 5000 + b', "p": 1.0}}', None, ["bound"],
+          [r"^capdetect: error: parameter 'gamma' of kind 'gad' must be a finite number, got inf$"]))
+@example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"],
+          [r"^capdetect: error: probability table q is not a rectangular array of numbers$"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[_S, 0], [0, 0], [0, 0], [_S, 0]]]}}, None,
+          ["bound"], [r"^capdetect: error: Kraus set is not CPTP: trace-preservation error 5\.000e-01$"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]}}, None,
+          ["bound"], [_OPERATORS_ERROR + "'1'$"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [True, 0]]]}}, None,
+          ["bound"], [_OPERATORS_ERROR + "True$"]))
+@example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                                               [[0, 0], [0, 0], [None, 0], [0, 0]]]}}, None,
+          ["bound"], [_OPERATORS_ERROR + "None$"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": 0.5}}, None, ["bound"], ["operator"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[1, 0], [0], [0, 0], [1, 0]]]}}, None,
           ["bound"], ["operator"]))
@@ -433,6 +488,10 @@ _NEAR_POLE_ERROR = (r"^capdetect: error: not completely positive: \(l1-l2\)\^2 <
 @example((GAD, None, ["simulate", "--shots", str(10**20), "--seed", "3", "--resamples", "100"], ["shots"]))
 @example((GAD, None, ["simulate", "--shots", "100", "--seed", str(2**64), "--resamples", "100"],
           [r"^capdetect: error: seed must be an integer in \[0, 2\^64\), got 18446744073709551616$"]))
+@example((GAD, None, ["simulate", "--shots", "100", "--seed", "-1", "--resamples", "100"],
+          [r"^capdetect: error: seed must be an integer in \[0, 2\^64\), got -1$"]))
+@example((GAD, None, ["simulate", "--shots", "100", "--seed", "1", "--resamples", "50"],
+          [r"^capdetect: error: resamples must be an integer >= 100, got 50$"]))
 @example(([1, 2], None, ["bound"], [r"^capdetect: error: channel spec must be a JSON object$"]))
 @example(({"kind": "generalized_pauli", "params": {"dim": 3, "q": [[0.5, 0], [0, 0.5]]}}, None, ["bound"],
           [r"^capdetect: error: probability table q must be 3x3, got \(2, 2\)$"]))
@@ -768,15 +827,13 @@ def test_runs_without_scipy(tmp_path):
         "import sys; sys.modules['scipy'] = None; "
         "from capdetect.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    src = os.path.dirname(os.path.dirname(capdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     spec = write_json(tmp_path, "w3.json", {"kind": "generalized_pauli", "params": {
         "dim": 3, "q": [[0.6, 0.1, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.1]]}})
     fig4 = tmp_path / "fig4.csv"
     bound = tmp_path / "bound.json"
     for argv in (["reproduce", "fig4", "--grid", "k=0:1:0.5", "--out", str(fig4)],
                  ["bound", "--channel", spec, "--bases", "weyl", "--out", str(bound)]):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=FRESH_ENV,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
     assert len(fig4.read_text().splitlines()) == 4
@@ -791,15 +848,13 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
         "loaded = 'numpy.random' in sys.modules; code = main(sys.argv[1:]); "
         "print(loaded, 'numpy.random' in sys.modules); sys.exit(code)"
     )
-    src = os.path.dirname(os.path.dirname(capdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     spec = write_json(tmp_path, "gad.json", GAD)
     out = tmp_path / "out.json"
     loads = {}
     for argv in (["bound", "--channel", spec, "--out", str(out)],
                  ["simulate", "--channel", spec, "--shots", "500", "--seed", "3",
                   "--resamples", "100", "--out", str(out)]):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=FRESH_ENV,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         loads[argv[0]] = proc.stdout.split()
@@ -820,24 +875,87 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
         "    loaded.append('numpy.ma' in sys.modules)\n"
         "print(before, *loaded)"
     )
-    src = os.path.dirname(os.path.dirname(capdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     spec = write_json(tmp_path, "gad.json", GAD)
     out = tmp_path / "out"
     argvs = [["simulate", "--channel", spec, "--shots", "500", "--seed", "3", "--resamples", "100", "--out", out],
              ["bound", "--channel", spec, "--out", out],
-             ["reproduce", "fig1", "--grid", "gamma=0:1:0.5", "--out", out]]
-    proc = subprocess.run([sys.executable, "-c", script, *("|".join(map(str, a)) for a in argvs)], env=env,
+             ["reproduce", "fig1", "--grid", "gamma=0:1:0.5", "--out", out],
+             ["simulate", "--channel", spec, "--shots", "10000", "--seed", "7", "--resamples", "200", "--out", out]]
+    proc = subprocess.run([sys.executable, "-c", script, *("|".join(map(str, a)) for a in argvs)], env=FRESH_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     before, *loaded = proc.stdout.split()
-    assert loaded == [before] * 3
+    assert loaded == [before] * len(argvs)
 
 
-# sha256 of the default-grid tables (csv, json); each csv digest is that of
-# the gunzipped table in perfbench/reference/. The json pins every value to
-# the last bit, so a change to holevo_gad_p1's search or to fig2's closed
-# forms shows there first
+def test_requests_give_the_same_bytes_here_and_in_a_fresh_process(tmp_path, capsys):
+    """Each request, through ``main`` here and through the console script's
+    call in a fresh process, which runs them in reverse order: the same
+    bytes, each json.dumps(..., indent=2)'s own text, and each bound and ba
+    response converged."""
+    files = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in (
+        ("gad", GAD),
+        ("vshape", {"kind": "vshape_qutrit", "params": {"gamma01": 0.3, "gamma02": 0.6}}),
+        ("extremal", {"kind": "extremal", "params": {"alpha": 0.4, "beta": 1.1}}),
+        # two qubit bases, one in each cell layout
+        ("custom", [_QUBIT_BASES[0], [[_S, 0], [_S, 0], [_S, 0], [-_S, 0]]]))}
+    matrices = {"matrix": [[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]],
+                # q = 0 on the third output in every round: Blahut-Arimoto's
+                # masked log2 q and +inf rule, which no benchmark request reaches
+                "zero_row": [[0.7, 0.2, 0.1], [0.3, 0.8, 0.9], [0, 0, 0]],
+                # 5 x 4, its last input alone reaches output 5 with a tiny
+                # optimal weight; off the face-Newton face it ran 100,000
+                # evaluations unconverged
+                "sole": sole_reacher_matrices()[3289].tolist()}
+    for name, rows in matrices.items():
+        files[name] = str(tmp_path / f"{name}.csv")
+        pathlib.Path(files[name]).write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    # rank 4, d = 5: its Kraus operators are summed as one stack
+    member = str(ROOT / "tests" / "data" / "kraus_d5_member24.json")
+    requests = [
+        ["simulate", "--channel", files["gad"], "--shots", "10000", "--seed", "7", "--resamples", "200"],
+        # Fourier-class transitions, weakly symmetric, whose streams are re-keyed per cell
+        ["bound", "--channel", files["vshape"], "--bases", "weyl"],
+        ["simulate", "--channel", files["vshape"], "--bases", "weyl", "--shots", "5000", "--seed", "11",
+         "--resamples", "200"],
+        ["bound", "--channel", files["extremal"]],  # built from the written-out affine Choi matrix
+        # six 101-row bases solved in one stack, tall enough to reduce column by column
+        ["simulate", "--channel", member, "--bases", "weyl", "--shots", "2000", "--seed", "5", "--resamples", "100"],
+        ["bound", "--channel", files["gad"], "--bases", f"custom:{files['custom']}"],
+        ["binary", "0", "0.5"],  # a noiseless input 0
+        ["ba", files["matrix"]],
+        ["ba", files["zero_row"]],
+        ["check-cp", "--channel", files["gad"]],
+        ["check-cp", "--channel", member],
+        # optimal priors on a face of the simplex: face-Newton candidates
+        ["bound", "--channel", member, "--bases", "weyl"],
+        ["ba", files["sole"]],
+    ]
+    outs = [tmp_path / f"out{k}.json" for k in range(len(requests))]
+    script = ("import sys; from capdetect.cli import main\n"
+              "for argv in reversed(sys.argv[1:]):\n"
+              "    assert main(argv.split('|')) == 0, argv\n")
+    fresh = subprocess.Popen([sys.executable, "-c", script, *("|".join([*argv, "--out", str(out)])
+                                                              for argv, out in zip(requests, outs))],
+                             env=FRESH_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    here = [run(capsys, *argv) for argv in requests]
+    assert fresh.communicate(timeout=120) == ("", "") and fresh.returncode == 0
+    for argv, (code, text, err), out in zip(requests, here, outs):
+        assert (code, err) == (0, ""), argv
+        assert out.read_bytes().decode() == text, argv
+        doc = json.loads(text)
+        assert json.dumps(doc, indent=2) + "\n" == text, argv
+        if argv[0] in ("bound", "ba"):
+            assert doc["converged"] is True, argv
+    tail = json.loads(here[-2][1])  # the d + 1 = 6 Weyl bases, each listed once
+    labels = [r["label"] for r in tail["per_basis"]]
+    assert [len(labels), len(set(labels)), tail["argmax_basis"]] == [6, 6, "weyl(1,2)"]
+
+
+# sha256 of the default-grid tables (csv, json); each csv is the gunzipped
+# table in perfbench/reference/. The json pins every value to the last bit,
+# so a change to holevo_gad_p1's search or to fig2's closed forms shows
+# there first
 FIGURE_SHA256 = {
     "fig1": ("eae119209faabcff2934e0c6f31b57953d294aa4aff782d8a96dc9deb4e6042d",
              "38cfcfda744a6b091747b15bf078796045e1e54cd321cf5a26d8a2e28e0fa737"),
@@ -864,6 +982,14 @@ def test_default_figures_are_byte_stable(tmp_path, monkeypatch, figure):
         assert main(["reproduce", figure, "--format", fmt, "--out", str(tmp_path / "cli")]) == 0
         assert (tmp_path / "cli").read_bytes() == out.read_bytes(), fmt
     assert [args[0] for args in calls] == [figure, figure]
+    # the csv is the benchmark's reference table, and the json is the text
+    # of json.dumps(..., indent=2), whose rows at 12 digits are that table
+    reference = gzip.decompress((ROOT / "perfbench" / "reference" / f"{figure}.csv.gz").read_bytes())
+    assert (tmp_path / f"{figure}.csv").read_bytes() == reference
+    text = (tmp_path / f"{figure}.json").read_bytes().decode()
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2) + "\n" == text and doc["figure"] == figure
+    assert reference_csv_text(doc["columns"], list(map(tuple, doc["rows"]))) == reference.decode()
 
 
 @pytest.mark.parametrize("figure", FIGURES)
@@ -911,6 +1037,8 @@ def test_suppl_stretched_matches_per_row_reports():
     ("fig1", "gamma=1:0:0.1", "grid stop 0.0 below start 1.0"),
     ("fig1", ["gamma=0:1:0.5", "gamma=0:0.5:0.25"], "--grid 'gamma' given twice"),
     ("fig1", "gamma=0:1:1e-300", "grid 'gamma' (1e+300 points) exceeds the limit of 1,000,000 rows per table"),
+    ("fig3", ["theta=0:3:1", "phi=0:7:7"], "theta = 2.0 outside [0, 1.5708] (2 of 4 entries)"),
+    ("fig3", "phi=0:7:7", "phi = 7.0 outside [0, 6.28319] (1 of 2 entries)"),
 ])
 def test_reproduce_names_first_bad_grid_value(capsys, figure, grid, message):
     grids = [grid] if isinstance(grid, str) else grid
@@ -1044,6 +1172,31 @@ def test_reproduce_refuses_an_oversized_table(capsys, argv, shown):
     code, out, err = run(capsys, "reproduce", *argv)
     assert code == 1 and out == ""
     assert err == f"capdetect: error: grid {shown} exceeds the limit of 1,000,000 rows per table\n"
+
+
+# sha256 of fig2's json table on a 1000 x 1000 grid; the text was checked
+# once to be json.dumps(json.loads(text), indent=2) + "\n", a round trip of
+# about 8 s
+FIG2_MILLION_ROWS_SHA256 = "26c3326b44c30623f1508dd443b0bf330f1780e37829b53e7744cfe80dd3330b"
+
+
+def test_a_million_row_table_is_written_under_230_mb():
+    # through the console script's call in a fresh process; the peak was
+    # 299 MB while the writer built the whole table's text, and is about
+    # 157 MB in blocks of rows
+    entry_point = "import sys; from capdetect.cli import main; sys.exit(main())"
+    child = subprocess.Popen([sys.executable, "-c", entry_point, "reproduce", "fig2", "--format", "json",
+                              "--grid", "gamma01=0:1:0.001001", "--grid", "gamma02=0:1:0.001001"],
+                             env=FRESH_ENV, stdout=subprocess.PIPE)
+    digest = hashlib.sha256()
+    while chunk := child.stdout.read(1 << 20):
+        digest.update(chunk)
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss < 230 * 1024, f"peak RSS {usage.ru_maxrss / 1024:.0f} MB"
+    assert digest.hexdigest() == FIG2_MILLION_ROWS_SHA256
 
 
 def test_table_limit_counts_rows(monkeypatch, tmp_path):
@@ -1297,10 +1450,8 @@ def test_weyl_request_after_another_dimension_matches_a_fresh_process(tmp_path, 
     assert run(capsys, "bound", "--channel", w5, "--bases", "weyl")[0] == 0
     code, warm, _ = run(capsys, "bound", "--channel", w3, "--bases", "weyl")
     assert code == 0
-    src = os.path.dirname(os.path.dirname(capdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "capdetect.cli", "bound", "--channel", w3,
-                           "--bases", "weyl"], env=env, capture_output=True, text=True, timeout=120)
+                           "--bases", "weyl"], env=FRESH_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert warm == proc.stdout and len(json.loads(warm)["per_basis"]) == 4
 

@@ -655,6 +655,19 @@ def test_pauli_closed_forms_reject_what_no_channel_has():
          r"^px = -0\.1 outside \[0, inf\]$"),
         (lambda: dephasing_detected(1.5, 0.3, 0.2), lambda: dephasing_axis_channel(1.5, 0.3, 0.2),
          r"^p = 1\.5 outside \[0, 1\]$"),
+        # the angles: the closed forms took any theta and phi
+        (lambda: dephasing_detected(0.9, 2.0, 0.2), lambda: dephasing_axis_channel(0.9, 2.0, 0.2),
+         r"^theta = 2\.0 outside \[0, 1\.5708\]$"),
+        (lambda: dephasing_detected(0.9, -0.1, 0.2), lambda: dephasing_axis_channel(0.9, -0.1, 0.2),
+         r"^theta = -0\.1 outside \[0, 1\.5708\]$"),
+        (lambda: dephasing_detected(0.9, 0.3, 7.0), lambda: dephasing_axis_channel(0.9, 0.3, 7.0),
+         r"^phi = 7\.0 outside \[0, 6\.28319\]$"),
+        (lambda: dephasing_detected(0.9, 0.3, -0.5), lambda: dephasing_axis_channel(0.9, 0.3, -0.5),
+         r"^phi = -0\.5 outside \[0, 6\.28319\]$"),
+        (lambda: rotated_pauli_detected(0.15, 0.05, 0.1, 4.0), lambda: rotated_pauli_channel(0.15, 0.05, 0.1, 4.0),
+         r"^phi = 4\.0 outside \[-3\.14159, 3\.14159\]$"),
+        (lambda: rotated_pauli_detected(0.15, 0.05, 0.1, -4.0), lambda: rotated_pauli_channel(0.15, 0.05, 0.1, -4.0),
+         r"^phi = -4\.0 outside \[-3\.14159, 3\.14159\]$"),
     )
     for closed_form, builder, message in cases:
         for call in (closed_form, builder):
@@ -781,7 +794,7 @@ def test_closed_forms_give_a_point_as_scalars_its_bits_in_an_array():
     # points are every draw whose sine or cosine squares differently by pow
     # than by a product, plus the first 300
     rng = np.random.default_rng(3)
-    theta, phi = rng.uniform(0.0, np.pi, 20_000), rng.uniform(0.0, 2 * np.pi, 20_000)
+    theta, phi = rng.uniform(0.0, np.pi / 2, 20_000), rng.uniform(0.0, 2 * np.pi, 20_000)
 
     def squares_apart(x):
         return np.array([v ** 2 for v in x.tolist()]) != x * x
