@@ -8,6 +8,7 @@ convert between the two pictures.
 
 import inspect
 import math
+from itertools import chain
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -69,10 +70,10 @@ class AffineQubitChannel:
 
 
 def pauli_family_channel(dim: int, q: np.ndarray) -> KrausChannel:
-    """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability
-    table over the generalized Pauli unitaries; dim is an integer >= 2."""
+    """Channel sum_ls q_ls U_ls rho U_ls^dag from a dim x dim probability table over the
+    generalized Pauli unitaries, read by :func:`check_numbers`; dim is an integer >= 2."""
     check_integer("dim", dim, 2)
-    q = _float_array(q, "probability table q")
+    q = check_numbers(q, "probability table q")
     if q.shape != (dim, dim):
         raise ValueError(f"probability table q must be {dim}x{dim}, got {q.shape}")
     check_interval("q", q, 0.0, 1.0, 1e-12)  # each entry is a probability, so the sum cannot overflow
@@ -210,77 +211,71 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
 
 _ARRAY_PARAMS = ("q", "operators")
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares exactly with any int
+_NUMBER_CODES = np.typecodes["AllInteger"] + "efd"  # the dtypes of numbers: integers, and floats float64 holds
 
 
-def _cells(value):
-    """The leaf entries of nested lists, tuples and arrays."""
-    if isinstance(value, np.ndarray):
+def _cells(value) -> list:
+    """The leaf entries of nested lists, tuples and arrays of numbers; any other array is one leaf."""
+    if isinstance(value, np.ndarray) and value.dtype.char in _NUMBER_CODES:
         value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        for v in value:
-            yield from _cells(v)
-    else:
-        yield value
+    return [c for v in value for c in _cells(v)] if isinstance(value, (list, tuple)) else [value]
 
 
-def check_numbers(value, subject: str, nested: bool = True) -> None:
-    """Require ``value``, or with ``nested`` each leaf of a list, tuple or
-    array, to be a finite number: a Python or numpy integer or float, so no
-    string, boolean (``np.bool_`` included), null or ``np.timedelta64`` (whose
-    ``item()`` can be an int), which ``np.asarray(..., dtype=float)`` would
-    accept, and no NaN, infinity or integer beyond the float range. The
-    error starts with ``subject``."""
+def check_numbers(value, subject: str, nested: bool = True) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``, converted once, after requiring
+    ``value``, or with ``nested`` each leaf of a list, tuple or array of at
+    least one dimension, to be a finite number: a Python or numpy integer
+    or float, never a bool, string, null, time or ``np.longdouble``. An
+    array is judged by its dtype, as numpy reads times and records as ints.
+    Each error starts with ``subject`` and names the first bad cell, or says
+    that numpy cannot read the cells as one array."""
     what = "an array of numbers" if nested else "a number"
-    if nested and not isinstance(value, (list, tuple, np.ndarray)):
+    if nested and isinstance(value, np.ndarray) and value.ndim:
+        if value.dtype.char in _NUMBER_CODES and np.isfinite(array := np.asarray(value, dtype=float)).all():
+            return array
+    elif nested and isinstance(value, (list, tuple)):
+        # lists of Python numbers pass level by level, in at most numpy's 64
+        # dimensions: one set of types and one of lengths per level
+        level, shape = [value], []
+        for _ in range(64):
+            kinds = set(map(type, level))
+            if not level or not kinds <= {list, tuple} or len(lengths := set(map(len, level))) > 1:
+                break
+            shape += lengths
+            level = list(chain.from_iterable(level))
+        if kinds <= {int, float} and all(map(_FLOAT_MAX.__ge__, map(abs, level))):  # NaN fails
+            return np.array(level, dtype=float).reshape(shape)
+    elif nested:
         raise ValueError(f"{subject} must be {what}, got {value!r}")
-    if nested:
-        # valid cells pass in one pass over a flat object array; any other
-        # input, ragged input that numpy refuses included, is walked cell by
-        # cell so that the error names the first bad cell
-        try:
-            cells = np.array(value, dtype=object).ravel().tolist()
-        except ValueError:
-            cells = None
-        if (cells is not None and set(map(type, cells)) <= {int, float}
-                and all(map(_FLOAT_MAX.__ge__, map(abs, cells)))):  # NaN fails
-            return
-    try:
+    try:  # any other value is walked cell by cell
         for cell in _cells(value) if nested else (value,):
+            if nested and isinstance(cell, np.ndarray):
+                raise ValueError(f"{subject} must be {what}, got dtype {cell.dtype}")
             if isinstance(cell, (np.bool_, np.number)) and not isinstance(cell, np.timedelta64):
                 cell = cell.item()  # Python's value, named alike on every numpy; a np.longdouble stays one
-            if isinstance(cell, bool) or not isinstance(cell, (int, float, np.floating)):
+            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 raise ValueError(f"{subject} must be {what}, got {cell!r}")
             if not abs(cell) <= _FLOAT_MAX:  # NaN fails
                 raise ValueError(f"{subject} must be a finite number, got {cell!r}")
     except RecursionError:  # lists nested past the recursion limit, or into themselves
         raise ValueError(f"{subject} is nested too deeply") from None
-
-
-def _float_array(cells, what: str) -> np.ndarray:
-    """``cells`` as a float array; unlike numpy's, the error names ``what``."""
     try:
-        return np.asarray(cells, dtype=float)
-    except ValueError:
-        raise ValueError(f"{what} is not a rectangular array of numbers") from None
+        return np.asarray(value, dtype=float)
+    except ValueError:  # ragged lists
+        raise ValueError(f"{subject} is not a rectangular array of numbers") from None
 
 
-def _matrix_from_cells(cells, d: int, what: str) -> np.ndarray:
-    """Decode a complex matrix from [re, im] cells, either flat row-major
-    (d*d cells) or nested (d rows of d cells)."""
-    arr = _float_array(cells, what)
-    if arr.shape not in ((d * d, 2), (d, d, 2)):
-        raise ValueError(
-            f"{what}: expected {d * d} [re, im] cells (flat row-major or {d} rows), "
-            f"got shape {arr.shape}"
-        )
-    return (arr[..., 0] + 1j * arr[..., 1]).reshape(d, d)
+def _matrix_from_cells(cells: np.ndarray, d: int, what: str) -> np.ndarray:
+    """The complex matrix of [re, im] cells, flat row-major (d*d cells) or nested (d rows of d cells)."""
+    if cells.shape not in ((d * d, 2), (d, d, 2)):
+        raise ValueError(f"{what}: expected {d * d} [re, im] cells (flat row-major or {d} rows), "
+                         f"got shape {cells.shape}")
+    return (cells[..., 0] + 1j * cells[..., 1]).reshape(d, d)
 
 
 def _kraus_channel(dim: int, operators) -> KrausChannel:
-    """Channel from Kraus operators given as [re, im] cells (see
-    :func:`_matrix_from_cells`), without a CPTP check."""
-    return KrausChannel(tuple(_matrix_from_cells(op, dim, f"operator {i}")
-                              for i, op in enumerate(operators)))
+    """Channel from Kraus operators, each a float array of :func:`_matrix_from_cells`, without a CPTP check."""
+    return KrausChannel(tuple(_matrix_from_cells(op, dim, f"operator {i}") for i, op in enumerate(operators)))
 
 
 # Each spec kind's builder. The builder's parameters are the kind's
@@ -325,8 +320,14 @@ class ChannelSpec:
         missing = [name for name, p in expected.items() if p.default is p.empty and name not in params]
         if missing:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(missing)}")
-        for name, value in params.items():
-            check_numbers(value, f"parameter '{name}' of kind '{kind}'", name in _ARRAY_PARAMS)
+        for name, value in params.items():  # arrays are kept as check_numbers reads them, once
+            subject = f"parameter '{name}' of kind '{kind}'"
+            if name == "operators" and isinstance(value, (list, tuple)):  # each takes either cell layout
+                params[name] = [check_numbers(op, subject) for op in value]
+            elif name in _ARRAY_PARAMS:
+                params[name] = check_numbers(value, subject)
+            else:
+                check_numbers(value, subject, False)
         if "dim" in params:
             check_integer(f"{kind} dim", params["dim"], 2)
 

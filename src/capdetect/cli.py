@@ -280,11 +280,8 @@ def _load_custom_bases(path: str, dim: int) -> list:
     docs = _read_json(path)
     if not isinstance(docs, list) or not docs:
         raise ValueError("custom basis file must be a non-empty JSON list of matrices")
-    bases = []
-    for i, mat in enumerate(docs):
-        check_numbers(mat, f"basis {i}")
-        bases.append(MeasurementBasis(f"custom{i}", _matrix_from_cells(mat, dim, f"basis {i}")))
-    return bases
+    return [MeasurementBasis(f"custom{i}", _matrix_from_cells(check_numbers(mat, f"basis {i}"), dim, f"basis {i}"))
+            for i, mat in enumerate(docs)]
 
 
 def _resolve_config(args, dim: int) -> DetectionConfig:

@@ -113,9 +113,9 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     """Estimate the detected capacity from ``counts[i]``, basis i's (outputs,
     inputs) table of ``shots`` draws per input, labelled ``labels[i]``;
     shots that are not an integer in [1, 2^63), as for :func:`sample_transition`,
-    tables of another shape, cells :func:`channels.check_numbers` rejects
-    (bools, strings, NaN), tables numpy cannot read as floats (objects, times,
-    records), and negative or non-integer counts fail, each saying which.
+    counts :func:`channels.check_numbers` rejects, tables of another shape
+    or whose columns do not sum exactly to shots, and negative or
+    non-integer counts fail, each saying which.
 
     Each plug-in estimate counts/shots is solved with its column-resampled
     bootstrap replicates, keyed (seed, 1, i, input), by :func:`solve_stack`,
@@ -132,23 +132,18 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     exceed ``_MAX_BOOTSTRAP_CELLS``."""
     _check_shots(shots)
     malformed = f"need one square count table per label, columns summing to shots = {shots}"
-    try:
-        tables = np.asarray(counts)
-    except ValueError:  # ragged tables, and lists nested past numpy's dimensions
-        raise ValueError(malformed) from None
+    tables = check_numbers(counts, "counts")
     d = tables.shape[-1] if tables.ndim == 3 else 0
     if tables.shape != (len(labels), d, d) or not tables.size:
         raise ValueError(malformed)
-    check_numbers(counts, "counts")  # the cells as given: numpy reads a bool among numbers as a number
-    if not np.can_cast(tables.dtype, float):  # numbers that numpy holds as objects, or times and records
-        raise ValueError(f"counts must be integers or floats, got dtype {tables.dtype}")
     _check_resamples(resamples, d)
-    values = check_interval("counts", tables, 0.0, np.inf)  # negatives fail
-    fractional = values[values != np.floor(values)]
+    check_interval("counts", tables, 0.0, np.inf)  # negatives fail
+    fractional = tables[tables != np.floor(tables)]
     if fractional.size:
         raise ValueError(f"counts must be integers, got {fractional[0]} "
-                         f"({fractional.size} of {values.size} entries)")
-    if (tables.sum(axis=1) != shots).any():
+                         f"({fractional.size} of {tables.size} entries)")
+    # a valid table's cells lie in [0, shots], shots < 2^63, so int64 holds them and Python ints sum them exactly
+    if float(tables.max()) > shots or (tables.astype(np.int64).astype(object).sum(axis=1) != shots).any():
         raise ValueError(malformed)
     return _estimate(tables, shots, labels, config, seed, resamples)
 

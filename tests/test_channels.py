@@ -78,7 +78,7 @@ def test_pauli_family_dim_follows_the_integer_rule():
 def test_pauli_family_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_family_channel(2, np.full((2, 2), 0.3))
-    with pytest.raises(ValueError, match=r"^q = nan outside \[0, 1\] \(1 of 4 entries\)$"):
+    with pytest.raises(ValueError, match=r"^probability table q must be a finite number, got nan$"):
         pauli_family_channel(2, [[np.nan, 0.5], [0.25, 0.25]])
     with pytest.raises(ValueError, match=r"^q = -0\.25 outside \[0, 1\] \(1 of 4 entries\)$"):
         pauli_family_channel(2, [[-0.25, 0.75], [0.25, 0.25]])
@@ -97,6 +97,12 @@ def test_pauli_family_q_entries_are_probabilities():
         pauli_family_channel(2, [[1.5, -0.5], [0, 0]])
     ch = pauli_family_channel(2, [[1 + 1e-13, 0], [0, -1e-13]])
     assert len(ch.operators) == 1
+    # the builder reads q by the spec number rule, so a direct call rejects
+    # what a spec rejects: a bool cell, and an array judged by its dtype
+    for q, bad in (([[True, 0], [0, 0]], "True"), (np.eye(2, dtype=bool), "dtype bool"),
+                   (np.array([[1, 0], [0, 0]]).astype("m8"), "dtype timedelta64")):
+        with pytest.raises(ValueError, match=rf"^probability table q must be an array of numbers, got {bad}$"):
+            pauli_family_channel(2, q)
 
 
 def test_gad_affine_values():
@@ -533,11 +539,27 @@ def test_channel_spec_rejects_non_numeric_cells():
     q = np.array([[0.7, 0.1], [0.1, 0.1]])
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2
-    # numpy refuses a ragged table as one array; walked cell by cell its
-    # cells are numbers, so the spec is made and only the build fails
-    ragged = ChannelSpec("generalized_pauli", {"dim": 2, "q": [np.zeros((2, 2)), np.zeros(2)]})
-    with pytest.raises(ValueError, match=r"^probability table q is not a rectangular array of numbers$"):
-        ragged.build()
+    # the spec keeps each array as the check read it, a float array, which
+    # the builder takes without reading its cells again
+    spec = ChannelSpec("generalized_pauli", {"dim": 2, "q": [[1, 0], [0, 0]]})
+    assert spec.params["q"].dtype == float and np.array_equal(spec.params["q"], [[1, 0], [0, 0]])
+    ops = ChannelSpec("kraus", {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}).params["operators"]
+    assert [op.shape for op in ops] == [(4, 2)]
+    # numpy refuses a ragged table as one array, and so does the spec
+    with pytest.raises(ValueError, match=r"^parameter 'q' of kind 'generalized_pauli' is not a rectangular "
+                                         r"array of numbers$"):
+        ChannelSpec("generalized_pauli", {"dim": 2, "q": [np.zeros((2, 2)), np.zeros(2)]})
+    # a numpy array is judged by its dtype, also inside a list: numpy reads
+    # the cells of a duration, a nanosecond time or a record as numbers
+    records = np.zeros((2, 2), dtype=[("n", float)])
+    records["n"][0, 0] = 1.0
+    for q, dtype in ((np.array([[1, 0], [0, 0]]).astype("m8"), "timedelta64"),
+                     ([np.array([1, 0]).astype("M8[ns]"), [0, 0]], "datetime64[ns]"),
+                     (records, "[('n', '<f8')]"), (np.eye(2, dtype=bool), "bool"),
+                     (np.eye(2, dtype=object), "object")):
+        with pytest.raises(ValueError, match=r"^parameter 'q' of kind 'generalized_pauli' must be an array of "
+                                             rf"numbers, got dtype {re.escape(dtype)}$"):
+            ChannelSpec("generalized_pauli", {"dim": 2, "q": q})
     # lists nested past the recursion limit, or into themselves, which the
     # cell walk recursed into until a RecursionError
     deep, loop = [0.5], []
@@ -571,9 +593,10 @@ def test_channel_spec_rejects_non_numeric_cells():
             ChannelSpec("gad", {"gamma": when, "p": 1.0})
 
 
-# Spec cells: valid ones pass in one pass over a flat object array, and any
-# other value is walked cell by cell, so the first bad cell keeps its text.
-# numpy's integer and float scalars are numbers; its bools and durations are not.
+# Spec cells: valid lists pass level by level, an array of integers or
+# floats by its dtype, and any other value is walked cell by cell, so the
+# first bad cell keeps its text. numpy's integer and float scalars are
+# numbers; its bools and durations are not.
 _GOOD_CELLS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64), 2**64)
                | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
@@ -597,8 +620,8 @@ def _cell_arrays(draw):
     how = draw(st.sampled_from(["list", "list", "tuple", "array", "ragged", "deeper"]))
     if how == "tuple":
         value = tuple(map(tuple, value)) if len(shape) > 1 else tuple(value)
-    elif how == "array" and all(type(c) is float for c in cells):
-        value = np.array(value)
+    elif how == "array" and all(type(c) in (int, float) for c in cells):
+        value = np.array(value)  # int64, uint64 or float64, or object past 64 bits
     elif how in ("ragged", "deeper") and len(shape) > 1 and shape[0] > 1 and shape[1] > 0:
         value[-1] = value[-1][:-1] if how == "ragged" else [value[-1]]
     return value
@@ -608,6 +631,18 @@ _NESTED_CELLS = st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3) |
                              max_leaves=12)
 
 
+def _holds_other_arrays(value) -> bool:
+    """Whether ``value`` is, or holds in its lists and tuples, a numpy array
+    whose dtype is neither an integer nor a float other than
+    ``np.longdouble``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "iuf" or value.dtype.char == "g"
+    return isinstance(value, (list, tuple)) and any(map(_holds_other_arrays, value))
+
+
+_RECORDS = np.zeros((2, 2), dtype=[("n", float)])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_cell_arrays() | _NESTED_CELLS)
 @example([[1.0], [0, 0]])
@@ -615,12 +650,32 @@ _NESTED_CELLS = st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3) |
 @example([[1, 0], [0, [10**400]]])
 @example([[0.5, int(_FLOAT_MAX) + 1]])
 @example(np.array([[0.5, math.nan]]))
+@example(np.array([[1, 0], [0, 0]]).astype("m8"))
+@example([np.array([1, 0]).astype("M8[ns]"), [0, 0]])
+@example(_RECORDS)
+@example(np.eye(2, dtype=bool))
 def test_check_numbers_names_the_cell_the_walk_names(value):
     """check_numbers accepts a value exactly when the cell-by-cell walk
-    does, and otherwise raises its text, naming the same first bad cell."""
+    does and numpy reads it as one array, and then returns what
+    np.asarray(value, dtype=float) returns, to the bit; otherwise it raises
+    the walk's text, naming the same first bad cell, or says the value is
+    not rectangular. An array of any dtype but integers and floats fails by
+    its dtype, which the walk does not judge."""
     def outcome(check):
         try:
-            check(value, "parameter 'q'")
+            return check(value, "parameter 'q'")
         except ValueError as exc:
             return str(exc)
-    assert outcome(check_numbers) == outcome(reference_check_numbers)
+    got, walked = outcome(check_numbers), outcome(reference_check_numbers)
+    if _holds_other_arrays(value):
+        assert isinstance(got, str)
+        assert got == walked or got.startswith("parameter 'q' must be an array of numbers, got dtype ")
+    elif walked is not None:
+        assert isinstance(got, str) and got == walked
+    else:
+        try:
+            want = np.asarray(value, dtype=float)
+        except ValueError:
+            assert got == "parameter 'q' is not a rectangular array of numbers"
+        else:
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())

@@ -470,7 +470,7 @@ _OPERATORS_ERROR = r"^capdetect: error: parameter 'operators' of kind 'kraus' mu
 @example((b'{"kind": "gad", "params": {"gamma": 1' + b"0" * 5000 + b', "p": 1.0}}', None, ["bound"],
           [r"^capdetect: error: parameter 'gamma' of kind 'gad' must be a finite number, got inf$"]))
 @example(({"kind": "generalized_pauli", "params": {"dim": 2, "q": [[1.0], [0, 0]]}}, None, ["bound"],
-          [r"^capdetect: error: probability table q is not a rectangular array of numbers$"]))
+          [r"^capdetect: error: parameter 'q' of kind 'generalized_pauli' is not a rectangular array of numbers$"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[_S, 0], [0, 0], [0, 0], [_S, 0]]]}}, None,
           ["bound"], [r"^capdetect: error: Kraus set is not CPTP: trace-preservation error 5\.000e-01$"]))
 @example(({"kind": "kraus", "params": {"dim": 2, "operators": [[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]}}, None,

@@ -531,15 +531,17 @@ def test_detect_from_samples_is_detect_from_counts_on_sample_counts():
 
 def test_detect_from_counts_rejects_ragged_tables():
     # numpy refuses ragged lists with its own message; the error names the
-    # rule, as it does for lists nested past numpy's dimensions or into
-    # themselves, which the cell walk would recurse into without end
+    # rule of channels.check_numbers, which reads the counts, as it does for
+    # lists nested past the recursion limit or into themselves, which the
+    # cell walk would recurse into without end
     deep, loop = [1], []
     for _ in range(2000):
         deep = [deep]
     loop.append(loop)
-    for ragged, labels in (([[[1, 0], [0]]], ["a"]), ([[[1, 0], [0, 1]], [[1, 0]]], ["a", "b"]),
-                           (deep, ["a"]), (loop, ["a"])):
-        with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing to shots = 1$"):
+    for ragged, labels, message in (([[[1, 0], [0]]], ["a"], "is not a rectangular array of numbers"),
+                                    ([[[1, 0], [0, 1]], [[1, 0]]], ["a", "b"], "is not a rectangular array of numbers"),
+                                    (deep, ["a"], "is nested too deeply"), (loop, ["a"], "is nested too deeply")):
+        with pytest.raises(ValueError, match=rf"^counts {message}$"):
             detect_from_counts(ragged, 1, labels, DetectionConfig("pauli"), 1, 100)
 
 
@@ -549,10 +551,23 @@ def test_detect_from_counts_rejects_malformed_tables():
     detect_from_counts(counts, 5, ["a", "b"], cfg, 1, 100)
     # the shape is checked before the resamples, whose cell cap reads d
     for bad_counts, shots, labels in ((counts, 5, ["a"]), (counts, 6, ["a", "b"]), (counts[:, :1], 5, ["a", "b"]),
-                                      (counts[0], 5, ["a", "b"]), (5, 5, ["x"]), (counts[:0], 5, [])):
+                                      (counts[0], 5, ["a", "b"]), (counts[:0], 5, [])):
         with pytest.raises(ValueError, match=rf"^need one square count table per label, columns summing "
                                              rf"to shots = {shots}$"):
             detect_from_counts(bad_counts, shots, labels, cfg, 1, 100)
+    # a number, Python's or a 0-d array, is no table
+    for number in (5, np.array(5)):
+        with pytest.raises(ValueError, match=rf"^counts must be an array of numbers, got {re.escape(repr(number))}$"):
+            detect_from_counts(number, 5, ["x"], cfg, 1, 100)
+    # the column sums are exact at every shots < 2^63: at d = 5 and shots =
+    # 2^62, a first column of five cells 2^62 summed to 2^62 in int64 and
+    # failed inside numpy's multinomial; a valid table there still passes
+    wrapped = np.zeros((1, 5, 5), dtype=np.int64)
+    wrapped[0, :, 0] = wrapped[0, 0, 1:] = 2**62
+    with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing "
+                                         r"to shots = 4611686018427387904$"):
+        detect_from_counts(wrapped, 2**62, ["a"], DetectionConfig("weyl"), 1, 100)
+    assert detect_from_counts([[[2**62, 2**61], [0, 2**61]]], 2**62, ["a"], cfg, 1, 100).point_estimate_bits >= 0.0
     # shots that are not an integer in [1, 2^63), as sample_transition takes
     # them; 2^63 is past int64, where comparing the column sums would overflow
     for bad_counts, shots in ((0 * counts, 0), (np.full((1, 2, 2), 2**62), 2**63), (counts, 5.0), (counts, 5.5)):
@@ -577,25 +592,28 @@ def test_detect_from_counts_rejects_cells_that_are_no_numbers():
     cfg = DetectionConfig("pauli")
     for tables, shots, cell in (([[["1", "0"], ["0", "1"]]], 1, "'1'"),
                                 ([[[True, False], [False, True]]] * 3, 1, "True"),
-                                (np.eye(2, dtype=bool)[None], 1, "True"),
+                                (np.eye(2, dtype=bool)[None], 1, "dtype bool"),
                                 ([[[2, None], [0, 2]]], 2, "None"),
                                 ([[[2j, 0], [0, 2]]], 2, "2j"),
                                 # a duration is a numpy integer, but no count; numpy 2 writes np., 1.x numpy.
                                 ([[[2, np.timedelta64(0)], [0, 2]]], 2, r"(np|numpy)\.timedelta64\(0\)")):
         with pytest.raises(ValueError, match=rf"^counts must be an array of numbers, got {cell}$"):
             detect_from_counts(tables, shots, ["x", "y", "z"][:len(tables)], cfg, 1, 100)
-    # numbers numpy holds as objects, and times and records, whose cells
-    # read as ints, are no table of counts: numpy's sums and draws took them
-    # as TypeError or OverflowError
+    # object, time and record arrays, whose cells numpy reads as ints, are
+    # no table of counts: numpy's sums and draws took them as TypeError or
+    # OverflowError; each array is judged by its dtype, in a list too
     records = np.zeros((1, 2, 2), dtype=[("n", int)])
     records["n"] = [[[2, 0], [0, 2]]]
+    wide = np.array([[[2, 0], [0, 2]]], dtype=np.longdouble)
     for tables, dtype in ((np.array([[[2, 0], [0, 2]]], dtype=object), "object"),
-                          ([[[2, 0], [2**70, 2]]], "object"),
                           (np.array([[[2, 0], [0, 2]]], dtype="m8"), "timedelta64"),
                           ([np.array([[2, 0], [0, 2]], dtype="M8[ns]")], re.escape("datetime64[ns]")),
-                          (records, re.escape("[('n', '<i8')]"))):
-        with pytest.raises(ValueError, match=rf"^counts must be integers or floats, got dtype {dtype}$"):
+                          (records, re.escape("[('n', '<i8')]")), (wide, str(wide.dtype))):
+        with pytest.raises(ValueError, match=rf"^counts must be an array of numbers, got dtype {dtype}$"):
             detect_from_counts(tables, 2, ["z"], cfg, 1, 100)
+    # an integer past 64 bits is a number, and its column's exact sum is no shots
+    with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing to shots = 2$"):
+        detect_from_counts([[[2, 0], [2**70, 2]]], 2, ["z"], cfg, 1, 100)
     # integer and float tables of whole counts still pass, to the same value,
     # as do numpy integers and floats among Python numbers
     ints = np.array([[[3, 1], [2, 4]]])
