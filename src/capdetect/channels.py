@@ -8,7 +8,6 @@ convert between the two pictures.
 
 import inspect
 import math
-from itertools import chain
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -211,12 +210,16 @@ def affine_to_kraus(ch: AffineQubitChannel) -> KrausChannel:
 
 _ARRAY_PARAMS = ("q", "operators")
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares exactly with any int
-_NUMBER_CODES = np.typecodes["AllInteger"] + "efd"  # the dtypes of numbers: integers, and floats float64 holds
+
+
+def _holds_numbers(array: np.ndarray) -> bool:
+    """Whether the array's dtype is one of numbers: an integer, or a float that float64 holds."""
+    return array.dtype.kind in "iu" or array.dtype.char in "efd"
 
 
 def _cells(value) -> list:
     """The leaf entries of nested lists, tuples and arrays of numbers; any other array is one leaf."""
-    if isinstance(value, np.ndarray) and value.dtype.char in _NUMBER_CODES:
+    if isinstance(value, np.ndarray) and _holds_numbers(value):
         value = value.tolist()
     return [c for v in value for c in _cells(v)] if isinstance(value, (list, tuple)) else [value]
 
@@ -231,7 +234,7 @@ def check_numbers(value, subject: str, nested: bool = True) -> np.ndarray:
     that numpy cannot read the cells as one array."""
     what = "an array of numbers" if nested else "a number"
     if nested and isinstance(value, np.ndarray) and value.ndim:
-        if value.dtype.char in _NUMBER_CODES and np.isfinite(array := np.asarray(value, dtype=float)).all():
+        if _holds_numbers(value) and np.isfinite(array := np.asarray(value, dtype=float)).all():
             return array
     elif nested and isinstance(value, (list, tuple)):
         # lists of Python numbers pass level by level, in at most numpy's 64
@@ -242,7 +245,7 @@ def check_numbers(value, subject: str, nested: bool = True) -> np.ndarray:
             if not level or not kinds <= {list, tuple} or len(lengths := set(map(len, level))) > 1:
                 break
             shape += lengths
-            level = list(chain.from_iterable(level))
+            level = [cell for row in level for cell in row]
         if kinds <= {int, float} and all(map(_FLOAT_MAX.__ge__, map(abs, level))):  # NaN fails
             return np.array(level, dtype=float).reshape(shape)
     elif nested:
@@ -304,6 +307,8 @@ class ChannelSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
+    # q and each Kraus operator as check_numbers read them, once, for the builder
+    _arrays: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every path to a channel constructs a spec: the one check of its kind, names, types and dim
@@ -320,12 +325,13 @@ class ChannelSpec:
         missing = [name for name, p in expected.items() if p.default is p.empty and name not in params]
         if missing:
             raise ValueError(f"missing parameter(s) for kind '{kind}': {sorted(missing)}")
-        for name, value in params.items():  # arrays are kept as check_numbers reads them, once
+        object.__setattr__(self, "_arrays", arrays := {})
+        for name, value in params.items():
             subject = f"parameter '{name}' of kind '{kind}'"
             if name == "operators" and isinstance(value, (list, tuple)):  # each takes either cell layout
-                params[name] = [check_numbers(op, subject) for op in value]
+                arrays[name] = [check_numbers(op, subject) for op in value]
             elif name in _ARRAY_PARAMS:
-                params[name] = check_numbers(value, subject)
+                arrays[name] = check_numbers(value, subject)
             else:
                 check_numbers(value, subject, False)
         if "dim" in params:
@@ -341,7 +347,7 @@ class ChannelSpec:
 
     def _make(self):
         """The kind's builder applied to the parameters."""
-        return _KINDS[self.kind](**self.params)
+        return _KINDS[self.kind](**{**self.params, **self._arrays})
 
     def build(self, require_cptp: bool = True) -> KrausChannel:
         """The channel, after its builder's range checks and a kraus spec's trace-preservation check."""

@@ -142,8 +142,8 @@ def detect_from_counts(counts, shots: int, labels, config: DetectionConfig, seed
     if fractional.size:
         raise ValueError(f"counts must be integers, got {fractional[0]} "
                          f"({fractional.size} of {tables.size} entries)")
-    # a valid table's cells lie in [0, shots], shots < 2^63, so int64 holds them and Python ints sum them exactly
-    if float(tables.max()) > shots or (tables.astype(np.int64).astype(object).sum(axis=1) != shots).any():
+    # the whole, non-negative cells as given, not as float64 rounds them past 2^53, summed exactly as Python ints
+    if (np.frompyfunc(int, 1, 1)(np.array(counts, dtype=object)).sum(axis=1) != shots).any():
         raise ValueError(malformed)
     return _estimate(tables, shots, labels, config, seed, resamples)
 

@@ -540,11 +540,17 @@ def test_channel_spec_rejects_non_numeric_cells():
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": q}).build().dim == 2
     assert ChannelSpec("generalized_pauli", {"dim": 2, "q": tuple(map(tuple, q))}).build().dim == 2
     # the spec keeps each array as the check read it, a float array, which
-    # the builder takes without reading its cells again
+    # the builder takes without reading its cells again; its params, repr
+    # and equality stay those of the parameters as given
     spec = ChannelSpec("generalized_pauli", {"dim": 2, "q": [[1, 0], [0, 0]]})
-    assert spec.params["q"].dtype == float and np.array_equal(spec.params["q"], [[1, 0], [0, 0]])
-    ops = ChannelSpec("kraus", {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}).params["operators"]
-    assert [op.shape for op in ops] == [(4, 2)]
+    assert spec._arrays["q"].dtype == float and np.array_equal(spec._arrays["q"], [[1, 0], [0, 0]])
+    assert spec.params == {"dim": 2, "q": [[1, 0], [0, 0]]}
+    assert spec == ChannelSpec("generalized_pauli", {"dim": 2, "q": [[1, 0], [0, 0]]})
+    assert spec != ChannelSpec("generalized_pauli", {"dim": 2, "q": [[0, 1], [0, 0]]})
+    assert repr(spec) == "ChannelSpec(kind='generalized_pauli', params={'dim': 2, 'q': [[1, 0], [0, 0]]})"
+    kraus = {"dim": 2, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}
+    assert [op.shape for op in ChannelSpec("kraus", kraus)._arrays["operators"]] == [(4, 2)]
+    assert ChannelSpec("kraus", kraus) == ChannelSpec.from_dict({"kind": "kraus", "params": kraus})
     # numpy refuses a ragged table as one array, and so does the spec
     with pytest.raises(ValueError, match=r"^parameter 'q' of kind 'generalized_pauli' is not a rectangular "
                                          r"array of numbers$"):

@@ -568,6 +568,14 @@ def test_detect_from_counts_rejects_malformed_tables():
                                          r"to shots = 4611686018427387904$"):
         detect_from_counts(wrapped, 2**62, ["a"], DetectionConfig("weyl"), 1, 100)
     assert detect_from_counts([[[2**62, 2**61], [0, 2**61]]], 2**62, ["a"], cfg, 1, 100).point_estimate_bits >= 0.0
+    # the cells are summed as given, not as float64 rounds them past 2^53:
+    # a first column of 2^62 + 1 fails, and one of 2^62 - 1 and 1 passes
+    for table in ([[[2**62 + 1, 2**62], [0, 0]]], np.array([[[2**62 + 1, 2**62], [0, 0]]])):
+        with pytest.raises(ValueError, match=r"^need one square count table per label, columns summing "
+                                             r"to shots = 4611686018427387904$"):
+            detect_from_counts(table, 2**62, ["a"], cfg, 1, 100)
+    for table in ([[[2**62 - 1, 2**62], [1, 0]]], np.array([[[2**62 - 1, 2**62], [1, 0]]])):
+        assert detect_from_counts(table, 2**62, ["a"], cfg, 1, 100).point_estimate_bits >= 0.0
     # shots that are not an integer in [1, 2^63), as sample_transition takes
     # them; 2^63 is past int64, where comparing the column sums would overflow
     for bad_counts, shots in ((0 * counts, 0), (np.full((1, 2, 2), 2**62), 2**63), (counts, 5.0), (counts, 5.5)):
