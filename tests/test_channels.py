@@ -334,25 +334,35 @@ def _cp_or_none(*params):
         return None
 
 
+def _accepted(points):
+    """The channels AffineQubitChannel accepts among the rows (l1, l2, l3, t3)
+    of ``points``, in order, constructing only the rows that meet its closed
+    form."""
+    l1, l2, l3, t3 = points.T
+    meets = (np.hypot(t3, l1 + l2) - l3 <= 1 + 1e-12) & (np.hypot(t3, l1 - l2) + l3 <= 1 + 1e-12)
+    return [ch for ch in (_cp_or_none(*row) for row in points[meets]) if ch is not None]
+
+
 def _written_out_choi_cases(rng):
     """Canonical channels for the bit-for-bit Choi test: uniform in the CP
-    region, with t3 = 0, with l1 = l2, just inside the CP boundary along a
-    random ray, signed zeros and the corners, and every affine zoo kind."""
-    yield from (random_cp_affine(rng) for _ in range(3000))
-    for tie in (False, True):  # t3 = 0, then l1 = l2
-        n = 0
-        while n < 600:
-            l1, l2, l3, t3 = rng.uniform(-1, 1, 4)
-            ch = _cp_or_none(l1, l1 if tie else l2, l3, t3 if tie else 0.0)
-            if ch is not None:
-                n += 1
-                yield ch
-    for _ in range(600):
-        ray, lo, hi = rng.uniform(-1, 1, 4), 0.0, 2.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if _cp_or_none(*(mid * ray)) else (lo, mid)
-        yield AffineQubitChannel(*(lo * ray))
+    region, with t3 = 0, with l1 = l2, at the constructor's acceptance edge
+    along a random ray, signed zeros and the corners, and every affine zoo
+    kind."""
+    uniform, flat, tied = (rng.uniform(-1, 1, (8 * n, 4)) for n in (3000, 600, 600))
+    flat[:, 3] = 0.0  # t3 = 0
+    tied[:, 1] = tied[:, 0]  # l1 = l2
+    for n, points in ((3000, uniform), (600, flat), (600, tied)):
+        cases = _accepted(points)
+        assert len(cases) >= n
+        yield from cases[:n]
+    for ray in rng.uniform(-1, 1, (600, 4)):
+        # the largest scale both CP inequalities and the [-1, 1] range allow
+        # within 1e-12, then down by one float at a time until accepted
+        l1, l2, l3, t3 = ray
+        scale = (1 + 1e-12) / max(np.hypot(t3, l1 + l2) - l3, np.hypot(t3, l1 - l2) + l3, np.abs(ray).max())
+        while (ch := _cp_or_none(*(scale * ray))) is None:
+            scale = np.nextafter(scale, 0.0)
+        yield ch
     for params in ((-0.0, -0.0, -0.0, -0.0), (0, 0, 0, 0), (1, 1, 1, 0), (-1, -1, 1, 0), (0, 0, 1, 0),
                    (-0.0, 0.0, 0.0, 1.0), (0.0, -0.0, 0.0, -1.0), (-0.0, 0.0, -1.0, 0.0), (1, -1, -1, 0)):
         yield AffineQubitChannel(*params)

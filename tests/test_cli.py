@@ -1210,21 +1210,49 @@ def test_table_limit_counts_rows(monkeypatch, tmp_path):
 # written in blocks of rows, and the bytes of the row-wise CSV writer it
 # replaced and of json.dumps
 
+# the one directory the table and JSON writers' files go to, made once
+_FILES = tempfile.TemporaryDirectory()
+
+
+def teardown_module():
+    _FILES.cleanup()
+
+
+def _new_path(name: str) -> str:
+    """A path in ``_FILES`` at which no file exists, so that a writer that
+    writes nothing leaves nothing to read."""
+    path = os.path.join(_FILES.name, name)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    return path
+
+
 def _block_texts(write) -> set:
-    """The texts ``write(out)`` writes to stdout (``out`` None) and to a
-    file, with the writer's own block size and with blocks of 1, 2, 3 and 7
-    rows; one text when they all agree."""
-    texts = set()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table")
-        for rows in (cli._BLOCK_ROWS, 1, 2, 3, 7):
-            with unittest.mock.patch.object(cli, "_BLOCK_ROWS", rows):
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    write(None)
-                write(path)
-            with open(path, newline="") as f:
-                texts |= {buf.getvalue(), f.read()}
+    """The texts of what ``write(out)`` writes, at the writer's own block
+    size and in blocks of 1, 2, 3 and 7 rows, each size once: to stdout
+    (``out`` None) at its own size, to a file in blocks of 1 row, and the
+    table it gathered for stdout cut again in blocks of 2, 3 and 7; one text
+    when they all agree. ``cli._emit`` writes the same pieces to either sink,
+    and only ``cli._table_pieces`` reads the block size."""
+    table_pieces, tables = cli._table_pieces, []
+
+    def kept(*table):
+        tables.append(table)
+        return table_pieces(*table)
+
+    buf = io.StringIO()
+    with unittest.mock.patch.object(cli, "_table_pieces", kept), contextlib.redirect_stdout(buf):
+        write(None)
+    [table] = tables
+    texts = {buf.getvalue()}
+    for rows in (2, 3, 7):
+        with unittest.mock.patch.object(cli, "_BLOCK_ROWS", rows):
+            texts.add("".join(table_pieces(*table)))
+    path = _new_path("table")
+    with unittest.mock.patch.object(cli, "_BLOCK_ROWS", 1):
+        write(path)
+    with open(path, newline="") as f:
+        texts.add(f.read())
     return texts
 
 
@@ -1242,21 +1270,24 @@ def _table(*columns):
 
 _CSV_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1])
+# each column kind: a few distinct values, as in a figure, so most repeat,
+# and the column's dtype; the strategies are built once, not per table
 _CSV_KINDS = (
     (_CSV_FLOATS, float),
     (st.text(alphabet="B12 ,xé", max_size=3), str),
     (st.booleans(), bool),
     (st.none() | _CSV_FLOATS, object),  # a float-or-None column
 )
+_CSV_COLUMNS = st.lists(st.sampled_from([(st.lists(values, min_size=1, max_size=4), dtype)
+                                         for values, dtype in _CSV_KINDS]), min_size=1, max_size=5)
 
 
 @st.composite
 def _tables(draw):
     n_rows = draw(st.integers(1, 12))
     columns = []
-    for values, dtype in draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=5)):
-        # a few distinct values per column, as in a figure, so most repeat
-        pool = draw(st.lists(values, min_size=1, max_size=4))
+    for pools, dtype in draw(_CSV_COLUMNS):
+        pool = draw(pools)
         columns.append((draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)), dtype))
     return _table(*columns)
 
@@ -1297,6 +1328,9 @@ def test_table_blocks_keep_every_byte(shape):
     columns = (*np.broadcast_arrays(*axes), value, labels, maybe, index % 2 == 0)
     names = tuple(f"c{j}" for j in range(len(columns)))
     rows = table_rows([c.ravel() for c in columns])
+    # the block size's one reader, on which _block_texts relies
+    assert [name for name, f in vars(cli).items()
+            if "_BLOCK_ROWS" in getattr(getattr(f, "__code__", None), "co_names", ())] == ["_table_pieces"]
     for fmt, reference in (("csv", reference_csv_text(names, rows)),
                            ("json", json.dumps({"figure": "table", "columns": list(names), "rows": rows},
                                                indent=2) + "\n")):
@@ -1334,15 +1368,14 @@ def _emitted(payload) -> str:
     """The text ``_emit_json`` writes to stdout, after checking that it
     writes the same text to a file, and writes no file when it raises."""
     buf = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.json")
-        try:
-            cli._emit_json(payload, out)
-        except TypeError:
-            assert not os.path.exists(out)
-            raise
-        with open(out, newline="") as f:
-            written = f.read()
+    out = _new_path("out.json")
+    try:
+        cli._emit_json(payload, out)
+    except TypeError:
+        assert not os.path.exists(out)
+        raise
+    with open(out, newline="") as f:
+        written = f.read()
     with contextlib.redirect_stdout(buf):
         cli._emit_json(payload, None)
     assert buf.getvalue() == written
