@@ -35,7 +35,9 @@ from .protocol_sim import RESAMPLES, detect_from_samples
 
 # Most rows a figure table may have; its rows are the product of its grids'
 # point counts. The defaults have at most 10,201, and at this limit the
-# costliest table (fig1) peaks near 0.7 GB.
+# costliest table, fig1, peaked at 438 MB on a 2-vCPU Linux VM (CSV and
+# JSON alike), nearly all of it its Pauli-axis closed form over (rows, 3)
+# arrays.
 _MAX_TABLE_ROWS = 1_000_000
 
 # Most rows the table writer gathers, joins and writes at a time, so that no
@@ -64,13 +66,14 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _emit(pieces, out):
-    """Write the text ``pieces``, in turn, to the file ``out``, or to stdout
-    when ``out`` is None."""
+    """Write the text ``pieces``, in turn, to stdout when ``out`` is None,
+    else to the file ``out`` as UTF-8 bytes, each piece encoded as it is
+    written."""
     if out is None:
         sys.stdout.writelines(pieces)
     else:
-        with open(out, "w", newline="") as f:
-            f.writelines(pieces)
+        with open(out, "wb") as f:
+            f.writelines(map(str.encode, pieces))
 
 
 def _emit_json(payload: dict, out):
@@ -258,12 +261,15 @@ def _read_text(path: str) -> str:
                          f"(0x{data[exc.start]:02x})") from None
 
 
+_JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def _read_json(path: str):
     """The JSON document in the file ``path``; a syntax error fails by the
     file's name, with the line and column where json finds it, and so does
     nesting past the parser's recursion limit."""
     try:
-        return json.loads(_read_text(path), parse_int=_json_int)
+        return _JSON_DECODER.decode(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {exc.lineno} of {path}: column {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -342,8 +348,7 @@ def _parse_grid_overrides(specs) -> dict:
 def _cmd_bound(args) -> int:
     channel = _load_channel(args.channel)
     config = _resolve_config(args, channel.dim)
-    result = detect_capacity(channel, config)
-    _emit_json(result.as_dict(), args.out)
+    _emit((detect_capacity(channel, config).json_text(), "\n"), args.out)
     return 0
 
 

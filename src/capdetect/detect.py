@@ -8,6 +8,7 @@ pseudoclassical channels the two coincide and the bound is tight.
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -170,6 +171,40 @@ class DetectionResult:
             ],
         }
 
+    def json_text(self) -> str:
+        """The text of ``json.dumps(self.as_dict(), indent=2)``, from one
+        template per shape (see :func:`_json_template`): every value is
+        written by json's own encoder, in one call, so each float, label,
+        int and flag has json's text. The bases' transitions share one
+        shape and each prior has one entry per input, as in every result
+        of a detection."""
+        values = [self.c_det_bits, self.argmax_basis, self.argmax_index, self.converged]
+        for r in self.per_basis:
+            values += r.label, r.mutual_information_bits, r.method, r.converged
+            values += r.optimal_prior.tolist()
+            values += r.transition.ravel().tolist()
+        texts = _VALUE_ENCODER.encode(values)[1:-1].split(_SLOT)
+        shape = self.per_basis[0].transition.shape if self.per_basis else (0, 0)
+        return _json_template(len(self.per_basis), *shape) % tuple(texts)
+
+
+# json.dumps's encoder with a NUL after each item: its text of a list holds
+# no other NUL, as it escapes one inside a string
+_SLOT = "\0"
+_VALUE_ENCODER = json.JSONEncoder(separators=(_SLOT, ":"))
+
+
+@functools.cache
+def _json_template(bases: int, outputs: int, inputs: int) -> str:
+    """``json.dumps(result.as_dict(), indent=2)`` of a result of ``bases``
+    bases with (outputs, inputs) transitions, with ``%s`` in place of each
+    value in the order :meth:`DetectionResult.json_text` lists them: the
+    text of a result whose every value is None, each ``null`` replaced."""
+    slots = np.full((outputs + 1, inputs), None)
+    basis = BasisResult(None, slots[:outputs], slots[outputs], None, None, None)
+    doc = DetectionResult([basis] * bases, None, None, None, None).as_dict()
+    return json.dumps(doc, indent=2).replace("null", "%s")
+
 
 def solve_stack(stack: np.ndarray, config: DetectionConfig) -> tuple:
     """Solve a stack (g, outputs, inputs) of same-shape column-stochastic
@@ -329,6 +364,9 @@ def pseudoclassicality(ch: AffineQubitChannel) -> PseudoclassicalityReport:
 
 _GAD_GRID_POINTS = 9
 _GAD_GRID_ROUNDS = 17
+# gammas evaluated at a time: a round holds several (gammas, 9) arrays, so
+# the peak grows with the block, not with the call
+_GAD_BLOCK = 4096
 
 
 def holevo_gad_p1(gamma):
@@ -343,10 +381,19 @@ def holevo_gad_p1(gamma):
     cells when the best point is an end), a bracket 4x narrower; the last
     bracket is 4^-17 < 6e-11 wide. The result is the best value evaluated.
     The schedule is fixed, so each gamma's value does not depend on the
-    others in the call.
+    others in the call, and the gammas are evaluated in blocks of
+    ``_GAD_BLOCK``.
     """
     gam = check_interval("gamma", gamma)
-    g = gam.ravel()[:, None]
+    flat = gam.ravel()
+    top = np.empty(flat.size)
+    for start in range(0, flat.size, _GAD_BLOCK):
+        top[start:start + _GAD_BLOCK] = _holevo_gad_p1_block(flat[start:start + _GAD_BLOCK, None])
+    return _float_or_array(top.reshape(gam.shape))
+
+
+def _holevo_gad_p1_block(g: np.ndarray) -> np.ndarray:
+    """:func:`holevo_gad_p1` of a column (n, 1) of checked gammas, flat."""
     rows = np.arange(g.size)
     frac = np.linspace(0.0, 1.0, _GAD_GRID_POINTS)
     kept = 1.0 - g
@@ -360,7 +407,7 @@ def holevo_gad_p1(gamma):
         top = np.maximum(top, vals[rows, i])
         lo = t[rows, np.clip(i - 1, 0, _GAD_GRID_POINTS - 3)]
         width *= 2.0 / (_GAD_GRID_POINTS - 1)
-    return _float_or_array(top.reshape(gam.shape))
+    return top
 
 
 def _symmetric_axes_detected(fx, fy, fz):

@@ -252,9 +252,16 @@ def _blahut_arimoto_checked(t: np.ndarray, tol_bits: float, max_iter: int):
             p0, pa = pa, mapped
         else:
             pa = _squarem_step(p0, pa, mapped)
-        # the face-Newton candidates of the matrices still open
+        # the face-Newton candidates of the matrices still open: of all of
+        # them at once, with the bracket updated in place, when none is done
         rows = np.flatnonzero(~(hi - lo <= tol_bits)) if it >= 24 and it % 8 == 0 else ()
-        if len(rows):
+        if len(rows) == len(lo):
+            mapped, lower, upper = _ba_map(ta, ka, _face_newton(ta, ka, best))
+            raised = lower > lo
+            np.copyto(lo, lower, where=raised)
+            np.copyto(best, mapped, where=raised[:, None])
+            np.fmin(hi, upper, out=hi)
+        elif len(rows):
             mapped, lower, upper = _ba_map(ta[rows], ka[rows], _face_newton(ta[rows], ka[rows], best[rows]))
             raised = lower > lo[rows]
             lo[rows[raised]] = lower[raised]
@@ -329,9 +336,10 @@ def _squarem_step(p0, p1, p2):
     alpha = -np.maximum(ratio, 1.0)[:, None]  # min(-|r|/|v|, -1)
     step = p0 - 2.0 * alpha * r + alpha * alpha * v
     for _ in range(5):
-        bad = _row_reduce(np.logical_or, step < 0.0)[:, None]
-        if not bad.any():
-            break
+        negative = step < 0.0
+        if not negative.any():
+            return step / _row_reduce(np.add, step)[:, None]
+        bad = _row_reduce(np.logical_or, negative)[:, None]
         alpha = np.where(bad, (alpha - 1.0) / 2.0, alpha)
         step = p0 - 2.0 * alpha * r + alpha * alpha * v
     bad = _row_reduce(np.logical_or, step < 0.0)[:, None]

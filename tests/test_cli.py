@@ -891,7 +891,8 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
 def test_requests_give_the_same_bytes_here_and_in_a_fresh_process(tmp_path, capsys):
     """Each request, through ``main`` here and through the console script's
     call in a fresh process, which runs them in reverse order: the same
-    bytes, each json.dumps(..., indent=2)'s own text, and each bound and ba
+    bytes, each json.dumps(..., indent=2)'s own text, each bound response
+    the text of json.dumps of the library's result, and each bound and ba
     response converged."""
     files = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in (
         ("gad", GAD),
@@ -945,6 +946,11 @@ def test_requests_give_the_same_bytes_here_and_in_a_fresh_process(tmp_path, caps
         assert out.read_bytes().decode() == text, argv
         doc = json.loads(text)
         assert json.dumps(doc, indent=2) + "\n" == text, argv
+        if argv[0] == "bound":  # written from its template
+            args = cli.build_parser().parse_args(argv)
+            channel = cli._load_channel(args.channel)
+            result = capdetect.detect_capacity(channel, cli._resolve_config(args, channel.dim))
+            assert json.dumps(result.as_dict(), indent=2) + "\n" == text, argv
         if argv[0] in ("bound", "ba"):
             assert doc["converged"] is True, argv
     tail = json.loads(here[-2][1])  # the d + 1 = 6 Weyl bases, each listed once

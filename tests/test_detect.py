@@ -3,12 +3,14 @@ import dataclasses
 import decimal
 import io
 import json
+import math
 import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from capdetect import (
     AffineQubitChannel,
@@ -47,7 +49,7 @@ from capdetect import (
 )
 from capdetect.qcore import conditional_probs, weyl_class
 from capdetect.cli import grid_values
-from capdetect.detect import _symmetric_axes_detected, pseudoclassical_certificate
+from capdetect.detect import BasisResult, DetectionResult, _symmetric_axes_detected, pseudoclassical_certificate
 from conftest import (
     depolarizing_channel,
     fourier_basis,
@@ -236,6 +238,53 @@ def test_detection_reports_no_capacity_below_zero():
     values = [b.mutual_information_bits for b in r.per_basis]
     assert values == [0.0] * 8 and not np.signbit(values).any()
     assert (r.c_det_bits, r.argmax_index) == (0.0, 0)
+
+
+# How far a reported c_det_bits may lie from the mutual information of the
+# reported prior and transition, computed exactly: 2^-48 bits, 16 units in
+# the last place of 1 bit, above the largest excess, 1.28e-15 bits (the
+# uniform d = 19 channel, where c_det_bits should read 0)
+_DECIMAL_MARGIN = 2.0**-48
+
+
+def _decimal_mutual_information(prior, transition) -> decimal.Decimal:
+    """I(p, T) in bits at 60 digits, in stdlib decimal, from the float
+    entries taken exactly; p is rescaled to sum to 1 exactly, and a zero
+    entry of T adds nothing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = [decimal.Decimal(x) for x in prior]
+        total = sum(p)
+        p = [x / total for x in p]
+        t = [[decimal.Decimal(x) for x in row] for row in transition]
+        info = decimal.Decimal(0)
+        for row in t:
+            q = sum(tn * pn for tn, pn in zip(row, p))
+            info += sum((pn * tn * (tn / q).ln() for tn, pn in zip(row, p) if tn > 0), decimal.Decimal(0))
+        return info / decimal.Decimal(2).ln()
+
+
+def test_c_det_bits_is_the_reported_priors_information_within_a_stated_margin():
+    """An oracle that shares no code with capdetect: c_det_bits <= I(p*, T)
+    + m and I(p*, T) <= c_det_bits + gap + m, where p* and T are the
+    winning basis's reported prior and float transition and I is computed
+    at 60 digits. c_det_bits is not yet a bound by itself: some cases read
+    above I, the closed form by up to 6.6e-16 bits and the uniform d = 19
+    channel by 1.28e-15."""
+    channels = [*(random_cptp_channel(2, 2, np.random.default_rng(seed)) for seed in range(12)),
+                *(random_cptp_channel(3, 2, np.random.default_rng(seed)) for seed in range(12)),
+                _D5_MEMBER24, pauli_family_channel(19, np.full((19, 19), 1 / 361))]
+    excess = []
+    for channel in channels:
+        result = detect_capacity(channel, DetectionConfig("pauli" if channel.dim == 2 else "weyl"))
+        best = result.per_basis[result.argmax_index]
+        info = _decimal_mutual_information(best.optimal_prior, best.transition)
+        above = decimal.Decimal(result.c_det_bits) - info
+        assert above <= decimal.Decimal(_DECIMAL_MARGIN), channel.dim
+        assert -above <= decimal.Decimal(best.gap_bits) + decimal.Decimal(_DECIMAL_MARGIN), channel.dim
+        excess.append(float(above))
+    assert max(excess) > 0.0  # the margin is needed
+    assert 1e-15 < excess[-1] <= _DECIMAL_MARGIN  # the uniform d = 19 channel
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -521,6 +570,19 @@ def test_holevo_gad_array_call_matches_scalar_calls():
     for bad in (-0.1, 1.5, np.nan, [0.2, np.nan]):
         with pytest.raises(ValueError, match="outside"):
             holevo_gad_p1(bad)
+
+
+def test_holevo_gad_in_blocks_equals_one_pass(monkeypatch):
+    # each gamma's schedule is fixed and _h's two forms give the same
+    # floats, so blocks of any size, which split the grid's ends 0 and 1
+    # from the gammas inside, change no bit
+    gammas = np.concatenate([grid_values(0.0, 1.0, 0.01), np.random.default_rng(52).uniform(0.0, 1.0, 52)])
+    whole = holevo_gad_p1(gammas)  # 153 gammas, one block
+    for block in (1, 2, 7, 64, 152):
+        monkeypatch.setattr("capdetect.detect._GAD_BLOCK", block)
+        assert np.array_equal(holevo_gad_p1(gammas), whole), block
+        assert np.array_equal(holevo_gad_p1(gammas.reshape(9, 17)), whole.reshape(9, 17)), block
+    assert holevo_gad_p1(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_holevo_gad_exceeds_detected():
@@ -922,6 +984,54 @@ def test_basis_results_keep_each_solve_iterations_and_gap():
     config = DetectionConfig([computational_basis(3), fourier_basis(3)])
     ws = detect_capacity(vshape_qutrit_channel(0.3, 0.6), config).per_basis[1]
     assert ws.method == "BA" and ws.iterations <= 2 and ws.gap_bits <= config.ba_tolerance_bits
+
+
+_ODD_LABELS = ('say "x"', "back\\slash", "qubit \u00e9 \u2603 \U0001f600", "nul \0 tab \t", "100% %s null")
+
+
+def _odd_result():
+    """Every float json writes apart (NaN, +-inf, -0.0, the least
+    subnormal), labels that json escapes, and a rectangular transition."""
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+    per_basis = [BasisResult(label, np.array([odd, odd[::-1], [0.1] * 6]), np.array(odd[k:] + odd[:k]),
+                             odd[k], method, k % 2 == 0)
+                 for k, (label, method) in enumerate(zip(_ODD_LABELS, ["BA", "binary-closed-form"] * 3))]
+    return DetectionResult(per_basis, -0.0, _ODD_LABELS[2], 2, False)
+
+
+@st.composite
+def _detection_results(draw):
+    """Results of 1 to 6 bases with transitions of 2 to 5 outputs and
+    inputs, of either method, any float and any label."""
+    bases, outputs, inputs = draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    method = draw(st.sampled_from(["BA", "binary-closed-form"]))
+
+    def floats(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(st.floats(), min_size=size, max_size=size))).reshape(shape)
+
+    per_basis = [BasisResult(draw(st.text()), floats(outputs, inputs), floats(inputs), draw(st.floats()), method,
+                             draw(st.booleans())) for _ in range(bases)]
+    return DetectionResult(per_basis, draw(st.floats()), draw(st.text()), draw(st.integers(0, bases - 1)),
+                           draw(st.booleans()))
+
+
+@given(_detection_results())
+@example(_odd_result())
+@example(DetectionResult([], 0.5, "none", 0))
+def test_json_text_is_the_text_of_json_dumps(result):
+    assert result.json_text() == json.dumps(result.as_dict(), indent=2)
+
+
+def test_json_text_writes_each_result_as_json_dumps_does():
+    rng = np.random.default_rng(52)
+    for d, bases in ((2, "pauli"), (3, "weyl"), (5, "weyl")):
+        for rank in (1, 2, 3):
+            result = detect_capacity(random_cptp_channel(d, rank, rng), DetectionConfig(bases))
+            assert result.json_text() == json.dumps(result.as_dict(), indent=2)
+    text = _odd_result().json_text()
+    for word in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "\\u00e9", '\\"x\\"', "\\u0000"):
+        assert word in text
 
 
 def test_detect_from_transitions_checks_its_input():
