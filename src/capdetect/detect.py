@@ -173,19 +173,29 @@ class DetectionResult:
 
     def json_text(self) -> str:
         """The text of ``json.dumps(self.as_dict(), indent=2)``, from one
-        template per shape (see :func:`_json_template`): every value is
-        written by json's own encoder, in one call, so each float, label,
-        int and flag has json's text. The bases' transitions share one
-        shape and each prior has one entry per input, as in every result
-        of a detection."""
-        values = [self.c_det_bits, self.argmax_basis, self.argmax_index, self.converged]
-        for r in self.per_basis:
-            values += r.label, r.mutual_information_bits, r.method, r.converged
-            values += r.optimal_prior.tolist()
-            values += r.transition.ravel().tolist()
-        texts = _VALUE_ENCODER.encode(values)[1:-1].split(_SLOT)
+        template per shape (see :func:`_json_template`) filled with the
+        values of :meth:`as_dict` in the order json writes them: every
+        value is written by json's own encoder, in one call, so each float,
+        label, int and flag has json's text. The bases' transitions share
+        one shape and each prior has one entry per input, as in every
+        result of a detection."""
+        texts = _VALUE_ENCODER.encode(_json_leaves(self.as_dict(), []))[1:-1].split(_SLOT)
         shape = self.per_basis[0].transition.shape if self.per_basis else (0, 0)
         return _json_template(len(self.per_basis), *shape) % tuple(texts)
+
+
+def _json_leaves(node, out: list) -> list:
+    """``out`` extended by the values in the dicts and lists of ``node``, in
+    the order json writes them. A list whose first item is neither a dict
+    nor a list is taken as a list of values, as ``ndarray.tolist`` gives."""
+    for v in node.values() if type(node) is dict else node:
+        if type(v) is not list and type(v) is not dict:
+            out.append(v)
+        elif type(v) is list and not (v and type(v[0]) in (list, dict)):
+            out += v
+        else:
+            _json_leaves(v, out)
+    return out
 
 
 # json.dumps's encoder with a NUL after each item: its text of a list holds
@@ -198,8 +208,8 @@ _VALUE_ENCODER = json.JSONEncoder(separators=(_SLOT, ":"))
 def _json_template(bases: int, outputs: int, inputs: int) -> str:
     """``json.dumps(result.as_dict(), indent=2)`` of a result of ``bases``
     bases with (outputs, inputs) transitions, with ``%s`` in place of each
-    value in the order :meth:`DetectionResult.json_text` lists them: the
-    text of a result whose every value is None, each ``null`` replaced."""
+    value in the order :func:`_json_leaves` lists them: the text of a
+    result whose every value is None, each ``null`` replaced."""
     slots = np.full((outputs + 1, inputs), None)
     basis = BasisResult(None, slots[:outputs], slots[outputs], None, None, None)
     doc = DetectionResult([basis] * bases, None, None, None, None).as_dict()

@@ -252,16 +252,9 @@ def _blahut_arimoto_checked(t: np.ndarray, tol_bits: float, max_iter: int):
             p0, pa = pa, mapped
         else:
             pa = _squarem_step(p0, pa, mapped)
-        # the face-Newton candidates of the matrices still open: of all of
-        # them at once, with the bracket updated in place, when none is done
+        # the face-Newton candidates of the matrices still open
         rows = np.flatnonzero(~(hi - lo <= tol_bits)) if it >= 24 and it % 8 == 0 else ()
-        if len(rows) == len(lo):
-            mapped, lower, upper = _ba_map(ta, ka, _face_newton(ta, ka, best))
-            raised = lower > lo
-            np.copyto(lo, lower, where=raised)
-            np.copyto(best, mapped, where=raised[:, None])
-            np.fmin(hi, upper, out=hi)
-        elif len(rows):
+        if len(rows):
             mapped, lower, upper = _ba_map(ta[rows], ka[rows], _face_newton(ta[rows], ka[rows], best[rows]))
             raised = lower > lo[rows]
             lo[rows[raised]] = lower[raised]

@@ -268,23 +268,19 @@ def test_c_det_bits_is_the_reported_priors_information_within_a_stated_margin():
     """An oracle that shares no code with capdetect: c_det_bits <= I(p*, T)
     + m and I(p*, T) <= c_det_bits + gap + m, where p* and T are the
     winning basis's reported prior and float transition and I is computed
-    at 60 digits. c_det_bits is not yet a bound by itself: some cases read
-    above I, the closed form by up to 6.6e-16 bits and the uniform d = 19
-    channel by 1.28e-15."""
+    at 60 digits. c_det_bits is not yet a bound by itself: with numpy 2.4
+    some cases read above I, the closed form by up to 6.6e-16 bits and the
+    uniform d = 19 channel by 1.28e-15."""
     channels = [*(random_cptp_channel(2, 2, np.random.default_rng(seed)) for seed in range(12)),
                 *(random_cptp_channel(3, 2, np.random.default_rng(seed)) for seed in range(12)),
                 _D5_MEMBER24, pauli_family_channel(19, np.full((19, 19), 1 / 361))]
-    excess = []
     for channel in channels:
         result = detect_capacity(channel, DetectionConfig("pauli" if channel.dim == 2 else "weyl"))
         best = result.per_basis[result.argmax_index]
         info = _decimal_mutual_information(best.optimal_prior, best.transition)
         above = decimal.Decimal(result.c_det_bits) - info
-        assert above <= decimal.Decimal(_DECIMAL_MARGIN), channel.dim
+        assert above <= decimal.Decimal(_DECIMAL_MARGIN), (channel.dim, float(above))
         assert -above <= decimal.Decimal(best.gap_bits) + decimal.Decimal(_DECIMAL_MARGIN), channel.dim
-        excess.append(float(above))
-    assert max(excess) > 0.0  # the margin is needed
-    assert 1e-15 < excess[-1] <= _DECIMAL_MARGIN  # the uniform d = 19 channel
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -1019,19 +1015,10 @@ def _detection_results(draw):
 @given(_detection_results())
 @example(_odd_result())
 @example(DetectionResult([], 0.5, "none", 0))
+@example(detect_capacity(random_cptp_channel(3, 2, np.random.default_rng(52)), DetectionConfig("weyl")))
+@example(detect_capacity(random_cptp_channel(5, 3, np.random.default_rng(52)), DetectionConfig("weyl")))
 def test_json_text_is_the_text_of_json_dumps(result):
     assert result.json_text() == json.dumps(result.as_dict(), indent=2)
-
-
-def test_json_text_writes_each_result_as_json_dumps_does():
-    rng = np.random.default_rng(52)
-    for d, bases in ((2, "pauli"), (3, "weyl"), (5, "weyl")):
-        for rank in (1, 2, 3):
-            result = detect_capacity(random_cptp_channel(d, rank, rng), DetectionConfig(bases))
-            assert result.json_text() == json.dumps(result.as_dict(), indent=2)
-    text = _odd_result().json_text()
-    for word in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "\\u00e9", '\\"x\\"', "\\u0000"):
-        assert word in text
 
 
 def test_detect_from_transitions_checks_its_input():
